@@ -10,7 +10,7 @@ from .jets import (
     Jet,
     JetDomainError,
     JetError,
-    det3,
+    det,
     holomorphic_extend,
     jet_cos,
     jet_exp,

@@ -35,8 +35,9 @@ import numpy as np
 
 from . import families as fam_mod
 from . import hodge as hodge_mod
-from .dsl import ParseError, eval_jet, parse
+from .dsl import EvalDomainError, ParseError, eval_jet, parse
 from .families import FamilyError, MetricFamily, check_slag_family, family_from_entries
+from .hodge import HodgeError, phi_csv
 from .jets import EXACT, FLOAT, Jet, JetError, X1, X2, X3
 from .solver import (
     SolverError,
@@ -49,6 +50,8 @@ from .solver import (
 SCHEMA_VERSION = 1
 KINDS = ("embed", "verify", "family-check", "phi", "phi2d")
 _TOL_ENV = "SLAGCY_TOLERANCE"
+# Scenario fields a command line flag of the same name overrides.
+_OVERRIDES = ("order", "grid", "mode", "t_samples", "dump_path")
 
 
 class ScenarioError(Exception):
@@ -96,6 +99,7 @@ class RunReport:
     family_check: dict | None = None
     phi: dict | None = None
     timings: dict = field(default_factory=dict)
+    dump: str | None = None  # structure dump text (embed); not part of the JSON
 
     def all_passed(self) -> bool:
         return all(v["passed"] for v in self.verdicts)
@@ -149,7 +153,10 @@ def _default_tolerance(mode: str):
     return Fraction(0) if mode == EXACT else 1e-12
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, overrides: dict | None = None) -> Scenario:
+    """Parse a scenario file, then apply ``overrides`` (field -> value, None
+    keeps the file's value).  A tolerance the file leaves unset takes the
+    default of the final mode."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=(";", "#"))
     try:
@@ -182,8 +189,6 @@ def load_scenario(path) -> Scenario:
             sc.tolerance = Fraction(tol_text) if mode == EXACT else float(tol_text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"bad tolerance {tol_text!r}") from exc
-    else:
-        sc.tolerance = _default_tolerance(mode)
 
     if parser.has_section("metric"):
         sc.metric = {k: _unquote(v) for k, v in parser["metric"].items()}
@@ -196,11 +201,19 @@ def load_scenario(path) -> Scenario:
         sc.json_path = _unquote(out.get("json", "")) or None
         sc.csv_path = _unquote(out.get("csv", "")) or None
         sc.dump_path = _unquote(out.get("dump", "")) or None
-    _validate_required(sc)
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            setattr(sc, key, value)
+    if sc.tolerance is None:
+        sc.tolerance = _default_tolerance(sc.mode)
+    _validate(sc)
     return sc
 
 
-def _validate_required(sc: Scenario) -> None:
+def _validate(sc: Scenario) -> None:
+    if sc.grid < 2 or sc.t_samples < 1:
+        raise ScenarioError(f"need grid >= 2 and t_samples >= 1, "
+                            f"got grid = {sc.grid}, t_samples = {sc.t_samples}")
     if sc.kind == "embed" and not sc.metric:
         raise ScenarioError("embed scenarios need a [metric] section")
     if sc.kind == "verify" and not sc.structure_path:
@@ -243,12 +256,20 @@ def _metric_jets(sc: Scenario):
     return g
 
 
+def _pop_number(spec: dict, key: str, default: str, kind=float):
+    text = spec.pop(key, default)
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ScenarioError(f"[family] {key}: not a number: {text!r}") from exc
+
+
 def _family_from_scenario(sc: Scenario) -> MetricFamily:
     spec = dict(sc.family)
     constructor = spec.pop("constructor", "direct").strip()
-    dim = int(spec.pop("dim", "3"))
-    t_min = float(spec.pop("t_min", "0"))
-    t_max = float(spec.pop("t_max", "1"))
+    dim = _pop_number(spec, "dim", "3", int)
+    t_min = _pop_number(spec, "t_min", "0")
+    t_max = _pop_number(spec, "t_max", "1")
     periodic_text = spec.pop("periodic", "")
     if periodic_text:
         flags = tuple(v.strip().lower() in ("1", "true", "yes") for v in periodic_text.split())
@@ -272,12 +293,12 @@ def _family_from_scenario(sc: Scenario) -> MetricFamily:
             return fam_mod.make_block_family(u, qm, q, t_range=(t_min, t_max), name=name)
         if constructor == "collapse22":
             w = _parse_expr(spec.pop("w", "0"), "[family] w")
-            t1 = float(spec.pop("t1", "1"))
+            t1 = _pop_number(spec, "t1", "1")
             return fam_mod.make_collapsing_22(w, t1, t_range=(t_min, t_max), name=name)
         if constructor == "collapse21":
             w = _parse_expr(spec.pop("w", "0"), "[family] w")
             v = _parse_expr(spec.pop("v", "0"), "[family] v")
-            t1 = float(spec.pop("t1", "1"))
+            t1 = _pop_number(spec, "t1", "1")
             return fam_mod.make_collapsing_21(w, v, t1, t_range=(t_min, t_max), name=name)
         if constructor == "cone":
             f = _parse_expr(spec.pop("f", "1"), "[family] f")
@@ -314,10 +335,9 @@ def _run_embed(sc: Scenario) -> RunReport:
     solve_s = time.perf_counter() - t0
     report = check_structure(structure)
     residuals, verdicts = _residual_verdicts(report, sc.tolerance)
-    if sc.dump_path:
-        _atomic_write(sc.dump_path, dump_structure(structure))
     return RunReport(scenario=sc.echo(), verdicts=verdicts, residuals=residuals,
-                     timings={"solve_s": solve_s})
+                     timings={"solve_s": solve_s},
+                     dump=dump_structure(structure) if sc.dump_path else None)
 
 
 def _run_verify(sc: Scenario) -> RunReport:
@@ -346,56 +366,32 @@ def _run_family_check(sc: Scenario) -> RunReport:
                      family_check=_jsonable(report.as_dict()))
 
 
-def _phi_payload(curve, sc: Scenario) -> dict:
-    return {
-        "t": _jsonable(curve.t),
-        "phi": _jsonable(curve.phi),
-        "spread": curve.spread(),
-        "classification": curve.classification(float(sc.tolerance)),
-        "integrals": _jsonable(curve.integrals),
-    }
-
-
 def _run_phi(sc: Scenario) -> RunReport:
+    """Both phi kinds: the admissibility verdict, then the curve; phi2d also
+    judges Phi == 1 and caps the grid at 256."""
     fam = _family_from_scenario(sc)
-    tol = float(sc.tolerance)
-    ts = np.linspace(fam.t_range[0], fam.t_range[1], sc.t_samples)
-    check = check_slag_family(fam, n=min(sc.grid, 128), nt=max(2, min(sc.t_samples, 9)), tol=tol)
-    verdicts = [_verdict("family_admissible",
-                         max(check.det_t_independence, check.det_x1_independence,
-                             check.closure_residual), tol)]
-    if not check.passed():
-        return RunReport(scenario=sc.echo(), verdicts=verdicts,
-                         family_check=_jsonable(check.as_dict()))
-    curve = hodge_mod.phi_curve(fam, ts, n=sc.grid, check=False)
-    if sc.csv_path:
-        _atomic_write(sc.csv_path, curve.to_csv_text())
-    return RunReport(scenario=sc.echo(), verdicts=verdicts,
-                     family_check=_jsonable(check.as_dict()),
-                     phi=_phi_payload(curve, sc))
-
-
-def _run_phi2d(sc: Scenario) -> RunReport:
-    fam = _family_from_scenario(sc)
-    if fam.dim != 2:
+    two_d = sc.kind == "phi2d"
+    if two_d and fam.dim != 2:
         raise ScenarioError("phi2d needs a 2-dimensional family")
     tol = float(sc.tolerance)
     ts = np.linspace(fam.t_range[0], fam.t_range[1], sc.t_samples)
     check = check_slag_family(fam, n=min(sc.grid, 128), nt=max(2, min(sc.t_samples, 9)), tol=tol)
-    verdicts = [_verdict("family_admissible",
-                         max(check.det_t_independence, check.det_x1_independence,
-                             check.closure_residual), tol)]
+    report = RunReport(scenario=sc.echo(),
+                       verdicts=[_verdict("family_admissible", check.worst, tol)],
+                       family_check=_jsonable(check.as_dict()))
     if not check.passed():
-        return RunReport(scenario=sc.echo(), verdicts=verdicts,
-                         family_check=_jsonable(check.as_dict()))
-    curve = hodge_mod.phi_2d(fam, ts, n=min(sc.grid, 256), check=False)
-    verdicts.append(_verdict("phi_constant_equal_1",
-                             float(np.max(np.abs(curve.phi - 1.0))), sc.phi_tolerance))
-    if sc.csv_path:
-        _atomic_write(sc.csv_path, curve.to_csv_text())
-    return RunReport(scenario=sc.echo(), verdicts=verdicts,
-                     family_check=_jsonable(check.as_dict()),
-                     phi=_phi_payload(curve, sc))
+        return report
+    if two_d:
+        curve = hodge_mod.phi_2d(fam, ts, n=min(sc.grid, 256), check=False)
+        report.verdicts.append(_verdict("phi_constant_equal_1",
+                                        float(np.max(np.abs(curve.phi - 1.0))),
+                                        sc.phi_tolerance))
+    else:
+        curve = hodge_mod.phi_curve(fam, ts, n=sc.grid, check=False)
+    report.phi = {"t": _jsonable(curve.t), "phi": _jsonable(curve.phi),
+                  "spread": curve.spread(), "classification": curve.classification(tol),
+                  "integrals": _jsonable(curve.integrals)}
+    return report
 
 
 _RUNNERS = {
@@ -403,7 +399,7 @@ _RUNNERS = {
     "verify": _run_verify,
     "family-check": _run_family_check,
     "phi": _run_phi,
-    "phi2d": _run_phi2d,
+    "phi2d": _run_phi,
 }
 
 
@@ -411,7 +407,7 @@ def _execute(sc: Scenario) -> RunReport:
     t0 = time.perf_counter()
     try:
         report = _RUNNERS[sc.kind](sc)
-    except (FamilyError, SolverError, JetError) as exc:
+    except (FamilyError, SolverError, JetError, HodgeError, EvalDomainError) as exc:
         raise ScenarioError(str(exc)) from exc
     report.timings["total_s"] = time.perf_counter() - t0
     return report
@@ -419,11 +415,7 @@ def _execute(sc: Scenario) -> RunReport:
 
 def run_scenario(path, overrides: dict | None = None) -> RunReport:
     """Load, execute and report one scenario file."""
-    sc = load_scenario(path)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(sc, key, value)
-    return _execute(sc)
+    return _execute(load_scenario(path, overrides))
 
 
 # -- report emission ------------------------------------------------------------------
@@ -450,21 +442,17 @@ def report_json(report: RunReport, deterministic: bool = False) -> str:
 
 
 def emit_report(report: RunReport, json_path=None, csv_path=None,
-                deterministic: bool = False) -> None:
-    """Write the JSON (and, for phi kinds, CSV) artifacts atomically."""
+                deterministic: bool = False, dump_path=None) -> None:
+    """Write the report's artifacts atomically: the JSON report, the phi CSV
+    (a header only when the report has no curve) and the structure dump."""
+    if dump_path and report.dump is not None:
+        _atomic_write(dump_path, report.dump)
     if json_path:
         _atomic_write(json_path, report_json(report, deterministic))
     if csv_path is not None:
-        lines = ["t,phi,g11_int,g22_int,g33_int"]
         phi = report.phi or {}
-        ts = phi.get("t") or []
-        phis = phi.get("phi") or []
-        ints = phi.get("integrals")
-        for k in range(len(ts)):
-            cols = [ts[k], phis[k]]
-            cols.extend(ints[k] if ints is not None else [float("nan")] * 3)
-            lines.append(",".join(format(float(c), ".17g") for c in cols))
-        _atomic_write(csv_path, "\n".join(lines) + "\n")
+        _atomic_write(csv_path, phi_csv(phi.get("t") or [], phi.get("phi") or [],
+                                        phi.get("integrals")))
 
 
 # -- entry point ------------------------------------------------------------------------
@@ -494,23 +482,18 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:
-        sc = load_scenario(args.scenario)
+        sc = load_scenario(args.scenario, {key: getattr(args, key) for key in _OVERRIDES})
         if sc.kind != args.kind:
             raise ScenarioError(
                 f"scenario kind {sc.kind!r} does not match subcommand {args.kind!r}")
-        for key in ("order", "grid", "mode", "t_samples", "dump_path"):
-            value = getattr(args, key)
-            if value is not None:
-                setattr(sc, key, value)
         report = _execute(sc)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     json_path = args.json_path or sc.json_path
-    csv_path = args.csv_path or sc.csv_path
-    wants_csv = csv_path and args.kind in ("phi", "phi2d")
-    emit_report(report, json_path=json_path, csv_path=csv_path if wants_csv else None,
-                deterministic=args.deterministic)
+    csv_path = (args.csv_path or sc.csv_path) if args.kind in ("phi", "phi2d") else None
+    emit_report(report, json_path=json_path, csv_path=csv_path,
+                deterministic=args.deterministic, dump_path=sc.dump_path)
     if not json_path:
         sys.stdout.write(report_json(report, args.deterministic))
     for v in report.verdicts:

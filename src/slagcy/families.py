@@ -25,7 +25,7 @@ import numpy as np
 from . import dsl
 from .dsl import Expr, eval_grid, eval_jet, free_variables, parse
 from .gridops import grid_diff, periodic_axis, periodic_quad
-from .jets import FLOAT, X1, X2, X3, Y1, Jet
+from .jets import FLOAT, X1, X2, X3, Y1, Jet, det, leading_minors
 from .solver import ExtensionPolicy
 
 
@@ -161,9 +161,14 @@ class FamilyCheckReport:
     def verdict(self) -> str:
         return "pass" if self.passed() else "fail"
 
-    def passed(self) -> bool:
+    @property
+    def worst(self) -> float:
+        """The largest of the three residuals."""
         return max(self.det_t_independence, self.det_x1_independence,
-                   self.closure_residual) <= self.tolerance
+                   self.closure_residual)
+
+    def passed(self) -> bool:
+        return self.worst <= self.tolerance
 
     def as_dict(self) -> dict:
         return {
@@ -175,26 +180,6 @@ class FamilyCheckReport:
             "n": self.n,
             "nt": self.nt,
         }
-
-
-def _det_samples(m, dim: int) -> np.ndarray:
-    if dim == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def _check_positive_definite(m, dim: int, t: float) -> None:
-    minors = [np.asarray(m[0][0])]
-    minors.append(np.asarray(m[0][0] * m[1][1] - m[0][1] * m[1][0]))
-    if dim == 3:
-        minors.append(np.asarray(_det_samples(m, 3)))
-    for k, minor in enumerate(minors, start=1):
-        if not np.all(minor > 0):
-            raise FamilyError(
-                f"non-positive-definite sample at t={t}: leading minor {k} reaches "
-                f"{float(np.min(minor))}")
 
 
 def check_slag_family(fam: MetricFamily, n: int = 64, nt: int = 9,
@@ -216,10 +201,15 @@ def check_slag_family(fam: MetricFamily, n: int = 64, nt: int = 9,
     full_shape = np.broadcast_shapes(*(a.shape for a in axes.values()))
     for t in ts:
         m = fam.sample_matrix(float(t), axes)
-        _check_positive_definite(m, fam.dim, float(t))
-        det = np.broadcast_to(_det_samples(m, fam.dim), full_shape)
-        dets.append(det)
-        d_sqrt = grid_diff(np.sqrt(det), 0, fam.periodic[0], n)
+        minors = leading_minors(m)  # positive definiteness, and det(m) last
+        for k, minor in enumerate(minors, start=1):
+            if not np.all(minor > 0):
+                raise FamilyError(
+                    f"non-positive-definite sample at t={float(t)}: leading minor {k} "
+                    f"reaches {float(np.min(minor))}")
+        det_m = np.broadcast_to(minors[-1], full_shape)
+        dets.append(det_m)
+        d_sqrt = grid_diff(np.sqrt(det_m), 0, fam.periodic[0], n)
         sqrt_det_x1_max = max(sqrt_det_x1_max, float(np.max(np.abs(d_sqrt))))
         for i in range(fam.dim):
             for j in range(i + 1, fam.dim):
@@ -263,8 +253,8 @@ def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), periodic=(True, True, True
     for t in np.linspace(t_range[0], t_range[1], nt_check):
         env = dict(axes)
         env["t"] = float(t)
-        det_q = (eval_grid(qm[0][0], env) * eval_grid(qm[1][1], env)
-                 - eval_grid(qm[0][1], env) ** 2)
+        q11, q12, q22 = (eval_grid(e, env) for e in (qm[0][0], qm[0][1], qm[1][1]))
+        det_q = det([[q11, q12], [q12, q22]])
         law = np.exp(-eval_grid(u, env)) * eval_grid(q, env)
         worst = max(worst, float(np.max(np.abs(det_q - law))))
     if worst > tol:

@@ -10,7 +10,6 @@ it is identically 1 for the 2D class and genuinely t-dependent in 3D.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,11 +22,12 @@ from .families import (
     family_axes,
 )
 from .gridops import periodic_quad, spectral_diff
+from .jets import det
 
 __all__ = [
     "HarmonicBasis", "GramMatrix", "PhiCurve", "periodic_quad",
     "harmonic_basis_diag3", "harmonic_basis_2d", "gram_L2",
-    "phi_curve", "phi_2d", "transform_gram",
+    "phi_curve", "phi_2d", "phi_csv", "transform_gram",
 ]
 
 
@@ -43,13 +43,8 @@ class HarmonicBasis:
     dim: int
     theta: np.ndarray          # (dim, dim, *grid)
     metric: np.ndarray         # (dim, dim, *grid) samples that produced it
-    cycle_basis: np.ndarray    # integer homology basis (identity here)
     scale: float = 1.0         # 2D volume-normalization factor applied to C
     residuals: dict = None
-
-    @property
-    def grid_shape(self) -> tuple:
-        return self.theta.shape[2:]
 
 
 @dataclass(frozen=True)
@@ -75,37 +70,22 @@ class PhiCurve:
     def spread(self) -> float:
         return float(np.max(self.phi) - np.min(self.phi))
 
-    def dphi_dt(self) -> np.ndarray:
-        return np.gradient(self.phi, self.t)
-
     def classification(self, tol: float = 1e-10) -> str:
         return "non-constant" if self.spread() > 100.0 * tol else "constant"
 
-    def to_csv(self, target) -> None:
-        """Write `t,phi,g11_int,g22_int,g33_int` rows at full double precision."""
-        close = False
-        if isinstance(target, (str, bytes)):
-            fh = open(target, "w", encoding="utf-8")
-            close = True
-        else:
-            fh = target
-        try:
-            fh.write("t,phi,g11_int,g22_int,g33_int\n")
-            for k in range(len(self.t)):
-                cols = [self.t[k], self.phi[k]]
-                if self.integrals is not None:
-                    cols.extend(self.integrals[k])
-                else:
-                    cols.extend([np.nan] * 3)
-                fh.write(",".join(format(float(c), ".17g") for c in cols) + "\n")
-        finally:
-            if close:
-                fh.close()
-
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+        return phi_csv(self.t, self.phi, self.integrals)
+
+
+def phi_csv(t, phi, integrals=None) -> str:
+    """`t,phi,g11_int,g22_int,g33_int` rows at full double precision; the
+    integral columns read nan when ``integrals`` is None."""
+    lines = ["t,phi,g11_int,g22_int,g33_int"]
+    for k in range(len(t)):
+        cols = [t[k], phi[k]]
+        cols.extend(integrals[k] if integrals is not None else [np.nan] * 3)
+        lines.append(",".join(format(float(c), ".17g") for c in cols))
+    return "\n".join(lines) + "\n"
 
 
 # -- shared helpers --------------------------------------------------------------
@@ -122,11 +102,11 @@ def _metric_stack(samples, dim: int, shape) -> np.ndarray:
 def _pointwise_inverse(metric: np.ndarray) -> tuple:
     """Inverse and determinant of a (dim, dim, *grid) sample stack."""
     m = np.moveaxis(metric, (0, 1), (-2, -1))
-    det = np.linalg.det(m)
-    if not np.all(det > 0):
+    det_m = np.linalg.det(m)
+    if not np.all(det_m > 0):
         raise HodgeError("singular metric sample (non-positive determinant)")
     inv = np.linalg.inv(m)
-    return np.moveaxis(inv, (-2, -1), (0, 1)), det
+    return np.moveaxis(inv, (-2, -1), (0, 1)), det_m
 
 
 def gram_L2(basis: HarmonicBasis, metric: np.ndarray | None = None) -> GramMatrix:
@@ -134,8 +114,8 @@ def gram_L2(basis: HarmonicBasis, metric: np.ndarray | None = None) -> GramMatri
     over the torus, by periodic quadrature on the basis grid."""
     g = basis.metric if metric is None else np.asarray(metric, dtype=np.float64)
     dim = basis.dim
-    inv, det = _pointwise_inverse(g)
-    sqrt_det = np.sqrt(det)
+    inv, det_g = _pointwise_inverse(g)
+    sqrt_det = np.sqrt(det_g)
     entries = np.empty((dim, dim), dtype=np.float64)
     for i in range(dim):
         for j in range(i, dim):
@@ -169,10 +149,8 @@ def _verify_periods(basis: HarmonicBasis, tol: float) -> float:
     for i in range(dim):
         for j in range(dim):
             comp = basis.theta[i, j]
-            other_axes = tuple(ax for ax in range(dim) if ax != j)
             if comp.ndim == dim:
-                per_rep = periodic_quad(comp, axis=j)
-                value = float(np.mean(per_rep))
+                value = float(np.mean(periodic_quad(comp, axis=j)))
             else:  # 1D storage: coefficients depend on x1 only
                 value = float(periodic_quad(comp)) if j == 0 else float(np.mean(comp))
             target = 1.0 if i == j else 0.0
@@ -193,8 +171,8 @@ def _closure_residual(theta: np.ndarray, dim: int) -> float:
 
 
 def _coclosure_residual(theta: np.ndarray, metric: np.ndarray, dim: int) -> float:
-    inv, det = _pointwise_inverse(metric)
-    sqrt_det = np.sqrt(det)
+    inv, det_g = _pointwise_inverse(metric)
+    sqrt_det = np.sqrt(det_g)
     worst = 0.0
     for i in range(dim):
         div = np.zeros_like(sqrt_det)
@@ -228,8 +206,7 @@ def _diag3_samples(fam: MetricFamily, t: float, n: int, tol: float) -> np.ndarra
             if arr.ndim == 3 and (arr.shape[1] > 1 or arr.shape[2] > 1):
                 raise HodgeError(f"diagonal entry ({i + 1},{i + 1}) depends on x2 or x3")
             diag[i] = np.broadcast_to(arr.reshape(-1), (n,))
-    det = diag[0] * diag[1] * diag[2]
-    if float(np.max(np.abs(det - 1.0))) > tol:
+    if float(np.max(np.abs(diag[0] * diag[1] * diag[2] - 1.0))) > tol:
         raise HodgeError("family determinant is not identically 1 on samples")
     if np.any(diag <= 0):
         raise HodgeError("non-positive diagonal sample")
@@ -250,8 +227,7 @@ def harmonic_basis_diag3(fam: MetricFamily, t: float, n: int = 256,
     metric = np.zeros((3, 3, n), dtype=np.float64)
     for i in range(3):
         metric[i, i] = diag[i]
-    basis = HarmonicBasis(dim=3, theta=theta, metric=metric,
-                          cycle_basis=np.eye(3, dtype=int), residuals={})
+    basis = HarmonicBasis(dim=3, theta=theta, metric=metric, residuals={})
     period_err = _verify_periods(basis, max(tol, 1e-12))
     closure = _closure_residual(theta, 3)
     coclosure = _coclosure_residual(theta, metric, 3)
@@ -262,15 +238,11 @@ def harmonic_basis_diag3(fam: MetricFamily, t: float, n: int = 256,
     return basis
 
 
-def phi_curve(fam: MetricFamily, t_samples: Sequence, n: int = 256, *,
-              check: bool = True, check_tol: float = 1e-10,
-              closed_form_tol: float = 1e-10, basis_tol: float = 1e-10) -> PhiCurve:
-    """Phi(t) = det Gram(t) for a diagonal x1-only family.
-
-    Also evaluates the closed-form ratio
-    int(g^22) int(g^33) / int(g^22 g^33) and insists the quadrature Gram
-    agrees; the curve rows carry (int g11, int g^22, int g^33).
-    """
+def _phi_samples(fam: MetricFamily, t_samples: Sequence, n: int, check: bool,
+                 check_tol: float, basis_at, row) -> PhiCurve:
+    """The Phi loop shared by both classes: admissibility check, then per t
+    the basis ``basis_at(t)``, its Gram matrix, det, and ``row(basis, phi, t)``
+    for the three integral columns."""
     if check:
         report = check_slag_family(fam, n=min(n, 128), nt=max(2, min(9, len(t_samples))),
                                    tol=check_tol)
@@ -282,22 +254,38 @@ def phi_curve(fam: MetricFamily, t_samples: Sequence, n: int = 256, *,
     grams = []
     integrals = np.empty((len(ts), 3), dtype=np.float64)
     for k, t in enumerate(ts):
-        basis = harmonic_basis_diag3(fam, float(t), n, tol=basis_tol)
+        basis = basis_at(float(t))
         gram = gram_L2(basis)
         grams.append(gram)
         phis[k] = gram.det()
+        integrals[k] = row(basis, phis[k], t)
+    return PhiCurve(t=ts, phi=phis, grams=tuple(grams), integrals=integrals)
+
+
+def phi_curve(fam: MetricFamily, t_samples: Sequence, n: int = 256, *,
+              check: bool = True, check_tol: float = 1e-10,
+              closed_form_tol: float = 1e-10, basis_tol: float = 1e-10) -> PhiCurve:
+    """Phi(t) = det Gram(t) for a diagonal x1-only family.
+
+    Also evaluates the closed-form ratio
+    int(g^22) int(g^33) / int(g^22 g^33) and insists the quadrature Gram
+    agrees; the curve rows carry (int g11, int g^22, int g^33).
+    """
+    def row(basis, phi, t):
         g11, g22, g33 = basis.metric[0, 0], basis.metric[1, 1], basis.metric[2, 2]
         i11 = float(periodic_quad(g11))
         i22 = float(periodic_quad(1.0 / g22))
         i33 = float(periodic_quad(1.0 / g33))
         cross = float(periodic_quad(1.0 / (g22 * g33)))
         closed = i22 * i33 / cross
-        if abs(phis[k] - closed) > closed_form_tol:
+        if abs(phi - closed) > closed_form_tol:
             raise HodgeError(
                 f"quadrature Gram disagrees with the closed form at t={t}: "
-                f"{phis[k]!r} vs {closed!r}")
-        integrals[k] = (i11, i22, i33)
-    return PhiCurve(t=ts, phi=phis, grams=tuple(grams), integrals=integrals)
+                f"{phi!r} vs {closed!r}")
+        return i11, i22, i33
+
+    return _phi_samples(fam, t_samples, n, check, check_tol,
+                        lambda t: harmonic_basis_diag3(fam, t, n, tol=basis_tol), row)
 
 
 # -- general 2D basis ----------------------------------------------------------------
@@ -323,12 +311,12 @@ def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128,
     normalization K = 1 is realized by rescaling C; the applied factor is
     recorded as ``scale`` (the basis and Phi are scale-invariant)."""
     g = _sample_2d(fam, t, n)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if np.any(det <= 0):
+    det_g = det(g)
+    if np.any(det_g <= 0):
         raise HodgeError("non-positive determinant sample")
-    if float(np.max(np.ptp(det, axis=0))) > tol:
+    if float(np.max(np.ptp(det_g, axis=0))) > tol:
         raise HodgeError("determinant depends on x1 (not an admissible 2D family)")
-    c = det.mean(axis=0)  # C(x2)
+    c = det_g.mean(axis=0)  # C(x2)
     sqrt_c = np.sqrt(c)[None, :]
 
     m_per_col = np.asarray(periodic_quad(g[0, 0], axis=0))
@@ -345,9 +333,7 @@ def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128,
     theta[0, 1] = np.broadcast_to((g[0, 1] * big_k - sqrt_c * big_l) / (big_k * big_m), (n, n))
     theta[1, 1] = np.broadcast_to(sqrt_c / big_k, (n, n))
 
-    basis = HarmonicBasis(dim=2, theta=theta, metric=g,
-                          cycle_basis=np.eye(2, dtype=int),
-                          scale=1.0 / big_k, residuals={})
+    basis = HarmonicBasis(dim=2, theta=theta, metric=g, scale=1.0 / big_k, residuals={})
     period_err = _verify_periods(basis, tol)
     closure = _closure_residual(theta, 2)
     coclosure = _coclosure_residual(theta, g, 2)
@@ -366,23 +352,11 @@ def phi_2d(fam: MetricFamily, t_samples: Sequence, n: int = 128, *,
     Curve rows carry (int g11 dx1, int g12 dx2, int sqrt(C) dx2) in the
     g11_int/g22_int/g33_int columns.
     """
-    if check:
-        report = check_slag_family(fam, n=min(n, 128), nt=max(2, min(9, len(t_samples))),
-                                   tol=check_tol)
-        if not report.passed():
-            raise InadmissibleFamilyError(
-                f"family fails the slice conditions: {report.as_dict()}")
-    ts = np.asarray(list(t_samples), dtype=np.float64)
-    phis = np.empty_like(ts)
-    grams = []
-    integrals = np.empty((len(ts), 3), dtype=np.float64)
-    for k, t in enumerate(ts):
-        basis = harmonic_basis_2d(fam, float(t), n, tol=basis_tol)
-        gram = gram_L2(basis)
-        grams.append(gram)
-        phis[k] = gram.det()
+    def row(basis, phi, t):
         g = basis.metric
-        integrals[k] = (float(periodic_quad(g[0, 0], axis=0).mean()),
-                        float(periodic_quad(g[0, 1], axis=1).mean()),
-                        1.0 / basis.scale)
-    return PhiCurve(t=ts, phi=phis, grams=tuple(grams), integrals=integrals)
+        return (float(periodic_quad(g[0, 0], axis=0).mean()),
+                float(periodic_quad(g[0, 1], axis=1).mean()),
+                1.0 / basis.scale)
+
+    return _phi_samples(fam, t_samples, n, check, check_tol,
+                        lambda t: harmonic_basis_2d(fam, t, n, tol=basis_tol), row)

@@ -275,12 +275,6 @@ class Jet:
         return Jet(order, {k: v for k, v in self.coeffs.items() if sum(k) <= order},
                    self.mode, self.base_point)
 
-    def lift(self, order: int) -> "Jet":
-        """Reinterpret at a higher order; the added coefficients are zero."""
-        if order < self.order:
-            raise JetError("lift target below current order")
-        return Jet(order, dict(self.coeffs), self.mode, self.base_point)
-
     def restrict_zero(self, vars: Iterable[int]) -> "Jet":
         """Restriction to the subspace where the given variables vanish."""
         vars = tuple(vars)
@@ -526,9 +520,6 @@ class ComplexJet:
     def __neg__(self) -> "ComplexJet":
         return ComplexJet(-self.re, -self.im)
 
-    def conjugate(self) -> "ComplexJet":
-        return ComplexJet(self.re, -self.im)
-
     def abs2(self) -> Jet:
         """Modulus squared re**2 + im**2 as a real jet."""
         return self.re * self.re + self.im * self.im
@@ -576,8 +567,19 @@ def holomorphic_extend(f: Jet) -> ComplexJet:
                       Jet(f.order, im, f.mode, f.base_point))
 
 
-def det3(m) -> Jet:
-    """Determinant of a 3x3 matrix of jets (Laplace expansion along row 1)."""
+def det(m):
+    """Determinant of a 2x2 or 3x3 matrix, by Laplace expansion along row 1.
+
+    Entries may be jets, complex jets, sample arrays or scalars; the
+    expression order is fixed, so float results are reproducible bit for bit.
+    """
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def leading_minors(m) -> list:
+    """Leading principal minors of a 2x2 or 3x3 matrix; the last is det(m)."""
+    return [m[0][0]] + [det([row[:k] for row in m[:k]]) for k in range(2, len(m) + 1)]

@@ -42,9 +42,11 @@ from .jets import (
     Y_VARS,
     ComplexJet,
     Jet,
-    det3,
+    JetError,
+    det,
     holomorphic_extend,
     jet_sqrt,
+    leading_minors,
 )
 
 
@@ -239,21 +241,15 @@ def _hmatrix(entries: dict):
     return [[h(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
 
 
-def _cdet3(h) -> ComplexJet:
-    return (h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
-            - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
-            + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0]))
-
-
 _COFACTOR_ROWS = {"a11": (2, 3), "a22": (1, 3), "a33": (1, 2)}
 
 
 def _diagonal_cofactor(entries: dict, key: str) -> ComplexJet:
     """Coefficient of the diagonal entry ``key`` in det(h): the complementary
     2x2 minor."""
-    i, j = _COFACTOR_ROWS[key]
+    rows = _COFACTOR_ROWS[key]
     h = _hmatrix(entries)
-    return h[i - 1][i - 1] * h[j - 1][j - 1] - h[i - 1][j - 1] * h[j - 1][i - 1]
+    return det([[h[i - 1][j - 1] for j in rows] for i in rows])
 
 
 # -- gamma ------------------------------------------------------------------------
@@ -277,11 +273,7 @@ def _validate_metric(g, order: int | None = None):
         raise SolverError(f"metric jets have order {ref.order}, expected {order}")
     # positive definiteness of the constant-term matrix (Sylvester)
     c = [[float(g[i][j].constant_term) for j in range(3)] for i in range(3)]
-    m1 = c[0][0]
-    m2 = c[0][0] * c[1][1] - c[0][1] * c[1][0]
-    m3 = (c[0][0] * (c[1][1] * c[2][2] - c[1][2] * c[2][1])
-          - c[0][1] * (c[1][0] * c[2][2] - c[1][2] * c[2][0])
-          + c[0][2] * (c[1][0] * c[2][1] - c[1][1] * c[2][0]))
+    m1, m2, m3 = leading_minors(c)
     if not (m1 > 0 and m2 > 0 and m3 > 0):
         raise DegenerateMetricError(
             f"metric constant term is not positive-definite (leading minors {m1}, {m2}, {m3})")
@@ -291,7 +283,7 @@ def build_gamma(g) -> ComplexJet:
     """Holomorphic extension of sqrt(det g): the unique coefficient of the
     holomorphic volume form restricting to the volume density on y = 0."""
     _validate_metric(g)
-    d = det3(g)
+    d = det(g)
     if not float(d.constant_term) > 0:
         raise DegenerateMetricError(
             f"det(g) has non-positive constant term {d.constant_term}")
@@ -376,7 +368,7 @@ def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
             cur[dst] = cur[dst] + new_slices[src].mul_monomial(ev, m)
         # determinant constraint at this order, linear in the diagonal entry
         capped = {k: cur[k].truncate_var(ev, m) for k in ENTRY_KEYS}
-        det_rest = _cdet3(_hmatrix(capped)).re.slice_coeff(ev, m)
+        det_rest = det(_hmatrix(capped)).re.slice_coeff(ev, m)
         numer = gamma_sq.slice_coeff(ev, m) - det_rest
         d_slice = numer / cof0.re.truncate(order - m)
         cur[d_key] = cur[d_key] + d_slice.mul_monomial(ev, m)
@@ -417,11 +409,11 @@ def check_structure(s: CYStructureJet) -> ResidualReport:
     maximum absolute coefficient of each residual jet."""
     e = s.h.entries
     gamma = s.gamma
-    det = _cdet3(_hmatrix(e))
+    det_h = det(_hmatrix(e))
     gsq = gamma.abs2()
     details: dict = {}
-    details["D"] = _maxc(det.re - gsq)
-    details["D_imag"] = _maxc(det.im)
+    details["D"] = _maxc(det_h.re - gsq)
+    details["D_imag"] = _maxc(det_h.im)
 
     a = {(i, j): e[f"a{i}{j}"] for i in (1, 2, 3) for j in (1, 2, 3)}
     b = {(1, 2): e["b12"], (1, 3): e["b13"], (2, 3): e["b23"]}
@@ -534,6 +526,8 @@ def load_structure(text: str) -> CYStructureJet:
         base_point = tuple(_parse_scalar(v, mode) for v in meta["base_point"].split())
     except KeyError as exc:
         raise SolverError(f"structure dump missing {exc}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SolverError(f"bad structure dump header: {exc}") from exc
     if mode not in (EXACT, FLOAT):
         raise SolverError(f"unknown mode {mode!r}")
 
@@ -547,13 +541,20 @@ def load_structure(text: str) -> CYStructureJet:
             if tag is None:
                 raise SolverError("coefficient line before any section")
             idx_text, _, val_text = ln.partition(":")
-            idx = tuple(int(v) for v in idx_text.split())
+            try:
+                idx = tuple(int(v) for v in idx_text.split())
+                value = _parse_scalar(val_text.strip(), mode)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise SolverError(f"bad coefficient line {ln!r}: {exc}") from exc
             if len(idx) != NVARS:
                 raise SolverError(f"bad multi-index line {ln!r}")
-            sections[tag][idx] = _parse_scalar(val_text.strip(), mode)
+            sections[tag][idx] = value
 
     def jet_of(tag: str) -> Jet:
-        return Jet.from_terms(sections.get(tag, {}), order, mode, base_point)
+        try:
+            return Jet.from_terms(sections.get(tag, {}), order, mode, base_point)
+        except JetError as exc:
+            raise SolverError(f"bad structure dump section [{tag}]: {exc}") from exc
 
     entries = {f"a{i}{j}": jet_of(f"A {i} {j}") for i in (1, 2, 3) for j in (1, 2, 3)}
     for i, j in ((1, 2), (1, 3), (2, 3)):

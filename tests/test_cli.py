@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from slagcy import family_from_entries, phi_curve
 from slagcy.cli import (
     ScenarioError,
     emit_report,
@@ -21,6 +23,43 @@ def write_scenario(tmp_path, text, name="case.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def structure_dump(order="2", base_point="0 0 0 0 0 0", line="0 0 0 0 0 0 : 1"):
+    return (f"slagcy-structure v1\nmode = exact\norder = {order}\n"
+            f"base_point = {base_point}\n[A 1 1]\n{line}\n")
+
+
+def family_scenario(kind="family-check", **fields):
+    v = {"grid": "16", "t_samples": "3", "constructor": "direct", "dim": "3",
+         "t_min": "0", "t_max": "1", "entries": 'g11 = "1"\ng22 = "1"\ng33 = "1"\n'}
+    v.update(fields)
+    return (f"[scenario]\nkind = {kind}\nmode = float\ngrid = {v['grid']}\n"
+            f"t_samples = {v['t_samples']}\n\n[family]\nconstructor = {v['constructor']}\n"
+            f"dim = {v['dim']}\nt_min = {v['t_min']}\nt_max = {v['t_max']}\n{v['entries']}")
+
+
+# label -> (subcommand, scenario text or, for verify, the dump text, extra flags)
+MALFORMED = {
+    "dump order": ("verify", structure_dump(order="two"), []),
+    "dump base point": ("verify", structure_dump(base_point="0 0 zero 0 0 0"), []),
+    "dump coefficient": ("verify", structure_dump(line="0 0 0 0 0 0 : one"), []),
+    "dump zero denominator": ("verify", structure_dump(line="0 0 0 0 0 0 : 1/0"), []),
+    "dump multi-index": ("verify", structure_dump(line="0 0 x 0 0 0 : 1"), []),
+    "family dim": ("family-check", family_scenario(dim="three"), []),
+    "family t_min": ("family-check", family_scenario(t_min="zero"), []),
+    "family t_max": ("family-check", family_scenario(t_max="1.0.0"), []),
+    "family t1": ("family-check", family_scenario(constructor="collapse22",
+                                                  entries='w = "0"\nt1 = soon\n'), []),
+    "grid in file": ("family-check", family_scenario(grid="1"), []),
+    "t_samples in file": ("family-check", family_scenario(t_samples="0"), []),
+    "grid flag": ("phi", family_scenario(kind="phi"), ["--grid", "1"]),
+    "t_samples flag": ("phi", family_scenario(kind="phi"), ["--t-samples", "0"]),
+    "phi on a 2D family": ("phi", family_scenario(kind="phi", dim="2",
+                                                  entries='g11 = "1"\ng22 = "1"\n'), []),
+    "entry outside its domain": ("family-check", family_scenario(
+        entries='g11 = "log(x1 - 2)"\ng22 = "1"\ng33 = "1"\n'), []),
+}
 
 
 class TestScenarioLoading:
@@ -94,6 +133,32 @@ class TestExitCodes:
         code = main(["phi", "--scenario", str(SCENARIOS / "flat_embed.ini")])
         assert code == 2
 
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_input_is_two(self, case, tmp_path, capsys):
+        kind, text, flags = MALFORMED[case]
+        if kind == "verify":
+            dump = tmp_path / "structure.txt"
+            dump.write_text(text, encoding="utf-8")
+            text = f"[scenario]\nkind = verify\nmode = exact\n\n[input]\nstructure = {dump}\n"
+        code = main([kind, "--scenario", write_scenario(tmp_path, text), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_mode_override_takes_that_modes_default_tolerance(self, tmp_path):
+        path = write_scenario(
+            tmp_path,
+            '[scenario]\nkind = embed\norder = 6\nmode = exact\n\n'
+            '[metric]\ng11 = "1 + sin(2*pi*x1)/10"\ng22 = "1 + cos(2*pi*x2)/10"\n'
+            'g33 = "1"\n')
+        assert load_scenario(path).tolerance == 0
+        assert load_scenario(path, {"mode": "float"}).tolerance == 1e-12
+        out = tmp_path / "r.json"
+        assert main(["embed", "--scenario", path, "--mode", "float",
+                     "--out-json", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["scenario"]["tolerance"] == 1e-12
+        assert max(v["value"] for v in data["verdicts"]) > 0  # float roundoff is judged
+
 
 class TestGolden:
     def test_flat_embed_json_is_byte_stable(self, tmp_path):
@@ -131,6 +196,30 @@ class TestPhiPipeline:
         data = json.loads(json_path.read_text())
         names = [v["name"] for v in data["verdicts"]]
         assert "phi_constant_equal_1" in names
+
+    def test_out_csv_replaces_output_csv(self, tmp_path):
+        from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+        path = write_scenario(
+            tmp_path,
+            family_scenario(kind="phi", grid="32",
+                            entries='g11 = "exp(-2*t*sin(2*pi*x1))"\n'
+                                    'g22 = "exp(t*sin(2*pi*x1))"\n'
+                                    'g33 = "exp(t*sin(2*pi*x1))"\n')
+            + f"\n[output]\ncsv = {from_file}\n")
+        code = main(["phi", "--scenario", path, "--out-csv", str(from_flag),
+                     "--out-json", str(tmp_path / "r.json")])
+        assert code == 0
+        assert from_flag.exists()
+        assert not from_file.exists()
+
+    def test_emitted_csv_equals_curve_csv(self, tmp_path):
+        report = run_scenario(SCENARIOS / "bessel_phi.ini")
+        csv_path = tmp_path / "phi.csv"
+        emit_report(report, csv_path=str(csv_path))
+        sc = load_scenario(SCENARIOS / "bessel_phi.ini")
+        fam = family_from_entries({k: v for k, v in sc.family.items() if k.startswith("g")})
+        curve = phi_curve(fam, np.linspace(0.0, 1.0, sc.t_samples), n=sc.grid, check=False)
+        assert csv_path.read_text() == curve.to_csv_text()
 
     def test_json_roundtrip_reproduces_verdicts(self, tmp_path):
         report = run_scenario(SCENARIOS / "det_drift_check.ini")

@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from slagcy.jets import (
@@ -18,7 +20,7 @@ from slagcy.jets import (
     IncompatibleJetsError,
     Jet,
     JetDomainError,
-    det3,
+    det,
     grlex_key,
     holomorphic_extend,
     jet_cos,
@@ -27,6 +29,7 @@ from slagcy.jets import (
     jet_pow,
     jet_sin,
     jet_sqrt,
+    leading_minors,
 )
 
 
@@ -257,31 +260,68 @@ class TestHolomorphicExtend:
             holomorphic_extend(var(Y1))
 
 
-def det3_permutation_oracle(m):
+def det_permutation_oracle(m):
+    """Leibniz formula: signed products over all permutations."""
+    n = len(m)
     total = None
-    for (p0, p1, p2), sign in ((( 0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                               ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-        term = m[0][p0] * m[1][p1] * m[2][p2] * sign
-        total = term if total is None else total + term
+    for perm in itertools.permutations(range(n)):
+        term = m[0][perm[0]]
+        for r in range(1, n):
+            term = term * m[r][perm[r]]
+        odd = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n)) % 2
+        if total is None:
+            total = -term if odd else term
+        else:
+            total = total - term if odd else total + term
     return total
+
+
+def random_det_matrix(rng, size, kind):
+    if kind == "ndarray":  # a (size, size, 4) stack of integer samples: exact arithmetic
+        return np.array([[[rng.randint(-9, 9) for _ in range(4)] for _ in range(size)]
+                         for _ in range(size)])
+    if kind == "complex":
+        return [[ComplexJet(random_jet(rng, order=3, nterms=3), random_jet(rng, order=3, nterms=3))
+                 for _ in range(size)] for _ in range(size)]
+    return [[random_jet(rng, order=3, nterms=3) for _ in range(size)] for _ in range(size)]
 
 
 class TestDet3:
     def test_identity(self):
         one, zero = const(1), const(0)
         m = [[one if i == j else zero for j in range(3)] for i in range(3)]
-        assert det3(m) == one
+        assert det(m) == one
 
     def test_diagonal(self):
         one, zero = const(1), const(0)
         m = [[1 + var(X1), zero, zero], [zero, one, zero], [zero, zero, one]]
-        assert det3(m) == 1 + var(X1)
+        assert det(m) == 1 + var(X1)
 
-    def test_random_against_permutation_oracle(self):
+    @staticmethod
+    def check_against_oracle(size, kind):
         rng = random.Random(29)
         for _ in range(10):
-            m = [[random_jet(rng, order=3, nterms=3) for _ in range(3)] for _ in range(3)]
-            assert det3(m) == det3_permutation_oracle(m)
+            m = random_det_matrix(rng, size, kind)
+            got, expect = det(m), det_permutation_oracle(m)
+            if kind == "ndarray":
+                assert np.array_equal(got, expect)
+            else:
+                assert got == expect
+
+    def test_random_against_permutation_oracle(self):
+        self.check_against_oracle(3, "jet")
+
+    @pytest.mark.parametrize("size,kind", [(2, "jet"), (2, "complex"), (3, "complex"),
+                                           (2, "ndarray"), (3, "ndarray")])
+    def test_other_inputs_against_permutation_oracle(self, size, kind):
+        self.check_against_oracle(size, kind)
+
+    def test_leading_minors(self):
+        m = [[Fraction(4), Fraction(1), Fraction(1, 2)],
+             [Fraction(1), Fraction(3), Fraction(1, 4)],
+             [Fraction(1, 2), Fraction(1, 4), Fraction(2)]]
+        assert leading_minors(m) == [4, 11, det_permutation_oracle(m)]
+        assert leading_minors([row[:2] for row in m[:2]]) == [4, 11]
 
 
 class TestDumpAndSlices:

@@ -346,6 +346,25 @@ class TestDumpLoad:
         with pytest.raises(SolverError, match="header"):
             load_structure("not a dump\n")
 
+    @pytest.mark.parametrize("header,line", [
+        ("order = two", ""),
+        ("base_point = 0 0 zero 0 0 0", ""),
+        ("base_point = 0 0 0", ""),
+        ("", "0 0 0 0 0 0 : one"),
+        ("", "0 0 x 0 0 0 : 1"),
+        ("", "-1 0 0 0 0 0 : 1"),
+        ("", "3 0 0 0 0 0 : 1"),  # above the order
+    ])
+    def test_malformed_dump_raises_solver_error(self, header, line):
+        meta = {"mode": "exact", "order": "2", "base_point": "0 0 0 0 0 0"}
+        if header:
+            key, _, value = header.partition(" = ")
+            meta[key] = value
+        text = ("slagcy-structure v1\n" + "".join(f"{k} = {v}\n" for k, v in meta.items())
+                + f"[A 1 1]\n{line}\n")
+        with pytest.raises(SolverError):
+            load_structure(text)
+
 
 class TestHorizontalSlices:
     def test_flat_structure_slices_vanish(self):
