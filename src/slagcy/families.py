@@ -68,7 +68,6 @@ class GridEntry:
     """
 
     fn: Callable
-    label: str = ""
 
     def sample(self, t: float, axes: dict) -> np.ndarray:
         return np.asarray(self.fn(t, axes), dtype=np.float64)
@@ -301,9 +300,9 @@ def make_collapsing_22(w_raw, t1: float, *, t_range=None, n_norm: int = _NORM_GR
 
     zero = _entry(0)
     entries = (
-        (GridEntry(a11, "exp(u)"), zero, zero),
+        (GridEntry(a11), zero, zero),
         (zero, _entry(1), zero),
-        (zero, zero, GridEntry(a33, "exp(-u)")),
+        (zero, zero, GridEntry(a33)),
     )
     return MetricFamily(3, entries, tuple(t_range), (True, True, True), name)
 
@@ -352,9 +351,9 @@ def make_collapsing_21(w_raw, v_raw, t1: float, *, t_range=None,
 
     zero = _entry(0)
     entries = (
-        (GridEntry(a11, "exp(u)"), zero, zero),
-        (zero, GridEntry(a22, "exp(v)"), zero),
-        (zero, zero, GridEntry(a33, "exp(-(u+v))")),
+        (GridEntry(a11), zero, zero),
+        (zero, GridEntry(a22), zero),
+        (zero, zero, GridEntry(a33)),
     )
     return MetricFamily(3, entries, tuple(t_range), (True, True, True), name)
 
@@ -388,9 +387,9 @@ def make_cone_family(f, *, t_range=(0.1, 1.0), name: str = "cone") -> MetricFami
 
     zero = _entry(0)
     entries = (
-        (GridEntry(a11, "|c'|^2"), zero, zero),
-        (zero, GridEntry(across, "|c|^2 f"), zero),
-        (zero, zero, GridEntry(across, "|c|^2 f")),
+        (GridEntry(a11), zero, zero),
+        (zero, GridEntry(across), zero),
+        (zero, zero, GridEntry(across)),
     )
     return MetricFamily(3, entries, tuple(t_range), (False, True, True), name)
 

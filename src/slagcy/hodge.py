@@ -43,8 +43,10 @@ class HarmonicBasis:
     dim: int
     theta: np.ndarray          # (dim, dim, *grid)
     metric: np.ndarray         # (dim, dim, *grid) samples that produced it
-    scale: float = 1.0         # 2D volume-normalization factor applied to C
-    residuals: dict = None
+    inverse: np.ndarray        # (dim, dim, *grid) pointwise g^{kl}
+    sqrt_det: np.ndarray       # (*grid) pointwise sqrt(det g)
+    scale: float               # 2D volume-normalization factor applied to C
+    residuals: dict            # periods, closure, co-closure
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class GramMatrix:
     volume: float
 
     def det(self) -> float:
-        return float(np.linalg.det(self.matrix))
+        return float(det(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -91,31 +93,32 @@ def phi_csv(t, phi, integrals=None) -> str:
 # -- shared helpers --------------------------------------------------------------
 
 
-def _metric_stack(samples, dim: int, shape) -> np.ndarray:
-    out = np.empty((dim, dim) + shape, dtype=np.float64)
-    for i in range(dim):
-        for j in range(dim):
-            out[i, j] = np.broadcast_to(samples[i][j], shape)
-    return out
+def _adjugate(m) -> tuple:
+    """Adjugate and determinant of a 2x2 or 3x3 matrix whose entries are
+    scalars or sample arrays of broadcast-compatible shapes, by cofactors
+    over `jets.det`."""
+    dim = len(m)
+
+    def cofactor(r, c):
+        rest = [[m[i][j] for j in range(dim) if j != c] for i in range(dim) if i != r]
+        minor = rest[0][0] if dim == 2 else det(rest)
+        return minor if (r + c) % 2 == 0 else -minor
+
+    return [[cofactor(c, r) for c in range(dim)] for r in range(dim)], det(m)
 
 
-def _pointwise_inverse(metric: np.ndarray) -> tuple:
-    """Inverse and determinant of a (dim, dim, *grid) sample stack."""
-    m = np.moveaxis(metric, (0, 1), (-2, -1))
-    det_m = np.linalg.det(m)
+def _pointwise_inverse(metric) -> tuple:
+    """Inverse (a (dim, dim, *grid) stack) and determinant of metric samples."""
+    adj, det_m = _adjugate(metric)
     if not np.all(det_m > 0):
         raise HodgeError("singular metric sample (non-positive determinant)")
-    inv = np.linalg.inv(m)
-    return np.moveaxis(inv, (-2, -1), (0, 1)), det_m
+    return np.array([[a / det_m for a in row] for row in adj]), det_m
 
 
-def gram_L2(basis: HarmonicBasis, metric: np.ndarray | None = None) -> GramMatrix:
+def gram_L2(basis: HarmonicBasis) -> GramMatrix:
     """Gram matrix <theta_i, theta_j> = int g^{kl} theta_ik theta_jl sqrt(det g)
     over the torus, by periodic quadrature on the basis grid."""
-    g = basis.metric if metric is None else np.asarray(metric, dtype=np.float64)
-    dim = basis.dim
-    inv, det_g = _pointwise_inverse(g)
-    sqrt_det = np.sqrt(det_g)
+    dim, inv, sqrt_det = basis.dim, basis.inverse, basis.sqrt_det
     entries = np.empty((dim, dim), dtype=np.float64)
     for i in range(dim):
         for j in range(i, dim):
@@ -131,24 +134,24 @@ def gram_L2(basis: HarmonicBasis, metric: np.ndarray | None = None) -> GramMatri
 
 def transform_gram(gram: GramMatrix, basis_change: np.ndarray) -> GramMatrix:
     """Gram matrix after replacing the cycle basis by P . cycles."""
-    p = np.asarray(basis_change, dtype=np.float64)
-    if abs(abs(np.linalg.det(p)) - 1.0) > 1e-9:
+    adj, det_p = _adjugate(np.asarray(basis_change, dtype=np.float64))
+    if abs(abs(det_p) - 1.0) > 1e-9:
         raise HodgeError("cycle basis change must be unimodular")
-    pinv = np.linalg.inv(p)
+    pinv = np.array(adj) / det_p
     return GramMatrix(matrix=pinv.T @ gram.matrix @ pinv, volume=gram.volume)
 
 
-def _verify_periods(basis: HarmonicBasis, tol: float) -> float:
+def _verify_periods(theta: np.ndarray, tol: float) -> float:
     """Max deviation of the cycle-period matrix from the identity.
 
     Periods are averaged over representative circles; closure makes the
     representative irrelevant up to quadrature error.
     """
-    dim = basis.dim
+    dim = len(theta)
     worst = 0.0
     for i in range(dim):
         for j in range(dim):
-            comp = basis.theta[i, j]
+            comp = theta[i, j]
             if comp.ndim == dim:
                 value = float(np.mean(periodic_quad(comp, axis=j)))
             else:  # 1D storage: coefficients depend on x1 only
@@ -170,9 +173,8 @@ def _closure_residual(theta: np.ndarray, dim: int) -> float:
     return worst
 
 
-def _coclosure_residual(theta: np.ndarray, metric: np.ndarray, dim: int) -> float:
-    inv, det_g = _pointwise_inverse(metric)
-    sqrt_det = np.sqrt(det_g)
+def _coclosure_residual(theta: np.ndarray, inv: np.ndarray, sqrt_det: np.ndarray,
+                        dim: int) -> float:
     worst = 0.0
     for i in range(dim):
         div = np.zeros_like(sqrt_det)
@@ -183,6 +185,23 @@ def _coclosure_residual(theta: np.ndarray, metric: np.ndarray, dim: int) -> floa
             div = div + spectral_diff(sqrt_det * flux, k)
         worst = max(worst, float(np.max(np.abs(div / sqrt_det))))
     return worst
+
+
+def _verified_basis(theta: np.ndarray, metric: np.ndarray, inv: np.ndarray, det_g: np.ndarray,
+                    tol: float, period_tol: float, scale: float) -> HarmonicBasis:
+    """The basis of ``theta`` after its periods, closure and co-closure checks;
+    ``inv`` and ``det_g`` are the pointwise inverse and determinant of ``metric``."""
+    dim = len(theta)
+    sqrt_det = np.sqrt(det_g)
+    period_err = _verify_periods(theta, period_tol)
+    closure = _closure_residual(theta, dim)
+    coclosure = _coclosure_residual(theta, inv, sqrt_det, dim)
+    if max(closure, coclosure) > tol:
+        raise HodgeError(
+            f"harmonicity residual above tolerance: d={closure:.3e}, delta={coclosure:.3e}")
+    return HarmonicBasis(dim=dim, theta=theta, metric=metric, inverse=inv, sqrt_det=sqrt_det,
+                         scale=scale, residuals={"periods": period_err, "closure": closure,
+                                                 "coclosure": coclosure})
 
 
 # -- diagonal 3D basis --------------------------------------------------------------
@@ -227,15 +246,7 @@ def harmonic_basis_diag3(fam: MetricFamily, t: float, n: int = 256,
     metric = np.zeros((3, 3, n), dtype=np.float64)
     for i in range(3):
         metric[i, i] = diag[i]
-    basis = HarmonicBasis(dim=3, theta=theta, metric=metric, residuals={})
-    period_err = _verify_periods(basis, max(tol, 1e-12))
-    closure = _closure_residual(theta, 3)
-    coclosure = _coclosure_residual(theta, metric, 3)
-    if max(closure, coclosure) > tol:
-        raise HodgeError(
-            f"harmonicity residual above tolerance: d={closure:.3e}, delta={coclosure:.3e}")
-    basis.residuals.update(periods=period_err, closure=closure, coclosure=coclosure)
-    return basis
+    return _verified_basis(theta, metric, *_pointwise_inverse(metric), tol, max(tol, 1e-12), 1.0)
 
 
 def _phi_samples(fam: MetricFamily, t_samples: Sequence, n: int, check: bool,
@@ -291,14 +302,6 @@ def phi_curve(fam: MetricFamily, t_samples: Sequence, n: int = 256, *,
 # -- general 2D basis ----------------------------------------------------------------
 
 
-def _sample_2d(fam: MetricFamily, t: float, n: int) -> np.ndarray:
-    if fam.dim != 2:
-        raise HodgeError("2D basis needs a 2-dimensional family")
-    axes = family_axes(fam, n)
-    m = fam.sample_matrix(t, axes)
-    return _metric_stack(m, 2, (n, n))
-
-
 def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128,
                       tol: float = 1e-8) -> HarmonicBasis:
     """Cycle-normalized harmonic basis for an admissible 2D family with
@@ -310,10 +313,12 @@ def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128,
     with K = int sqrt(C) dx2, L = int g12 dx2, M = int g11 dx1.  The volume
     normalization K = 1 is realized by rescaling C; the applied factor is
     recorded as ``scale`` (the basis and Phi are scale-invariant)."""
-    g = _sample_2d(fam, t, n)
-    det_g = det(g)
-    if np.any(det_g <= 0):
-        raise HodgeError("non-positive determinant sample")
+    if fam.dim != 2:
+        raise HodgeError("2D basis needs a 2-dimensional family")
+    m = fam.sample_matrix(t, family_axes(fam, n))
+    g = np.array([[np.broadcast_to(m[i][j], (n, n)) for j in range(2)] for i in range(2)],
+                 dtype=np.float64)
+    inv, det_g = _pointwise_inverse(g)
     if float(np.max(np.ptp(det_g, axis=0))) > tol:
         raise HodgeError("determinant depends on x1 (not an admissible 2D family)")
     c = det_g.mean(axis=0)  # C(x2)
@@ -333,15 +338,7 @@ def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128,
     theta[0, 1] = np.broadcast_to((g[0, 1] * big_k - sqrt_c * big_l) / (big_k * big_m), (n, n))
     theta[1, 1] = np.broadcast_to(sqrt_c / big_k, (n, n))
 
-    basis = HarmonicBasis(dim=2, theta=theta, metric=g, scale=1.0 / big_k, residuals={})
-    period_err = _verify_periods(basis, tol)
-    closure = _closure_residual(theta, 2)
-    coclosure = _coclosure_residual(theta, g, 2)
-    if max(closure, coclosure) > tol:
-        raise HodgeError(
-            f"harmonicity residual above tolerance: d={closure:.3e}, delta={coclosure:.3e}")
-    basis.residuals.update(periods=period_err, closure=closure, coclosure=coclosure)
-    return basis
+    return _verified_basis(theta, g, inv, det_g, tol, tol, 1.0 / big_k)
 
 
 def phi_2d(fam: MetricFamily, t_samples: Sequence, n: int = 128, *,

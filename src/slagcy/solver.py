@@ -108,7 +108,7 @@ _SUPPRESSED = {1: (Y2, Y3), 2: (Y3,), 3: ()}
 _STEP1_POLICY_KEYS = ("a22", "a33", "a12", "a13", "a23")
 _STEP2_POLICY_KEYS = ("a33", "a23")
 
-_DEFAULT_POLICY_TOL = 1e-9
+_POLICY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -173,9 +173,6 @@ class HermitianJet:
 
     def A_matrix(self):
         return [[self.A(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
-
-    def B_matrix(self):
-        return [[self.B(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
 
 
 @dataclass(frozen=True)
@@ -293,14 +290,14 @@ def build_gamma(g) -> ComplexJet:
 # -- the three evolution sweeps ----------------------------------------------------
 
 
-def _coeff_close(a: Jet, b: Jet, tol) -> bool:
+def _coeff_close(a: Jet, b: Jet) -> bool:
     diff = (a - b).max_abs_coeff()
     if a.mode == EXACT:
         return diff == 0
-    return diff <= tol
+    return diff <= _POLICY_TOL
 
 
-def _apply_policy(step: int, entries: dict, policy: ExtensionPolicy, tol) -> None:
+def _apply_policy(step: int, entries: dict, policy: ExtensionPolicy) -> None:
     assigned = policy.step1 if step == 1 else policy.step2 if step == 2 else None
     if step == 3 or assigned is None:
         return
@@ -318,7 +315,7 @@ def _apply_policy(step: int, entries: dict, policy: ExtensionPolicy, tol) -> Non
         if any(jet.depends_on(v) for v in forbidden):
             names = ", ".join(VAR_NAMES[v] for v in forbidden)
             raise PolicyError(f"step {step} policy entry {key} may not depend on {names}")
-        if not _coeff_close(jet.restrict_zero((restrict_var,)), entries[key], tol):
+        if not _coeff_close(jet.restrict_zero((restrict_var,)), entries[key]):
             raise PolicyError(
                 f"step {step} policy entry {key} does not restrict to the data it extends")
         entries[key] = jet
@@ -327,8 +324,7 @@ def _apply_policy(step: int, entries: dict, policy: ExtensionPolicy, tol) -> Non
 
 
 def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
-            policy: ExtensionPolicy = CONSTANT_POLICY,
-            policy_tol: float = _DEFAULT_POLICY_TOL) -> HermitianJet:
+            policy: ExtensionPolicy = CONSTANT_POLICY) -> HermitianJet:
     """One evolution sweep: extend the partial solution into y1, y2 or y3.
 
     The state must already solve the previous sweeps (for step 1: carry the
@@ -340,7 +336,7 @@ def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
     if step not in (1, 2, 3):
         raise SolverError(f"step must be 1, 2 or 3, got {step}")
     cur = dict(state.entries)
-    _apply_policy(step, cur, policy, policy_tol)
+    _apply_policy(step, cur, policy)
     order = state.order
     ev = _EVOLVE_VAR[step]
     d_key = _DSOLVE[step]
@@ -376,8 +372,7 @@ def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
     return HermitianJet(cur)
 
 
-def solve_calabi_yau(g, order: int, policy: ExtensionPolicy = CONSTANT_POLICY,
-                     policy_tol: float = _DEFAULT_POLICY_TOL) -> CYStructureJet:
+def solve_calabi_yau(g, order: int, policy: ExtensionPolicy = CONSTANT_POLICY) -> CYStructureJet:
     """Run the full construction: gamma, then the three sweeps.
 
     ``g`` is a 3x3 array of symmetric, y-free jets of the requested order with
@@ -392,16 +387,12 @@ def solve_calabi_yau(g, order: int, policy: ExtensionPolicy = CONSTANT_POLICY,
     entries.update({"b12": zero, "b13": zero, "b23": zero})
     state = HermitianJet(entries)
     for step in (1, 2, 3):
-        state = ck_step(step, state, gamma, policy, policy_tol)
+        state = ck_step(step, state, gamma, policy)
     return CYStructureJet(h=state, gamma=gamma, g=tuple(tuple(row) for row in g),
                           policy=policy, order=order)
 
 
 # -- residual verification -----------------------------------------------------------
-
-
-def _maxc(jet: Jet):
-    return jet.max_abs_coeff()
 
 
 def check_structure(s: CYStructureJet) -> ResidualReport:
@@ -412,8 +403,8 @@ def check_structure(s: CYStructureJet) -> ResidualReport:
     det_h = det(_hmatrix(e))
     gsq = gamma.abs2()
     details: dict = {}
-    details["D"] = _maxc(det_h.re - gsq)
-    details["D_imag"] = _maxc(det_h.im)
+    details["D"] = (det_h.re - gsq).max_abs_coeff()
+    details["D_imag"] = det_h.im.max_abs_coeff()
 
     a = {(i, j): e[f"a{i}{j}"] for i in (1, 2, 3) for j in (1, 2, 3)}
     b = {(1, 2): e["b12"], (1, 3): e["b13"], (2, 3): e["b23"]}
@@ -421,29 +412,26 @@ def check_structure(s: CYStructureJet) -> ResidualReport:
     ys = (None, Y1, Y2, Y3)
     pairs = ((1, 2), (1, 3), (2, 3))
 
-    def group_max(residuals):
-        vals = [_maxc(r) for r in residuals]
-        return max(vals)
-
     closure = {}
     for p, label in ((1, "C1"), (2, "C2.1"), (3, "C3.1")):
-        closure[label] = group_max(
-            b[i, j].partial(ys[p]) - a[p, j].partial(xs[i]) + a[p, i].partial(xs[j])
-            for i, j in pairs)
+        closure[label] = max(
+            (b[i, j].partial(ys[p]) - a[p, j].partial(xs[i]) + a[p, i].partial(xs[j]))
+            .max_abs_coeff() for i, j in pairs)
     for (r1, r2), label, bkey in (((1, 2), "C2.2", (1, 2)), ((1, 3), "C3.2", (1, 3)),
                                   ((2, 3), "C3.3", (2, 3))):
-        closure[label] = group_max(
-            a[r1, k].partial(ys[r2]) - a[r2, k].partial(ys[r1]) - b[bkey].partial(xs[k])
-            for k in (1, 2, 3))
-    closure["C4.1"] = _maxc(b[2, 3].partial(X1) - b[1, 3].partial(X2) + b[1, 2].partial(X3))
-    closure["C4.2"] = _maxc(b[2, 3].partial(Y1) - b[1, 3].partial(Y2) + b[1, 2].partial(Y3))
+        closure[label] = max(
+            (a[r1, k].partial(ys[r2]) - a[r2, k].partial(ys[r1]) - b[bkey].partial(xs[k]))
+            .max_abs_coeff() for k in (1, 2, 3))
+    for label, v1, v2, v3 in (("C4.1", X1, X2, X3), ("C4.2", Y1, Y2, Y3)):
+        closure[label] = (b[2, 3].partial(v1) - b[1, 3].partial(v2)
+                          + b[1, 2].partial(v3)).max_abs_coeff()
     details.update(closure)
 
-    res_initial_A = max(_maxc(a[i, j].restrict_zero(Y_VARS) - s.g[i - 1][j - 1])
+    res_initial_A = max((a[i, j].restrict_zero(Y_VARS) - s.g[i - 1][j - 1]).max_abs_coeff()
                         for i in (1, 2, 3) for j in (1, 2, 3))
-    res_initial_B = max(_maxc(bij.restrict_zero(Y_VARS)) for bij in b.values())
-    res_symmetry = max(_maxc(a[i, j] - a[j, i]) for i, j in pairs)
-    res_slice_im = _maxc(gamma.im.restrict_zero(Y_VARS))
+    res_initial_B = max(bij.restrict_zero(Y_VARS).max_abs_coeff() for bij in b.values())
+    res_symmetry = max((a[i, j] - a[j, i]).max_abs_coeff() for i, j in pairs)
+    res_slice_im = gamma.im.restrict_zero(Y_VARS).max_abs_coeff()
 
     report = ResidualReport(
         res_D=max(details["D"], details["D_imag"]),
@@ -466,8 +454,8 @@ def horizontal_slice_residuals(s: CYStructureJet) -> dict:
     """Residuals of the conditions making every slice {y1 = t, y2 = y3 = 0}
     special Lagrangian: B and Im(gamma) restricted to that slice family."""
     e = s.h.entries
-    b_max = max(_maxc(e[k].restrict_zero((Y2, Y3))) for k in ("b12", "b13", "b23"))
-    im_max = _maxc(s.gamma.im.restrict_zero((Y2, Y3)))
+    b_max = max(e[k].restrict_zero((Y2, Y3)).max_abs_coeff() for k in ("b12", "b13", "b23"))
+    im_max = s.gamma.im.restrict_zero((Y2, Y3)).max_abs_coeff()
     return {"B_slice": b_max, "im_gamma_slice": im_max}
 
 

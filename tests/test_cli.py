@@ -173,6 +173,19 @@ class TestGolden:
         assert b1 == (GOLDEN / "flat_embed.json").read_bytes()
 
 
+class TestShippedScenarios:
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.ini")), ids=lambda p: p.name)
+    def test_deterministic_run_is_byte_stable(self, path, tmp_path):
+        kind = load_scenario(str(path)).kind
+        outputs = []
+        for k in range(2):
+            out = tmp_path / f"r{k}.json"
+            code = main([kind, "--scenario", str(path), "--deterministic", "--out-json", str(out)])
+            assert code == (1 if path.name == "det_drift_check.ini" else 0)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestPhiPipeline:
     def test_bessel_phi_report_and_csv(self, tmp_path):
         json_path = tmp_path / "phi.json"

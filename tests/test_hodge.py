@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from slagcy import hodge
 from slagcy.families import family_from_entries
 from slagcy.gridops import periodic_axis, periodic_quad, spectral_diff
 from slagcy.hodge import (
@@ -66,6 +67,69 @@ class TestPeriodicQuad:
         x = periodic_axis(64)
         d = spectral_diff(np.sin(2 * np.pi * x), 0)
         assert np.max(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-10
+
+
+def spd_stack(rng, dim, shape):
+    """(dim, dim, *shape) symmetric positive-definite samples."""
+    b = rng.standard_normal(shape + (dim, dim))
+    m = b @ np.swapaxes(b, -1, -2) + dim * np.eye(dim)
+    return np.moveaxis(m, (-2, -1), (0, 1))
+
+
+def linalg_inverse(m):
+    """np.linalg oracle for a (dim, dim, ...) stack of broadcastable entries."""
+    full = np.array(np.broadcast_arrays(*[e for row in m for e in row]))
+    full = np.moveaxis(full.reshape((len(m), len(m)) + full.shape[1:]), (0, 1), (-2, -1))
+    return np.moveaxis(np.linalg.inv(full), (-2, -1), (0, 1)), np.linalg.det(full)
+
+
+def sparse_spd(rng, dim, n):
+    """Diagonally dominant symmetric entries of shapes (n, 1), (1, n) and (1, 1)."""
+    shapes = [(n, 1), (1, n), (1, 1)]
+    m = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        m[i][i] = dim + rng.uniform(0.0, 1.0, shapes[i % 3])
+        for j in range(i + 1, dim):
+            m[i][j] = m[j][i] = rng.uniform(-0.5, 0.5, shapes[(i + j) % 3])
+    return m
+
+
+class TestPointwiseInverse:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("shape", [(17,), (9, 9), "sparse"])
+    def test_matches_linalg(self, dim, shape):
+        rng = np.random.default_rng(5 + dim)
+        m = sparse_spd(rng, dim, 9) if shape == "sparse" else spd_stack(rng, dim, shape)
+        inv, det_m = hodge._pointwise_inverse(m)
+        ref_inv, ref_det = linalg_inverse(m)
+        assert inv.shape == ref_inv.shape
+        assert np.max(np.abs(inv - ref_inv)) <= 1e-13 * np.max(np.abs(ref_inv))
+        assert np.max(np.abs(det_m - ref_det) / np.abs(ref_det)) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_non_positive_determinant_raises(self, dim):
+        m = spd_stack(np.random.default_rng(3), dim, (8,))
+        for bad in (np.ones((dim, dim)), np.diag([-1.0] + [1.0] * (dim - 1))):
+            m[:, :, 5] = bad  # one sample with det 0, then det -1
+            with pytest.raises(HodgeError, match="non-positive determinant"):
+                hodge._pointwise_inverse(m)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gram_det_matches_linalg(self, dim):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            matrix = spd_stack(rng, dim, ())
+            got = GramMatrix(matrix=matrix, volume=1.0).det()
+            assert abs(got - np.linalg.det(matrix)) <= 1e-13 * abs(np.linalg.det(matrix))
+
+    def test_inverse_formed_once_per_t(self, monkeypatch):
+        calls = []
+        original = hodge._pointwise_inverse
+        monkeypatch.setattr(hodge, "_pointwise_inverse", lambda m: calls.append(1) or original(m))
+        fam = family_from_entries(TWO_D_FAMILIES[1], dim=2)
+        phi_2d(fam, np.linspace(0, 1, 4), n=32, check=False)
+        phi_curve(bessel_family(), np.linspace(0, 1, 3), n=32, check=False)
+        assert len(calls) == 7
 
 
 class TestDiag3Basis:
