@@ -375,7 +375,7 @@ def _run_phi(sc: Scenario) -> RunReport:
         raise ScenarioError("phi2d needs a 2-dimensional family")
     tol = float(sc.tolerance)
     ts = np.linspace(fam.t_range[0], fam.t_range[1], sc.t_samples)
-    check = check_slag_family(fam, n=min(sc.grid, 128), nt=max(2, min(sc.t_samples, 9)), tol=tol)
+    check = hodge_mod.phi_admissibility(fam, sc.grid, sc.t_samples, tol)
     report = RunReport(scenario=sc.echo(),
                        verdicts=[_verdict("family_admissible", check.worst, tol)],
                        family_check=_jsonable(check.as_dict()))

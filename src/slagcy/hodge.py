@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .families import (
+    FamilyCheckReport,
     InadmissibleFamilyError,
     MetricFamily,
     check_slag_family,
@@ -27,7 +28,7 @@ from .jets import det
 __all__ = [
     "HarmonicBasis", "GramMatrix", "PhiCurve", "periodic_quad",
     "harmonic_basis_diag3", "harmonic_basis_2d", "gram_L2",
-    "phi_curve", "phi_2d", "phi_csv", "transform_gram",
+    "phi_admissibility", "phi_curve", "phi_2d", "phi_csv", "transform_gram",
 ]
 
 
@@ -249,14 +250,18 @@ def harmonic_basis_diag3(fam: MetricFamily, t: float, n: int = 256,
     return _verified_basis(theta, metric, *_pointwise_inverse(metric), tol, max(tol, 1e-12), 1.0)
 
 
+def phi_admissibility(fam: MetricFamily, n: int, nt: int, tol: float) -> FamilyCheckReport:
+    """Admissibility check of a Phi run: at most 128 points per axis, 2..9 t-samples."""
+    return check_slag_family(fam, n=min(n, 128), nt=max(2, min(nt, 9)), tol=tol)
+
+
 def _phi_samples(fam: MetricFamily, t_samples: Sequence, n: int, check: bool,
                  check_tol: float, basis_at, row) -> PhiCurve:
     """The Phi loop shared by both classes: admissibility check, then per t
     the basis ``basis_at(t)``, its Gram matrix, det, and ``row(basis, phi, t)``
     for the three integral columns."""
     if check:
-        report = check_slag_family(fam, n=min(n, 128), nt=max(2, min(9, len(t_samples))),
-                                   tol=check_tol)
+        report = phi_admissibility(fam, n, len(t_samples), check_tol)
         if not report.passed():
             raise InadmissibleFamilyError(
                 f"family fails the slice conditions: {report.as_dict()}")

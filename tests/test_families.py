@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from slagcy import families
 from slagcy.dsl import differentiate, eval_grid, parse
 from slagcy.families import (
     ExprEntry,
+    FamilyCheckReport,
     FamilyError,
     GridEntry,
     InadmissibleFamilyError,
@@ -20,8 +23,8 @@ from slagcy.families import (
     make_collapsing_22,
     make_cone_family,
 )
-from slagcy.gridops import periodic_axis, periodic_quad
-from slagcy.jets import EXACT, Y1, Y2, Y3
+from slagcy.gridops import grid_diff, periodic_axis, periodic_quad
+from slagcy.jets import EXACT, Y1, Y2, Y3, det
 from slagcy.solver import check_structure, horizontal_slice_residuals, solve_calabi_yau
 
 BESSEL = {"g11": "exp(-2*t*sin(2*pi*x1))", "g22": "exp(t*sin(2*pi*x1))",
@@ -88,6 +91,117 @@ class TestCheckFamily:
                 vals = eval_grid(d, {"t": 0.4, "x1": x})
                 sym_ok = sym_ok and bool(np.max(np.abs(vals)) < 1e-10)
             assert sym_ok == expected
+
+
+def full_grid_check(fam, n, nt, tol):
+    """Reference admissibility check: every entry is sampled, and every
+    determinant broadcast to the full n^dim grid before it is differentiated."""
+    axes = family_axes(fam, n)
+    full = np.broadcast_shapes(*(a.shape for a in axes.values()))
+    ts = np.linspace(fam.t_range[0], fam.t_range[1], nt)
+    dets, closure, det_x1 = [], 0.0, 0.0
+    for t in ts:
+        m = [[e.sample(float(t), axes) for e in row] for row in fam.entries]
+        dets.append(np.broadcast_to(det(m), full))
+        det_x1 = max(det_x1, float(np.max(np.abs(
+            grid_diff(np.sqrt(dets[-1]), 0, fam.periodic[0], n)))))
+        for i in range(fam.dim):
+            for j in range(i + 1, fam.dim):
+                r = (grid_diff(m[0][j], i, fam.periodic[i], n)
+                     - grid_diff(m[0][i], j, fam.periodic[j], n))
+                closure = max(closure, float(np.max(np.abs(r))))
+    det_t = float(np.max(np.abs(np.gradient(np.stack(dets), ts, axis=0))))
+    return FamilyCheckReport(det_t, det_x1, closure, tol, n, nt)
+
+
+ORACLE_FAMILIES = {
+    "bessel": bessel_family,
+    "drift": lambda: family_from_entries({"g11": "exp(t)", "g22": "1", "g33": "1"}),
+    "g12_x3": lambda: family_from_entries(
+        {"g11": "2 + sin(2*pi*x3)/2", "g12": "cos(2*pi*x3)/4 + t*sin(2*pi*x1)/8",
+         "g22": "1 + t*cos(2*pi*x2)/4", "g23": "sin(2*pi*x3)/8", "g33": "1"}),
+    "cone": lambda: make_cone_family("1"),
+    "collapse22": lambda: make_collapsing_22("(t/(1-t))*cos(pi*x1)^2", t1=1.0,
+                                             t_range=(0.0, 0.7)),
+}
+
+
+class TestNaturalShapeCheck:
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_matches_full_grid_oracle(self, name):
+        fam = ORACLE_FAMILIES[name]()
+        got = check_slag_family(fam, n=24, nt=5, tol=1e-10)
+        want = full_grid_check(fam, 24, 5, 1e-10)
+        for key, value in want.as_dict().items():
+            if isinstance(value, float):
+                assert abs(got.as_dict()[key] - value) <= 1e-15, key
+            else:
+                assert got.as_dict()[key] == value, key
+
+    def test_x1_only_check_memory_is_bounded_by_the_x1_grid(self):
+        fam = bessel_family()
+        tracemalloc.start()
+        try:
+            report = check_slag_family(fam, n=128, nt=9, tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed(), report.as_dict()
+        assert peak < 8 * 2 ** 20, peak
+
+
+class TestSampling:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_each_symmetric_entry_sampled_once(self, dim, monkeypatch):
+        calls = []
+        sample = ExprEntry.sample
+
+        def counted(self, t, axes):
+            calls.append(self)
+            return sample(self, t, axes)
+
+        monkeypatch.setattr(ExprEntry, "sample", counted)
+        entries = {"g11": "2", "g12": "x1/4", "g22": "2"}
+        if dim == 3:
+            entries.update({"g13": "x2/4", "g23": "x3/4", "g33": "2"})
+        fam = family_from_entries(entries, dim=dim)
+        m = fam.sample_matrix(0.5, family_axes(fam, 8))
+        assert len(calls) == dim * (dim + 1) // 2
+        for i in range(dim):
+            for j in range(i):
+                assert m[i][j] is m[j][i]
+
+    def test_asymmetric_entries_rejected(self):
+        one, zero, half = (ExprEntry(parse(text)) for text in ("1", "0", "1/2"))
+        with pytest.raises(FamilyError, match="symmetric"):
+            MetricFamily(2, ((one, half), (zero, one)), (0.0, 1.0), (True, True))
+
+    def test_collapse_normalizer_once_per_t(self, monkeypatch):
+        quads = []
+        quad = families.periodic_quad
+
+        def counted(*args, **kwargs):
+            quads.append(args)
+            return quad(*args, **kwargs)
+
+        w = "(t/(1-t))*cos(pi*x1)^2"
+        fam22 = make_collapsing_22(w, t1=1.0, t_range=(0.0, 0.7))
+        fam21 = make_collapsing_21(w, "(t/(1-t))*cos(pi*x2)^2*(1+sin(2*pi*x1)/4)",
+                                   t1=1.0, t_range=(0.0, 0.7))
+        axes = family_axes(fam22, 16)
+        monkeypatch.setattr(families, "periodic_quad", counted)
+        m22 = fam22.sample_matrix(0.3, axes)
+        assert len(quads) == 1
+        fam21.sample_matrix(0.3, axes)
+        assert len(quads) == 4  # one w-normalizer; the v-normalizer in a22 and a33
+        fam21.sample_matrix(0.3, axes)
+        assert len(quads) == 6
+        monkeypatch.setattr(families, "periodic_quad", quad)
+        assert fam21.entry(1, 1).sample(0.3, {"x1": axes["x1"]}).shape == axes["x1"].shape
+        wv = eval_grid(parse(w), {"t": 0.3, "x1": axes["x1"]})
+        norm = families._collapse_norm(parse(w), 0.3, 256)
+        assert np.array_equal(m22[0][0], np.exp(wv) / norm ** 2)
+        assert np.array_equal(m22[2][2], np.exp(-wv) * norm ** 2)
 
 
 class TestBlockFamily:
