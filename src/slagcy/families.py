@@ -242,6 +242,8 @@ def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), periodic=(True, True, True
     u = _as_expr(u)
     q = _as_expr(q)
     qm = [[_as_expr(Q[i][j]) for j in range(2)] for i in range(2)]
+    if qm[1][0] != qm[0][1]:
+        raise FamilyError("Q must be symmetric: Q[1][0] differs from Q[0][1]")
     if free_variables(u) - {"t", "x1"}:
         raise FamilyError("u may depend on t and x1 only")
     if free_variables(q) - {"x2", "x3"}:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -140,6 +141,11 @@ class Jet:
             return _coerce(0, self.mode)
         return max(abs(v) for v in self.coeffs.values())
 
+    @cached_property
+    def _by_degree(self) -> list:
+        """The terms as (total degree, multi-index, coefficient), sorted."""
+        return sorted((sum(idx), idx, c) for idx, c in self.coeffs.items())
+
     def depends_on(self, var: int) -> bool:
         return any(idx[var] for idx in self.coeffs)
 
@@ -155,9 +161,6 @@ class Jet:
             raise IncompatibleJetsError(f"orders differ: {self.order} vs {other.order}")
         if self.base_point != other.base_point:
             raise IncompatibleJetsError("base points differ")
-
-    def _wrap(self, coeffs: dict) -> "Jet":
-        return Jet(self.order, {k: v for k, v in coeffs.items() if v != 0}, self.mode, self.base_point)
 
     # -- ring operations -----------------------------------------------------
 
@@ -198,20 +201,7 @@ class Jet:
                 return self.zero_like()
             return Jet(self.order, {k: c * v for k, c in self.coeffs.items()}, self.mode, self.base_point)
         self._check_compatible(other)
-        order = self.order
-        out: dict = {}
-        rhs = sorted(((sum(idx), idx, c) for idx, c in other.coeffs.items()))
-        for ia, ca in self.coeffs.items():
-            room = order - sum(ia)
-            for db, ib, cb in rhs:
-                if db > room:
-                    break
-                key = (ia[0] + ib[0], ia[1] + ib[1], ia[2] + ib[2],
-                       ia[3] + ib[3], ia[4] + ib[4], ia[5] + ib[5])
-                prod = ca * cb
-                s = out.get(key)
-                out[key] = prod if s is None else s + prod
-        return self._wrap(out)
+        return mul_sum(((1, self, other),), self.order)
 
     __rmul__ = __mul__
 
@@ -303,11 +293,6 @@ class Jet:
             out[idx[:var] + (m,) + idx[var + 1:]] = c
         return Jet(self.order + m, out, self.mode, self.base_point)
 
-    def truncate_var(self, var: int, degree: int) -> "Jet":
-        """Drop all monomials whose exponent in one variable exceeds ``degree``."""
-        out = {idx: c for idx, c in self.coeffs.items() if idx[var] <= degree}
-        return Jet(self.order, out, self.mode, self.base_point)
-
     # -- evaluation & output ---------------------------------------------------
 
     def evaluate(self, point: Sequence) -> object:
@@ -346,6 +331,31 @@ class Jet:
             terms.append("...")
         body = " + ".join(terms) if terms else "0"
         return f"Jet<{self.mode},o{self.order}>({body})"
+
+
+def mul_sum(terms, order: int) -> Jet:
+    """sum(sign * a * b for sign, a, b in terms), up to total degree ``order``,
+    accumulated in one map without truncating the factors first.  ``terms`` is
+    not empty; factors share mode and base point and have orders >= ``order``."""
+    out: dict = {}
+    for sign, a, b in terms:
+        if order > min(a.order, b.order):
+            raise JetError(
+                f"a product of orders {a.order} and {b.order} is not known to order {order}")
+        rhs = b._by_degree
+        for ia, ca in a.coeffs.items():
+            if sign < 0:
+                ca = -ca
+            room = order - sum(ia)
+            for db, ib, cb in rhs:
+                if db > room:
+                    break
+                key = (ia[0] + ib[0], ia[1] + ib[1], ia[2] + ib[2],
+                       ia[3] + ib[3], ia[4] + ib[4], ia[5] + ib[5])
+                prod = ca * cb
+                s = out.get(key)
+                out[key] = prod if s is None else s + prod
+    return Jet(order, {k: v for k, v in out.items() if v != 0}, a.mode, a.base_point)
 
 
 # -- elementary functions -----------------------------------------------------

@@ -19,8 +19,10 @@ power of the evolution variable at a time by integrating their evolution
 equations, the remaining diagonal entry (a11, a22, a33 respectively) is
 solved algebraically from (D) -- the determinant is linear in it with an
 invertible leading coefficient -- and the entries left free are supplied by
-an extension policy.  A full residual verifier reports how well every
-constraint holds; nothing is assumed that is not re-checked.
+an extension policy.  A sweep works on slices in the evolution variable and
+extends the row-0 cofactors of h incrementally, so each new slice of det(h)
+is a Cauchy sum of slice products.  A full residual verifier reports how
+well every constraint holds; nothing is assumed that is not re-checked.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .jets import (
     holomorphic_extend,
     jet_sqrt,
     leading_minors,
+    mul_sum,
 )
 
 
@@ -97,8 +100,9 @@ _EVOLUTION = {
 # Entries kept symmetric by mirroring an evolved partner, per sweep.
 _MIRRORS = {1: (), 2: (("a21", "a12"), ("a31", "a13")), 3: (("a31", "a13"), ("a32", "a23"))}
 
-# Diagonal entry solved from the determinant constraint, per sweep.
-_DSOLVE = {1: "a11", 2: "a22", 3: "a33"}
+# Row and column order of h per sweep: the diagonal entry solved from the
+# determinant constraint comes first.
+_PERM = {1: (1, 2, 3), 2: (2, 1, 3), 3: (3, 1, 2)}
 
 _EVOLVE_VAR = {1: Y1, 2: Y2, 3: Y3}
 
@@ -238,15 +242,26 @@ def _hmatrix(entries: dict):
     return [[h(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
 
 
-_COFACTOR_ROWS = {"a11": (2, 3), "a22": (1, 3), "a33": (1, 2)}
+def _product_terms(x, y, m: int, sign: int = 1):
+    """Signed slice products summing to the real and the imaginary part of
+    slice m of sign * x * y, for series given as (real, imaginary) slice lists."""
+    (xr, xi), (yr, yi) = x, y
+    ks = range(m + 1)
+    re = [(sign, xr[k], yr[m - k]) for k in ks] + [(-sign, xi[k], yi[m - k]) for k in ks]
+    im = [(sign, xr[k], yi[m - k]) for k in ks] + [(sign, xi[k], yr[m - k]) for k in ks]
+    return re, im
 
 
-def _diagonal_cofactor(entries: dict, key: str) -> ComplexJet:
-    """Coefficient of the diagonal entry ``key`` in det(h): the complementary
-    2x2 minor."""
-    rows = _COFACTOR_ROWS[key]
-    h = _hmatrix(entries)
-    return det([[h[i - 1][j - 1] for j in rows] for i in rows])
+def _extend_cofactors(h, cof, m: int, order: int) -> None:
+    """Append slice m (of order ``order - m``) to the (real, imaginary) slice
+    lists ``cof[c]`` of the cofactor of h[0][c]; reads only rows 1 and 2 of h."""
+    for c, (re, im) in enumerate(cof):
+        c1, c2 = (col for col in range(3) if col != c)
+        sign = -1 if c == 1 else 1
+        re1, im1 = _product_terms(h[1][c1], h[2][c2], m, sign)
+        re2, im2 = _product_terms(h[1][c2], h[2][c1], m, -sign)
+        re.append(mul_sum(re1 + re2, order - m))
+        im.append(mul_sum(im1 + im2, order - m))
 
 
 # -- gamma ------------------------------------------------------------------------
@@ -331,7 +346,8 @@ def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
     initial data A(x,0) = g, B(x,0) = 0).  Evolved unknowns gain one power of
     the evolution variable per round from their first-order equations; the
     sweep's diagonal entry comes from the determinant constraint, which is
-    linear in it.
+    linear in it.  Every entry is held as its list of slices in the evolution
+    variable (slice k a jet of order ``order - k``) and reassembled at the end.
     """
     if step not in (1, 2, 3):
         raise SolverError(f"step must be 1, 2 or 3, got {step}")
@@ -339,37 +355,54 @@ def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
     _apply_policy(step, cur, policy)
     order = state.order
     ev = _EVOLVE_VAR[step]
-    d_key = _DSOLVE[step]
-    gamma_sq = gamma.abs2().restrict_zero(_SUPPRESSED[step])
+    perm = _PERM[step]
+    d_key = f"a{perm[0]}{perm[0]}"
+    gamma_sq = gamma.restrict_zero(_SUPPRESSED[step]).abs2()
 
-    cof0 = _diagonal_cofactor({k: cur[k].slice_coeff(ev, 0) for k in ENTRY_KEYS}, d_key)
-    if cof0.re.constant_term == 0:
-        i, j = _COFACTOR_ROWS[d_key]
+    sl = {key: [cur[key].slice_coeff(ev, k) for k in range(order + 1)] for key in ENTRY_KEYS}
+    pairs = ((1, 2), (1, 3), (2, 3))
+    im = {(i, i): [s.zero_like() for s in sl["a11"]] for i in (1, 2, 3)}
+    for i, j in pairs:
+        im[i, j] = sl[f"b{i}{j}"]
+        im[j, i] = [-b for b in im[i, j]]
+    # h = A + iB conjugated by the permutation; the slice lists are updated in place
+    h = [[(sl[f"a{i}{j}"], im[i, j]) for j in perm] for i in perm]
+    cof = [([], []) for _ in range(3)]
+    _extend_cofactors(h, cof, 0, order)
+    cof0 = cof[0][0][0]
+    if cof0.constant_term == 0:
+        i, j = perm[1:]
         raise DegenerateMetricError(
             f"the ({i},{j})x({i},{j}) minor multiplying {d_key} vanishes at the base point")
+    cof0_inv = cof0.reciprocal()
 
     for m in range(1, order + 1):
         new_slices = {}
         for key, terms in _EVOLUTION[step].items():
             rhs = None
             for sign, src, var in terms:
-                d = cur[src].slice_coeff(ev, m - 1).partial(var)
+                d = sl[src][m - 1].partial(var)
                 if sign < 0:
                     d = -d
                 rhs = d if rhs is None else rhs + d
             new_slices[key] = rhs / m
-        for key, sl in new_slices.items():
-            cur[key] = cur[key] + sl.mul_monomial(ev, m)
+        for key, new in new_slices.items():
+            sl[key][m] = sl[key][m] + new
         for dst, src in _MIRRORS[step]:
-            cur[dst] = cur[dst] + new_slices[src].mul_monomial(ev, m)
+            sl[dst][m] = sl[dst][m] + new_slices[src]
+        for i, j in pairs:
+            im[j, i][m] = -im[i, j][m]
+        _extend_cofactors(h, cof, m, order)
         # determinant constraint at this order, linear in the diagonal entry
-        capped = {k: cur[k].truncate_var(ev, m) for k in ENTRY_KEYS}
-        det_rest = det(_hmatrix(capped)).re.slice_coeff(ev, m)
-        numer = gamma_sq.slice_coeff(ev, m) - det_rest
-        d_slice = numer / cof0.re.truncate(order - m)
-        cur[d_key] = cur[d_key] + d_slice.mul_monomial(ev, m)
+        det_terms = []
+        for c in range(3):
+            det_terms += _product_terms(h[0][c], cof[c], m)[0]
+        numer = gamma_sq.slice_coeff(ev, m) - mul_sum(det_terms, order - m)
+        sl[d_key][m] = sl[d_key][m] + mul_sum(((1, numer, cof0_inv),), order - m)
 
-    return HermitianJet(cur)
+    del h, cof, im  # so that each entry's slices are released once it is reassembled
+    return HermitianJet({key: sum((s.mul_monomial(ev, k) for k, s in enumerate(sl.pop(key))),
+                                  cur[key].zero_like()) for key in ENTRY_KEYS})
 
 
 def solve_calabi_yau(g, order: int, policy: ExtensionPolicy = CONSTANT_POLICY) -> CYStructureJet:

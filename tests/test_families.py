@@ -218,6 +218,12 @@ class TestBlockFamily:
         with pytest.raises(FamilyError, match="block-determinant"):
             make_block_family("0", [["2", "0"], ["0", "1"]], "1")
 
+    def test_asymmetric_block_rejected(self):
+        with pytest.raises(FamilyError, match="symmetric"):
+            make_block_family("0", [["1", "1/2"], ["0", "1"]], "3/4")
+        fam = make_block_family("0", [["1", "1/2"], ["1/2", "1"]], "3/4")
+        assert fam.entry(2, 3) == fam.entry(3, 2)
+
 
 class TestCollapse22:
     def test_zero_profile_is_flat(self):

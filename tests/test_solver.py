@@ -1,8 +1,13 @@
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from slagcy import solver
 from slagcy.dsl import eval_jet, parse
 from slagcy.jets import (
     EXACT,
@@ -15,11 +20,17 @@ from slagcy.jets import (
     Y3,
     ComplexJet,
     Jet,
+    det,
     holomorphic_extend,
     jet_sqrt,
 )
 from slagcy.solver import (
+    _EVOLUTION,
+    _EVOLVE_VAR,
+    _MIRRORS,
+    _SUPPRESSED,
     CONSTANT_POLICY,
+    ENTRY_KEYS,
     CYStructureJet,
     DegenerateMetricError,
     ExtensionPolicy,
@@ -33,6 +44,8 @@ from slagcy.solver import (
     horizontal_slice_residuals,
     load_structure,
     solve_calabi_yau,
+    _apply_policy,
+    _hmatrix,
 )
 
 
@@ -372,3 +385,175 @@ class TestHorizontalSlices:
         res = horizontal_slice_residuals(st)
         assert res["B_slice"] == 0
         assert res["im_gamma_slice"] == 0
+
+
+# -- the sweep against a full-determinant oracle -------------------------------------
+
+
+def full_determinant_sweep(step, state, gamma, policy=CONSTANT_POLICY):
+    """Reference sweep: read the degree-m slice of det(h) off the full 3x3
+    determinant of the state capped at degree m in the evolution variable, and
+    recompute the leading coefficient's reciprocal at every order."""
+    def capped(jet, var, degree):
+        return Jet(jet.order, {i: c for i, c in jet.coeffs.items() if i[var] <= degree},
+                   jet.mode, jet.base_point)
+
+    cur = dict(state.entries)
+    _apply_policy(step, cur, policy)
+    order = state.order
+    ev = _EVOLVE_VAR[step]
+    d_key = {1: "a11", 2: "a22", 3: "a33"}[step]
+    rows = {1: (2, 3), 2: (1, 3), 3: (1, 2)}[step]
+    gamma_sq = gamma.abs2().restrict_zero(_SUPPRESSED[step])
+    h0 = _hmatrix({k: cur[k].slice_coeff(ev, 0) for k in ENTRY_KEYS})
+    cof0 = det([[h0[i - 1][j - 1] for j in rows] for i in rows]).re
+    for m in range(1, order + 1):
+        new_slices = {}
+        for key, terms in _EVOLUTION[step].items():
+            rhs = None
+            for sign, src, var in terms:
+                d = cur[src].slice_coeff(ev, m - 1).partial(var)
+                if sign < 0:
+                    d = -d
+                rhs = d if rhs is None else rhs + d
+            new_slices[key] = rhs / m
+        for key, sl in new_slices.items():
+            cur[key] = cur[key] + sl.mul_monomial(ev, m)
+        for dst, src in _MIRRORS[step]:
+            cur[dst] = cur[dst] + new_slices[src].mul_monomial(ev, m)
+        det_rest = det(_hmatrix({k: capped(cur[k], ev, m) for k in ENTRY_KEYS})).re
+        numer = gamma_sq.slice_coeff(ev, m) - det_rest.slice_coeff(ev, m)
+        d_slice = numer / cof0.truncate(order - m)
+        cur[d_key] = cur[d_key] + d_slice.mul_monomial(ev, m)
+    return HermitianJet(cur)
+
+
+def initial_state(g):
+    zero = g[0][0].zero_like()
+    entries = {f"a{i}{j}": g[i - 1][j - 1] for i in (1, 2, 3) for j in (1, 2, 3)}
+    entries.update({"b12": zero, "b13": zero, "b23": zero})
+    return HermitianJet(entries)
+
+
+# constant terms: positive definite, with a rational square root of the determinant
+_PD_CONSTANTS = [
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((4, 0, 0), (0, 1, 0), (0, 0, Fraction(9, 4))),
+    ((2, 1, 0), (1, 1, 0), (0, 0, 1)),
+    ((1, 0, Fraction(1, 2)), (0, Fraction(4, 3), 0), (Fraction(1, 2), 0, 1)),
+]
+_SMALL = st.integers(-4, 4).map(lambda n: Fraction(n, 8))
+
+
+def _monomials(order, need=None, allowed=(X1, X2, X3)):
+    """Exponent tuples of total degree 1..order in the allowed variables,
+    with a positive exponent in ``need`` if given."""
+    out = []
+    for exps in itertools.product(range(order + 1), repeat=len(allowed)):
+        idx = [0] * 6
+        for var, e in zip(allowed, exps):
+            idx[var] = e
+        if 1 <= sum(idx) <= order and (need is None or idx[need]):
+            out.append(tuple(idx))
+    return out
+
+
+@st.composite
+def exact_metrics(draw, order):
+    const = draw(st.sampled_from(_PD_CONSTANTS))
+    g = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            terms = draw(st.dictionaries(st.sampled_from(_monomials(order)), _SMALL, max_size=4))
+            terms[(0,) * 6] = const[i][j]
+            g[i][j] = g[j][i] = Jet.from_terms(terms, order)
+    return g
+
+
+def _perturbed(draw, jet, ev, allowed):
+    """``jet`` plus random monomials carrying the evolution variable ev."""
+    terms = draw(st.dictionaries(
+        st.sampled_from(_monomials(jet.order, ev, allowed)), _SMALL, min_size=1, max_size=4))
+    return jet + Jet.from_terms(terms, jet.order)
+
+
+class TestSliceSweep:
+    """The slice-wise sweep against the full-determinant reference sweep."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exact_sweeps_equal_the_reference(self, data):
+        order = data.draw(st.integers(2, 4))
+        g = data.draw(exact_metrics(order))
+        gamma = build_gamma(g)
+        state = initial_state(g)
+        for step in (1, 2, 3):
+            # step-1 and step-2 policies carry powers of the evolution variable
+            # up to the order, above the degree m each round solves for
+            policy = CONSTANT_POLICY
+            if step < 3 and data.draw(st.booleans()):
+                ev = _EVOLVE_VAR[step]
+                allowed = (X1, X2, X3, Y1) if step == 1 else (X1, X2, X3, Y1, Y2)
+                keys = ("a22", "a33", "a12", "a13", "a23") if step == 1 else ("a33", "a23")
+                chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+                assigned = {k: _perturbed(data.draw, state.entries[k], ev, allowed)
+                            for k in chosen}
+                policy = ExtensionPolicy(**{f"step{step}": assigned})
+            expect = full_determinant_sweep(step, state, gamma, policy)
+            state = ck_step(step, state, gamma, policy)
+            for key in ENTRY_KEYS:
+                assert state.entries[key] == expect.entries[key], (step, key)
+        assert_all_zero(check_structure(CYStructureJet(
+            h=state, gamma=gamma, g=tuple(tuple(r) for r in g), policy=None, order=order)))
+
+    @pytest.mark.parametrize("entries", TRIG_METRICS)
+    def test_float_sweeps_agree_with_the_reference(self, entries):
+        order = 5
+        g = metric_from_exprs(entries, order, FLOAT)
+        gamma = build_gamma(g)
+        state = expect = initial_state(g)
+        for step in (1, 2, 3):
+            expect = full_determinant_sweep(step, expect, gamma)
+            state = ck_step(step, state, gamma)
+        scale = max(jet.max_abs_coeff() for jet in expect.entries.values())
+        for key in ENTRY_KEYS:
+            diff = (state.entries[key] - expect.entries[key]).max_abs_coeff()
+            assert diff <= 1e-14 * scale, (key, diff, scale)
+
+    @pytest.mark.parametrize("order", [4, 8])
+    def test_one_reciprocal_per_sweep_and_no_full_determinant(self, order, monkeypatch):
+        g = metric_from_exprs(TRIG_METRICS[0], order, FLOAT)
+        calls = {"reciprocal": 0, "det": 0}
+        reciprocal, full_det = Jet.reciprocal, solver.det
+
+        def counted_reciprocal(jet):
+            calls["reciprocal"] += 1
+            return reciprocal(jet)
+
+        def counted_det(m):
+            calls["det"] += 1
+            return full_det(m)
+
+        monkeypatch.setattr(Jet, "reciprocal", counted_reciprocal)
+        monkeypatch.setattr(solver, "det", counted_det)
+        gamma = build_gamma(g)
+        in_gamma = calls["reciprocal"]
+        calls.update(reciprocal=0, det=0)
+        state = initial_state(g)
+        for step in (1, 2, 3):
+            state = ck_step(step, state, gamma)
+        assert calls == {"reciprocal": 3, "det": 0}
+        calls["reciprocal"] = 0
+        solve_calabi_yau(g, order)
+        assert calls["reciprocal"] == 3 + in_gamma
+
+    def test_degenerate_cofactor_names_its_minor(self):
+        order = 2
+        g = identity_metric(order)
+        state = dict(initial_state(g).entries)
+        zero = g[0][0].zero_like()
+        for step, (i, j) in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2))):
+            entries = dict(state, **{f"a{i}{i}": zero, f"a{j}{j}": zero})
+            minor = re.escape(f"({i},{j})x({i},{j}) minor multiplying a{step}{step}")
+            with pytest.raises(DegenerateMetricError, match=minor):
+                ck_step(step, HermitianJet(entries), build_gamma(g))
