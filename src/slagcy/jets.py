@@ -142,9 +142,15 @@ class Jet:
         return max(abs(v) for v in self.coeffs.values())
 
     @cached_property
-    def _by_degree(self) -> list:
-        """The terms as (total degree, multi-index, coefficient), sorted."""
-        return sorted((sum(idx), idx, c) for idx, c in self.coeffs.items())
+    def _by_degree(self) -> tuple:
+        """``(d, numerators, terms)`` for ``mul_sum``: exact coefficients as integer
+        numerators over their least common denominator d (float: d = 1 and the
+        coefficients), in dict order and as sorted (degree, index, numerator)."""
+        d, num = 1, self.coeffs
+        if self.mode == EXACT:
+            d = math.lcm(*(c.denominator for c in num.values()))
+            num = {idx: c.numerator * (d // c.denominator) for idx, c in num.items()}
+        return d, num, sorted((sum(idx), idx, c) for idx, c in num.items())
 
     def depends_on(self, var: int) -> bool:
         return any(idx[var] for idx in self.coeffs)
@@ -336,26 +342,40 @@ class Jet:
 def mul_sum(terms, order: int) -> Jet:
     """sum(sign * a * b for sign, a, b in terms), up to total degree ``order``,
     accumulated in one map without truncating the factors first.  ``terms`` is
-    not empty; factors share mode and base point and have orders >= ``order``."""
-    out: dict = {}
+    not empty; factors share mode and base point and have orders >= ``order``.
+    Exact sums add integer numerators over one common denominator D and build one
+    ``Fraction`` per output coefficient.  Float sums run the same loop with the
+    float D = 1.0: scaling by +-1.0 is exact and cheaper than by an int."""
+    if not terms:
+        raise JetError("mul_sum needs at least one term")
+    mode, base_point = terms[0][1].mode, terms[0][1].base_point
     for sign, a, b in terms:
+        if not (a.mode == b.mode == mode and a.base_point == b.base_point == base_point):
+            raise IncompatibleJetsError("factors of a Cauchy sum differ in mode or base point")
         if order > min(a.order, b.order):
             raise JetError(
                 f"a product of orders {a.order} and {b.order} is not known to order {order}")
-        rhs = b._by_degree
-        for ia, ca in a.coeffs.items():
-            if sign < 0:
-                ca = -ca
+    exact = mode == EXACT
+    D = math.lcm(*(a._by_degree[0] * b._by_degree[0] for _, a, b in terms)) if exact else 1.0
+    out: dict = {}
+    for sign, a, b in terms:
+        da, lhs = a._by_degree[:2] if exact else (1, a.coeffs)
+        db, _, rhs = b._by_degree
+        scale = -(D // (da * db)) if sign < 0 else D // (da * db)
+        for ia, ca in lhs.items():
+            ca = ca * scale
             room = order - sum(ia)
-            for db, ib, cb in rhs:
-                if db > room:
+            for deg, ib, cb in rhs:
+                if deg > room:
                     break
                 key = (ia[0] + ib[0], ia[1] + ib[1], ia[2] + ib[2],
                        ia[3] + ib[3], ia[4] + ib[4], ia[5] + ib[5])
                 prod = ca * cb
                 s = out.get(key)
                 out[key] = prod if s is None else s + prod
-    return Jet(order, {k: v for k, v in out.items() if v != 0}, a.mode, a.base_point)
+    if exact:
+        return Jet(order, {k: Fraction(v, D) for k, v in out.items() if v}, mode, base_point)
+    return Jet(order, {k: v for k, v in out.items() if v}, mode, base_point)
 
 
 # -- elementary functions -----------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slagcy.jets import (
     EXACT,
@@ -20,6 +23,7 @@ from slagcy.jets import (
     IncompatibleJetsError,
     Jet,
     JetDomainError,
+    JetError,
     det,
     grlex_key,
     holomorphic_extend,
@@ -30,6 +34,7 @@ from slagcy.jets import (
     jet_sin,
     jet_sqrt,
     leading_minors,
+    mul_sum,
 )
 
 
@@ -119,6 +124,124 @@ class TestArithmetic:
         x = var(X1, order=5)
         assert (1 + x) ** 3 == 1 + 3 * x + 3 * x * x + x * x * x
         assert x ** 0 == const(1, 5)
+
+
+# -- generated jets and Cauchy sums ----------------------------------------------
+
+_DENOMINATORS = (1, 2, 3, 4, 7, 8, 9, 16, 27, 125)
+_SCALARS = {
+    EXACT: st.sampled_from(sorted(
+        {Fraction(n, d) for n in range(-40, 41) for d in _DENOMINATORS},
+        key=lambda v: (abs(v.numerator) + v.denominator, v))),
+    FLOAT: st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+}
+
+
+@functools.cache
+def gen_jets(order, mode=EXACT):
+    """Jets with up to six terms in all six variables; may be zero.  Cached, so
+    each strategy is built once (hypothesis hashes the sampled lists)."""
+    monomials = sorted((idx for idx in itertools.product(range(order + 1), repeat=NVARS)
+                        if sum(idx) <= order), key=grlex_key)
+    terms = st.dictionaries(st.sampled_from(monomials), _SCALARS[mode], max_size=6)
+    return terms.map(lambda t: Jet.from_terms(t, order, mode))
+
+
+@st.composite
+def cauchy_sums(draw, mode):
+    """(terms, order): 1-12 signed products, some factors above the target order."""
+    order = draw(st.integers(0, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 12))):
+        sign = draw(st.sampled_from((1, -1)))
+        a, b = (draw(gen_jets(order + draw(st.integers(0, 2)), mode)) for _ in range(2))
+        terms.append((sign, a, b))
+    return terms, order
+
+
+def reference_mul_sum(terms, order):
+    """Oracle: the product loop with one scalar multiply and add per pair of
+    terms (a normalised ``Fraction`` each in exact mode), as dict items."""
+    out = {}
+    for sign, a, b in terms:
+        rhs = sorted((sum(idx), idx, c) for idx, c in b.coeffs.items())
+        for ia, ca in a.coeffs.items():
+            if sign < 0:
+                ca = -ca
+            room = order - sum(ia)
+            for db, ib, cb in rhs:
+                if db > room:
+                    break
+                key = tuple(x + y for x, y in zip(ia, ib))
+                prod = ca * cb
+                s = out.get(key)
+                out[key] = prod if s is None else s + prod
+    return [(k, v) for k, v in out.items() if v != 0]
+
+
+class TestMulSum:
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_matches_reference_loop(self, mode, data):
+        terms, order = data.draw(cauchy_sums(mode))
+        got = mul_sum(terms, order)
+        assert (got.order, got.mode) == (order, mode)
+        # same keys in the same dict order, values equal exactly; repr tells
+        # Fractions apart from floats and gives every bit of a float
+        expect = reference_mul_sum(terms, order)
+        assert [(k, repr(v)) for k, v in got.coeffs.items()] == \
+            [(k, repr(v)) for k, v in expect]
+
+    def test_empty_sum_raises(self):
+        with pytest.raises(JetError, match="at least one term"):
+            mul_sum((), 2)
+
+    def test_mixed_modes_raise(self):
+        exact, floating = var(X1, order=2), var(X1, order=2, mode=FLOAT)
+        with pytest.raises(IncompatibleJetsError, match="mode"):
+            mul_sum(((1, exact, floating),), 2)
+        with pytest.raises(IncompatibleJetsError, match="mode"):
+            mul_sum(((1, floating, floating), (1, exact, exact)), 2)
+
+    def test_mixed_base_points_raise(self):
+        here, moved = var(X1, order=2), Jet.variable(X1, 2, EXACT, (1, 0, 0, 0, 0, 0))
+        with pytest.raises(IncompatibleJetsError, match="base point"):
+            mul_sum(((1, here, moved),), 2)
+        with pytest.raises(IncompatibleJetsError, match="base point"):
+            mul_sum(((1, here, here), (-1, moved, moved)), 2)
+
+
+@st.composite
+def same_order_jets(draw, n):
+    order = draw(st.integers(0, 4))
+    return [draw(gen_jets(order)) for _ in range(n)]
+
+
+class TestRingAxiomsGenerated:
+    """Exact-mode ring laws on generated jets in all six variables."""
+
+    @given(jets=same_order_jets(3))
+    def test_commutative_associative_distributive(self, jets):
+        a, b, c = jets
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+
+    @given(jets=same_order_jets(1), unit=_SCALARS[EXACT].filter(lambda v: v != 0))
+    def test_reciprocal_of_a_unit(self, jets, unit):
+        a = jets[0] - jets[0].constant_term + unit
+        assert a * a.reciprocal() == const(1, a.order)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_one_sum_equals_the_single_products(self, data):
+        terms, order = data.draw(cauchy_sums(EXACT))
+        acc = Jet.constant(0, order)
+        for sign, a, b in terms:
+            p = a.truncate(order) * b.truncate(order)
+            acc = acc + p if sign > 0 else acc - p
+        assert mul_sum(terms, order) == acc
 
 
 class TestElementary:
