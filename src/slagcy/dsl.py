@@ -91,14 +91,17 @@ def _tokenize(text: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c.isdecimal() or (c == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j].isdecimal() or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
-            tokens.append(("num", Fraction(text[i:j]), i))
+            try:
+                tokens.append(("num", Fraction(text[i:j]), i))
+            except ValueError:  # beyond int()'s digit limit
+                raise ParseError(i, "a numeric literal of at most 4300 digits") from None
             i = j
             continue
         if c.isalpha() or c == "_":
@@ -201,7 +204,10 @@ class _Parser:
             nk, nv, no = self.peek()
             if nk == "op" and nv == "/":
                 self.advance()
-                result = result / self.exponent()
+                divisor = self.exponent()
+                if divisor == 0:
+                    raise ParseError(no, "a non-zero exponent denominator after '/'")
+                result = result / divisor
             self.expect_op(")")
         else:
             raise ParseError(offset, "a rational literal exponent")
@@ -209,8 +215,11 @@ class _Parser:
         if kind == "op" and value == "^":  # right-associative literal chain
             self.advance()
             e = self.exponent()
-            if e.denominator != 1:
-                raise ParseError(offset, "an integer exponent in a literal power chain")
+            if e.denominator != 1 or abs(e) > 1024:
+                raise ParseError(offset, "an integer exponent of at most 1024 in magnitude "
+                                 "in a literal power chain")
+            if result == 0 and e < 0:
+                raise ParseError(offset, "a non-zero base for a negative power")
             result = result ** int(e)
         return result
 
@@ -241,7 +250,11 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse an expression; raises ParseError with the byte offset on failure."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError(parser.peek()[2], "an expression nested less deeply") from None
 
 
 # -- canonical printer -----------------------------------------------------------

@@ -35,22 +35,24 @@ def periodic_quad(samples, axis=None) -> np.ndarray | float:
 
 
 def spectral_diff(samples, axis: int, period: float = 1.0) -> np.ndarray:
-    """FFT differentiation along one axis of a periodic sample array.
+    """Real-FFT (``rfft``/``irfft``) derivative along ``axis`` (>= 0) of a
+    periodic sample array.
 
-    Size-1 axes (broadcast constants) differentiate to zero.  For even n the
-    Nyquist mode is dropped, as usual for odd-order spectral derivatives.
+    Samples constant along the axis (an absent or size-1 axis, or a
+    materialized broadcast copy) differentiate to exact zeros without a
+    transform.  For even n the Nyquist mode is dropped, as usual for odd-order
+    spectral derivatives.
     """
     arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim <= axis or arr.shape[axis] == 1:
+    if arr.ndim <= axis or np.all(arr == arr.take([0], axis=axis)):
         return np.zeros_like(arr)
     n = arr.shape[axis]
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    # wavenumbers 0..n//2 along ``axis``, trailing size-1 axes for broadcasting
+    k = np.arange(n // 2 + 1, dtype=np.float64).reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
     if n % 2 == 0:
-        k[n // 2] = 0.0
-    shape = [1] * arr.ndim
-    shape[axis] = n
-    mult = (2j * np.pi / period) * k.reshape(shape)
-    return np.real(np.fft.ifft(np.fft.fft(arr, axis=axis) * mult, axis=axis))
+        k[-1] = 0.0
+    spectrum = np.fft.rfft(arr, axis=axis) * ((2j * np.pi / period) * k)
+    return np.fft.irfft(spectrum, n=n, axis=axis)
 
 
 def grid_diff(samples, axis: int, periodic: bool, n: int) -> np.ndarray:

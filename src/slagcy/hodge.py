@@ -176,14 +176,10 @@ def _closure_residual(theta: np.ndarray, dim: int) -> float:
 
 def _coclosure_residual(theta: np.ndarray, inv: np.ndarray, sqrt_det: np.ndarray,
                         dim: int) -> float:
+    weighted = sqrt_det * inv  # sqrt(det g) g^{kl}, shared by every theta_i
     worst = 0.0
     for i in range(dim):
-        div = np.zeros_like(sqrt_det)
-        for k in range(dim):
-            flux = np.zeros_like(sqrt_det)
-            for l in range(dim):
-                flux = flux + inv[k, l] * theta[i, l]
-            div = div + spectral_diff(sqrt_det * flux, k)
+        div = sum(spectral_diff((weighted[k] * theta[i]).sum(axis=0), k) for k in range(dim))
         worst = max(worst, float(np.max(np.abs(div / sqrt_det))))
     return worst
 

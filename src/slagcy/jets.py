@@ -263,14 +263,6 @@ class Jet:
 
     # -- reshaping -----------------------------------------------------------
 
-    def truncate(self, order: int) -> "Jet":
-        if order > self.order:
-            raise JetError("cannot raise the order of a jet by truncation")
-        if order == self.order:
-            return self
-        return Jet(order, {k: v for k, v in self.coeffs.items() if sum(k) <= order},
-                   self.mode, self.base_point)
-
     def restrict_zero(self, vars: Iterable[int]) -> "Jet":
         """Restriction to the subspace where the given variables vanish."""
         vars = tuple(vars)

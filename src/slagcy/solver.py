@@ -175,9 +175,6 @@ class HermitianJet:
         b = self.entries[key]
         return b if i < j else -b
 
-    def A_matrix(self):
-        return [[self.A(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
-
 
 @dataclass(frozen=True)
 class CYStructureJet:

@@ -1,9 +1,12 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slagcy.dsl import (
     BinOp,
@@ -92,6 +95,45 @@ class TestParse:
         assert free_variables(parse("1 + pi")) == set()
 
 
+@st.composite
+def mutated(draw, text, alphabet):
+    """``text`` with 1-4 spans of up to 8 characters each replaced by up to 6
+    characters, drawn from ``alphabet`` or from all of Unicode."""
+    chars = st.one_of(st.sampled_from(alphabet), st.characters())
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + draw(st.text(chars, max_size=6)) + text[j:]
+    return text
+
+
+class TestParseErrorsGenerated:
+    """``parse`` raises ParseError and nothing else on malformed text."""
+
+    @settings(max_examples=150)
+    @given(text=st.text())
+    def test_arbitrary_text(self, text):
+        with contextlib.suppress(ParseError):
+            parse(text)
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_mutated_expressions(self, data):
+        text = data.draw(st.sampled_from(TestParse.CORPUS))
+        with contextlib.suppress(ParseError):
+            parse(data.draw(mutated(text, "0123456789.+-*/^() xtpie")))
+
+    @pytest.mark.parametrize("text", [
+        "\u00b2", "x1^(1/0)", "x1^(0)^-1", "x1^0^-1", "(" * 3000 + "1", "-" * 3000 + "1",
+        "1" * 5000, "2^2^2^2^2^2",
+    ], ids=["superscript digit", "zero exponent denominator", "zero to a negative power",
+            "zero chain to a negative power", "deep parentheses", "deep negation",
+            "5000-digit literal", "huge literal power chain"])
+    def test_former_escapes_raise_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
+
 class TestEvalGrid:
     def test_identity_on_grid(self):
         x = periodic_axis(4)
@@ -168,8 +210,8 @@ class TestEvalJet:
             ast = parse(text)
             jet = eval_jet(ast, self.gens(order=4))
             for name, v in (("x1", X1), ("x2", X2), ("x3", X3)):
-                sym = eval_jet(differentiate(ast, name), self.gens(order=4))
-                assert jet.partial(v) == sym.truncate(3)
+                sym = eval_jet(differentiate(ast, name), self.gens(order=3))
+                assert jet.partial(v) == sym
 
     def test_integer_power_at_zero_base_allowed(self):
         jet = eval_jet(parse("x1^3"), self.gens(order=4))

@@ -69,6 +69,52 @@ class TestPeriodicQuad:
         assert np.max(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-10
 
 
+class TestSpectralDiff:
+    @pytest.mark.parametrize("n", [15, 16])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_band_limited_derivative(self, n, axis):
+        # sum of the modes below n/2 along ``axis``, scaled by a profile in the
+        # other two axes, plus a term constant along ``axis``
+        rng = np.random.default_rng(10 * n + axis)
+        shape = [1, 1, 1]
+        shape[axis] = n
+        x = periodic_axis(n).reshape(shape)
+        f = np.zeros(shape)
+        df = np.zeros(shape)
+        for k in range((n - 1) // 2 + 1):
+            a, phase = rng.uniform(-1, 1), rng.uniform(0, 2 * np.pi)
+            f = f + a * np.sin(2 * np.pi * k * x + phase)
+            df = df + a * 2 * np.pi * k * np.cos(2 * np.pi * k * x + phase)
+        other = [n, n, n]
+        other[axis] = 1
+        profile, offset = rng.uniform(0.5, 1.5, other), rng.standard_normal(other)
+        d = spectral_diff(f * profile + offset, axis)
+        assert d.shape == (n, n, n)
+        assert np.max(np.abs(d - df * profile)) < 1e-12
+
+    @pytest.mark.parametrize("n", [15, 16])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_constant_axis_gives_exact_zeros(self, n, axis):
+        shape = [6, 7, 8]
+        shape[axis] = 1
+        base = np.random.default_rng(axis).standard_normal(shape)
+        full = [6, 7, 8]
+        full[axis] = n
+        for arr in (base, np.broadcast_to(base, full), np.broadcast_to(base, full).copy()):
+            d = spectral_diff(arr, axis)
+            assert d.shape == arr.shape
+            assert np.all(d == 0.0)
+        assert np.all(spectral_diff(base[0], 3) == 0.0)  # an axis the samples lack
+
+    def test_even_n_drops_the_nyquist_mode(self):
+        n = 16
+        x = periodic_axis(n)
+        nyquist = np.cos(np.pi * n * x)  # (-1)^j on the grid
+        d = spectral_diff(np.sin(2 * np.pi * x) + nyquist, 0)
+        assert np.max(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-12
+        assert np.max(np.abs(spectral_diff(nyquist, 0))) < 1e-12
+
+
 def spd_stack(rng, dim, shape):
     """(dim, dim, *shape) symmetric positive-definite samples."""
     b = rng.standard_normal(shape + (dim, dim))
@@ -318,6 +364,30 @@ class TestPhi2D:
         assert gram.matrix[0, 0] == pytest.approx((1 + big_l ** 2) / big_m, abs=1e-10)
         assert gram.matrix[0, 1] == pytest.approx(-big_l, abs=1e-10)
         assert gram.matrix[1, 1] == pytest.approx(big_m, abs=1e-10)
+
+    def test_closure_needs_no_transform(self, monkeypatch):
+        # each theta component is constant along the axis it is differentiated
+        # on, and theta[1, 0] == 0, so closure is checked without an FFT
+        basis = harmonic_basis_2d(family_from_entries(TWO_D_FAMILIES[1], dim=2), 0.7, n=64)
+        calls = []
+        for name in ("fft", "rfft"):
+            original = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name,
+                                lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
+        assert hodge._closure_residual(basis.theta, 2) == 0.0
+        assert calls == []
+
+    def test_tampered_theta_fails_closure(self):
+        # theta_1 with a dx1 coefficient depending on x2 keeps its periods but
+        # is not closed: the check still transforms it and raises
+        n, tol = 32, 1e-8
+        basis = harmonic_basis_2d(family_from_entries(TWO_D_FAMILIES[1], dim=2), 0.5, n=n)
+        theta = basis.theta.copy()
+        theta[0, 0] = theta[0, 0] * (1 + 0.1 * np.sin(2 * np.pi * periodic_axis(n)))[None, :]
+        assert hodge._closure_residual(theta, 2) > 0.1
+        with pytest.raises(HodgeError, match="harmonicity residual"):
+            hodge._verified_basis(theta, basis.metric, *hodge._pointwise_inverse(basis.metric),
+                                  tol, tol, basis.scale)
 
     def test_x1_dependent_determinant_rejected(self):
         fam = family_from_entries({"g11": "1 + sin(2*pi*x1)/2", "g22": "1"}, dim=2)

@@ -19,6 +19,7 @@ from slagcy.jets import (
     Y1,
     Y2,
     Y3,
+    Y_VARS,
     ComplexJet,
     IncompatibleJetsError,
     Jet,
@@ -44,6 +45,12 @@ def var(k, order=4, mode=EXACT):
 
 def const(v, order=4, mode=EXACT):
     return Jet.constant(v, order, mode)
+
+
+def truncated(jet, order):
+    """``jet`` without its terms above total degree ``order``."""
+    return Jet(order, {i: c for i, c in jet.coeffs.items() if sum(i) <= order},
+               jet.mode, jet.base_point)
 
 
 def random_jet(rng, order=3, vars=(X1, X2, Y1), nterms=5, mode=EXACT):
@@ -102,7 +109,7 @@ class TestArithmetic:
             pad = {(4, 0, 0, 0, 0, 0): Fraction(3), (0, 2, 0, 2, 0, 0): Fraction(-7, 2)}
             a4 = Jet.from_terms({**a.coeffs, **pad}, 4)
             b4 = Jet.from_terms(dict(b.coeffs), 4)
-            assert (a4 * b4).truncate(3) == prod
+            assert truncated(a4 * b4, 3) == prod
 
     def test_division_by_zero_constant_term(self):
         with pytest.raises(JetDomainError, match="singular leading coefficient"):
@@ -138,10 +145,12 @@ _SCALARS = {
 
 
 @functools.cache
-def gen_jets(order, mode=EXACT):
-    """Jets with up to six terms in all six variables; may be zero.  Cached, so
-    each strategy is built once (hypothesis hashes the sampled lists)."""
-    monomials = sorted((idx for idx in itertools.product(range(order + 1), repeat=NVARS)
+def gen_jets(order, mode=EXACT, nvars=NVARS):
+    """Jets with up to six terms in the first ``nvars`` variables (all six by
+    default; 3 gives x-only jets); may be zero.  Cached, so each strategy is
+    built once (hypothesis hashes the sampled lists)."""
+    monomials = sorted((idx + (0,) * (NVARS - nvars)
+                        for idx in itertools.product(range(order + 1), repeat=nvars)
                         if sum(idx) <= order), key=grlex_key)
     terms = st.dictionaries(st.sampled_from(monomials), _SCALARS[mode], max_size=6)
     return terms.map(lambda t: Jet.from_terms(t, order, mode))
@@ -239,7 +248,7 @@ class TestRingAxiomsGenerated:
         terms, order = data.draw(cauchy_sums(EXACT))
         acc = Jet.constant(0, order)
         for sign, a, b in terms:
-            p = a.truncate(order) * b.truncate(order)
+            p = truncated(a, order) * truncated(b, order)
             acc = acc + p if sign > 0 else acc - p
         assert mul_sum(terms, order) == acc
 
@@ -298,7 +307,7 @@ class TestElementary:
 class TestPartial:
     def test_product_monomial(self):
         x1, x2 = var(X1), var(X2)
-        assert (x1 * x2).partial(X1) == x2.truncate(3)
+        assert (x1 * x2).partial(X1) == var(X2, order=3)
 
     def test_partial_of_absent_variable_is_zero(self):
         a = var(X1) * var(X2)
@@ -311,7 +320,8 @@ class TestPartial:
             b = random_jet(rng)
             for v in (X1, X2, Y1):
                 lhs = (a * b).partial(v)
-                rhs = a.partial(v) * b.truncate(a.order - 1) + a.truncate(a.order - 1) * b.partial(v)
+                rhs = (a.partial(v) * truncated(b, a.order - 1)
+                       + truncated(a, a.order - 1) * b.partial(v))
                 assert lhs == rhs
 
     def test_order_zero_rejected(self):
@@ -377,6 +387,17 @@ class TestHolomorphicExtend:
             o = extend_by_substitution(f)
             assert e.re == o.re
             assert e.im == o.im
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_cauchy_riemann_generated(self, data):
+        f = data.draw(gen_jets(data.draw(st.integers(1, 5)), EXACT, nvars=3))
+        e = holomorphic_extend(f)
+        for xk, yk in zip((X1, X2, X3), Y_VARS):
+            assert e.re.partial(xk) == e.im.partial(yk)
+            assert e.re.partial(yk) == -(e.im.partial(xk))
+        assert e.re.restrict_zero(Y_VARS) == f
+        assert e.im.restrict_zero(Y_VARS) == f.zero_like()
 
     def test_rejects_y_dependence(self):
         with pytest.raises(JetDomainError):

@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import itertools
 import random
 import re
@@ -205,7 +207,7 @@ class TestFullSolve:
         order = 4
         for entries in POLY_METRICS:
             st = solve_calabi_yau(metric_from_exprs(entries, order), order)
-            a = st.h.A_matrix()
+            a = [[st.h.A(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
             det_ct = (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
                       - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
                       + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])).constant_term
@@ -399,6 +401,43 @@ class TestDumpLoad:
             load_structure(text)
 
 
+@functools.cache
+def small_dump(mode):
+    metric = POLY_METRICS[1] if mode == EXACT else TRIG_METRICS[1]
+    return dump_structure(solve_calabi_yau(metric_from_exprs(metric, 2, mode), 2))
+
+
+@st.composite
+def mutated_dumps(draw, mode):
+    """A small valid dump with 1-4 spans of up to 8 characters each replaced by
+    up to 6 characters, drawn from the dump alphabet or from all of Unicode."""
+    text = small_dump(mode)
+    chars = st.one_of(st.sampled_from("0123456789 -+/.:=[]\neE"), st.characters())
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + draw(st.text(chars, max_size=6)) + text[j:]
+    return text
+
+
+class TestLoadErrorsGenerated:
+    """``load_structure`` raises SolverError and nothing else on malformed text."""
+
+    @settings(max_examples=100)
+    @given(text=st.text())
+    def test_arbitrary_text(self, text):
+        for candidate in (text, "slagcy-structure v1\n" + text):
+            with contextlib.suppress(SolverError):
+                load_structure(candidate)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_mutated_dumps(self, mode, data):
+        with contextlib.suppress(SolverError):
+            load_structure(data.draw(mutated_dumps(mode)))
+
+
 class TestHorizontalSlices:
     def test_flat_structure_slices_vanish(self):
         st = solve_calabi_yau(identity_metric(4), 4)
@@ -408,6 +447,12 @@ class TestHorizontalSlices:
 
 
 # -- the sweep against a full-determinant oracle -------------------------------------
+
+
+def truncated(jet, order):
+    """``jet`` without its terms above total degree ``order``."""
+    return Jet(order, {i: c for i, c in jet.coeffs.items() if sum(i) <= order},
+               jet.mode, jet.base_point)
 
 
 def full_determinant_sweep(step, state, gamma, policy=CONSTANT_POLICY):
@@ -443,7 +488,7 @@ def full_determinant_sweep(step, state, gamma, policy=CONSTANT_POLICY):
             cur[dst] = cur[dst] + new_slices[src].mul_monomial(ev, m)
         det_rest = det(_hmatrix({k: capped(cur[k], ev, m) for k in ENTRY_KEYS})).re
         numer = gamma_sq.slice_coeff(ev, m) - det_rest.slice_coeff(ev, m)
-        d_slice = numer / cof0.truncate(order - m)
+        d_slice = numer / truncated(cof0, order - m)
         cur[d_key] = cur[d_key] + d_slice.mul_monomial(ev, m)
     return HermitianJet(cur)
 
@@ -465,9 +510,11 @@ _PD_CONSTANTS = [
 _SMALL = st.integers(-4, 4).map(lambda n: Fraction(n, 8))
 
 
-def _monomials(order, need=None, allowed=(X1, X2, X3)):
-    """Exponent tuples of total degree 1..order in the allowed variables,
-    with a positive exponent in ``need`` if given."""
+@functools.cache
+def monomial_keys(order, need=None, allowed=(X1, X2, X3)):
+    """Strategy over the exponent tuples of total degree 1..order in the allowed
+    variables, with a positive exponent in ``need`` if given.  Cached, so each
+    strategy is built once (hypothesis hashes the sampled list)."""
     out = []
     for exps in itertools.product(range(order + 1), repeat=len(allowed)):
         idx = [0] * 6
@@ -475,7 +522,7 @@ def _monomials(order, need=None, allowed=(X1, X2, X3)):
             idx[var] = e
         if 1 <= sum(idx) <= order and (need is None or idx[need]):
             out.append(tuple(idx))
-    return out
+    return st.sampled_from(out)
 
 
 @st.composite
@@ -484,7 +531,7 @@ def exact_metrics(draw, order):
     g = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
-            terms = draw(st.dictionaries(st.sampled_from(_monomials(order)), _SMALL, max_size=4))
+            terms = draw(st.dictionaries(monomial_keys(order), _SMALL, max_size=4))
             terms[(0,) * 6] = const[i][j]
             g[i][j] = g[j][i] = Jet.from_terms(terms, order)
     return g
@@ -500,8 +547,8 @@ def float_copy(jet, draw):
 
 def _perturbed(draw, jet, ev, allowed):
     """``jet`` plus random monomials carrying the evolution variable ev."""
-    terms = draw(st.dictionaries(
-        st.sampled_from(_monomials(jet.order, ev, allowed)), _SMALL, min_size=1, max_size=4))
+    terms = draw(st.dictionaries(monomial_keys(jet.order, ev, allowed), _SMALL,
+                                 min_size=1, max_size=4))
     return jet + Jet.from_terms(terms, jet.order)
 
 
