@@ -231,8 +231,13 @@ def check_slag_family(fam: MetricFamily, n: int = 64, nt: int = 9,
 # -- constructors for the block-diagonal class -------------------------------------
 
 
+# grid points per axis, tolerance and t-samples of the checks the block
+# constructor and family_to_policy run
+_CHECK_N, _CHECK_TOL = 64, 1e-10
+_BLOCK_CHECK_NT, _POLICY_CHECK_NT = 5, 9
+
+
 def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), periodic=(True, True, True),
-                      n_check: int = 64, nt_check: int = 5, tol: float = 1e-10,
                       name: str = "block") -> MetricFamily:
     """diag(e^u, Q_t) with the block-determinant law det(Q_t) = e^{-u} q.
 
@@ -254,16 +259,14 @@ def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), periodic=(True, True, True
         (_entry(0), ExprEntry(qm[0][1]), ExprEntry(qm[1][1])),
     )
     fam = MetricFamily(3, entries, tuple(t_range), tuple(periodic), name)
-    axes = family_axes(fam, n_check)
+    axes = family_axes(fam, _CHECK_N)
+    q_samples = eval_grid(q, axes)
     worst = 0.0
-    for t in np.linspace(t_range[0], t_range[1], nt_check):
-        env = dict(axes)
-        env["t"] = float(t)
-        q11, q12, q22 = (eval_grid(e, env) for e in (qm[0][0], qm[0][1], qm[1][1]))
-        det_q = det([[q11, q12], [q12, q22]])
-        law = np.exp(-eval_grid(u, env)) * eval_grid(q, env)
-        worst = max(worst, float(np.max(np.abs(det_q - law))))
-    if worst > tol:
+    for t in np.linspace(t_range[0], t_range[1], _BLOCK_CHECK_NT):
+        m = fam.sample_matrix(float(t), axes)
+        det_q = det([row[1:] for row in m[1:]])
+        worst = max(worst, float(np.max(np.abs(det_q - q_samples / m[0][0]))))
+    if worst > _CHECK_TOL:
         raise FamilyError(
             f"block-determinant law violated: max |det(Q) - e^(-u) q| = {worst:.3e}")
     return fam
@@ -272,16 +275,16 @@ def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), periodic=(True, True, True
 _NORM_GRID = 256
 
 
-def _collapse_norm(w: Expr, t: float, n_norm: int) -> float:
+def _collapse_norm(w: Expr, t: float) -> float:
     """Integral of e^{w(t,s)/2} over one period in x1."""
-    s = periodic_axis(n_norm)
+    s = periodic_axis(_NORM_GRID)
     vals = np.exp(0.5 * eval_grid(w, {"t": t, "x1": s}))
     if not np.all(np.isfinite(vals)):
         raise FamilyError(f"non-integrable profile at t={t}")
     return float(periodic_quad(vals))
 
 
-def make_collapsing_22(w_raw, t1: float, *, t_range=None, n_norm: int = _NORM_GRID,
+def make_collapsing_22(w_raw, t1: float, *, t_range=None,
                        name: str = "collapse22") -> MetricFamily:
     """Family whose 2-cycle {x1 = 1/2} collapses to a circle as t -> t1.
 
@@ -296,7 +299,7 @@ def make_collapsing_22(w_raw, t1: float, *, t_range=None, n_norm: int = _NORM_GR
         t_range = (0.0, 0.9 * t1)
     if not t_range[1] < t1:
         raise FamilyError(f"t_range must stay strictly below the collapse time {t1}")
-    collapse_norm = lru_cache(maxsize=1)(partial(_collapse_norm, w, n_norm=n_norm))
+    collapse_norm = lru_cache(maxsize=1)(partial(_collapse_norm, w))
 
     def a11(t, axes):
         norm = collapse_norm(t)
@@ -316,7 +319,7 @@ def make_collapsing_22(w_raw, t1: float, *, t_range=None, n_norm: int = _NORM_GR
 
 
 def make_collapsing_21(w_raw, v_raw, t1: float, *, t_range=None,
-                       n_norm: int = _NORM_GRID, name: str = "collapse21") -> MetricFamily:
+                       name: str = "collapse21") -> MetricFamily:
     """Family also collapsing the 2-cycle {x2 = 1/2}: diag(e^u, e^v, e^{-(u+v)})
     with int_0^1 e^{v_t(x1,s)/2} ds = 1 enforced by a per-x1 shift of v."""
     w = _as_expr(w_raw)
@@ -333,14 +336,14 @@ def make_collapsing_21(w_raw, v_raw, t1: float, *, t_range=None,
     def _v_norm(t: float, x1: np.ndarray) -> np.ndarray:
         """Per-x1 normalizer int_0^1 e^{v(t,x1,s)/2} ds, broadcast like x1."""
         flat = np.atleast_1d(np.asarray(x1, dtype=np.float64)).ravel()
-        s = periodic_axis(n_norm)
+        s = periodic_axis(_NORM_GRID)
         vals = np.exp(0.5 * eval_grid(v, {"t": t, "x1": flat[:, None], "x2": s[None, :]}))
         if not np.all(np.isfinite(vals)):
             raise FamilyError(f"non-integrable profile at t={t}")
         vals = np.broadcast_to(np.asarray(vals), (flat.size, s.size))
         norms = np.asarray(periodic_quad(vals, axis=1))
         return norms.reshape(np.shape(x1) if np.ndim(x1) else ())
-    collapse_norm = lru_cache(maxsize=1)(partial(_collapse_norm, w, n_norm=n_norm))
+    collapse_norm = lru_cache(maxsize=1)(partial(_collapse_norm, w))
 
     def a11(t, axes):
         norm = collapse_norm(t)
@@ -407,9 +410,7 @@ def make_cone_family(f, *, t_range=(0.1, 1.0), name: str = "cone") -> MetricFami
 
 
 def family_to_policy(fam: MetricFamily, base_t: float, order: int,
-                     mode: str = FLOAT, base_x=(0, 0, 0), *,
-                     check: bool = True, check_n: int = 64, check_nt: int = 9,
-                     check_tol: float = 1e-10):
+                     mode: str = FLOAT, base_x=(0, 0, 0), *, check: bool = True):
     """Jet-expand A_{base_t + y1} into step-1 extension data.
 
     Returns (g, policy): the metric jets at t = base_t and an extension policy
@@ -424,7 +425,7 @@ def family_to_policy(fam: MetricFamily, base_t: float, order: int,
         raise FamilyError(
             "family entries are not jet-expandable (numerically normalized or grid-only)")
     if check:
-        report = check_slag_family(fam, n=check_n, nt=check_nt, tol=check_tol)
+        report = check_slag_family(fam, n=_CHECK_N, nt=_POLICY_CHECK_NT, tol=_CHECK_TOL)
         if not report.passed():
             raise InadmissibleFamilyError(
                 f"family fails the slice conditions: {report.as_dict()}")

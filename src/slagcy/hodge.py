@@ -6,6 +6,12 @@ metrics depending on x1 only (theta_1 = g11/int(g11) dx1, theta_2 = dx2,
 theta_3 = dx3) and general admissible 2D metrics with det = C(x2).  The
 obstruction function is the determinant of the L2 Gram matrix of that basis;
 it is identically 1 for the 2D class and genuinely t-dependent in 3D.
+
+From the basis through the Gram integrands and harmonicity checks, every
+sample keeps the broadcast shape `MetricFamily.sample_matrix` gives it: an
+x1-only entry is (n, 1, 1) in 3D and (n, 1) in 2D, a constant is 0-d and a
+vanishing basis component is the scalar 0.0, so work follows the variables
+a family depends on, not n^dim.
 """
 
 from __future__ import annotations
@@ -32,20 +38,25 @@ __all__ = [
 ]
 
 
+_CHECK_TOL = 1e-10        # admissibility tolerance of a Phi run
+_CLOSED_FORM_TOL = 1e-10  # largest gap between the quadrature and closed-form 3D Phi
+
+
 class HodgeError(Exception):
     """Precondition or verification failure while building a basis."""
 
 
 @dataclass(frozen=True)
 class HarmonicBasis:
-    """1-forms theta_i = sum_k theta[i, k] dx_{k+1} sampled on a periodic grid,
-    normalized against the coordinate cycles: int_{cycle_i} theta_j = delta_ij."""
+    """1-forms theta_i = sum_k theta[i][k] dx_{k+1} sampled on a periodic grid,
+    normalized against the coordinate cycles: int_{cycle_i} theta_j = delta_ij.
+    Entries of the dim x dim lists are broadcast samples (module docstring)."""
 
     dim: int
-    theta: np.ndarray          # (dim, dim, *grid)
-    metric: np.ndarray         # (dim, dim, *grid) samples that produced it
-    inverse: np.ndarray        # (dim, dim, *grid) pointwise g^{kl}
-    sqrt_det: np.ndarray       # (*grid) pointwise sqrt(det g)
+    theta: list                # theta[i][k], broadcastable entries
+    metric: list               # metric[k][l]: the samples that produced it
+    inverse: list              # inverse[k][l]: pointwise g^{kl}
+    sqrt_det: np.ndarray       # pointwise sqrt(det g), broadcastable
     scale: float               # 2D volume-normalization factor applied to C
     residuals: dict            # periods, closure, co-closure
 
@@ -75,9 +86,6 @@ class PhiCurve:
 
     def classification(self, tol: float = 1e-10) -> str:
         return "non-constant" if self.spread() > 100.0 * tol else "constant"
-
-    def to_csv_text(self) -> str:
-        return phi_csv(self.t, self.phi, self.integrals)
 
 
 def phi_csv(t, phi, integrals=None) -> str:
@@ -109,27 +117,24 @@ def _adjugate(m) -> tuple:
 
 
 def _pointwise_inverse(metric) -> tuple:
-    """Inverse (a (dim, dim, *grid) stack) and determinant of metric samples."""
+    """Inverse (a nested dim x dim list) and determinant of metric samples,
+    each entry at the broadcast shape of the cofactors it is built from."""
     adj, det_m = _adjugate(metric)
     if not np.all(det_m > 0):
         raise HodgeError("singular metric sample (non-positive determinant)")
-    return np.array([[a / det_m for a in row] for row in adj]), det_m
+    return [[a / det_m for a in row] for row in adj], det_m
 
 
 def gram_L2(basis: HarmonicBasis) -> GramMatrix:
     """Gram matrix <theta_i, theta_j> = int g^{kl} theta_ik theta_jl sqrt(det g)
     over the torus, by periodic quadrature on the basis grid."""
-    dim, inv, sqrt_det = basis.dim, basis.inverse, basis.sqrt_det
+    dim, inv, theta, sqrt_det = basis.dim, basis.inverse, basis.theta, basis.sqrt_det
     entries = np.empty((dim, dim), dtype=np.float64)
     for i in range(dim):
         for j in range(i, dim):
-            integrand = np.zeros_like(sqrt_det)
-            for k in range(dim):
-                for l in range(dim):
-                    integrand = integrand + inv[k, l] * basis.theta[i, k] * basis.theta[j, l]
-            value = float(periodic_quad(integrand * sqrt_det))
-            entries[i, j] = value
-            entries[j, i] = value
+            integrand = sum(inv[k][l] * theta[i][k] * theta[j][l]
+                            for k in range(dim) for l in range(dim))
+            entries[i, j] = entries[j, i] = float(periodic_quad(integrand * sqrt_det))
     return GramMatrix(matrix=entries, volume=float(periodic_quad(sqrt_det)))
 
 
@@ -142,107 +147,79 @@ def transform_gram(gram: GramMatrix, basis_change: np.ndarray) -> GramMatrix:
     return GramMatrix(matrix=pinv.T @ gram.matrix @ pinv, volume=gram.volume)
 
 
-def _verify_periods(theta: np.ndarray, tol: float) -> float:
+def _verify_periods(theta, tol: float) -> float:
     """Max deviation of the cycle-period matrix from the identity.
 
-    Periods are averaged over representative circles; closure makes the
+    The period of theta_i over cycle j, averaged over the representative
+    circles, is the torus mean of theta[i][j]; closure makes the
     representative irrelevant up to quadrature error.
     """
-    dim = len(theta)
-    worst = 0.0
-    for i in range(dim):
-        for j in range(dim):
-            comp = theta[i, j]
-            if comp.ndim == dim:
-                value = float(np.mean(periodic_quad(comp, axis=j)))
-            else:  # 1D storage: coefficients depend on x1 only
-                value = float(periodic_quad(comp)) if j == 0 else float(np.mean(comp))
-            target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(value - target))
+    worst = max(abs(float(periodic_quad(comp)) - (1.0 if i == j else 0.0))
+                for i, row in enumerate(theta) for j, comp in enumerate(row))
     if worst > tol:
         raise HodgeError(f"cycle normalization off by {worst:.3e} (tol {tol:.1e})")
     return worst
 
 
-def _closure_residual(theta: np.ndarray, dim: int) -> float:
-    worst = 0.0
-    for i in range(dim):
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                r = spectral_diff(theta[i, b], a) - spectral_diff(theta[i, a], b)
-                worst = max(worst, float(np.max(np.abs(r))))
-    return worst
+def _closure_residual(theta) -> float:
+    dim = len(theta)
+    return max(float(np.max(np.abs(spectral_diff(row[b], a) - spectral_diff(row[a], b))))
+               for row in theta for a in range(dim) for b in range(a + 1, dim))
 
 
-def _coclosure_residual(theta: np.ndarray, inv: np.ndarray, sqrt_det: np.ndarray,
-                        dim: int) -> float:
-    weighted = sqrt_det * inv  # sqrt(det g) g^{kl}, shared by every theta_i
+def _coclosure_residual(theta, inv, sqrt_det) -> float:
+    weighted = [[sqrt_det * a for a in row] for row in inv]  # shared by every theta_i
     worst = 0.0
-    for i in range(dim):
-        div = sum(spectral_diff((weighted[k] * theta[i]).sum(axis=0), k) for k in range(dim))
+    for row in theta:
+        div = sum(spectral_diff(sum(w * c for w, c in zip(w_k, row)), k)
+                  for k, w_k in enumerate(weighted))
         worst = max(worst, float(np.max(np.abs(div / sqrt_det))))
     return worst
 
 
-def _verified_basis(theta: np.ndarray, metric: np.ndarray, inv: np.ndarray, det_g: np.ndarray,
-                    tol: float, period_tol: float, scale: float) -> HarmonicBasis:
+def _verified_basis(theta, metric, inv, det_g, tol: float, period_tol: float,
+                    scale: float) -> HarmonicBasis:
     """The basis of ``theta`` after its periods, closure and co-closure checks;
     ``inv`` and ``det_g`` are the pointwise inverse and determinant of ``metric``."""
-    dim = len(theta)
     sqrt_det = np.sqrt(det_g)
     period_err = _verify_periods(theta, period_tol)
-    closure = _closure_residual(theta, dim)
-    coclosure = _coclosure_residual(theta, inv, sqrt_det, dim)
+    closure = _closure_residual(theta)
+    coclosure = _coclosure_residual(theta, inv, sqrt_det)
     if max(closure, coclosure) > tol:
         raise HodgeError(
             f"harmonicity residual above tolerance: d={closure:.3e}, delta={coclosure:.3e}")
-    return HarmonicBasis(dim=dim, theta=theta, metric=metric, inverse=inv, sqrt_det=sqrt_det,
-                         scale=scale, residuals={"periods": period_err, "closure": closure,
-                                                 "coclosure": coclosure})
+    return HarmonicBasis(dim=len(theta), theta=theta, metric=metric, inverse=inv,
+                         sqrt_det=sqrt_det, scale=scale,
+                         residuals={"periods": period_err, "closure": closure,
+                                    "coclosure": coclosure})
 
 
 # -- diagonal 3D basis --------------------------------------------------------------
-
-
-def _diag3_samples(fam: MetricFamily, t: float, n: int, tol: float) -> np.ndarray:
-    """(3, n) diagonal entry samples over the x1-grid, after validating that
-    the family is diagonal, x1-only and unit-determinant."""
-    if fam.dim != 3:
-        raise HodgeError("diagonal basis needs a 3-dimensional family")
-    axes = family_axes(fam, n)
-    m = fam.sample_matrix(t, axes)
-    diag = np.empty((3, n), dtype=np.float64)
-    for i in range(3):
-        for j in range(3):
-            arr = np.asarray(m[i][j])
-            if i != j:
-                if arr.size and float(np.max(np.abs(arr))) > tol:
-                    raise HodgeError(f"family entry ({i + 1},{j + 1}) is not zero")
-                continue
-            if arr.ndim == 3 and (arr.shape[1] > 1 or arr.shape[2] > 1):
-                raise HodgeError(f"diagonal entry ({i + 1},{i + 1}) depends on x2 or x3")
-            diag[i] = np.broadcast_to(arr.reshape(-1), (n,))
-    if float(np.max(np.abs(diag[0] * diag[1] * diag[2] - 1.0))) > tol:
-        raise HodgeError("family determinant is not identically 1 on samples")
-    if np.any(diag <= 0):
-        raise HodgeError("non-positive diagonal sample")
-    return diag
 
 
 def harmonic_basis_diag3(fam: MetricFamily, t: float, n: int = 256,
                          tol: float = 1e-10) -> HarmonicBasis:
     """Cycle-normalized harmonic basis for diagonal metrics depending on
     (t, x1) with unit determinant: theta_1 = g11/int(g11) dx1, theta_2 = dx2,
-    theta_3 = dx3.  Verified (periods, closure, co-closure) before returning."""
-    diag = _diag3_samples(fam, t, n, tol)
-    g11 = diag[0]
-    theta = np.zeros((3, 3, n), dtype=np.float64)
-    theta[0, 0] = g11 / periodic_quad(g11)
-    theta[1, 1] = 1.0
-    theta[2, 2] = 1.0
-    metric = np.zeros((3, 3, n), dtype=np.float64)
+    theta_3 = dx3.  The family must be diagonal (off-diagonal samples within
+    ``tol`` count as exact zeros), x1-only and unit-determinant.  Verified
+    (periods, closure, co-closure) before returning."""
+    if fam.dim != 3:
+        raise HodgeError("diagonal basis needs a 3-dimensional family")
+    m = fam.sample_matrix(t, family_axes(fam, n))
     for i in range(3):
-        metric[i, i] = diag[i]
+        for j in range(3):
+            if i != j and float(np.max(np.abs(m[i][j]))) > tol:
+                raise HodgeError(f"family entry ({i + 1},{j + 1}) is not zero")
+        if any(size > 1 for size in np.shape(m[i][i])[1:]):
+            raise HodgeError(f"diagonal entry ({i + 1},{i + 1}) depends on x2 or x3")
+    g11, g22, g33 = m[0][0], m[1][1], m[2][2]
+    if float(np.max(np.abs(g11 * g22 * g33 - 1.0))) > tol:
+        raise HodgeError("family determinant is not identically 1 on samples")
+    if any(np.any(g <= 0) for g in (g11, g22, g33)):
+        raise HodgeError("non-positive diagonal sample")
+    theta = [[g11 / periodic_quad(g11), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    metric = [[g11, 0.0, 0.0], [0.0, g22, 0.0], [0.0, 0.0, g33]]
     return _verified_basis(theta, metric, *_pointwise_inverse(metric), tol, max(tol, 1e-12), 1.0)
 
 
@@ -252,12 +229,12 @@ def phi_admissibility(fam: MetricFamily, n: int, nt: int, tol: float) -> FamilyC
 
 
 def _phi_samples(fam: MetricFamily, t_samples: Sequence, n: int, check: bool,
-                 check_tol: float, basis_at, row) -> PhiCurve:
+                 basis_at, row) -> PhiCurve:
     """The Phi loop shared by both classes: admissibility check, then per t
     the basis ``basis_at(t)``, its Gram matrix, det, and ``row(basis, phi, t)``
     for the three integral columns."""
     if check:
-        report = phi_admissibility(fam, n, len(t_samples), check_tol)
+        report = phi_admissibility(fam, n, len(t_samples), _CHECK_TOL)
         if not report.passed():
             raise InadmissibleFamilyError(
                 f"family fails the slice conditions: {report.as_dict()}")
@@ -275,8 +252,7 @@ def _phi_samples(fam: MetricFamily, t_samples: Sequence, n: int, check: bool,
 
 
 def phi_curve(fam: MetricFamily, t_samples: Sequence, n: int = 256, *,
-              check: bool = True, check_tol: float = 1e-10,
-              closed_form_tol: float = 1e-10, basis_tol: float = 1e-10) -> PhiCurve:
+              check: bool = True) -> PhiCurve:
     """Phi(t) = det Gram(t) for a diagonal x1-only family.
 
     Also evaluates the closed-form ratio
@@ -284,20 +260,20 @@ def phi_curve(fam: MetricFamily, t_samples: Sequence, n: int = 256, *,
     agrees; the curve rows carry (int g11, int g^22, int g^33).
     """
     def row(basis, phi, t):
-        g11, g22, g33 = basis.metric[0, 0], basis.metric[1, 1], basis.metric[2, 2]
+        g11, g22, g33 = basis.metric[0][0], basis.metric[1][1], basis.metric[2][2]
         i11 = float(periodic_quad(g11))
         i22 = float(periodic_quad(1.0 / g22))
         i33 = float(periodic_quad(1.0 / g33))
         cross = float(periodic_quad(1.0 / (g22 * g33)))
         closed = i22 * i33 / cross
-        if abs(phi - closed) > closed_form_tol:
+        if abs(phi - closed) > _CLOSED_FORM_TOL:
             raise HodgeError(
                 f"quadrature Gram disagrees with the closed form at t={t}: "
                 f"{phi!r} vs {closed!r}")
         return i11, i22, i33
 
-    return _phi_samples(fam, t_samples, n, check, check_tol,
-                        lambda t: harmonic_basis_diag3(fam, t, n, tol=basis_tol), row)
+    return _phi_samples(fam, t_samples, n, check,
+                        lambda t: harmonic_basis_diag3(fam, t, n), row)
 
 
 # -- general 2D basis ----------------------------------------------------------------
@@ -316,17 +292,15 @@ def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128,
     recorded as ``scale`` (the basis and Phi are scale-invariant)."""
     if fam.dim != 2:
         raise HodgeError("2D basis needs a 2-dimensional family")
-    m = fam.sample_matrix(t, family_axes(fam, n))
-    g = np.array([[np.broadcast_to(m[i][j], (n, n)) for j in range(2)] for i in range(2)],
-                 dtype=np.float64)
+    g = fam.sample_matrix(t, family_axes(fam, n))
     inv, det_g = _pointwise_inverse(g)
+    det_g = np.atleast_2d(det_g)  # constant families give 0-d samples
     if float(np.max(np.ptp(det_g, axis=0))) > tol:
         raise HodgeError("determinant depends on x1 (not an admissible 2D family)")
-    c = det_g.mean(axis=0)  # C(x2)
-    sqrt_c = np.sqrt(c)[None, :]
+    sqrt_c = np.sqrt(det_g.mean(axis=0, keepdims=True))  # sqrt(C(x2)), shape (1, n) or (1, 1)
 
-    m_per_col = np.asarray(periodic_quad(g[0, 0], axis=0))
-    l_per_row = np.asarray(periodic_quad(g[0, 1], axis=1))
+    m_per_col = periodic_quad(g[0][0], axis=0)
+    l_per_row = periodic_quad(g[0][1], axis=1)
     if float(np.ptp(m_per_col)) > tol or float(np.ptp(l_per_row)) > tol:
         raise HodgeError("int g11 dx1 or int g12 dx2 is not constant "
                          "(the dual of d/dx1 is not closed)")
@@ -334,17 +308,13 @@ def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128,
     big_l = float(np.mean(l_per_row))
     big_k = float(periodic_quad(sqrt_c))
 
-    theta = np.zeros((2, 2, n, n), dtype=np.float64)
-    theta[0, 0] = np.broadcast_to(g[0, 0] / big_m, (n, n))
-    theta[0, 1] = np.broadcast_to((g[0, 1] * big_k - sqrt_c * big_l) / (big_k * big_m), (n, n))
-    theta[1, 1] = np.broadcast_to(sqrt_c / big_k, (n, n))
-
+    theta = [[g[0][0] / big_m, (g[0][1] * big_k - sqrt_c * big_l) / (big_k * big_m)],
+             [0.0, sqrt_c / big_k]]
     return _verified_basis(theta, g, inv, det_g, tol, tol, 1.0 / big_k)
 
 
 def phi_2d(fam: MetricFamily, t_samples: Sequence, n: int = 128, *,
-           check: bool = True, check_tol: float = 1e-10,
-           basis_tol: float = 1e-8) -> PhiCurve:
+           check: bool = True) -> PhiCurve:
     """Phi(t) for an admissible 2D family; the 2D algebra predicts Phi == 1.
 
     Curve rows carry (int g11 dx1, int g12 dx2, int sqrt(C) dx2) in the
@@ -352,9 +322,7 @@ def phi_2d(fam: MetricFamily, t_samples: Sequence, n: int = 128, *,
     """
     def row(basis, phi, t):
         g = basis.metric
-        return (float(periodic_quad(g[0, 0], axis=0).mean()),
-                float(periodic_quad(g[0, 1], axis=1).mean()),
-                1.0 / basis.scale)
+        return periodic_quad(g[0][0]), periodic_quad(g[0][1]), 1.0 / basis.scale
 
-    return _phi_samples(fam, t_samples, n, check, check_tol,
-                        lambda t: harmonic_basis_2d(fam, t, n, tol=basis_tol), row)
+    return _phi_samples(fam, t_samples, n, check,
+                        lambda t: harmonic_basis_2d(fam, t, n), row)

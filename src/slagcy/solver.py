@@ -27,6 +27,7 @@ well every constraint holds; nothing is assumed that is not re-checked.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -220,9 +221,6 @@ class ResidualReport:
 
     def max_residual(self):
         return max(self.as_dict().values())
-
-    def passes(self, tol) -> bool:
-        return all(v <= tol for v in self.as_dict().values())
 
 
 # -- hermitian matrix helpers ----------------------------------------------------
@@ -498,8 +496,18 @@ def _dump_scalar(v, mode: str) -> str:
     return str(v) if mode == EXACT else repr(float(v))
 
 
+# str() of a Fraction, the only exact form dumps hold; Fraction(text) would
+# also read exponents, and '1e100000000' has a hundred million digits
+_EXACT_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_scalar(text: str, mode: str):
-    return Fraction(text) if mode == EXACT else float(text)
+    if mode != EXACT:
+        return float(text)
+    match = _EXACT_SCALAR.fullmatch(text)
+    if match is None:
+        raise ValueError(f"exact scalar {text!r} is not of the form p or p/q")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def dump_structure(s: CYStructureJet) -> str:
@@ -548,6 +556,8 @@ def load_structure(text: str) -> CYStructureJet:
         raise SolverError(f"bad structure dump header: {exc}") from exc
     if mode not in (EXACT, FLOAT):
         raise SolverError(f"unknown mode {mode!r}")
+    if order < 2:
+        raise SolverError(f"bad structure dump header: order must be >= 2, got {order}")
 
     sections: dict = {}
     tag = None

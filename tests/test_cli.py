@@ -13,6 +13,7 @@ from slagcy.cli import (
     report_json,
     run_scenario,
 )
+from slagcy.hodge import phi_csv
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -144,6 +145,17 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_dump_order_below_two_names_the_field(self, order, tmp_path, capsys):
+        dump = tmp_path / "structure.txt"
+        dump.write_text(structure_dump(order=order), encoding="utf-8")
+        text = f"[scenario]\nkind = verify\nmode = exact\n\n[input]\nstructure = {dump}\n"
+        code = main(["verify", "--scenario", write_scenario(tmp_path, text)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert err[0].endswith(f"header: order must be >= 2, got {order}")
+
     def test_mode_override_takes_that_modes_default_tolerance(self, tmp_path):
         path = write_scenario(
             tmp_path,
@@ -232,7 +244,7 @@ class TestPhiPipeline:
         sc = load_scenario(SCENARIOS / "bessel_phi.ini")
         fam = family_from_entries({k: v for k, v in sc.family.items() if k.startswith("g")})
         curve = phi_curve(fam, np.linspace(0.0, 1.0, sc.t_samples), n=sc.grid, check=False)
-        assert csv_path.read_text() == curve.to_csv_text()
+        assert csv_path.read_text() == phi_csv(curve.t, curve.phi, curve.integrals)
 
     def test_json_roundtrip_reproduces_verdicts(self, tmp_path):
         report = run_scenario(SCENARIOS / "det_drift_check.ini")

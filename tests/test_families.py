@@ -199,7 +199,7 @@ class TestSampling:
         monkeypatch.setattr(families, "periodic_quad", quad)
         assert fam21.entry(1, 1).sample(0.3, {"x1": axes["x1"]}).shape == axes["x1"].shape
         wv = eval_grid(parse(w), {"t": 0.3, "x1": axes["x1"]})
-        norm = families._collapse_norm(parse(w), 0.3, 256)
+        norm = families._collapse_norm(parse(w), 0.3)
         assert np.array_equal(m22[0][0], np.exp(wv) / norm ** 2)
         assert np.array_equal(m22[2][2], np.exp(-wv) * norm ** 2)
 

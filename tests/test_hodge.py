@@ -16,6 +16,7 @@ from slagcy.hodge import (
     harmonic_basis_2d,
     harmonic_basis_diag3,
     phi_2d,
+    phi_csv,
     phi_curve,
     transform_gram,
 )
@@ -122,10 +123,15 @@ def spd_stack(rng, dim, shape):
     return np.moveaxis(m, (-2, -1), (0, 1))
 
 
-def linalg_inverse(m):
-    """np.linalg oracle for a (dim, dim, ...) stack of broadcastable entries."""
+def dense(m):
+    """(dim, dim, *grid) stack of a dim x dim matrix of broadcastable entries."""
     full = np.array(np.broadcast_arrays(*[e for row in m for e in row]))
-    full = np.moveaxis(full.reshape((len(m), len(m)) + full.shape[1:]), (0, 1), (-2, -1))
+    return full.reshape((len(m), len(m)) + full.shape[1:])
+
+
+def linalg_inverse(m):
+    """np.linalg oracle for a dim x dim matrix of broadcastable entries."""
+    full = np.moveaxis(dense(m), (0, 1), (-2, -1))
     return np.moveaxis(np.linalg.inv(full), (-2, -1), (0, 1)), np.linalg.det(full)
 
 
@@ -148,6 +154,7 @@ class TestPointwiseInverse:
         m = sparse_spd(rng, dim, 9) if shape == "sparse" else spd_stack(rng, dim, shape)
         inv, det_m = hodge._pointwise_inverse(m)
         ref_inv, ref_det = linalg_inverse(m)
+        inv = dense(inv)
         assert inv.shape == ref_inv.shape
         assert np.max(np.abs(inv - ref_inv)) <= 1e-13 * np.max(np.abs(ref_inv))
         assert np.max(np.abs(det_m - ref_det) / np.abs(ref_det)) <= 1e-13
@@ -181,9 +188,9 @@ class TestPointwiseInverse:
 class TestDiag3Basis:
     def test_flat_basis_is_coordinate_basis(self):
         basis = harmonic_basis_diag3(flat_family(), 0.0, n=32)
-        assert np.allclose(basis.theta[0, 0], 1.0)
-        assert np.allclose(basis.theta[1, 1], 1.0)
-        assert np.allclose(basis.theta[2, 2], 1.0)
+        assert np.allclose(basis.theta[0][0], 1.0)
+        assert np.allclose(basis.theta[1][1], 1.0)
+        assert np.allclose(basis.theta[2][2], 1.0)
         assert basis.residuals["periods"] < 1e-14
 
     def test_bessel_theta1_profile(self):
@@ -191,7 +198,20 @@ class TestDiag3Basis:
         basis = harmonic_basis_diag3(bessel_family(), 1.0, n=n)
         x = periodic_axis(n)
         expect = np.exp(-2 * np.sin(2 * np.pi * x)) / bessel_i0(2.0)
-        assert np.max(np.abs(basis.theta[0, 0] - expect)) < 1e-12
+        assert np.max(np.abs(basis.theta[0][0][:, 0, 0] - expect)) < 1e-12
+
+    def test_bessel_basis_keeps_natural_shapes(self):
+        n = 64
+        basis = harmonic_basis_diag3(bessel_family(), 1.0, n=n)
+        assert basis.theta[0][0].shape == (n, 1, 1)
+        assert basis.sqrt_det.shape == (n, 1, 1)
+        for i in range(3):
+            assert basis.metric[i][i].shape == (n, 1, 1)
+            for j in range(3):
+                if i != j:
+                    assert np.ndim(basis.theta[i][j]) == 0 and basis.theta[i][j] == 0.0
+                    assert np.ndim(basis.metric[i][j]) == 0 and basis.metric[i][j] == 0.0
+                assert np.shape(basis.inverse[i][j]) in ((), (n, 1, 1))
 
     def test_period_normalization(self):
         basis = harmonic_basis_diag3(bessel_family(), 0.7, n=256)
@@ -210,6 +230,14 @@ class TestDiag3Basis:
     def test_rejects_x2_dependence(self):
         fam = family_from_entries({"g11": "exp(sin(2*pi*x2))", "g22": "1",
                                    "g33": "exp(-sin(2*pi*x2))"})
+        with pytest.raises(HodgeError, match="x2 or x3"):
+            harmonic_basis_diag3(fam, 0.0, n=16)
+
+    def test_rejects_x3_dependence(self):
+        # an x3-only entry samples at shape (1, 1, n): as many points as an
+        # x1-only one, so only its shape tells the two apart
+        fam = family_from_entries({"g11": "1", "g22": "exp(sin(2*pi*x3))",
+                                   "g33": "exp(-sin(2*pi*x3))"})
         with pytest.raises(HodgeError, match="x2 or x3"):
             harmonic_basis_diag3(fam, 0.0, n=16)
 
@@ -294,7 +322,7 @@ class TestPhiCurve3D:
 
     def test_csv_format(self):
         curve = phi_curve(bessel_family(), [0.0, 1.0], n=64)
-        text = curve.to_csv_text()
+        text = phi_csv(curve.t, curve.phi, curve.integrals)
         lines = text.strip().splitlines()
         assert lines[0] == "t,phi,g11_int,g22_int,g33_int"
         assert len(lines) == 3
@@ -305,7 +333,7 @@ class TestPhiCurve3D:
 
     def test_empty_curve_csv_has_header_only(self):
         curve = PhiCurve(t=np.array([]), phi=np.array([]), grams=())
-        assert curve.to_csv_text() == "t,phi,g11_int,g22_int,g33_int\n"
+        assert phi_csv(curve.t, curve.phi, curve.integrals) == "t,phi,g11_int,g22_int,g33_int\n"
 
     def test_inadmissible_family_refused(self):
         fam = family_from_entries({"g11": "exp(t)", "g22": "1", "g33": "1"})
@@ -325,8 +353,8 @@ class TestPhi2D:
         x = periodic_axis(n)
         g11 = np.exp(np.cos(2 * np.pi * x))
         expect = g11 / periodic_quad(g11)
-        assert np.max(np.abs(basis.theta[0, 0][:, 0] - expect)) < 1e-12
-        assert np.max(np.abs(basis.theta[0, 1])) < 1e-14
+        assert np.max(np.abs(basis.theta[0][0][:, 0] - expect)) < 1e-12
+        assert np.max(np.abs(basis.theta[0][1])) < 1e-14
 
     def test_offdiagonal_family_has_dx2_correction(self):
         # constant g12 against non-constant C engages the dx2 term of theta_1
@@ -334,7 +362,7 @@ class TestPhi2D:
             {"g11": "exp(t*cos(2*pi*x1))", "g12": "1/4",
              "g22": "(17/16 + cos(2*pi*x2)/4)*exp(-t*cos(2*pi*x1))"}, dim=2)
         basis = harmonic_basis_2d(fam, 0.8, n=128)
-        assert np.max(np.abs(basis.theta[0, 1])) > 1e-3
+        assert np.max(np.abs(basis.theta[0][1])) > 1e-3
         assert basis.residuals["closure"] < 1e-10
         assert basis.residuals["coclosure"] < 1e-8
         gram = gram_L2(basis)
@@ -352,6 +380,18 @@ class TestPhi2D:
         fam = family_from_entries(entries, dim=2)
         curve = phi_2d(fam, np.linspace(0, 1, 21), n=128)
         assert np.max(np.abs(curve.phi - 1.0)) < 1e-8
+
+    def test_constant_g12_keeps_natural_shapes(self):
+        # g11, g22 depend on x1 only and g12 and det are constant, so theta_1's
+        # dx2 term and theta_2 stay (1, 1) and nothing is sampled at (n, n)
+        n = 64
+        basis = harmonic_basis_2d(family_from_entries(TWO_D_FAMILIES[1], dim=2), 0.7, n=n)
+        assert np.ndim(basis.metric[0][1]) == 0
+        assert basis.theta[0][0].shape == (n, 1)
+        assert basis.theta[0][1].shape == (1, 1)
+        assert basis.theta[1][1].shape == (1, 1)
+        assert np.ndim(basis.theta[1][0]) == 0 and basis.theta[1][0] == 0.0
+        assert basis.sqrt_det.shape == (n, 1)
 
     def test_gram_entries_match_remark_formulas(self):
         # |theta1|^2 = (1 + L^2)/M, <theta1,theta2> = -L, |theta2|^2 = M  (K = 1)
@@ -374,7 +414,7 @@ class TestPhi2D:
             original = getattr(np.fft, name)
             monkeypatch.setattr(np.fft, name,
                                 lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
-        assert hodge._closure_residual(basis.theta, 2) == 0.0
+        assert hodge._closure_residual(basis.theta) == 0.0
         assert calls == []
 
     def test_tampered_theta_fails_closure(self):
@@ -382,9 +422,9 @@ class TestPhi2D:
         # is not closed: the check still transforms it and raises
         n, tol = 32, 1e-8
         basis = harmonic_basis_2d(family_from_entries(TWO_D_FAMILIES[1], dim=2), 0.5, n=n)
-        theta = basis.theta.copy()
-        theta[0, 0] = theta[0, 0] * (1 + 0.1 * np.sin(2 * np.pi * periodic_axis(n)))[None, :]
-        assert hodge._closure_residual(theta, 2) > 0.1
+        theta = [list(row) for row in basis.theta]
+        theta[0][0] = theta[0][0] * (1 + 0.1 * np.sin(2 * np.pi * periodic_axis(n)))[None, :]
+        assert hodge._closure_residual(theta) > 0.1
         with pytest.raises(HodgeError, match="harmonicity residual"):
             hodge._verified_basis(theta, basis.metric, *hodge._pointwise_inverse(basis.metric),
                                   tol, tol, basis.scale)

@@ -3,10 +3,11 @@ import functools
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slagcy import solver
@@ -389,6 +390,8 @@ class TestDumpLoad:
         ("", "0 0 x 0 0 0 : 1"),
         ("", "-1 0 0 0 0 0 : 1"),
         ("", "3 0 0 0 0 0 : 1"),  # above the order
+        ("order = 0", ""),
+        ("order = -1", ""),
     ])
     def test_malformed_dump_raises_solver_error(self, header, line):
         meta = {"mode": "exact", "order": "2", "base_point": "0 0 0 0 0 0"}
@@ -436,6 +439,29 @@ class TestLoadErrorsGenerated:
     def test_mutated_dumps(self, mode, data):
         with contextlib.suppress(SolverError):
             load_structure(data.draw(mutated_dumps(mode)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(scalar=st.one_of(
+        st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-10 ** 9, 10 ** 9)),
+        st.builds("{}.{}".format, st.integers(-9, 9), st.integers(0, 10 ** 6)),
+        st.builds("+{}".format, st.integers(0, 10 ** 6))),
+        in_base_point=st.booleans())
+    @example(scalar="1e100000000", in_base_point=False)
+    @example(scalar="1e100000000", in_base_point=True)
+    def test_exact_scalar_not_p_over_q(self, scalar, in_base_point):
+        # only the p or p/q form that dump_structure writes is read back; an
+        # exponent must be refused before it is expanded to all its digits
+        text = small_dump(EXACT)
+        if in_base_point:
+            text = text.replace("base_point = 0", f"base_point = {scalar}", 1)
+        else:
+            text = re.sub(r"(?m)^(\[A 1 1\]\n[0-9 ]+: ).*$", lambda mt: mt.group(1) + scalar,
+                          text, count=1)
+        assert scalar in text
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match="p or p/q"):
+            load_structure(text)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestHorizontalSlices:
