@@ -48,6 +48,7 @@ from .families import (
     make_collapsing_21,
     make_collapsing_22,
     make_cone_family,
+    metric_jets,
 )
 from .hodge import (
     GramMatrix,

@@ -29,16 +29,17 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import families as fam_mod
 from . import hodge as hodge_mod
-from .dsl import EvalDomainError, ParseError, eval_jet, parse
+from .dsl import EvalDomainError, ParseError, parse
 from .families import FamilyError, MetricFamily, check_slag_family, family_from_entries
 from .hodge import HodgeError, phi_csv
-from .jets import EXACT, FLOAT, Jet, JetError, X1, X2, X3
+from .jets import EXACT, FLOAT, JetError
 from .solver import (
     SolverError,
     check_structure,
@@ -52,6 +53,10 @@ KINDS = ("embed", "verify", "family-check", "phi", "phi2d")
 _TOL_ENV = "SLAGCY_TOLERANCE"
 # Scenario fields a command line flag of the same name overrides.
 _OVERRIDES = ("order", "grid", "mode", "t_samples", "dump_path")
+# The keys each section may hold (None: checked when the family is built).
+_SECTION_KEYS = {
+    "scenario": {"kind", "order", "mode", "grid", "t_samples", "tolerance", "phi_tolerance"},
+    "input": {"structure"}, "output": {"json", "csv", "dump"}, "metric": None, "family": None}
 
 
 class ScenarioError(Exception):
@@ -168,6 +173,12 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
         raise ScenarioError(f"malformed scenario {path}: {exc}") from exc
     if not parser.has_section("scenario"):
         raise ScenarioError("scenario file needs a [scenario] section")
+    for name in parser.sections():
+        if name not in _SECTION_KEYS:
+            raise ScenarioError(f"unknown section [{name}]")
+        unknown = sorted(set(parser[name]) - (_SECTION_KEYS[name] or set(parser[name])))
+        if unknown:
+            raise ScenarioError(f"[{name}] unknown keys: {', '.join(unknown)}")
     sect = parser["scenario"]
     kind = sect.get("kind", "").strip()
     if kind not in KINDS:
@@ -229,33 +240,6 @@ def _parse_expr(text: str, where: str):
         raise ScenarioError(f"in {where}: {exc}") from exc
 
 
-def _metric_jets(sc: Scenario):
-    base = None
-    gens = {
-        "x1": Jet.variable(X1, sc.order, sc.mode, base),
-        "x2": Jet.variable(X2, sc.order, sc.mode, base),
-        "x3": Jet.variable(X3, sc.order, sc.mode, base),
-        "t": Jet.constant(0, sc.order, sc.mode, base),
-    }
-    g = [[None] * 3 for _ in range(3)]
-    for i in range(1, 4):
-        for j in range(i, 4):
-            key = f"g{i}{j}"
-            text = sc.metric.get(key)
-            if text is None:
-                if i == j:
-                    raise ScenarioError(f"[metric] is missing {key}")
-                text = "0"
-            expr = _parse_expr(text, f"[metric] {key}")
-            try:
-                jet = eval_jet(expr, gens)
-            except JetError as exc:
-                raise ScenarioError(f"[metric] {key}: {exc}") from exc
-            g[i - 1][j - 1] = jet
-            g[j - 1][i - 1] = jet
-    return g
-
-
 def _pop_number(spec: dict, key: str, default: str, kind=float):
     text = spec.pop(key, default)
     try:
@@ -264,48 +248,45 @@ def _pop_number(spec: dict, key: str, default: str, kind=float):
         raise ScenarioError(f"[family] {key}: not a number: {text!r}") from exc
 
 
+def _pop_expr(spec: dict, key: str, default: str):
+    return _parse_expr(spec.pop(key, default), f"[family] {key}")
+
+
 def _family_from_scenario(sc: Scenario) -> MetricFamily:
+    """The [family] section's family; a key that no code reads is an error."""
     spec = dict(sc.family)
     constructor = spec.pop("constructor", "direct").strip()
     dim = _pop_number(spec, "dim", "3", int)
     t_min = _pop_number(spec, "t_min", "0")
     t_max = _pop_number(spec, "t_max", "1")
-    periodic_text = spec.pop("periodic", "")
-    if periodic_text:
-        flags = tuple(v.strip().lower() in ("1", "true", "yes") for v in periodic_text.split())
-        if len(flags) != dim:
-            raise ScenarioError("periodic needs one flag per x-variable")
-    else:
-        flags = None
+    flags = tuple(v.lower() in ("1", "true", "yes") for v in spec.pop("periodic", "").split())
+    if flags and len(flags) != dim:
+        raise ScenarioError("periodic needs one flag per x-variable")
     name = spec.pop("name", constructor)
+    if constructor == "direct":
+        entries = {k: _pop_expr(spec, k, "") for k in list(spec)}
+        build = partial(family_from_entries, entries, dim=dim, periodic=flags or None)
+    elif constructor == "block":
+        u, q, q11, q12, q22 = (_pop_expr(spec, key, default) for key, default in
+                               (("u", "0"), ("q", "1"), ("q11", "1"), ("q12", "0"), ("q22", "1")))
+        build = partial(fam_mod.make_block_family, u, [[q11, q12], [q12, q22]], q)
+    elif constructor == "collapse22":
+        build = partial(fam_mod.make_collapsing_22, _pop_expr(spec, "w", "0"),
+                        _pop_number(spec, "t1", "1"))
+    elif constructor == "collapse21":
+        build = partial(fam_mod.make_collapsing_21, _pop_expr(spec, "w", "0"),
+                        _pop_expr(spec, "v", "0"), _pop_number(spec, "t1", "1"))
+    elif constructor == "cone":
+        build = partial(fam_mod.make_cone_family, _pop_expr(spec, "f", "1"))
+    else:
+        raise ScenarioError(f"unknown family constructor {constructor!r}")
+    if spec:
+        raise ScenarioError(f"[family] keys not read by constructor {constructor!r}: "
+                            f"{', '.join(sorted(spec))}")
     try:
-        if constructor == "direct":
-            entries = {k: _parse_expr(v, f"[family] {k}") for k, v in spec.items()}
-            return family_from_entries(entries, dim=dim, t_range=(t_min, t_max),
-                                       periodic=flags, name=name)
-        if constructor == "block":
-            u = _parse_expr(spec.pop("u", "0"), "[family] u")
-            q = _parse_expr(spec.pop("q", "1"), "[family] q")
-            qm = [[_parse_expr(spec.pop("q11", "1"), "[family] q11"),
-                   _parse_expr(spec.pop("q12", "0"), "[family] q12")], [None, None]]
-            qm[1][0] = qm[0][1]
-            qm[1][1] = _parse_expr(spec.pop("q22", "1"), "[family] q22")
-            return fam_mod.make_block_family(u, qm, q, t_range=(t_min, t_max), name=name)
-        if constructor == "collapse22":
-            w = _parse_expr(spec.pop("w", "0"), "[family] w")
-            t1 = _pop_number(spec, "t1", "1")
-            return fam_mod.make_collapsing_22(w, t1, t_range=(t_min, t_max), name=name)
-        if constructor == "collapse21":
-            w = _parse_expr(spec.pop("w", "0"), "[family] w")
-            v = _parse_expr(spec.pop("v", "0"), "[family] v")
-            t1 = _pop_number(spec, "t1", "1")
-            return fam_mod.make_collapsing_21(w, v, t1, t_range=(t_min, t_max), name=name)
-        if constructor == "cone":
-            f = _parse_expr(spec.pop("f", "1"), "[family] f")
-            return fam_mod.make_cone_family(f, t_range=(t_min, t_max), name=name)
+        return build(t_range=(t_min, t_max), name=name)
     except FamilyError as exc:
         raise ScenarioError(f"[family]: {exc}") from exc
-    raise ScenarioError(f"unknown family constructor {constructor!r}")
 
 
 # -- scenario execution -------------------------------------------------------------
@@ -329,7 +310,12 @@ def _residual_verdicts(report, tol) -> tuple:
 
 
 def _run_embed(sc: Scenario) -> RunReport:
-    g = _metric_jets(sc)
+    """Solve the [metric] entries, read as a family at t = 0."""
+    entries = {k: _parse_expr(v, f"[metric] {k}") for k, v in sc.metric.items()}
+    try:
+        g = fam_mod.metric_jets(family_from_entries(entries, dim=3), 0, sc.order, sc.mode)
+    except FamilyError as exc:
+        raise ScenarioError(f"[metric] {exc}") from exc
     t0 = time.perf_counter()
     structure = solve_calabi_yau(g, sc.order)
     solve_s = time.perf_counter() - t0
@@ -347,7 +333,7 @@ def _run_verify(sc: Scenario) -> RunReport:
     except OSError as exc:
         raise ScenarioError(f"cannot read structure {sc.structure_path}: {exc}") from exc
     except SolverError as exc:
-        raise ScenarioError(f"bad structure dump: {exc}") from exc
+        raise ScenarioError(f"{sc.structure_path}: {exc}") from exc
     report = check_structure(structure)
     residuals, verdicts = _residual_verdicts(report, sc.tolerance)
     return RunReport(scenario=sc.echo(), verdicts=verdicts, residuals=residuals)

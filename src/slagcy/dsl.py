@@ -265,6 +265,8 @@ def _prec(e: Expr) -> int:
         return 1 if e.op in "+-" else 2
     if isinstance(e, Neg):
         return 3
+    if isinstance(e, Pow):  # a power base that is a power needs parentheses
+        return 4
     return 9
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import dsl
 from .dsl import Expr, eval_grid, eval_jet, free_variables, parse
 from .gridops import grid_diff, periodic_axis, periodic_quad
-from .jets import FLOAT, X1, X2, X3, Y1, Jet, det, leading_minors
+from .jets import FLOAT, X1, X2, X3, Y1, Jet, JetError, det, leading_minors
 from .solver import ExtensionPolicy
 
 
@@ -112,9 +112,6 @@ class MetricFamily:
                  for i in range(self.dim) for j in range(i, self.dim)}
         return [[upper[min(i, j), max(i, j)] for j in range(self.dim)] for i in range(self.dim)]
 
-    def is_expressible(self) -> bool:
-        return all(isinstance(e, ExprEntry) for row in self.entries for e in row)
-
 
 def family_from_entries(entries, *, dim: int = 3, t_range=(0.0, 1.0),
                         periodic=None, name: str = "") -> MetricFamily:
@@ -173,6 +170,12 @@ class FamilyCheckReport:
 
     def passed(self) -> bool:
         return self.worst <= self.tolerance
+
+    def raise_if_failed(self) -> None:
+        """Raise InadmissibleFamilyError, naming every residual, unless passed()."""
+        if not self.passed():
+            raise InadmissibleFamilyError(
+                f"family fails the slice conditions: {self.as_dict()}")
 
     def as_dict(self) -> dict:
         return {
@@ -409,39 +412,37 @@ def make_cone_family(f, *, t_range=(0.1, 1.0), name: str = "cone") -> MetricFami
 # -- bridge into the structure solver ------------------------------------------------
 
 
-def family_to_policy(fam: MetricFamily, base_t: float, order: int,
-                     mode: str = FLOAT, base_x=(0, 0, 0), *, check: bool = True):
-    """Jet-expand A_{base_t + y1} into step-1 extension data.
-
-    Returns (g, policy): the metric jets at t = base_t and an extension policy
-    assigning the free step-1 entries from the family, so that the solved
-    structure carries the slices {y1 = const} as the family's tori.  The
-    family must be expressible (pure DSL entries) and pass the admissibility
-    check.
-    """
+def metric_jets(fam: MetricFamily, t, order: int, mode: str = FLOAT) -> list:
+    """Jet-expand the 3x3 metric A_t at the origin, ``t`` a number or a jet
+    (such as base_t + y1): each upper entry once, mirrored.  The package's one
+    DSL-to-jet expansion; a jet error names its entry."""
     if fam.dim != 3:
         raise FamilyError("only 3-dimensional families feed the structure solver")
-    if not fam.is_expressible():
+    if not all(isinstance(e, ExprEntry) for row in fam.entries for e in row):
         raise FamilyError(
             "family entries are not jet-expandable (numerically normalized or grid-only)")
+    env = {f"x{k + 1}": Jet.variable(var, order, mode) for k, var in enumerate((X1, X2, X3))}
+    env["t"] = t if isinstance(t, Jet) else Jet.constant(t, order, mode)
+    g = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            try:
+                g[i][j] = g[j][i] = eval_jet(fam.entries[i][j].expr, env)
+            except JetError as exc:
+                raise FamilyError(f"g{i + 1}{j + 1}: {exc}") from exc
+    return g
+
+
+def family_to_policy(fam: MetricFamily, base_t: float, order: int,
+                     mode: str = FLOAT, *, check: bool = True):
+    """(g, policy): the metric jets at t = base_t, and an extension policy
+    assigning the free step-1 entries from A_{base_t + y1}, so that the solved
+    structure carries the slices {y1 = const} as the family's tori.  The
+    admissibility check runs before any expansion."""
     if check:
-        report = check_slag_family(fam, n=_CHECK_N, nt=_POLICY_CHECK_NT, tol=_CHECK_TOL)
-        if not report.passed():
-            raise InadmissibleFamilyError(
-                f"family fails the slice conditions: {report.as_dict()}")
-
-    base_point = tuple(base_x) + (0, 0, 0)
-    gens = {
-        "x1": Jet.variable(X1, order, mode, base_point),
-        "x2": Jet.variable(X2, order, mode, base_point),
-        "x3": Jet.variable(X3, order, mode, base_point),
-    }
-    env_g = dict(gens)
-    env_g["t"] = Jet.constant(base_t, order, mode, base_point)
-    env_p = dict(gens)
-    env_p["t"] = Jet.variable(Y1, order, mode, base_point) + base_t
-
-    g = [[eval_jet(fam.entry(i, j).expr, env_g) for j in (1, 2, 3)] for i in (1, 2, 3)]
+        check_slag_family(fam, n=_CHECK_N, nt=_POLICY_CHECK_NT, tol=_CHECK_TOL).raise_if_failed()
+    g = metric_jets(fam, base_t, order, mode)
+    a = metric_jets(fam, Jet.variable(Y1, order, mode) + base_t, order, mode)
     policy_keys = {"a22": (2, 2), "a33": (3, 3), "a12": (1, 2), "a13": (1, 3), "a23": (2, 3)}
-    step1 = {key: eval_jet(fam.entry(i, j).expr, env_p) for key, (i, j) in policy_keys.items()}
+    step1 = {key: a[i - 1][j - 1] for key, (i, j) in policy_keys.items()}
     return g, ExtensionPolicy(step1=step1, step2=None)

@@ -34,9 +34,9 @@ def periodic_quad(samples, axis=None) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def spectral_diff(samples, axis: int, period: float = 1.0) -> np.ndarray:
+def spectral_diff(samples, axis: int) -> np.ndarray:
     """Real-FFT (``rfft``/``irfft``) derivative along ``axis`` (>= 0) of a
-    periodic sample array.
+    periodic sample array over the unit period.
 
     Samples constant along the axis (an absent or size-1 axis, or a
     materialized broadcast copy) differentiate to exact zeros without a
@@ -51,7 +51,7 @@ def spectral_diff(samples, axis: int, period: float = 1.0) -> np.ndarray:
     k = np.arange(n // 2 + 1, dtype=np.float64).reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
     if n % 2 == 0:
         k[-1] = 0.0
-    spectrum = np.fft.rfft(arr, axis=axis) * ((2j * np.pi / period) * k)
+    spectrum = np.fft.rfft(arr, axis=axis) * ((2j * np.pi) * k)
     return np.fft.irfft(spectrum, n=n, axis=axis)
 
 

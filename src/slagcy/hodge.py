@@ -21,13 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .families import (
-    FamilyCheckReport,
-    InadmissibleFamilyError,
-    MetricFamily,
-    check_slag_family,
-    family_axes,
-)
+from .families import FamilyCheckReport, MetricFamily, check_slag_family, family_axes
 from .gridops import periodic_quad, spectral_diff
 from .jets import det
 
@@ -40,6 +34,8 @@ __all__ = [
 
 _CHECK_TOL = 1e-10        # admissibility tolerance of a Phi run
 _CLOSED_FORM_TOL = 1e-10  # largest gap between the quadrature and closed-form 3D Phi
+# harmonicity tolerances of the diagonal 3D and the 2D basis builders
+_DIAG3_TOL, _TWO_D_TOL = 1e-10, 1e-8
 
 
 class HodgeError(Exception):
@@ -177,12 +173,11 @@ def _coclosure_residual(theta, inv, sqrt_det) -> float:
     return worst
 
 
-def _verified_basis(theta, metric, inv, det_g, tol: float, period_tol: float,
-                    scale: float) -> HarmonicBasis:
+def _verified_basis(theta, metric, inv, det_g, tol: float, scale: float) -> HarmonicBasis:
     """The basis of ``theta`` after its periods, closure and co-closure checks;
     ``inv`` and ``det_g`` are the pointwise inverse and determinant of ``metric``."""
     sqrt_det = np.sqrt(det_g)
-    period_err = _verify_periods(theta, period_tol)
+    period_err = _verify_periods(theta, tol)
     closure = _closure_residual(theta)
     coclosure = _coclosure_residual(theta, inv, sqrt_det)
     if max(closure, coclosure) > tol:
@@ -197,30 +192,29 @@ def _verified_basis(theta, metric, inv, det_g, tol: float, period_tol: float,
 # -- diagonal 3D basis --------------------------------------------------------------
 
 
-def harmonic_basis_diag3(fam: MetricFamily, t: float, n: int = 256,
-                         tol: float = 1e-10) -> HarmonicBasis:
+def harmonic_basis_diag3(fam: MetricFamily, t: float, n: int = 256) -> HarmonicBasis:
     """Cycle-normalized harmonic basis for diagonal metrics depending on
     (t, x1) with unit determinant: theta_1 = g11/int(g11) dx1, theta_2 = dx2,
     theta_3 = dx3.  The family must be diagonal (off-diagonal samples within
-    ``tol`` count as exact zeros), x1-only and unit-determinant.  Verified
-    (periods, closure, co-closure) before returning."""
+    the 1e-10 tolerance count as exact zeros), x1-only and unit-determinant.
+    Verified (periods, closure, co-closure) before returning."""
     if fam.dim != 3:
         raise HodgeError("diagonal basis needs a 3-dimensional family")
     m = fam.sample_matrix(t, family_axes(fam, n))
     for i in range(3):
         for j in range(3):
-            if i != j and float(np.max(np.abs(m[i][j]))) > tol:
+            if i != j and float(np.max(np.abs(m[i][j]))) > _DIAG3_TOL:
                 raise HodgeError(f"family entry ({i + 1},{j + 1}) is not zero")
         if any(size > 1 for size in np.shape(m[i][i])[1:]):
             raise HodgeError(f"diagonal entry ({i + 1},{i + 1}) depends on x2 or x3")
     g11, g22, g33 = m[0][0], m[1][1], m[2][2]
-    if float(np.max(np.abs(g11 * g22 * g33 - 1.0))) > tol:
+    if float(np.max(np.abs(g11 * g22 * g33 - 1.0))) > _DIAG3_TOL:
         raise HodgeError("family determinant is not identically 1 on samples")
     if any(np.any(g <= 0) for g in (g11, g22, g33)):
         raise HodgeError("non-positive diagonal sample")
     theta = [[g11 / periodic_quad(g11), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     metric = [[g11, 0.0, 0.0], [0.0, g22, 0.0], [0.0, 0.0, g33]]
-    return _verified_basis(theta, metric, *_pointwise_inverse(metric), tol, max(tol, 1e-12), 1.0)
+    return _verified_basis(theta, metric, *_pointwise_inverse(metric), _DIAG3_TOL, 1.0)
 
 
 def phi_admissibility(fam: MetricFamily, n: int, nt: int, tol: float) -> FamilyCheckReport:
@@ -234,10 +228,7 @@ def _phi_samples(fam: MetricFamily, t_samples: Sequence, n: int, check: bool,
     the basis ``basis_at(t)``, its Gram matrix, det, and ``row(basis, phi, t)``
     for the three integral columns."""
     if check:
-        report = phi_admissibility(fam, n, len(t_samples), _CHECK_TOL)
-        if not report.passed():
-            raise InadmissibleFamilyError(
-                f"family fails the slice conditions: {report.as_dict()}")
+        phi_admissibility(fam, n, len(t_samples), _CHECK_TOL).raise_if_failed()
     ts = np.asarray(list(t_samples), dtype=np.float64)
     phis = np.empty_like(ts)
     grams = []
@@ -279,8 +270,7 @@ def phi_curve(fam: MetricFamily, t_samples: Sequence, n: int = 256, *,
 # -- general 2D basis ----------------------------------------------------------------
 
 
-def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128,
-                      tol: float = 1e-8) -> HarmonicBasis:
+def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128) -> HarmonicBasis:
     """Cycle-normalized harmonic basis for an admissible 2D family with
     det = C(x2):
 
@@ -289,19 +279,20 @@ def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128,
 
     with K = int sqrt(C) dx2, L = int g12 dx2, M = int g11 dx1.  The volume
     normalization K = 1 is realized by rescaling C; the applied factor is
-    recorded as ``scale`` (the basis and Phi are scale-invariant)."""
+    recorded as ``scale`` (the basis and Phi are scale-invariant).  Checks
+    and harmonicity are held to 1e-8."""
     if fam.dim != 2:
         raise HodgeError("2D basis needs a 2-dimensional family")
     g = fam.sample_matrix(t, family_axes(fam, n))
     inv, det_g = _pointwise_inverse(g)
     det_g = np.atleast_2d(det_g)  # constant families give 0-d samples
-    if float(np.max(np.ptp(det_g, axis=0))) > tol:
+    if float(np.max(np.ptp(det_g, axis=0))) > _TWO_D_TOL:
         raise HodgeError("determinant depends on x1 (not an admissible 2D family)")
     sqrt_c = np.sqrt(det_g.mean(axis=0, keepdims=True))  # sqrt(C(x2)), shape (1, n) or (1, 1)
 
     m_per_col = periodic_quad(g[0][0], axis=0)
     l_per_row = periodic_quad(g[0][1], axis=1)
-    if float(np.ptp(m_per_col)) > tol or float(np.ptp(l_per_row)) > tol:
+    if float(np.ptp(m_per_col)) > _TWO_D_TOL or float(np.ptp(l_per_row)) > _TWO_D_TOL:
         raise HodgeError("int g11 dx1 or int g12 dx2 is not constant "
                          "(the dual of d/dx1 is not closed)")
     big_m = float(np.mean(m_per_col))
@@ -310,7 +301,7 @@ def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128,
 
     theta = [[g[0][0] / big_m, (g[0][1] * big_k - sqrt_c * big_l) / (big_k * big_m)],
              [0.0, sqrt_c / big_k]]
-    return _verified_basis(theta, g, inv, det_g, tol, tol, 1.0 / big_k)
+    return _verified_basis(theta, g, inv, det_g, _TWO_D_TOL, 1.0 / big_k)
 
 
 def phi_2d(fam: MetricFamily, t_samples: Sequence, n: int = 128, *,

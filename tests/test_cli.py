@@ -1,10 +1,12 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slagcy import family_from_entries, phi_curve
+from slagcy import family_from_entries, parse, phi_curve
 from slagcy.cli import (
     ScenarioError,
     emit_report,
@@ -40,7 +42,13 @@ def family_scenario(kind="family-check", **fields):
             f"dim = {v['dim']}\nt_min = {v['t_min']}\nt_max = {v['t_max']}\n{v['entries']}")
 
 
-# label -> (subcommand, scenario text or, for verify, the dump text, extra flags)
+def embed_scenario(scenario="", sections=""):
+    return (f"[scenario]\nkind = embed\norder = 4\nmode = exact\n{scenario}\n"
+            f'[metric]\ng11 = "1"\ng22 = "1"\ng33 = "1"\n{sections}')
+
+
+# label -> (subcommand, scenario text or, for verify, the dump text, extra flags
+#           [, the key the one error line must name])
 MALFORMED = {
     "dump order": ("verify", structure_dump(order="two"), []),
     "dump base point": ("verify", structure_dump(base_point="0 0 zero 0 0 0"), []),
@@ -60,6 +68,12 @@ MALFORMED = {
                                                   entries='g11 = "1"\ng22 = "1"\n'), []),
     "entry outside its domain": ("family-check", family_scenario(
         entries='g11 = "log(x1 - 2)"\ng22 = "1"\ng33 = "1"\n'), []),
+    "metric lower-triangle key": ("embed", embed_scenario(sections='g21 = "x1"\n'), [], "g21"),
+    "block family leftover key": ("family-check", family_scenario(
+        constructor="block", entries='q21 = "banana"\n'), [], "q21"),
+    "misspelled scenario key": ("embed", embed_scenario(scenario="oder = 10\n"), [], "oder"),
+    "misspelled section": ("embed", embed_scenario(sections='[outptu]\njson = "r.json"\n'),
+                           [], "[outptu]"),
 }
 
 
@@ -108,6 +122,26 @@ class TestScenarioLoading:
             load_scenario(path)
 
 
+class TestBenchmarkScenarios:
+    def test_every_workload_scenario_loads(self, tmp_path, monkeypatch):
+        # pass 0 of each benchmark workload, written as the benchmark writes it
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      REPO / "perfbench" / "workloads.py")
+        W = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, W)  # its dataclasses look themselves up
+        spec.loader.exec_module(W)
+        for workload in W.WORKLOADS:
+            workdir = tmp_path / workload
+            workdir.mkdir()
+            for op in W.make_pass(workload, 0, 0):
+                files = W.write_op(op, workdir)
+                sc = load_scenario(files.scenario)
+                if sc.kind == "embed":
+                    family_from_entries({k: parse(v) for k, v in sc.metric.items()})
+                if workload == "embed_exact":
+                    assert load_scenario(files.verify_scenario).kind == "verify"
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, tmp_path, capsys):
         code = main(["embed", "--scenario", str(SCENARIOS / "flat_embed.ini"),
@@ -136,14 +170,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", MALFORMED)
     def test_malformed_input_is_two(self, case, tmp_path, capsys):
-        kind, text, flags = MALFORMED[case]
+        kind, text, flags, *named = MALFORMED[case]
         if kind == "verify":
             dump = tmp_path / "structure.txt"
             dump.write_text(text, encoding="utf-8")
             text = f"[scenario]\nkind = verify\nmode = exact\n\n[input]\nstructure = {dump}\n"
         code = main([kind, "--scenario", write_scenario(tmp_path, text), *flags])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for key in named:
+            assert len(err.splitlines()) == 1 and key in err, err
+
+    def test_exact_pi_error_names_the_metric_entry(self, tmp_path, capsys):
+        text = embed_scenario().replace('g33 = "1"', 'g33 = "2*pi"')
+        assert main(["embed", "--scenario", write_scenario(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == (
+            "error: [metric] g33: constant pi is irrational; not representable in exact mode\n")
 
     @pytest.mark.parametrize("order", ["0", "-1"])
     def test_dump_order_below_two_names_the_field(self, order, tmp_path, capsys):
@@ -153,8 +196,7 @@ class TestExitCodes:
         code = main(["verify", "--scenario", write_scenario(tmp_path, text)])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert err[0].endswith(f"header: order must be >= 2, got {order}")
+        assert err == [f"error: {dump}: bad structure dump header: order must be >= 2, got {order}"]
 
     def test_mode_override_takes_that_modes_default_tolerance(self, tmp_path):
         path = write_scenario(

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slagcy.dsl import (
+    FUNCTIONS,
     BinOp,
     Call,
     EvalDomainError,
@@ -105,6 +106,41 @@ def mutated(draw, text, alphabet):
         j = draw(st.integers(i, min(len(text), i + 8)))
         text = text[:i] + draw(st.text(chars, max_size=6)) + text[j:]
     return text
+
+
+EXPONENTS = st.one_of(st.integers(0, 4).map(str),
+                      st.sampled_from(["(-1)", "(-2)", "(1/2)", "(2/3)", "(-1/3)", "2^2", "(1/2)^3"]))
+
+
+def expr_text(atoms=st.sampled_from(["x1", "x2", "x3", "t", "pi", "e", "0", "1", "7",
+                                     "0.25", "(1/3)", "2/3"])):
+    """Expression text over the whole grammar: every operator, function and
+    exponent form, with and without parentheses around each part."""
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map("".join),
+            inner.map(lambda a: f"-{a}"),
+            inner.map(lambda a: f"({a})"),
+            st.tuples(inner, EXPONENTS).map(lambda p: f"{p[0]}^{p[1]}"),
+            st.tuples(inner, EXPONENTS).map(lambda p: f"({p[0]})^{p[1]}"),
+            st.tuples(st.sampled_from(FUNCTIONS), inner).map(lambda p: f"{p[0]}({p[1]})"))
+    return st.recursive(atoms, extend, max_leaves=20)
+
+
+class TestPrintParseGenerated:
+    """``to_text`` prints every parsed expression as text that parses back to it."""
+
+    @settings(max_examples=400)
+    @given(text=expr_text())
+    @example(text="(x1^2)^3")
+    @example(text="(x1^(2/3))^3")
+    @example(text="((1/3)^2)^(1/2)")
+    def test_roundtrip(self, text):
+        try:
+            ast = parse(text)
+        except ParseError:
+            assume(False)  # e.g. a fractional exponent in a literal power chain
+        assert parse(to_text(ast)) == ast
 
 
 class TestParseErrorsGenerated:

@@ -427,7 +427,7 @@ class TestPhi2D:
         assert hodge._closure_residual(theta) > 0.1
         with pytest.raises(HodgeError, match="harmonicity residual"):
             hodge._verified_basis(theta, basis.metric, *hodge._pointwise_inverse(basis.metric),
-                                  tol, tol, basis.scale)
+                                  tol, basis.scale)
 
     def test_x1_dependent_determinant_rejected(self):
         fam = family_from_entries({"g11": "1 + sin(2*pi*x1)/2", "g22": "1"}, dim=2)
