@@ -49,14 +49,20 @@ from .solver import (
 )
 
 SCHEMA_VERSION = 1
-KINDS = ("embed", "verify", "family-check", "phi", "phi2d")
 _TOL_ENV = "SLAGCY_TOLERANCE"
 # Scenario fields a command line flag of the same name overrides.
 _OVERRIDES = ("order", "grid", "mode", "t_samples", "dump_path")
-# The keys each section may hold (None: checked when the family is built).
-_SECTION_KEYS = {
-    "scenario": {"kind", "order", "mode", "grid", "t_samples", "tolerance", "phi_tolerance"},
-    "input": {"structure"}, "output": {"json", "csv", "dump"}, "metric": None, "family": None}
+_SCENARIO_KEYS = {"kind", "order", "mode", "grid", "t_samples", "tolerance", "phi_tolerance"}
+# The sections besides [scenario] that each kind reads, with the keys each may
+# hold (None: checked when the metric or family is built).
+_KIND_SECTIONS = {
+    "embed": {"metric": None, "output": {"json", "dump"}},
+    "verify": {"input": {"structure"}, "output": {"json"}},
+    "family-check": {"family": None, "output": {"json"}},
+    "phi": {"family": None, "output": {"json", "csv"}},
+    "phi2d": {"family": None, "output": {"json", "csv"}},
+}
+KINDS = tuple(_KIND_SECTIONS)
 
 
 class ScenarioError(Exception):
@@ -173,16 +179,18 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
         raise ScenarioError(f"malformed scenario {path}: {exc}") from exc
     if not parser.has_section("scenario"):
         raise ScenarioError("scenario file needs a [scenario] section")
-    for name in parser.sections():
-        if name not in _SECTION_KEYS:
-            raise ScenarioError(f"unknown section [{name}]")
-        unknown = sorted(set(parser[name]) - (_SECTION_KEYS[name] or set(parser[name])))
-        if unknown:
-            raise ScenarioError(f"[{name}] unknown keys: {', '.join(unknown)}")
     sect = parser["scenario"]
     kind = sect.get("kind", "").strip()
     if kind not in KINDS:
         raise ScenarioError(f"kind must be one of {KINDS}, got {kind!r}")
+    reads = {"scenario": _SCENARIO_KEYS, **_KIND_SECTIONS[kind]}
+    for name in parser.sections():
+        if name not in reads:
+            raise ScenarioError(f"section [{name}] is not read by {kind} scenarios")
+        unknown = sorted(set(parser[name]) - (reads[name] or set(parser[name])))
+        if unknown:
+            raise ScenarioError(f"[{name}] keys not read by {kind} scenarios: "
+                                f"{', '.join(unknown)}")
     mode = sect.get("mode", FLOAT).strip()
     if mode not in (EXACT, FLOAT):
         raise ScenarioError(f"mode must be 'exact' or 'float', got {mode!r}")
@@ -256,14 +264,14 @@ def _family_from_scenario(sc: Scenario) -> MetricFamily:
     """The [family] section's family; a key that no code reads is an error."""
     spec = dict(sc.family)
     constructor = spec.pop("constructor", "direct").strip()
-    dim = _pop_number(spec, "dim", "3", int)
     t_min = _pop_number(spec, "t_min", "0")
     t_max = _pop_number(spec, "t_max", "1")
-    flags = tuple(v.lower() in ("1", "true", "yes") for v in spec.pop("periodic", "").split())
-    if flags and len(flags) != dim:
-        raise ScenarioError("periodic needs one flag per x-variable")
     name = spec.pop("name", constructor)
     if constructor == "direct":
+        dim = _pop_number(spec, "dim", "3", int)
+        flags = tuple(v.lower() in ("1", "true", "yes") for v in spec.pop("periodic", "").split())
+        if flags and len(flags) != dim:
+            raise ScenarioError("periodic needs one flag per x-variable")
         entries = {k: _pop_expr(spec, k, "") for k in list(spec)}
         build = partial(family_from_entries, entries, dim=dim, periodic=flags or None)
     elif constructor == "block":

@@ -434,16 +434,17 @@ def eval_grid(e: Expr, env: dict) -> np.ndarray:
 
 def eval_jet(e: Expr, env: dict) -> Jet:
     """Compositional evaluation into jet arithmetic; ``env`` binds variable
-    names to generator jets (all compatible).  Constant terms agree with
-    eval_grid at the base point."""
+    names to generator jets (all compatible).  Jets are expanded at the
+    origin: bind ``x1`` to ``Jet.variable(X1, n) + a`` to expand around
+    x1 = a.  Constant terms agree with eval_grid at the expansion point."""
     ref = next(iter(env.values()))
     if isinstance(e, Num):
-        return Jet.constant(e.value, ref.order, ref.mode, ref.base_point)
+        return Jet.constant(e.value, ref.order, ref.mode)
     if isinstance(e, Const):
         if ref.mode == EXACT:
             raise JetDomainError(f"constant {e.name} is irrational; not representable in exact mode")
         value = math.pi if e.name == "pi" else math.e
-        return Jet.constant(value, ref.order, ref.mode, ref.base_point)
+        return Jet.constant(value, ref.order, ref.mode)
     if isinstance(e, Var):
         if e.name not in env:
             raise EvalDomainError(f"unbound variable {e.name!r}")

@@ -240,8 +240,7 @@ _CHECK_N, _CHECK_TOL = 64, 1e-10
 _BLOCK_CHECK_NT, _POLICY_CHECK_NT = 5, 9
 
 
-def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), periodic=(True, True, True),
-                      name: str = "block") -> MetricFamily:
+def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), name: str = "block") -> MetricFamily:
     """diag(e^u, Q_t) with the block-determinant law det(Q_t) = e^{-u} q.
 
     ``u`` depends on (t, x1), ``q`` on (x2, x3); the law is validated on a
@@ -261,7 +260,7 @@ def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), periodic=(True, True, True
         (_entry(0), ExprEntry(qm[0][0]), ExprEntry(qm[0][1])),
         (_entry(0), ExprEntry(qm[0][1]), ExprEntry(qm[1][1])),
     )
-    fam = MetricFamily(3, entries, tuple(t_range), tuple(periodic), name)
+    fam = MetricFamily(3, entries, tuple(t_range), (True, True, True), name)
     axes = family_axes(fam, _CHECK_N)
     q_samples = eval_grid(q, axes)
     worst = 0.0

@@ -1,9 +1,11 @@
 """Truncated multivariate power series (jets) in up to six real variables.
 
-A jet stores the Taylor coefficients of a real-analytic germ around a base
-point, up to a fixed total degree, as a sparse map from exponent tuples to
-scalars.  Two scalar modes are supported: exact rationals (``Fraction``) and
-binary floats.  All operations are pure; jets are treated as immutable values.
+A jet stores the Taylor coefficients of a real-analytic germ at the origin,
+up to a fixed total degree, as a sparse map from exponent tuples to scalars.
+A germ at another point is expanded in shifted generators, e.g.
+``Jet.variable(X1, n) + a`` for x1 around a.  Two scalar modes are supported:
+exact rationals (``Fraction``) and binary floats.  All operations are pure;
+jets are treated as immutable values.
 
 Variables are fixed as (x1, x2, x3, y1, y2, y3) with z_k = x_k + i*y_k.
 """
@@ -34,7 +36,7 @@ class JetError(Exception):
 
 
 class IncompatibleJetsError(JetError):
-    """Operands disagree in base point, order or scalar mode."""
+    """Operands disagree in order or scalar mode."""
 
 
 class JetDomainError(JetError):
@@ -56,22 +58,11 @@ def _coerce(value, mode: str):
     return float(value)
 
 
-def _coerce_point(point, mode: str) -> tuple:
-    pt = tuple(_coerce(v, mode) for v in point)
-    if len(pt) != NVARS:
-        raise JetError(f"base point must have {NVARS} components, got {len(pt)}")
-    return pt
-
-
-def _zero_point(mode: str) -> tuple:
-    z = Fraction(0) if mode == EXACT else 0.0
-    return (z,) * NVARS
-
-
 @dataclass(frozen=True)
 class Jet:
-    """Truncated Taylor expansion around ``base_point`` up to total degree ``order``.
+    """Truncated Taylor expansion at the origin up to total degree ``order``.
 
+    A shift of the expansion point is expressed in the generators, not stored.
     ``coeffs`` maps exponent tuples to nonzero scalars; an absent index is a
     zero coefficient.  Do not mutate ``coeffs`` after construction.
     """
@@ -79,36 +70,26 @@ class Jet:
     order: int
     coeffs: dict
     mode: str
-    base_point: tuple
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(value, order: int, mode: str = EXACT, base_point=None) -> "Jet":
-        bp = _zero_point(mode) if base_point is None else _coerce_point(base_point, mode)
+    def constant(value, order: int, mode: str = EXACT) -> "Jet":
         v = _coerce(value, mode)
-        coeffs = {} if v == 0 else {ZERO_INDEX: v}
-        return Jet(order, coeffs, mode, bp)
+        return Jet(order, {} if v == 0 else {ZERO_INDEX: v}, mode)
 
     @staticmethod
-    def variable(var: int, order: int, mode: str = EXACT, base_point=None) -> "Jet":
-        """The coordinate function itself: base value plus the linear monomial."""
-        bp = _zero_point(mode) if base_point is None else _coerce_point(base_point, mode)
+    def variable(var: int, order: int, mode: str = EXACT) -> "Jet":
+        """The coordinate function itself: the linear monomial."""
         if not 0 <= var < NVARS:
             raise JetError(f"variable index {var} out of range")
         if order < 1:
             raise JetError("variable jet needs order >= 1")
-        one = Fraction(1) if mode == EXACT else 1.0
-        coeffs = {}
-        if bp[var] != 0:
-            coeffs[ZERO_INDEX] = bp[var]
         idx = tuple(1 if k == var else 0 for k in range(NVARS))
-        coeffs[idx] = one
-        return Jet(order, coeffs, mode, bp)
+        return Jet(order, {idx: _coerce(1, mode)}, mode)
 
     @staticmethod
-    def from_terms(terms: dict, order: int, mode: str = EXACT, base_point=None) -> "Jet":
-        bp = _zero_point(mode) if base_point is None else _coerce_point(base_point, mode)
+    def from_terms(terms: dict, order: int, mode: str = EXACT) -> "Jet":
         coeffs = {}
         for idx, val in terms.items():
             idx = tuple(idx)
@@ -119,10 +100,10 @@ class Jet:
             v = _coerce(val, mode)
             if v != 0:
                 coeffs[idx] = v
-        return Jet(order, coeffs, mode, bp)
+        return Jet(order, coeffs, mode)
 
     def zero_like(self, order: int | None = None) -> "Jet":
-        return Jet(self.order if order is None else order, {}, self.mode, self.base_point)
+        return Jet(self.order if order is None else order, {}, self.mode)
 
     # -- basic queries -------------------------------------------------------
 
@@ -165,14 +146,12 @@ class Jet:
             raise IncompatibleJetsError(f"scalar modes differ: {self.mode} vs {other.mode}")
         if self.order != other.order:
             raise IncompatibleJetsError(f"orders differ: {self.order} vs {other.order}")
-        if self.base_point != other.base_point:
-            raise IncompatibleJetsError("base points differ")
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Jet):
-            other = Jet.constant(other, self.order, self.mode, self.base_point)
+            other = Jet.constant(other, self.order, self.mode)
         self._check_compatible(other)
         out = dict(self.coeffs)
         for idx, v in other.coeffs.items():
@@ -185,16 +164,14 @@ class Jet:
                     del out[idx]
                 else:
                     out[idx] = s
-        return Jet(self.order, out, self.mode, self.base_point)
+        return Jet(self.order, out, self.mode)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.order, {k: -v for k, v in self.coeffs.items()}, self.mode, self.base_point)
+        return Jet(self.order, {k: -v for k, v in self.coeffs.items()}, self.mode)
 
     def __sub__(self, other):
-        if not isinstance(other, Jet):
-            other = Jet.constant(other, self.order, self.mode, self.base_point)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -205,7 +182,7 @@ class Jet:
             v = _coerce(other, self.mode)
             if v == 0:
                 return self.zero_like()
-            return Jet(self.order, {k: c * v for k, c in self.coeffs.items()}, self.mode, self.base_point)
+            return Jet(self.order, {k: c * v for k, c in self.coeffs.items()}, self.mode)
         self._check_compatible(other)
         return mul_sum(((1, self, other),), self.order)
 
@@ -230,15 +207,15 @@ class Jet:
             raise JetDomainError(
                 "division by a jet with zero constant term (singular leading coefficient)")
         u = (self / c) - 1  # nilpotent part; u**(order+1) == 0
-        acc = Jet.constant(1, self.order, self.mode, self.base_point)
+        acc = Jet.constant(1, self.order, self.mode)
         for _ in range(self.order):
-            acc = 1 - u * acc
+            acc = mul_sum(((-1, u, acc),), self.order) + 1
         return acc / c
 
     def __pow__(self, n: int) -> "Jet":
         if not isinstance(n, int) or n < 0:
             raise JetDomainError("** supports non-negative integer exponents; use jet_pow")
-        result = Jet.constant(1, self.order, self.mode, self.base_point)
+        result = Jet.constant(1, self.order, self.mode)
         base = self
         while n:
             if n & 1:
@@ -259,18 +236,15 @@ class Jet:
             if e:
                 key = idx[:var] + (e - 1,) + idx[var + 1:]
                 out[key] = c * e
-        return Jet(self.order - 1, out, self.mode, self.base_point)
+        return Jet(self.order - 1, out, self.mode)
 
     # -- reshaping -----------------------------------------------------------
 
     def restrict_zero(self, vars: Iterable[int]) -> "Jet":
         """Restriction to the subspace where the given variables vanish."""
         vars = tuple(vars)
-        for v in vars:
-            if self.base_point[v] != 0:
-                raise JetDomainError("restriction requires zero base component")
         out = {idx: c for idx, c in self.coeffs.items() if all(idx[v] == 0 for v in vars)}
-        return Jet(self.order, out, self.mode, self.base_point)
+        return Jet(self.order, out, self.mode)
 
     def slice_coeff(self, var: int, m: int) -> "Jet":
         """Coefficient of the m-th power of one variable, as a jet in the others."""
@@ -280,7 +254,7 @@ class Jet:
         for idx, c in self.coeffs.items():
             if idx[var] == m:
                 out[idx[:var] + (0,) + idx[var + 1:]] = c
-        return Jet(self.order - m, out, self.mode, self.base_point)
+        return Jet(self.order - m, out, self.mode)
 
     def mul_monomial(self, var: int, m: int) -> "Jet":
         """Multiply by the m-th power of a coordinate; raises the order by m."""
@@ -289,23 +263,23 @@ class Jet:
             if idx[var] != 0:
                 raise JetError("mul_monomial expects a jet free of the target variable")
             out[idx[:var] + (m,) + idx[var + 1:]] = c
-        return Jet(self.order + m, out, self.mode, self.base_point)
+        return Jet(self.order + m, out, self.mode)
 
     # -- evaluation & output ---------------------------------------------------
 
     def evaluate(self, point: Sequence) -> object:
-        """Evaluate the Taylor polynomial at a point (absolute coordinates)."""
+        """Evaluate the Taylor polynomial at a point."""
         if self.mode == EXACT:
-            disp = [Fraction(p) - b for p, b in zip(point, self.base_point)]
+            x = [Fraction(p) for p in point]
             total = Fraction(0)
         else:
-            disp = [float(p) - b for p, b in zip(point, self.base_point)]
+            x = [float(p) for p in point]
             total = 0.0
         for idx, c in self.coeffs.items():
             term = c
             for k, e in enumerate(idx):
                 for _ in range(e):
-                    term = term * disp[k]
+                    term = term * x[k]
             total += term
         return total
 
@@ -334,16 +308,16 @@ class Jet:
 def mul_sum(terms, order: int) -> Jet:
     """sum(sign * a * b for sign, a, b in terms), up to total degree ``order``,
     accumulated in one map without truncating the factors first.  ``terms`` is
-    not empty; factors share mode and base point and have orders >= ``order``.
+    not empty; factors share their mode and have orders >= ``order``.
     Exact sums add integer numerators over one common denominator D and build one
     ``Fraction`` per output coefficient.  Float sums run the same loop with the
     float D = 1.0: scaling by +-1.0 is exact and cheaper than by an int."""
     if not terms:
         raise JetError("mul_sum needs at least one term")
-    mode, base_point = terms[0][1].mode, terms[0][1].base_point
+    mode = terms[0][1].mode
     for sign, a, b in terms:
-        if not (a.mode == b.mode == mode and a.base_point == b.base_point == base_point):
-            raise IncompatibleJetsError("factors of a Cauchy sum differ in mode or base point")
+        if not a.mode == b.mode == mode:
+            raise IncompatibleJetsError("factors of a Cauchy sum differ in mode")
         if order > min(a.order, b.order):
             raise JetError(
                 f"a product of orders {a.order} and {b.order} is not known to order {order}")
@@ -366,8 +340,8 @@ def mul_sum(terms, order: int) -> Jet:
                 s = out.get(key)
                 out[key] = prod if s is None else s + prod
     if exact:
-        return Jet(order, {k: Fraction(v, D) for k, v in out.items() if v}, mode, base_point)
-    return Jet(order, {k: v for k, v in out.items() if v}, mode, base_point)
+        return Jet(order, {k: Fraction(v, D) for k, v in out.items() if v}, mode)
+    return Jet(order, {k: v for k, v in out.items() if v}, mode)
 
 
 # -- elementary functions -----------------------------------------------------
@@ -478,7 +452,7 @@ def _pow_coeffs(c, r: Fraction, order: int, mode: str):
 def _compose(a: Jet, coeff_list) -> Jet:
     """Horner evaluation of a scalar Taylor series on the nilpotent part of ``a``."""
     tilde = a - a.constant_term
-    res = Jet.constant(coeff_list[-1], a.order, a.mode, a.base_point)
+    res = Jet.constant(coeff_list[-1], a.order, a.mode)
     for k in range(len(coeff_list) - 2, -1, -1):
         res = res * tilde + coeff_list[k]
     return res
@@ -556,15 +530,13 @@ class ComplexJet:
 def holomorphic_extend(f: Jet) -> ComplexJet:
     """Extend a germ in the x-variables to the holomorphic germ of z = x + i*y.
 
-    Every monomial (x - a)**alpha is replaced by ((x - a) + i*y)**alpha and
+    Every monomial x**alpha is replaced by (x + i*y)**alpha and
     expanded binomially; the real and imaginary coefficient buckets satisfy the
     Cauchy-Riemann relations exactly and restrict to (f, 0) at y = 0.
     """
     for idx in f.coeffs:
         if idx[Y1] or idx[Y2] or idx[Y3]:
             raise JetDomainError("holomorphic_extend needs a jet in the x-variables only")
-    if any(b != 0 for b in f.base_point[3:]):
-        raise JetDomainError("holomorphic_extend needs a base point with y = 0")
     re: dict = {}
     im: dict = {}
     comb = math.comb
@@ -585,8 +557,7 @@ def holomorphic_extend(f: Jet) -> ComplexJet:
                     bucket[key] = coeff if prev is None else prev + coeff
     re = {k: v for k, v in re.items() if v != 0}
     im = {k: v for k, v in im.items() if v != 0}
-    return ComplexJet(Jet(f.order, re, f.mode, f.base_point),
-                      Jet(f.order, im, f.mode, f.base_point))
+    return ComplexJet(Jet(f.order, re, f.mode), Jet(f.order, im, f.mode))
 
 
 def det(m):

@@ -162,10 +162,6 @@ class HermitianJet:
     def mode(self) -> str:
         return self.entries["a11"].mode
 
-    @property
-    def base_point(self) -> tuple:
-        return self.entries["a11"].base_point
-
     def A(self, i: int, j: int) -> Jet:
         return self.entries[f"a{i}{j}"]
 
@@ -512,10 +508,10 @@ def _parse_scalar(text: str, mode: str):
 
 def dump_structure(s: CYStructureJet) -> str:
     """Stable text dump: per entry, "multi-index : coefficient" lines in
-    graded-lex order."""
+    graded-lex order.  The header's base_point is always the origin."""
     mode = s.mode
     lines = [_DUMP_HEADER, f"mode = {mode}", f"order = {s.order}",
-             "base_point = " + " ".join(_dump_scalar(v, mode) for v in s.h.base_point)]
+             "base_point = " + " ".join([_dump_scalar(0, mode)] * NVARS)]
     def emit(tag, jet):
         lines.append(f"[{tag}]")
         dump = jet.dumps()
@@ -558,6 +554,8 @@ def load_structure(text: str) -> CYStructureJet:
         raise SolverError(f"unknown mode {mode!r}")
     if order < 2:
         raise SolverError(f"bad structure dump header: order must be >= 2, got {order}")
+    if len(base_point) != NVARS or any(base_point):
+        raise SolverError("bad structure dump header: base_point must be the origin")
 
     sections: dict = {}
     tag = None
@@ -580,7 +578,7 @@ def load_structure(text: str) -> CYStructureJet:
 
     def jet_of(tag: str) -> Jet:
         try:
-            return Jet.from_terms(sections.get(tag, {}), order, mode, base_point)
+            return Jet.from_terms(sections.get(tag, {}), order, mode)
         except JetError as exc:
             raise SolverError(f"bad structure dump section [{tag}]: {exc}") from exc
 

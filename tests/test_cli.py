@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,12 +35,13 @@ def structure_dump(order="2", base_point="0 0 0 0 0 0", line="0 0 0 0 0 0 : 1"):
 
 
 def family_scenario(kind="family-check", **fields):
-    v = {"grid": "16", "t_samples": "3", "constructor": "direct", "dim": "3",
+    v = {"grid": "16", "t_samples": "3", "constructor": "direct",
          "t_min": "0", "t_max": "1", "entries": 'g11 = "1"\ng22 = "1"\ng33 = "1"\n'}
     v.update(fields)
+    dim = f"dim = {v['dim']}\n" if "dim" in v else ""
     return (f"[scenario]\nkind = {kind}\nmode = float\ngrid = {v['grid']}\n"
             f"t_samples = {v['t_samples']}\n\n[family]\nconstructor = {v['constructor']}\n"
-            f"dim = {v['dim']}\nt_min = {v['t_min']}\nt_max = {v['t_max']}\n{v['entries']}")
+            f"{dim}t_min = {v['t_min']}\nt_max = {v['t_max']}\n{v['entries']}")
 
 
 def embed_scenario(scenario="", sections=""):
@@ -52,6 +54,8 @@ def embed_scenario(scenario="", sections=""):
 MALFORMED = {
     "dump order": ("verify", structure_dump(order="two"), []),
     "dump base point": ("verify", structure_dump(base_point="0 0 zero 0 0 0"), []),
+    "dump base point off the origin": ("verify", structure_dump(base_point="1 0 0 0 0 0"), [],
+                                       "base_point"),
     "dump coefficient": ("verify", structure_dump(line="0 0 0 0 0 0 : one"), []),
     "dump zero denominator": ("verify", structure_dump(line="0 0 0 0 0 0 : 1/0"), []),
     "dump multi-index": ("verify", structure_dump(line="0 0 x 0 0 0 : 1"), []),
@@ -72,6 +76,16 @@ MALFORMED = {
     "block family leftover key": ("family-check", family_scenario(
         constructor="block", entries='q21 = "banana"\n'), [], "q21"),
     "misspelled scenario key": ("embed", embed_scenario(scenario="oder = 10\n"), [], "oder"),
+    "cone family dim and periodic": ("family-check", family_scenario(
+        constructor="cone", dim="2", entries='f = "1"\nperiodic = 1 1\n'), [], "dim", "periodic"),
+    "metric in a family-check": ("family-check", family_scenario()
+                                 + '\n[metric]\ng11 = "banana("\n', [], "[metric]"),
+    "family in an embed": ("embed", embed_scenario(sections='\n[family]\nconstructor = cone\n'),
+                           [], "[family]"),
+    "input in an embed": ("embed", embed_scenario(sections='\n[input]\nstructure = s.txt\n'),
+                          [], "[input]"),
+    "csv output of an embed": ("embed", embed_scenario(sections='\n[output]\ncsv = phi.csv\n'),
+                               [], "csv"),
     "misspelled section": ("embed", embed_scenario(sections='[outptu]\njson = "r.json"\n'),
                            [], "[outptu]"),
 }
@@ -140,6 +154,12 @@ class TestBenchmarkScenarios:
                     family_from_entries({k: parse(v) for k, v in sc.metric.items()})
                 if workload == "embed_exact":
                     assert load_scenario(files.verify_scenario).kind == "verify"
+
+    def test_generator_selftest_passes(self):
+        # the benchmark's own generators call the jet and DSL API directly
+        done = subprocess.run([sys.executable, str(REPO / "perfbench" / "selftest.py")],
+                              cwd=REPO, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
 
 
 class TestExitCodes:

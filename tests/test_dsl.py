@@ -226,11 +226,12 @@ class TestEvalJet:
         pool = ["x1", "x2", "x3", "sin(x1)", "cos(x2)", "exp(x3/2)", "1/2", "x1*x2",
                 "sqrt(1+x1^2)", "(1+x2)^(3/2)", "x3^2"]
         base = {"x1": 0.3, "x2": -0.2, "x3": 0.7}
+        # generators shifted to the point, so jets expand around it
         gens = {
-            "x1": Jet.variable(X1, 3, FLOAT, (0.3, -0.2, 0.7, 0, 0, 0)),
-            "x2": Jet.variable(X2, 3, FLOAT, (0.3, -0.2, 0.7, 0, 0, 0)),
-            "x3": Jet.variable(X3, 3, FLOAT, (0.3, -0.2, 0.7, 0, 0, 0)),
-            "t": Jet.constant(0, 3, FLOAT, (0.3, -0.2, 0.7, 0, 0, 0)),
+            "x1": Jet.variable(X1, 3, FLOAT) + 0.3,
+            "x2": Jet.variable(X2, 3, FLOAT) - 0.2,
+            "x3": Jet.variable(X3, 3, FLOAT) + 0.7,
+            "t": Jet.constant(0, 3, FLOAT),
         }
         for _ in range(30):
             text = "(" + ") + (".join(rng.sample(pool, 3)) + ")"

@@ -386,6 +386,8 @@ class TestDumpLoad:
         ("order = two", ""),
         ("base_point = 0 0 zero 0 0 0", ""),
         ("base_point = 0 0 0", ""),
+        ("base_point = 1 0 0 0 0 0", ""),  # jets are expanded at the origin
+        ("base_point = 0 0 0 0 0 -1/2", ""),
         ("", "0 0 0 0 0 0 : one"),
         ("", "0 0 x 0 0 0 : 1"),
         ("", "-1 0 0 0 0 0 : 1"),
@@ -477,8 +479,7 @@ class TestHorizontalSlices:
 
 def truncated(jet, order):
     """``jet`` without its terms above total degree ``order``."""
-    return Jet(order, {i: c for i, c in jet.coeffs.items() if sum(i) <= order},
-               jet.mode, jet.base_point)
+    return Jet(order, {i: c for i, c in jet.coeffs.items() if sum(i) <= order}, jet.mode)
 
 
 def full_determinant_sweep(step, state, gamma, policy=CONSTANT_POLICY):
@@ -487,7 +488,7 @@ def full_determinant_sweep(step, state, gamma, policy=CONSTANT_POLICY):
     recompute the leading coefficient's reciprocal at every order."""
     def capped(jet, var, degree):
         return Jet(jet.order, {i: c for i, c in jet.coeffs.items() if i[var] <= degree},
-                   jet.mode, jet.base_point)
+                   jet.mode)
 
     cur = dict(state.entries)
     _apply_policy(step, cur, policy)
