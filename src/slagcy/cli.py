@@ -14,8 +14,9 @@ in double quotes::
     g22 = "1"
     g33 = "1"
 
-Subcommands mirror the kinds and accept --scenario plus overrides.  Exit
-codes: 0 all verdicts pass, 1 a verdict fails, 2 input or parse error.
+Subcommands mirror the kinds and take --scenario plus a flag for each
+[scenario] or [output] key their kind reads.  Exit codes: 0 all verdicts
+pass, 1 a verdict fails, 2 input or parse error.
 """
 
 from __future__ import annotations
@@ -49,20 +50,33 @@ from .solver import (
 )
 
 SCHEMA_VERSION = 1
-_TOL_ENV = "SLAGCY_TOLERANCE"
-# Scenario fields a command line flag of the same name overrides.
-_OVERRIDES = ("order", "grid", "mode", "t_samples", "dump_path")
-_SCENARIO_KEYS = {"kind", "order", "mode", "grid", "t_samples", "tolerance", "phi_tolerance"}
-# The sections besides [scenario] that each kind reads, with the keys each may
-# hold (None: checked when the metric or family is built).
+# The sections each kind reads, with the keys each may hold (None: checked
+# when the metric or family is built); _FAMILY_KEYS are the [scenario] keys
+# of family-check, phi and phi2d.
+_FAMILY_KEYS = {"kind", "mode", "tolerance", "grid", "t_samples"}
 _KIND_SECTIONS = {
-    "embed": {"metric": None, "output": {"json", "dump"}},
-    "verify": {"input": {"structure"}, "output": {"json"}},
-    "family-check": {"family": None, "output": {"json"}},
-    "phi": {"family": None, "output": {"json", "csv"}},
-    "phi2d": {"family": None, "output": {"json", "csv"}},
+    "embed": {"scenario": {"kind", "order", "mode", "tolerance"}, "metric": None,
+              "output": {"json", "dump"}},
+    "verify": {"scenario": {"kind", "mode", "tolerance"}, "input": {"structure"},
+               "output": {"json"}},
+    "family-check": {"scenario": _FAMILY_KEYS, "family": None, "output": {"json"}},
+    "phi": {"scenario": _FAMILY_KEYS, "family": None, "output": {"json", "csv"}},
+    "phi2d": {"scenario": _FAMILY_KEYS | {"phi_tolerance"}, "family": None,
+              "output": {"json", "csv"}},
 }
 KINDS = tuple(_KIND_SECTIONS)
+# The command line flag that overrides each [scenario] or [output] key; a
+# subcommand takes the flags of the keys its kind reads.  Each flag's dest is
+# the Scenario field it sets.
+_FLAGS = {
+    "order": ("--order", {"type": int, "help": "override truncation order"}),
+    "grid": ("--grid", {"type": int, "help": "override grid resolution"}),
+    "mode": ("--mode", {"choices": (EXACT, FLOAT), "help": "override scalar mode"}),
+    "t_samples": ("--t-samples", {"type": int}),
+    "json": ("--out-json", {"dest": "json_path", "help": "write the JSON report here"}),
+    "csv": ("--out-csv", {"dest": "csv_path", "help": "write the phi CSV here"}),
+    "dump": ("--dump", {"dest": "dump_path", "help": "write a structure dump"}),
+}
 
 
 class ScenarioError(Exception):
@@ -154,16 +168,6 @@ def _unquote(value: str) -> str:
     return value
 
 
-def _default_tolerance(mode: str):
-    env = os.environ.get(_TOL_ENV)
-    if env is not None:
-        try:
-            return Fraction(env) if mode == EXACT else float(env)
-        except ValueError as exc:
-            raise ScenarioError(f"bad {_TOL_ENV} value {env!r}") from exc
-    return Fraction(0) if mode == EXACT else 1e-12
-
-
 def load_scenario(path, overrides: dict | None = None) -> Scenario:
     """Parse a scenario file, then apply ``overrides`` (field -> value, None
     keeps the file's value).  A tolerance the file leaves unset takes the
@@ -183,7 +187,7 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
     kind = sect.get("kind", "").strip()
     if kind not in KINDS:
         raise ScenarioError(f"kind must be one of {KINDS}, got {kind!r}")
-    reads = {"scenario": _SCENARIO_KEYS, **_KIND_SECTIONS[kind]}
+    reads = _KIND_SECTIONS[kind]
     for name in parser.sections():
         if name not in reads:
             raise ScenarioError(f"section [{name}] is not read by {kind} scenarios")
@@ -224,7 +228,7 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
         if value is not None:
             setattr(sc, key, value)
     if sc.tolerance is None:
-        sc.tolerance = _default_tolerance(sc.mode)
+        sc.tolerance = Fraction(0) if sc.mode == EXACT else 1e-12
     _validate(sc)
     return sc
 
@@ -458,38 +462,33 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                                              "Lagrangian tori: solve, verify, and "
                                              "measure the semi-flat obstruction.")
     sub = ap.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
+    for kind, sections in _KIND_SECTIONS.items():
         p = sub.add_parser(kind)
         p.add_argument("--scenario", required=True, help="scenario file path")
-        p.add_argument("--order", type=int, help="override truncation order")
-        p.add_argument("--grid", type=int, help="override grid resolution")
-        p.add_argument("--mode", choices=(EXACT, FLOAT), help="override scalar mode")
-        p.add_argument("--t-samples", type=int, dest="t_samples")
-        p.add_argument("--out-json", dest="json_path", help="write the JSON report here")
-        p.add_argument("--out-csv", dest="csv_path", help="write the phi CSV here")
-        p.add_argument("--dump", dest="dump_path", help="write a structure dump (embed)")
+        for key, (flag, options) in _FLAGS.items():
+            if key in sections["scenario"] | sections["output"]:
+                p.add_argument(flag, **options)
         p.add_argument("--deterministic", action="store_true",
                        help="omit volatile fields (timings) from the JSON report")
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_arg_parser().parse_args(argv)
+    overrides = vars(_build_arg_parser().parse_args(argv))
+    kind, path = overrides.pop("kind"), overrides.pop("scenario")
+    deterministic = overrides.pop("deterministic")
     try:
-        sc = load_scenario(args.scenario, {key: getattr(args, key) for key in _OVERRIDES})
-        if sc.kind != args.kind:
-            raise ScenarioError(
-                f"scenario kind {sc.kind!r} does not match subcommand {args.kind!r}")
+        sc = load_scenario(path, overrides)  # every other flag sets a Scenario field
+        if sc.kind != kind:
+            raise ScenarioError(f"scenario kind {sc.kind!r} does not match subcommand {kind!r}")
         report = _execute(sc)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    json_path = args.json_path or sc.json_path
-    csv_path = (args.csv_path or sc.csv_path) if args.kind in ("phi", "phi2d") else None
-    emit_report(report, json_path=json_path, csv_path=csv_path,
-                deterministic=args.deterministic, dump_path=sc.dump_path)
-    if not json_path:
-        sys.stdout.write(report_json(report, args.deterministic))
+    emit_report(report, json_path=sc.json_path, csv_path=sc.csv_path,
+                deterministic=deterministic, dump_path=sc.dump_path)
+    if not sc.json_path:
+        sys.stdout.write(report_json(report, deterministic))
     for v in report.verdicts:
         state = "pass" if v["passed"] else "FAIL"
         print(f"[{state}] {v['name']}: {v['value']} (tol {v['tolerance']})",

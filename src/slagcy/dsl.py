@@ -330,46 +330,6 @@ def free_variables(e: Expr) -> set:
     return set()
 
 
-def differentiate(e: Expr, var: str) -> Expr:
-    """Symbolic partial derivative (used for cross-checks)."""
-    zero, one = Num(Fraction(0)), Num(Fraction(1))
-    if isinstance(e, Var):
-        return one if e.name == var else zero
-    if isinstance(e, (Num, Const)):
-        return zero
-    if isinstance(e, Neg):
-        return Neg(differentiate(e.arg, var))
-    if isinstance(e, BinOp):
-        dl, dr = differentiate(e.left, var), differentiate(e.right, var)
-        if e.op in "+-":
-            return BinOp(e.op, dl, dr)
-        if e.op == "*":
-            return BinOp("+", BinOp("*", dl, e.right), BinOp("*", e.left, dr))
-        num = BinOp("-", BinOp("*", dl, e.right), BinOp("*", e.left, dr))
-        return BinOp("/", num, Pow(e.right, Fraction(2)))
-    if isinstance(e, Pow):
-        dbase = differentiate(e.base, var)
-        scaled = BinOp("*", Num(e.exponent), Pow(e.base, e.exponent - 1))
-        return BinOp("*", scaled, dbase)
-    if isinstance(e, Call):
-        darg = differentiate(e.arg, var)
-        if e.fn == "exp":
-            outer: Expr = Call("exp", e.arg)
-        elif e.fn == "log":
-            return BinOp("/", darg, e.arg)
-        elif e.fn == "sin":
-            outer = Call("cos", e.arg)
-        elif e.fn == "cos":
-            outer = Neg(Call("sin", e.arg))
-        elif e.fn == "sqrt":
-            half = Num(Fraction(1, 2))
-            outer = BinOp("/", half, Call("sqrt", e.arg))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown function {e.fn}")
-        return BinOp("*", outer, darg)
-    raise TypeError(f"not an Expr: {e!r}")
-
-
 # -- evaluation to grid samples ---------------------------------------------------
 
 

@@ -103,9 +103,6 @@ class MetricFamily:
         if not lo <= hi:
             raise FamilyError(f"empty t_range {self.t_range}")
 
-    def entry(self, i: int, j: int):
-        return self.entries[i - 1][j - 1]
-
     def sample_matrix(self, t: float, axes: dict) -> list:
         """Sample each entry on or above the diagonal once; mirror the rest."""
         upper = {(i, j): self.entries[i][j].sample(t, axes)
@@ -444,4 +441,4 @@ def family_to_policy(fam: MetricFamily, base_t: float, order: int,
     a = metric_jets(fam, Jet.variable(Y1, order, mode) + base_t, order, mode)
     policy_keys = {"a22": (2, 2), "a33": (3, 3), "a12": (1, 2), "a13": (1, 3), "a23": (2, 3)}
     step1 = {key: a[i - 1][j - 1] for key, (i, j) in policy_keys.items()}
-    return g, ExtensionPolicy(step1=step1, step2=None)
+    return g, ExtensionPolicy(step1=step1)

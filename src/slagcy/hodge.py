@@ -26,9 +26,8 @@ from .gridops import periodic_quad, spectral_diff
 from .jets import det
 
 __all__ = [
-    "HarmonicBasis", "GramMatrix", "PhiCurve", "periodic_quad",
-    "harmonic_basis_diag3", "harmonic_basis_2d", "gram_L2",
-    "phi_admissibility", "phi_curve", "phi_2d", "phi_csv", "transform_gram",
+    "HarmonicBasis", "GramMatrix", "PhiCurve", "harmonic_basis_diag3",
+    "harmonic_basis_2d", "gram_L2", "phi_admissibility", "phi_curve", "phi_2d", "phi_csv",
 ]
 
 
@@ -59,10 +58,9 @@ class HarmonicBasis:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """L2 inner products of the basis forms, plus the torus volume."""
+    """L2 inner products of the basis forms."""
 
     matrix: np.ndarray
-    volume: float
 
     def det(self) -> float:
         return float(det(self.matrix))
@@ -74,7 +72,6 @@ class PhiCurve:
 
     t: np.ndarray
     phi: np.ndarray
-    grams: tuple
     integrals: np.ndarray | None = None  # columns documented per builder
 
     def spread(self) -> float:
@@ -98,27 +95,21 @@ def phi_csv(t, phi, integrals=None) -> str:
 # -- shared helpers --------------------------------------------------------------
 
 
-def _adjugate(m) -> tuple:
-    """Adjugate and determinant of a 2x2 or 3x3 matrix whose entries are
-    scalars or sample arrays of broadcast-compatible shapes, by cofactors
-    over `jets.det`."""
-    dim = len(m)
+def _pointwise_inverse(metric) -> tuple:
+    """Inverse (a nested dim x dim list) and determinant of metric samples,
+    scalars or arrays of broadcast-compatible shapes, by cofactors over
+    `jets.det`; each entry keeps the broadcast shape of its cofactor."""
+    dim = len(metric)
 
     def cofactor(r, c):
-        rest = [[m[i][j] for j in range(dim) if j != c] for i in range(dim) if i != r]
+        rest = [[metric[i][j] for j in range(dim) if j != c] for i in range(dim) if i != r]
         minor = rest[0][0] if dim == 2 else det(rest)
         return minor if (r + c) % 2 == 0 else -minor
 
-    return [[cofactor(c, r) for c in range(dim)] for r in range(dim)], det(m)
-
-
-def _pointwise_inverse(metric) -> tuple:
-    """Inverse (a nested dim x dim list) and determinant of metric samples,
-    each entry at the broadcast shape of the cofactors it is built from."""
-    adj, det_m = _adjugate(metric)
+    det_m = det(metric)
     if not np.all(det_m > 0):
         raise HodgeError("singular metric sample (non-positive determinant)")
-    return [[a / det_m for a in row] for row in adj], det_m
+    return [[cofactor(c, r) / det_m for c in range(dim)] for r in range(dim)], det_m
 
 
 def gram_L2(basis: HarmonicBasis) -> GramMatrix:
@@ -131,16 +122,7 @@ def gram_L2(basis: HarmonicBasis) -> GramMatrix:
             integrand = sum(inv[k][l] * theta[i][k] * theta[j][l]
                             for k in range(dim) for l in range(dim))
             entries[i, j] = entries[j, i] = float(periodic_quad(integrand * sqrt_det))
-    return GramMatrix(matrix=entries, volume=float(periodic_quad(sqrt_det)))
-
-
-def transform_gram(gram: GramMatrix, basis_change: np.ndarray) -> GramMatrix:
-    """Gram matrix after replacing the cycle basis by P . cycles."""
-    adj, det_p = _adjugate(np.asarray(basis_change, dtype=np.float64))
-    if abs(abs(det_p) - 1.0) > 1e-9:
-        raise HodgeError("cycle basis change must be unimodular")
-    pinv = np.array(adj) / det_p
-    return GramMatrix(matrix=pinv.T @ gram.matrix @ pinv, volume=gram.volume)
+    return GramMatrix(matrix=entries)
 
 
 def _verify_periods(theta, tol: float) -> float:
@@ -231,15 +213,13 @@ def _phi_samples(fam: MetricFamily, t_samples: Sequence, n: int, check: bool,
         phi_admissibility(fam, n, len(t_samples), _CHECK_TOL).raise_if_failed()
     ts = np.asarray(list(t_samples), dtype=np.float64)
     phis = np.empty_like(ts)
-    grams = []
     integrals = np.empty((len(ts), 3), dtype=np.float64)
     for k, t in enumerate(ts):
         basis = basis_at(float(t))
         gram = gram_L2(basis)
-        grams.append(gram)
         phis[k] = gram.det()
         integrals[k] = row(basis, phis[k], t)
-    return PhiCurve(t=ts, phi=phis, grams=tuple(grams), integrals=integrals)
+    return PhiCurve(t=ts, phi=phis, integrals=integrals)
 
 
 def phi_curve(fam: MetricFamily, t_samples: Sequence, n: int = 256, *,

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 NVARS = 6
 X1, X2, X3, Y1, Y2, Y3 = range(NVARS)
@@ -110,9 +110,6 @@ class Jet:
     @property
     def constant_term(self):
         return self.coeffs.get(ZERO_INDEX, _coerce(0, self.mode))
-
-    def coefficient(self, idx) -> object:
-        return self.coeffs.get(tuple(idx), _coerce(0, self.mode))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -265,23 +262,7 @@ class Jet:
             out[idx[:var] + (m,) + idx[var + 1:]] = c
         return Jet(self.order + m, out, self.mode)
 
-    # -- evaluation & output ---------------------------------------------------
-
-    def evaluate(self, point: Sequence) -> object:
-        """Evaluate the Taylor polynomial at a point."""
-        if self.mode == EXACT:
-            x = [Fraction(p) for p in point]
-            total = Fraction(0)
-        else:
-            x = [float(p) for p in point]
-            total = 0.0
-        for idx, c in self.coeffs.items():
-            term = c
-            for k, e in enumerate(idx):
-                for _ in range(e):
-                    term = term * x[k]
-            total += term
-        return total
+    # -- output ------------------------------------------------------------------
 
     def dumps(self) -> str:
         """Debug dump: one "multi-index : coefficient" line in graded-lex order."""
@@ -499,10 +480,6 @@ class ComplexJet:
     def __post_init__(self):
         self.re._check_compatible(self.im)
 
-    @staticmethod
-    def from_real(re: Jet) -> "ComplexJet":
-        return ComplexJet(re, re.zero_like())
-
     def __add__(self, other: "ComplexJet") -> "ComplexJet":
         return ComplexJet(self.re + other.re, self.im + other.im)
 
@@ -513,15 +490,9 @@ class ComplexJet:
         return ComplexJet(self.re * other.re - self.im * other.im,
                           self.re * other.im + self.im * other.re)
 
-    def __neg__(self) -> "ComplexJet":
-        return ComplexJet(-self.re, -self.im)
-
     def abs2(self) -> Jet:
         """Modulus squared re**2 + im**2 as a real jet."""
         return self.re * self.re + self.im * self.im
-
-    def partial(self, var: int) -> "ComplexJet":
-        return ComplexJet(self.re.partial(var), self.im.partial(var))
 
     def restrict_zero(self, vars) -> "ComplexJet":
         return ComplexJet(self.re.restrict_zero(vars), self.im.restrict_zero(vars))

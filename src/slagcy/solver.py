@@ -35,7 +35,6 @@ from .jets import (
     EXACT,
     FLOAT,
     NVARS,
-    VAR_NAMES,
     X1,
     X2,
     X3,
@@ -111,7 +110,6 @@ _EVOLVE_VAR = {1: Y1, 2: Y2, 3: Y3}
 _SUPPRESSED = {1: (Y2, Y3), 2: (Y3,), 3: ()}
 
 _STEP1_POLICY_KEYS = ("a22", "a33", "a12", "a13", "a23")
-_STEP2_POLICY_KEYS = ("a33", "a23")
 
 _POLICY_TOL = 1e-9
 
@@ -121,14 +119,13 @@ class ExtensionPolicy:
     """Choice of the entries the construction leaves free.
 
     ``step1`` optionally assigns a22, a33, a12, a13, a23 on {y2=y3=0} (jets in
-    x and y1); ``step2`` optionally assigns a33 and a23 on {y3=0} (jets in x,
-    y1, y2).  ``None`` means the constant rule: the entry keeps its previous
+    x and y1), which is what the slices {y1 = t} of a family need.  ``None``,
+    and every later sweep, use the constant rule: the entry keeps its previous
     values, with no dependence on the new evolution variable.  Assigned jets
     must restrict to the data they extend.
     """
 
     step1: dict | None = None
-    step2: dict | None = None
 
 
 CONSTANT_POLICY = ExtensionPolicy()
@@ -222,15 +219,9 @@ class ResidualReport:
 # -- hermitian matrix helpers ----------------------------------------------------
 
 
-def _hmatrix(entries: dict):
-    """h = A + iB as a 3x3 array of complex jets (B antisymmetric)."""
-    def h(i, j):
-        a = entries[f"a{i}{j}"]
-        if i == j:
-            return ComplexJet.from_real(a)
-        b = entries[f"b{min(i, j)}{max(i, j)}"]
-        return ComplexJet(a, b if i < j else -b)
-    return [[h(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
+def _hmatrix(h: HermitianJet):
+    """h = A + iB as a 3x3 array of complex jets."""
+    return [[ComplexJet(h.A(i, j), h.B(i, j)) for j in (1, 2, 3)] for i in (1, 2, 3)]
 
 
 def _product_terms(x, y, m: int, sign: int = 1):
@@ -304,28 +295,24 @@ def _coeff_close(a: Jet, b: Jet) -> bool:
 
 
 def _apply_policy(step: int, entries: dict, policy: ExtensionPolicy) -> None:
-    assigned = policy.step1 if step == 1 else policy.step2 if step == 2 else None
-    if step == 3 or assigned is None:
+    assigned = policy.step1
+    if step != 1 or assigned is None:
         return
-    keys = _STEP1_POLICY_KEYS if step == 1 else _STEP2_POLICY_KEYS
-    extra = set(assigned) - set(keys)
+    extra = set(assigned) - set(_STEP1_POLICY_KEYS)
     if extra:
-        raise PolicyError(f"step {step} policy cannot assign {sorted(extra)}")
-    forbidden = (Y2, Y3) if step == 1 else (Y3,)
-    restrict_var = Y1 if step == 1 else Y2
-    for key in keys:
+        raise PolicyError(f"step 1 policy cannot assign {sorted(extra)}")
+    for key in _STEP1_POLICY_KEYS:
         if key not in assigned:
             continue
         jet = assigned[key]
         entries["a11"]._check_compatible(jet)
-        if any(jet.depends_on(v) for v in forbidden):
-            names = ", ".join(VAR_NAMES[v] for v in forbidden)
-            raise PolicyError(f"step {step} policy entry {key} may not depend on {names}")
-        if not _coeff_close(jet.restrict_zero((restrict_var,)), entries[key]):
+        if jet.depends_on(Y2) or jet.depends_on(Y3):
+            raise PolicyError(f"step 1 policy entry {key} may not depend on y2, y3")
+        if not _coeff_close(jet.restrict_zero((Y1,)), entries[key]):
             raise PolicyError(
-                f"step {step} policy entry {key} does not restrict to the data it extends")
+                f"step 1 policy entry {key} does not restrict to the data it extends")
         entries[key] = jet
-        if key[0] == "a" and key[1] != key[2]:
+        if key[1] != key[2]:
             entries[f"a{key[2]}{key[1]}"] = jet
 
 
@@ -424,7 +411,7 @@ def check_structure(s: CYStructureJet) -> ResidualReport:
     maximum absolute coefficient of each residual jet."""
     e = s.h.entries
     gamma = s.gamma
-    det_h = det(_hmatrix(e))
+    det_h = det(_hmatrix(s.h))
     gsq = gamma.abs2()
     details: dict = {}
     details["D"] = (det_h.re - gsq).max_abs_coeff()
@@ -486,6 +473,11 @@ def horizontal_slice_residuals(s: CYStructureJet) -> dict:
 # -- structure dump / load -------------------------------------------------------------
 
 _DUMP_HEADER = "slagcy-structure v1"
+# The sections of a dump, in the order dump_structure writes them.
+_DUMP_SECTIONS = (tuple(f"A {i} {j}" for i in (1, 2, 3) for j in (1, 2, 3))
+                  + tuple(f"B {i} {j}" for i, j in ((1, 2), (1, 3), (2, 3)))
+                  + tuple(f"g {i} {j}" for i in (1, 2, 3) for j in range(i, 4))
+                  + ("gamma re", "gamma im"))
 
 
 def _dump_scalar(v, mode: str) -> str:
@@ -531,7 +523,9 @@ def dump_structure(s: CYStructureJet) -> str:
 
 
 def load_structure(text: str) -> CYStructureJet:
-    """Parse a dump back into a structure (policy is not recorded)."""
+    """Parse a dump back into a structure (policy is not recorded).  The dump
+    must hold exactly the sections dump_structure writes, each once, and each
+    multi-index at most once per section."""
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
     if not lines or lines[0] != _DUMP_HEADER:
         raise SolverError("not a structure dump (bad header)")
@@ -562,6 +556,10 @@ def load_structure(text: str) -> CYStructureJet:
     for ln in lines[pos:]:
         if ln.startswith("["):
             tag = ln.strip("[]")
+            if tag not in _DUMP_SECTIONS:
+                raise SolverError(f"unknown structure dump section [{tag}]")
+            if tag in sections:
+                raise SolverError(f"structure dump section [{tag}] appears twice")
             sections[tag] = {}
         elif ln.strip():
             if tag is None:
@@ -574,11 +572,16 @@ def load_structure(text: str) -> CYStructureJet:
                 raise SolverError(f"bad coefficient line {ln!r}: {exc}") from exc
             if len(idx) != NVARS:
                 raise SolverError(f"bad multi-index line {ln!r}")
+            if idx in sections[tag]:
+                raise SolverError(f"multi-index {idx} appears twice in section [{tag}]")
             sections[tag][idx] = value
+    missing = [f"[{t}]" for t in _DUMP_SECTIONS if t not in sections]
+    if missing:
+        raise SolverError(f"structure dump lacks {', '.join(missing)}")
 
     def jet_of(tag: str) -> Jet:
         try:
-            return Jet.from_terms(sections.get(tag, {}), order, mode)
+            return Jet.from_terms(sections[tag], order, mode)
         except JetError as exc:
             raise SolverError(f"bad structure dump section [{tag}]: {exc}") from exc
 

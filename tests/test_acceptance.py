@@ -20,7 +20,7 @@ from slagcy.families import (
     family_to_policy,
     make_cone_family,
 )
-from slagcy.hodge import gram_L2, harmonic_basis_diag3, phi_2d, phi_curve, transform_gram
+from slagcy.hodge import phi_2d, phi_curve
 from slagcy.jets import (
     EXACT,
     FLOAT,
@@ -265,23 +265,8 @@ def test_criterion_8_invariance_suites():
             assert ext.re.restrict_zero((Y1, Y2, Y3)) == f
             assert ext.im.restrict_zero((Y1, Y2, Y3)).is_zero()
 
-        # unimodular basis-change invariance of phi
-        fam = family_from_entries(BESSEL)
-        gram = gram_L2(harmonic_basis_diag3(fam, 1.0, n=128))
-        nprng = np.random.default_rng(3)
-        for _ in range(50):
-            p = np.eye(3, dtype=int)
-            for _ in range(4):
-                i, j = nprng.integers(0, 3, size=2)
-                if i != j:
-                    shear = np.eye(3, dtype=int)
-                    shear[i, j] = int(nprng.integers(-2, 3))
-                    p = p @ shear
-            if nprng.integers(0, 2):
-                p[[0, 2]] = p[[2, 0]]
-            assert abs(transform_gram(gram, p).det() - gram.det()) < 1e-12
-
         # quadrature spectral convergence: doubling n leaves phi fixed
+        fam = family_from_entries(BESSEL)
         ts = [0.35, 0.8]
         phi_n = phi_curve(fam, ts, n=128).phi
         phi_2n = phi_curve(fam, ts, n=256).phi
@@ -304,7 +289,7 @@ def test_criterion_8_invariance_suites():
             assert (a * b) * c == a * (b * c)
         passed = True
     finally:
-        report_line("8 (invariance suites: CR, unimodular, quadrature, ring)", passed)
+        report_line("8 (invariance suites: CR, quadrature, ring)", passed)
 
 
 def test_criterion_9_cli_contract(tmp_path):

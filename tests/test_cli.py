@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slagcy import family_from_entries, parse, phi_curve
+from slagcy import Jet, family_from_entries, phi_curve, solve_calabi_yau
 from slagcy.cli import (
+    KINDS,
     ScenarioError,
     emit_report,
     load_scenario,
@@ -16,7 +17,9 @@ from slagcy.cli import (
     report_json,
     run_scenario,
 )
+from slagcy.dsl import parse
 from slagcy.hodge import phi_csv
+from slagcy.solver import dump_structure
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -32,6 +35,11 @@ def write_scenario(tmp_path, text, name="case.ini"):
 def structure_dump(order="2", base_point="0 0 0 0 0 0", line="0 0 0 0 0 0 : 1"):
     return (f"slagcy-structure v1\nmode = exact\norder = {order}\n"
             f"base_point = {base_point}\n[A 1 1]\n{line}\n")
+
+
+# the complete dump of the flat structure at order 2
+FLAT_DUMP = dump_structure(solve_calabi_yau(
+    [[Jet.constant(int(i == j), 2) for j in range(3)] for i in range(3)], 2))
 
 
 def family_scenario(kind="family-check", **fields):
@@ -88,6 +96,18 @@ MALFORMED = {
                                [], "csv"),
     "misspelled section": ("embed", embed_scenario(sections='[outptu]\njson = "r.json"\n'),
                            [], "[outptu]"),
+    "phi_tolerance in an embed": ("embed", embed_scenario(scenario="phi_tolerance = 5\n"), [],
+                                  "phi_tolerance"),
+    "t_samples in an embed": ("embed", embed_scenario(scenario="t_samples = 3\n"), [],
+                              "t_samples"),
+    "grid in an embed": ("embed", embed_scenario(scenario="grid = 64\n"), [], "grid"),
+    "order in a family-check": ("family-check", family_scenario().replace(
+        "grid = 16\n", "grid = 16\norder = 4\n"), [], "order"),
+    "phi_tolerance in a phi": ("phi", family_scenario(kind="phi").replace(
+        "grid = 16\n", "grid = 16\nphi_tolerance = 1e-8\n"), [], "phi_tolerance"),
+    "dump cut before [gamma re]": ("verify", FLAT_DUMP[:FLAT_DUMP.index("[gamma re]")], [],
+                                   "[gamma re]"),
+    "dump with an extra section": ("verify", FLAT_DUMP + "[A 1 4]\n", [], "[A 1 4]"),
 }
 
 
@@ -121,19 +141,6 @@ class TestScenarioLoading:
         sc = load_scenario(path)
         assert sc.kind == "embed"
         assert sc.order == 4
-
-    def test_tolerance_env_override(self, tmp_path, monkeypatch):
-        path = write_scenario(
-            tmp_path,
-            '[scenario]\nkind = embed\norder = 4\nmode = float\n\n'
-            '[metric]\ng11 = "1"\ng22 = "1"\ng33 = "1"\n')
-        monkeypatch.setenv("SLAGCY_TOLERANCE", "1e-6")
-        assert load_scenario(path).tolerance == 1e-6
-        monkeypatch.delenv("SLAGCY_TOLERANCE")
-        assert load_scenario(path).tolerance == 1e-12
-        monkeypatch.setenv("SLAGCY_TOLERANCE", "not-a-number")
-        with pytest.raises(ScenarioError, match="SLAGCY_TOLERANCE"):
-            load_scenario(path)
 
 
 class TestBenchmarkScenarios:
@@ -234,7 +241,37 @@ class TestExitCodes:
         assert max(v["value"] for v in data["verdicts"]) > 0  # float roundoff is judged
 
 
+# the subcommands that take each flag besides --scenario; --mode, --out-json
+# and --deterministic are taken by all five
+FAMILY_KINDS = ("family-check", "phi", "phi2d")
+KIND_FLAGS = {"--order": ("embed",), "--dump": ("embed",), "--grid": FAMILY_KINDS,
+              "--t-samples": FAMILY_KINDS, "--out-csv": ("phi", "phi2d")}
+
+
+class TestPerKindFlags:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("flag", sorted(KIND_FLAGS))
+    def test_flag_only_where_the_kind_reads_it(self, kind, flag, capsys):
+        argv = [kind, "--scenario", "missing.ini", flag, "7"]
+        if kind in KIND_FLAGS[flag]:
+            assert main(argv) == 2  # parsed, then the missing scenario file
+            assert capsys.readouterr().err.startswith("error: cannot read scenario")
+        else:  # argparse: a usage line, then the error
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: ") and f"unrecognized arguments: {flag} 7" in err
+
+
 class TestGolden:
+    def test_poly_embed_dump_is_pinned(self, tmp_path):
+        # exact-mode dumps stay byte-identical
+        dump = tmp_path / "structure.txt"
+        assert main(["embed", "--scenario", str(SCENARIOS / "poly_embed.ini"),
+                     "--deterministic", "--dump", str(dump)]) == 0
+        assert dump.read_bytes() == (GOLDEN / "poly_embed.dump").read_bytes()
+
     def test_flat_embed_json_is_byte_stable(self, tmp_path):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"

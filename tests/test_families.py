@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slagcy import families
-from slagcy.dsl import differentiate, eval_grid, parse
+from slagcy.dsl import eval_grid, parse
 from slagcy.families import (
     ExprEntry,
     FamilyCheckReport,
@@ -74,22 +74,18 @@ class TestCheckFamily:
     def test_det_condition_symbolic_equivalence(self):
         # for diagonal (t, x1)-families the verdict matches the symbolic
         # statement "det depends on (x2, x3) alone"
+        sympy = pytest.importorskip("sympy")
         cases = [
             ({"g11": "exp(-2*t*sin(2*pi*x1))", "g22": "exp(t*sin(2*pi*x1))",
               "g33": "exp(t*sin(2*pi*x1))"}, True),
             ({"g11": "exp(t)", "g22": "1", "g33": "1"}, False),
         ]
-        x = periodic_axis(32)
         for entries, expected in cases:
             fam = family_from_entries(entries)
             verdict = check_slag_family(fam, n=32, nt=5, tol=1e-10).passed()
             assert verdict == expected
-            det_expr = parse(f"({entries['g11']})*({entries['g22']})*({entries['g33']})")
-            sym_ok = True
-            for v in ("t", "x1"):
-                d = differentiate(det_expr, v)
-                vals = eval_grid(d, {"t": 0.4, "x1": x})
-                sym_ok = sym_ok and bool(np.max(np.abs(vals)) < 1e-10)
+            det = sympy.sympify(f"({entries['g11']})*({entries['g22']})*({entries['g33']})")
+            sym_ok = all(sympy.simplify(sympy.diff(det, v)) == 0 for v in ("t", "x1"))
             assert sym_ok == expected
 
 
@@ -197,7 +193,7 @@ class TestSampling:
         fam21.sample_matrix(0.3, axes)
         assert len(quads) == 6
         monkeypatch.setattr(families, "periodic_quad", quad)
-        assert fam21.entry(1, 1).sample(0.3, {"x1": axes["x1"]}).shape == axes["x1"].shape
+        assert fam21.entries[0][0].sample(0.3, {"x1": axes["x1"]}).shape == axes["x1"].shape
         wv = eval_grid(parse(w), {"t": 0.3, "x1": axes["x1"]})
         norm = families._collapse_norm(parse(w), 0.3)
         assert np.array_equal(m22[0][0], np.exp(wv) / norm ** 2)
@@ -222,7 +218,7 @@ class TestBlockFamily:
         with pytest.raises(FamilyError, match="symmetric"):
             make_block_family("0", [["1", "1/2"], ["0", "1"]], "3/4")
         fam = make_block_family("0", [["1", "1/2"], ["1/2", "1"]], "3/4")
-        assert fam.entry(2, 3) == fam.entry(3, 2)
+        assert fam.entries[1][2] == fam.entries[2][1]
 
 
 class TestCollapse22:
@@ -238,7 +234,7 @@ class TestCollapse22:
         fam = make_collapsing_22(w, t1=1.0, t_range=(0.0, 0.8))
         x = periodic_axis(256)
         for t in np.linspace(0.0, 0.8, 5):
-            a11 = fam.entry(1, 1).sample(float(t), {"x1": x})
+            a11 = fam.entries[0][0].sample(float(t), {"x1": x})
             assert abs(periodic_quad(np.sqrt(a11)) - 1.0) < 1e-12
 
     def test_normalization_idempotent(self):
@@ -247,7 +243,7 @@ class TestCollapse22:
         x = periodic_axis(64)
         # feeding the normalized profile u = log a11 back in leaves it unchanged
         for t in (0.2, 0.6):
-            a11 = fam1.entry(1, 1).sample(t, {"x1": x})
+            a11 = fam1.entries[0][0].sample(t, {"x1": x})
             norm = periodic_quad(np.exp(0.5 * np.log(a11)))
             assert abs(norm - 1.0) < 1e-12
 
@@ -279,7 +275,7 @@ class TestCollapse21:
         x1 = periodic_axis(8)[:, None]
         x2 = periodic_axis(256)[None, :]
         for t in (0.3, 0.6):
-            a22 = fam.entry(2, 2).sample(t, {"x1": x1, "x2": x2})
+            a22 = fam.entries[1][1].sample(t, {"x1": x1, "x2": x2})
             norms = periodic_quad(np.sqrt(a22), axis=1)
             assert np.max(np.abs(norms - 1.0)) < 1e-12
 
@@ -298,8 +294,8 @@ class TestConeFamily:
         # |c'|^2 |c|^4 = 1/9 pointwise, since c' c^2 = 1/3
         fam = make_cone_family("1")
         t, x1 = 0.5, 1.0
-        a11 = float(fam.entry(1, 1).sample(t, {"x1": np.array([x1])})[0])
-        a22 = float(fam.entry(2, 2).sample(t, {"x1": np.array([x1]), "x2": 0.0, "x3": 0.0})[0])
+        a11 = float(fam.entries[0][0].sample(t, {"x1": np.array([x1])})[0])
+        a22 = float(fam.entries[1][1].sample(t, {"x1": np.array([x1]), "x2": 0.0, "x3": 0.0})[0])
         assert abs(a11 * a22 ** 2 - 1.0 / 9.0) < 1e-12
 
     def test_det_is_f_squared_over_nine(self):
@@ -314,19 +310,19 @@ class TestConeFamily:
 
     def test_modulus_at_one(self):
         fam = make_cone_family("1")
-        a22 = float(fam.entry(2, 2).sample(1.0, {"x1": np.array([1.0]), "x2": 0.0,
+        a22 = float(fam.entries[1][1].sample(1.0, {"x1": np.array([1.0]), "x2": 0.0,
                                                  "x3": 0.0})[0])
         assert abs(a22 - 2.0 ** (1.0 / 3.0)) < 1e-12
 
     def test_nonpositive_x1_rejected(self):
         fam = make_cone_family("1")
         with pytest.raises(FamilyError, match="branch point"):
-            fam.entry(1, 1).sample(0.5, {"x1": np.array([0.0, 0.5])})
+            fam.entries[0][0].sample(0.5, {"x1": np.array([0.0, 0.5])})
 
     def test_nonpositive_conformal_factor_rejected(self):
         fam = make_cone_family("-1")
         with pytest.raises(FamilyError, match="positive"):
-            fam.entry(2, 2).sample(0.5, {"x1": np.array([0.5]), "x2": 0.0, "x3": 0.0})
+            fam.entries[1][1].sample(0.5, {"x1": np.array([0.5]), "x2": 0.0, "x3": 0.0})
 
     def test_passes_family_check_on_interior_grid(self):
         fam = make_cone_family("1")

@@ -18,7 +18,6 @@ from slagcy.hodge import (
     phi_2d,
     phi_csv,
     phi_curve,
-    transform_gram,
 )
 
 BESSEL = {"g11": "exp(-2*t*sin(2*pi*x1))", "g22": "exp(t*sin(2*pi*x1))",
@@ -172,7 +171,7 @@ class TestPointwiseInverse:
         rng = np.random.default_rng(11)
         for _ in range(10):
             matrix = spd_stack(rng, dim, ())
-            got = GramMatrix(matrix=matrix, volume=1.0).det()
+            got = GramMatrix(matrix=matrix).det()
             assert abs(got - np.linalg.det(matrix)) <= 1e-13 * abs(np.linalg.det(matrix))
 
     def test_inverse_formed_once_per_t(self, monkeypatch):
@@ -247,7 +246,6 @@ class TestGram:
         basis = harmonic_basis_diag3(flat_family(), 0.0, n=32)
         gram = gram_L2(basis)
         assert np.allclose(gram.matrix, np.eye(3), atol=1e-14)
-        assert gram.volume == pytest.approx(1.0)
 
     def test_bessel_closed_forms(self):
         basis = harmonic_basis_diag3(bessel_family(), 1.0, n=256)
@@ -266,28 +264,6 @@ class TestGram:
             gram = gram_L2(harmonic_basis_diag3(fam, 0.8, n=128))
             assert np.allclose(gram.matrix, gram.matrix.T)
             assert np.all(np.linalg.eigvalsh(gram.matrix) > 0)
-
-    def test_unimodular_invariance(self):
-        basis = harmonic_basis_diag3(bessel_family(), 1.0, n=128)
-        gram = gram_L2(basis)
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            p = np.eye(3, dtype=int)
-            for _ in range(4):
-                i, j = rng.integers(0, 3, size=2)
-                if i != j:
-                    shear = np.eye(3, dtype=int)
-                    shear[i, j] = int(rng.integers(-2, 3))
-                    p = p @ shear
-            if rng.integers(0, 2):
-                p[[0, 1]] = p[[1, 0]]  # determinant -1 representative
-            transformed = transform_gram(gram, p)
-            assert abs(transformed.det() - gram.det()) < 1e-12
-
-    def test_non_unimodular_rejected(self):
-        gram = GramMatrix(matrix=np.eye(3), volume=1.0)
-        with pytest.raises(HodgeError, match="unimodular"):
-            transform_gram(gram, 2 * np.eye(3))
 
 
 class TestPhiCurve3D:
@@ -332,7 +308,7 @@ class TestPhiCurve3D:
         assert row[3] == pytest.approx(bessel_i0(1.0), abs=1e-12)  # int g^22
 
     def test_empty_curve_csv_has_header_only(self):
-        curve = PhiCurve(t=np.array([]), phi=np.array([]), grams=())
+        curve = PhiCurve(t=np.array([]), phi=np.array([]))
         assert phi_csv(curve.t, curve.phi, curve.integrals) == "t,phi,g11_int,g22_int,g33_int\n"
 
     def test_inadmissible_family_refused(self):

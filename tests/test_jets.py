@@ -333,9 +333,10 @@ def extend_by_substitution(f):
     order, mode = f.order, f.mode
     z = [ComplexJet(Jet.variable(k, order, mode), Jet.variable(k + 3, order, mode))
          for k in range(3)]
-    acc = ComplexJet.from_real(f.zero_like())
+    zero = f.zero_like()
+    acc = ComplexJet(zero, zero)
     for idx, c in f.coeffs.items():
-        term = ComplexJet.from_real(Jet.constant(c, order, mode))
+        term = ComplexJet(Jet.constant(c, order, mode), zero)
         for k in range(3):
             for _ in range(idx[k]):
                 term = term * z[k]
@@ -488,12 +489,9 @@ class TestDumpAndSlices:
         sl = a.slice_coeff(Y1, 2)
         assert sl == var(X2, order=2)
         back = sl.mul_monomial(Y1, 2)
-        assert back.coefficient((0, 1, 0, 2, 0, 0)) == 1
+        assert back == var(X2, order=4) * var(Y1, order=4) * var(Y1, order=4)
 
     def test_restrict_zero(self):
         a = var(X1, order=3) + var(X1, order=3) * var(Y2, order=3)
         assert a.restrict_zero((Y2,)) == var(X1, order=3)
 
-    def test_evaluate(self):
-        a = 1 + var(X1, order=3) * var(X2, order=3)
-        assert a.evaluate((2, 3, 0, 0, 0, 0)) == 7

@@ -237,22 +237,6 @@ class TestFullSolve:
                 assert lhs == rhs == g[i - 1][j - 1]
                 assert st_alt.h.B(i, j).restrict_zero((Y1, Y2, Y3)).is_zero()
 
-    def test_step2_policy_freedom(self):
-        # the second sweep's free entries may gain arbitrary y2-dependence,
-        # as long as they restrict to the first-sweep data
-        order = 4
-        g = metric_from_exprs(POLY_METRICS[0], order)
-        one = Jet.constant(1, order)
-        zero = Jet.constant(0, order)
-        x1, x2 = Jet.variable(X1, order), Jet.variable(X2, order)
-        y1, y2 = Jet.variable(Y1, order), Jet.variable(Y2, order)
-        policy = ExtensionPolicy(
-            step1={"a22": one + y1 * x1 / 2, "a33": one, "a12": zero,
-                   "a13": zero, "a23": y1 / 4},
-            step2={"a33": one + y2 * y2 / 8, "a23": y1 / 4 + y2 * x2 / 4})
-        st = solve_calabi_yau(g, order, policy)
-        assert_all_zero(check_structure(st))
-
     def test_minimum_order_two(self):
         st = solve_calabi_yau(metric_from_exprs(POLY_METRICS[0], 2), 2)
         assert_all_zero(check_structure(st))
@@ -396,14 +380,27 @@ class TestDumpLoad:
         ("order = -1", ""),
     ])
     def test_malformed_dump_raises_solver_error(self, header, line):
-        meta = {"mode": "exact", "order": "2", "base_point": "0 0 0 0 0 0"}
+        # each case spoils one header field or adds one line to a complete dump
+        text = small_dump(EXACT)
         if header:
-            key, _, value = header.partition(" = ")
-            meta[key] = value
-        text = ("slagcy-structure v1\n" + "".join(f"{k} = {v}\n" for k, v in meta.items())
-                + f"[A 1 1]\n{line}\n")
+            key = header.partition(" = ")[0]
+            text = re.sub(rf"(?m)^{key} = .*$", header, text, count=1)
+        text = text.replace("[A 1 1]\n", f"[A 1 1]\n{line}\n", 1)
         with pytest.raises(SolverError):
             load_structure(text)
+
+    # a dump cut short or with an extra section: test_cli.MALFORMED
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: t.replace("[B 1 2]", "[B 2 1]"), r"unknown .*\[B 2 1\]"),
+        (lambda t: t + "[A 2 2]\n", r"\[A 2 2\] appears twice"),
+        (lambda t: t.replace("[A 1 1]\n", "[A 1 1]\n0 0 0 0 0 0 : 2\n", 1),
+         r"multi-index \(0, 0, 0, 0, 0, 0\) appears twice in section \[A 1 1\]"),
+    ], ids=["misnamed", "repeated", "repeated multi-index"])
+    def test_misnamed_or_repeated_sections_raise(self, edit, message):
+        text = small_dump(EXACT)
+        load_structure(text)
+        with pytest.raises(SolverError, match=message):
+            load_structure(edit(text))
 
 
 @functools.cache
@@ -497,7 +494,7 @@ def full_determinant_sweep(step, state, gamma, policy=CONSTANT_POLICY):
     d_key = {1: "a11", 2: "a22", 3: "a33"}[step]
     rows = {1: (2, 3), 2: (1, 3), 3: (1, 2)}[step]
     gamma_sq = gamma.abs2().restrict_zero(_SUPPRESSED[step])
-    h0 = _hmatrix({k: cur[k].slice_coeff(ev, 0) for k in ENTRY_KEYS})
+    h0 = _hmatrix(HermitianJet({k: cur[k].slice_coeff(ev, 0) for k in ENTRY_KEYS}))
     cof0 = det([[h0[i - 1][j - 1] for j in rows] for i in rows]).re
     for m in range(1, order + 1):
         new_slices = {}
@@ -513,7 +510,8 @@ def full_determinant_sweep(step, state, gamma, policy=CONSTANT_POLICY):
             cur[key] = cur[key] + sl.mul_monomial(ev, m)
         for dst, src in _MIRRORS[step]:
             cur[dst] = cur[dst] + new_slices[src].mul_monomial(ev, m)
-        det_rest = det(_hmatrix({k: capped(cur[k], ev, m) for k in ENTRY_KEYS})).re
+        det_rest = det(_hmatrix(HermitianJet({k: capped(cur[k], ev, m)
+                                              for k in ENTRY_KEYS}))).re
         numer = gamma_sq.slice_coeff(ev, m) - det_rest.slice_coeff(ev, m)
         d_slice = numer / truncated(cof0, order - m)
         cur[d_key] = cur[d_key] + d_slice.mul_monomial(ev, m)
@@ -590,17 +588,15 @@ class TestSliceSweep:
         gamma = build_gamma(g)
         state = initial_state(g)
         for step in (1, 2, 3):
-            # step-1 and step-2 policies carry powers of the evolution variable
-            # up to the order, above the degree m each round solves for
+            # a step-1 policy carries powers of y1 up to the order, above the
+            # degree m each round solves for
             policy = CONSTANT_POLICY
-            if step < 3 and data.draw(st.booleans()):
-                ev = _EVOLVE_VAR[step]
-                allowed = (X1, X2, X3, Y1) if step == 1 else (X1, X2, X3, Y1, Y2)
-                keys = ("a22", "a33", "a12", "a13", "a23") if step == 1 else ("a33", "a23")
+            if step == 1 and data.draw(st.booleans()):
+                keys = ("a22", "a33", "a12", "a13", "a23")
                 chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
-                assigned = {k: _perturbed(data.draw, state.entries[k], ev, allowed)
-                            for k in chosen}
-                policy = ExtensionPolicy(**{f"step{step}": assigned})
+                policy = ExtensionPolicy(step1={
+                    k: _perturbed(data.draw, state.entries[k], Y1, (X1, X2, X3, Y1))
+                    for k in chosen})
             expect = full_determinant_sweep(step, state, gamma, policy)
             state = ck_step(step, state, gamma, policy)
             for key in ENTRY_KEYS:
