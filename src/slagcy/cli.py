@@ -170,8 +170,8 @@ def _unquote(value: str) -> str:
 
 def load_scenario(path, overrides: dict | None = None) -> Scenario:
     """Parse a scenario file, then apply ``overrides`` (field -> value, None
-    keeps the file's value).  A tolerance the file leaves unset takes the
-    default of the final mode."""
+    keeps the file's value).  The tolerance is read in the final mode; one the
+    file leaves unset takes that mode's default."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=(";", "#"))
     try:
@@ -206,12 +206,6 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
         sc.phi_tolerance = sect.getfloat("phi_tolerance", sc.phi_tolerance)
     except ValueError as exc:
         raise ScenarioError(f"bad numeric value in [scenario]: {exc}") from exc
-    tol_text = sect.get("tolerance", "").strip()
-    if tol_text:
-        try:
-            sc.tolerance = Fraction(tol_text) if mode == EXACT else float(tol_text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScenarioError(f"bad tolerance {tol_text!r}") from exc
 
     if parser.has_section("metric"):
         sc.metric = {k: _unquote(v) for k, v in parser["metric"].items()}
@@ -227,8 +221,13 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(sc, key, value)
+    tol_text = sect.get("tolerance", "").strip()
     if sc.tolerance is None:
-        sc.tolerance = Fraction(0) if sc.mode == EXACT else 1e-12
+        try:
+            sc.tolerance = (Fraction(tol_text or 0) if sc.mode == EXACT
+                            else float(tol_text or 1e-12))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ScenarioError(f"bad tolerance {tol_text!r} in {sc.mode} mode") from exc
     _validate(sc)
     return sc
 
@@ -241,8 +240,15 @@ def _validate(sc: Scenario) -> None:
         raise ScenarioError("embed scenarios need a [metric] section")
     if sc.kind == "verify" and not sc.structure_path:
         raise ScenarioError("verify scenarios need [input] structure = <path>")
-    if sc.kind in ("family-check", "phi", "phi2d") and not sc.family:
-        raise ScenarioError(f"{sc.kind} scenarios need a [family] section")
+    if sc.kind in ("family-check", "phi", "phi2d"):
+        if not sc.family:
+            raise ScenarioError(f"{sc.kind} scenarios need a [family] section")
+        if sc.mode == EXACT:
+            raise ScenarioError(f"{sc.kind} samples families in floats: mode must be float")
+    if sc.kind == "family-check" and not 2 <= sc.t_samples <= 17:
+        raise ScenarioError(f"family-check needs 2 <= t_samples <= 17, got {sc.t_samples}")
+    if sc.kind == "phi2d" and sc.grid > 256:
+        raise ScenarioError(f"phi2d needs grid <= 256, got {sc.grid}")
 
 
 def _parse_expr(text: str, where: str):
@@ -346,6 +352,9 @@ def _run_verify(sc: Scenario) -> RunReport:
         raise ScenarioError(f"cannot read structure {sc.structure_path}: {exc}") from exc
     except SolverError as exc:
         raise ScenarioError(f"{sc.structure_path}: {exc}") from exc
+    if structure.mode != sc.mode:
+        raise ScenarioError(f"scenario mode {sc.mode} does not match the {structure.mode} "
+                            f"mode of {sc.structure_path}")
     report = check_structure(structure)
     residuals, verdicts = _residual_verdicts(report, sc.tolerance)
     return RunReport(scenario=sc.echo(), verdicts=verdicts, residuals=residuals)
@@ -354,7 +363,7 @@ def _run_verify(sc: Scenario) -> RunReport:
 def _run_family_check(sc: Scenario) -> RunReport:
     fam = _family_from_scenario(sc)
     tol = float(sc.tolerance)
-    report = check_slag_family(fam, n=sc.grid, nt=max(2, min(sc.t_samples, 17)), tol=tol)
+    report = check_slag_family(fam, n=sc.grid, nt=sc.t_samples, tol=tol)
     verdicts = [
         _verdict("det_t_independence", report.det_t_independence, tol),
         _verdict("det_x1_independence", report.det_x1_independence, tol),
@@ -366,7 +375,7 @@ def _run_family_check(sc: Scenario) -> RunReport:
 
 def _run_phi(sc: Scenario) -> RunReport:
     """Both phi kinds: the admissibility verdict, then the curve; phi2d also
-    judges Phi == 1 and caps the grid at 256."""
+    judges Phi == 1."""
     fam = _family_from_scenario(sc)
     two_d = sc.kind == "phi2d"
     if two_d and fam.dim != 2:
@@ -380,7 +389,7 @@ def _run_phi(sc: Scenario) -> RunReport:
     if not check.passed():
         return report
     if two_d:
-        curve = hodge_mod.phi_2d(fam, ts, n=min(sc.grid, 256), check=False)
+        curve = hodge_mod.phi_2d(fam, ts, n=sc.grid, check=False)
         report.verdicts.append(_verdict("phi_constant_equal_1",
                                         float(np.max(np.abs(curve.phi - 1.0))),
                                         sc.phi_tolerance))

@@ -491,7 +491,11 @@ class ComplexJet:
                           self.re * other.im + self.im * other.re)
 
     def abs2(self) -> Jet:
-        """Modulus squared re**2 + im**2 as a real jet."""
+        """Modulus squared re**2 + im**2 as a real jet, formed once per jet."""
+        return self._abs2
+
+    @cached_property
+    def _abs2(self) -> Jet:
         return self.re * self.re + self.im * self.im
 
     def restrict_zero(self, vars) -> "ComplexJet":

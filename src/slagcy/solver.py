@@ -13,11 +13,14 @@ together with the closedness of the associated Kaehler 2-form
     omega = -sum_{i<j} B_ij (dx_i^dx_j + dy_i^dy_j) + sum_{i,j} A_ij dx_j^dy_i,
 
 whose twenty components split into first-order evolution systems in y1, y2
-and y3.  Three successive sweeps extend the data from {y=0} to {y2=y3=0},
-then to {y3=0}, then everywhere: in each sweep the evolved unknowns gain one
-power of the evolution variable at a time by integrating their evolution
-equations, the remaining diagonal entry (a11, a22, a33 respectively) is
-solved algebraically from (D) -- the determinant is linear in it with an
+and y3.  Sweep p = 1, 2, 3 extends the data known on {y_p = ... = y3 = 0}
+into y_p, one power at a time, by integrating the system of two index rules
+
+    d b_ij/d y_p = d a_pj/d x_i - d a_pi/d x_j      (i < j),
+    d a_rk/d y_p = d a_pk/d y_r + d b_rp/d x_k      (r < p, k = 1, 2, 3),
+
+and mirroring a_kr = a_rk for r < p <= k.  The diagonal entry a_pp is solved
+algebraically from (D) -- the determinant is linear in it with an
 invertible leading coefficient -- and the entries left free are supplied by
 an extension policy.  A sweep works on slices in the evolution variable and
 extends the row-0 cofactors of h incrementally, so each new slice of det(h)
@@ -68,46 +71,10 @@ class PolicyError(SolverError):
 ENTRY_KEYS = ("a11", "a12", "a13", "a21", "a22", "a23", "a31", "a32", "a33",
               "b12", "b13", "b23")
 
-# Evolution systems per sweep: target -> ((sign, source, derivative-variable), ...),
-# one first-order equation d(target)/d(y_step) = sum sign * d(source)/d(var).
-_EVOLUTION = {
-    1: {
-        "b12": ((1, "a12", X1), (-1, "a11", X2)),
-        "b13": ((1, "a13", X1), (-1, "a11", X3)),
-        "b23": ((1, "a13", X2), (-1, "a12", X3)),
-    },
-    2: {
-        "b12": ((1, "a22", X1), (-1, "a21", X2)),
-        "b13": ((1, "a23", X1), (-1, "a21", X3)),
-        "b23": ((1, "a23", X2), (-1, "a22", X3)),
-        "a11": ((1, "a21", Y1), (1, "b12", X1)),
-        "a12": ((1, "a22", Y1), (1, "b12", X2)),
-        "a13": ((1, "a23", Y1), (1, "b12", X3)),
-    },
-    3: {
-        "b12": ((1, "a32", X1), (-1, "a31", X2)),
-        "b13": ((1, "a33", X1), (-1, "a31", X3)),
-        "b23": ((1, "a33", X2), (-1, "a32", X3)),
-        "a11": ((1, "a31", Y1), (1, "b13", X1)),
-        "a12": ((1, "a32", Y1), (1, "b13", X2)),
-        "a13": ((1, "a33", Y1), (1, "b13", X3)),
-        "a21": ((1, "a31", Y2), (1, "b23", X1)),
-        "a22": ((1, "a32", Y2), (1, "b23", X2)),
-        "a23": ((1, "a33", Y2), (1, "b23", X3)),
-    },
-}
-
-# Entries kept symmetric by mirroring an evolved partner, per sweep.
-_MIRRORS = {1: (), 2: (("a21", "a12"), ("a31", "a13")), 3: (("a31", "a13"), ("a32", "a23"))}
-
-# Row and column order of h per sweep: the diagonal entry solved from the
-# determinant constraint comes first.
-_PERM = {1: (1, 2, 3), 2: (2, 1, 3), 3: (3, 1, 2)}
-
-_EVOLVE_VAR = {1: Y1, 2: Y2, 3: Y3}
-
-# Variables still suppressed while a sweep runs (for restricting |gamma|^2).
-_SUPPRESSED = {1: (Y2, Y3), 2: (Y3,), 3: ()}
+# x_k and y_k by their index k, and the index pairs i < j of B
+_X = (None, X1, X2, X3)
+_Y = (None, Y1, Y2, Y3)
+_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 _STEP1_POLICY_KEYS = ("a22", "a33", "a12", "a13", "a23")
 
@@ -316,6 +283,15 @@ def _apply_policy(step: int, entries: dict, policy: ExtensionPolicy) -> None:
             entries[f"a{key[2]}{key[1]}"] = jet
 
 
+def _evolution(p: int) -> dict:
+    """Sweep p's system from the two index rules: target -> ((sign, source,
+    variable), ...) for d(target)/dy_p = sum sign * d(source)/d(variable)."""
+    system = {f"b{i}{j}": ((1, f"a{p}{j}", _X[i]), (-1, f"a{p}{i}", _X[j])) for i, j in _PAIRS}
+    system.update({f"a{r}{k}": ((1, f"a{p}{k}", _Y[r]), (1, f"b{r}{p}", _X[k]))
+                   for r in range(1, p) for k in (1, 2, 3)})
+    return system
+
+
 def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
             policy: ExtensionPolicy = CONSTANT_POLICY) -> HermitianJet:
     """One evolution sweep: extend the partial solution into y1, y2 or y3.
@@ -332,15 +308,15 @@ def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
     cur = dict(state.entries)
     _apply_policy(step, cur, policy)
     order = state.order
-    ev = _EVOLVE_VAR[step]
-    perm = _PERM[step]
-    d_key = f"a{perm[0]}{perm[0]}"
-    gamma_sq = gamma.restrict_zero(_SUPPRESSED[step]).abs2()
+    ev = _Y[step]
+    perm = (step,) + tuple(i for i in (1, 2, 3) if i != step)
+    d_key = f"a{step}{step}"
+    gamma_sq = gamma.abs2().restrict_zero(Y_VARS[step:])
+    system = _evolution(step)
 
     sl = {key: [cur[key].slice_coeff(ev, k) for k in range(order + 1)] for key in ENTRY_KEYS}
-    pairs = ((1, 2), (1, 3), (2, 3))
     im = {(i, i): [s.zero_like() for s in sl["a11"]] for i in (1, 2, 3)}
-    for i, j in pairs:
+    for i, j in _PAIRS:
         im[i, j] = sl[f"b{i}{j}"]
         im[j, i] = [-b for b in im[i, j]]
     # h = A + iB conjugated by the permutation; the slice lists are updated in place
@@ -356,7 +332,7 @@ def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
 
     for m in range(1, order + 1):
         new_slices = {}
-        for key, terms in _EVOLUTION[step].items():
+        for key, terms in system.items():
             rhs = None
             for sign, src, var in terms:
                 d = sl[src][m - 1].partial(var)
@@ -366,9 +342,10 @@ def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
             new_slices[key] = rhs / m
         for key, new in new_slices.items():
             sl[key][m] = sl[key][m] + new
-        for dst, src in _MIRRORS[step]:
-            sl[dst][m] = sl[dst][m] + new_slices[src]
-        for i, j in pairs:
+        for r in range(1, step):
+            for k in range(step, 4):
+                sl[f"a{k}{r}"][m] = sl[f"a{k}{r}"][m] + new_slices[f"a{r}{k}"]
+        for i, j in _PAIRS:
             im[j, i][m] = -im[i, j][m]
         _extend_cofactors(h, cof, m, order)
         # determinant constraint at this order, linear in the diagonal entry
@@ -418,20 +395,16 @@ def check_structure(s: CYStructureJet) -> ResidualReport:
     details["D_imag"] = det_h.im.max_abs_coeff()
 
     a = {(i, j): e[f"a{i}{j}"] for i in (1, 2, 3) for j in (1, 2, 3)}
-    b = {(1, 2): e["b12"], (1, 3): e["b13"], (2, 3): e["b23"]}
-    xs = (None, X1, X2, X3)
-    ys = (None, Y1, Y2, Y3)
-    pairs = ((1, 2), (1, 3), (2, 3))
+    b = {(i, j): e[f"b{i}{j}"] for i, j in _PAIRS}
 
     closure = {}
     for p, label in ((1, "C1"), (2, "C2.1"), (3, "C3.1")):
         closure[label] = max(
-            (b[i, j].partial(ys[p]) - a[p, j].partial(xs[i]) + a[p, i].partial(xs[j]))
-            .max_abs_coeff() for i, j in pairs)
-    for (r1, r2), label, bkey in (((1, 2), "C2.2", (1, 2)), ((1, 3), "C3.2", (1, 3)),
-                                  ((2, 3), "C3.3", (2, 3))):
-        closure[label] = max(
-            (a[r1, k].partial(ys[r2]) - a[r2, k].partial(ys[r1]) - b[bkey].partial(xs[k]))
+            (b[i, j].partial(_Y[p]) - a[p, j].partial(_X[i]) + a[p, i].partial(_X[j]))
+            .max_abs_coeff() for i, j in _PAIRS)
+    for r, p in _PAIRS:
+        closure[f"C{p}.{r + 1}"] = max(
+            (a[r, k].partial(_Y[p]) - a[p, k].partial(_Y[r]) - b[r, p].partial(_X[k]))
             .max_abs_coeff() for k in (1, 2, 3))
     for label, v1, v2, v3 in (("C4.1", X1, X2, X3), ("C4.2", Y1, Y2, Y3)):
         closure[label] = (b[2, 3].partial(v1) - b[1, 3].partial(v2)
@@ -441,7 +414,7 @@ def check_structure(s: CYStructureJet) -> ResidualReport:
     res_initial_A = max((a[i, j].restrict_zero(Y_VARS) - s.g[i - 1][j - 1]).max_abs_coeff()
                         for i in (1, 2, 3) for j in (1, 2, 3))
     res_initial_B = max(bij.restrict_zero(Y_VARS).max_abs_coeff() for bij in b.values())
-    res_symmetry = max((a[i, j] - a[j, i]).max_abs_coeff() for i, j in pairs)
+    res_symmetry = max((a[i, j] - a[j, i]).max_abs_coeff() for i, j in _PAIRS)
     res_slice_im = gamma.im.restrict_zero(Y_VARS).max_abs_coeff()
 
     report = ResidualReport(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from slagcy import Jet, family_from_entries, phi_curve, solve_calabi_yau
+from slagcy.jets import FLOAT
 from slagcy.cli import (
     KINDS,
     ScenarioError,
@@ -37,9 +38,11 @@ def structure_dump(order="2", base_point="0 0 0 0 0 0", line="0 0 0 0 0 0 : 1"):
             f"base_point = {base_point}\n[A 1 1]\n{line}\n")
 
 
-# the complete dump of the flat structure at order 2
+# the complete dump of the flat structure at order 2, exact and float
 FLAT_DUMP = dump_structure(solve_calabi_yau(
     [[Jet.constant(int(i == j), 2) for j in range(3)] for i in range(3)], 2))
+FLAT_FLOAT_DUMP = dump_structure(solve_calabi_yau(
+    [[Jet.constant(int(i == j), 2, FLOAT) for j in range(3)] for i in range(3)], 2))
 
 
 def family_scenario(kind="family-check", **fields):
@@ -108,6 +111,22 @@ MALFORMED = {
     "dump cut before [gamma re]": ("verify", FLAT_DUMP[:FLAT_DUMP.index("[gamma re]")], [],
                                    "[gamma re]"),
     "dump with an extra section": ("verify", FLAT_DUMP + "[A 1 4]\n", [], "[A 1 4]"),
+    "exact tolerance in float mode": ("embed", embed_scenario(scenario="tolerance = 1/3\n"),
+                                      ["--mode", "float"], "tolerance"),
+    "float flag on an exact dump": ("verify", FLAT_DUMP, ["--mode", "float"], "float", "exact"),
+    "exact scenario on a float dump": ("verify", FLAT_FLOAT_DUMP, [], "float", "exact"),
+    "exact family-check": ("family-check", family_scenario().replace("float", "exact"), [],
+                           "mode"),
+    "exact phi": ("phi", family_scenario(kind="phi"), ["--mode", "exact"], "mode"),
+    "exact phi2d": ("phi2d", family_scenario(kind="phi2d", dim="2", entries='g11 = "1"\n'
+                                             'g22 = "1"\n'), ["--mode", "exact"], "mode"),
+    "family-check t_samples above 17": ("family-check", family_scenario(t_samples="40"), [],
+                                        "t_samples", "17"),
+    "family-check t_samples below 2": ("family-check", family_scenario(), ["--t-samples", "1"],
+                                       "t_samples", "2"),
+    "phi2d grid above 256": ("phi2d", family_scenario(kind="phi2d", dim="2", entries='g11 = "1"\n'
+                                                      'g22 = "1"\n'), ["--grid", "300"],
+                             "grid", "256"),
 }
 
 
@@ -224,6 +243,15 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {dump}: bad structure dump header: order must be >= 2, got {order}"]
+
+    def test_tolerance_is_read_in_the_final_mode(self, tmp_path):
+        text = embed_scenario(scenario="tolerance = 0.1\n").replace("exact", "float")
+        out = tmp_path / "r.json"
+        assert main(["embed", "--scenario", write_scenario(tmp_path, text), "--mode", "exact",
+                     "--out-json", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["scenario"]["tolerance"] == "1/10"
+        assert {v["tolerance"] for v in data["verdicts"]} == {"1/10"}
 
     def test_mode_override_takes_that_modes_default_tolerance(self, tmp_path):
         path = write_scenario(

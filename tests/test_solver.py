@@ -21,6 +21,7 @@ from slagcy.jets import (
     Y1,
     Y2,
     Y3,
+    Y_VARS,
     ComplexJet,
     Jet,
     det,
@@ -28,10 +29,6 @@ from slagcy.jets import (
     jet_sqrt,
 )
 from slagcy.solver import (
-    _EVOLUTION,
-    _EVOLVE_VAR,
-    _MIRRORS,
-    _SUPPRESSED,
     CONSTANT_POLICY,
     ENTRY_KEYS,
     CYStructureJet,
@@ -479,6 +476,39 @@ def truncated(jet, order):
     return Jet(order, {i: c for i, c in jet.coeffs.items() if sum(i) <= order}, jet.mode)
 
 
+# The oracle's own statement of the closure equations each sweep integrates:
+# target -> ((sign, source, derivative-variable), ...), one first-order equation
+# d(target)/d(y_step) = sum sign * d(source)/d(var); typed out, not generated.
+EVOLUTION = {
+    1: {
+        "b12": ((1, "a12", X1), (-1, "a11", X2)),
+        "b13": ((1, "a13", X1), (-1, "a11", X3)),
+        "b23": ((1, "a13", X2), (-1, "a12", X3)),
+    },
+    2: {
+        "b12": ((1, "a22", X1), (-1, "a21", X2)),
+        "b13": ((1, "a23", X1), (-1, "a21", X3)),
+        "b23": ((1, "a23", X2), (-1, "a22", X3)),
+        "a11": ((1, "a21", Y1), (1, "b12", X1)),
+        "a12": ((1, "a22", Y1), (1, "b12", X2)),
+        "a13": ((1, "a23", Y1), (1, "b12", X3)),
+    },
+    3: {
+        "b12": ((1, "a32", X1), (-1, "a31", X2)),
+        "b13": ((1, "a33", X1), (-1, "a31", X3)),
+        "b23": ((1, "a33", X2), (-1, "a32", X3)),
+        "a11": ((1, "a31", Y1), (1, "b13", X1)),
+        "a12": ((1, "a32", Y1), (1, "b13", X2)),
+        "a13": ((1, "a33", Y1), (1, "b13", X3)),
+        "a21": ((1, "a31", Y2), (1, "b23", X1)),
+        "a22": ((1, "a32", Y2), (1, "b23", X2)),
+        "a23": ((1, "a33", Y2), (1, "b23", X3)),
+    },
+}
+# entries kept symmetric by mirroring an evolved partner: (mirror, evolved)
+MIRRORS = {1: (), 2: (("a21", "a12"), ("a31", "a13")), 3: (("a31", "a13"), ("a32", "a23"))}
+
+
 def full_determinant_sweep(step, state, gamma, policy=CONSTANT_POLICY):
     """Reference sweep: read the degree-m slice of det(h) off the full 3x3
     determinant of the state capped at degree m in the evolution variable, and
@@ -490,15 +520,15 @@ def full_determinant_sweep(step, state, gamma, policy=CONSTANT_POLICY):
     cur = dict(state.entries)
     _apply_policy(step, cur, policy)
     order = state.order
-    ev = _EVOLVE_VAR[step]
+    ev = {1: Y1, 2: Y2, 3: Y3}[step]
     d_key = {1: "a11", 2: "a22", 3: "a33"}[step]
     rows = {1: (2, 3), 2: (1, 3), 3: (1, 2)}[step]
-    gamma_sq = gamma.abs2().restrict_zero(_SUPPRESSED[step])
+    gamma_sq = gamma.abs2().restrict_zero({1: (Y2, Y3), 2: (Y3,), 3: ()}[step])
     h0 = _hmatrix(HermitianJet({k: cur[k].slice_coeff(ev, 0) for k in ENTRY_KEYS}))
     cof0 = det([[h0[i - 1][j - 1] for j in rows] for i in rows]).re
     for m in range(1, order + 1):
         new_slices = {}
-        for key, terms in _EVOLUTION[step].items():
+        for key, terms in EVOLUTION[step].items():
             rhs = None
             for sign, src, var in terms:
                 d = cur[src].slice_coeff(ev, m - 1).partial(var)
@@ -508,7 +538,7 @@ def full_determinant_sweep(step, state, gamma, policy=CONSTANT_POLICY):
             new_slices[key] = rhs / m
         for key, sl in new_slices.items():
             cur[key] = cur[key] + sl.mul_monomial(ev, m)
-        for dst, src in _MIRRORS[step]:
+        for dst, src in MIRRORS[step]:
             cur[dst] = cur[dst] + new_slices[src].mul_monomial(ev, m)
         det_rest = det(_hmatrix(HermitianJet({k: capped(cur[k], ev, m)
                                               for k in ENTRY_KEYS}))).re
@@ -644,6 +674,41 @@ class TestSliceSweep:
         calls["reciprocal"] = 0
         solve_calabi_yau(g, order)
         assert calls["reciprocal"] == 3 + in_gamma
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_derived_system_is_the_typed_out_table(self, p):
+        assert solver._evolution(p) == EVOLUTION[p]
+
+    def test_gamma_modulus_is_formed_once_per_solve_and_check(self, monkeypatch):
+        order = 4
+        g = metric_from_exprs({"g11": "1 + x2^2", "g12": "x2*x3/4", "g22": "1 + x3^2/4",
+                               "g23": "x1*x2/8", "g33": "1 + x1^2/2"}, order)
+        gamma = build_gamma(g)
+        # gamma's parts restricted to {y_p = ... = y3 = 0}, p = 1, 2, 3: none is zero
+        parts = {name: [part.restrict_zero(Y_VARS[p:]) for p in (1, 2, 3)]
+                 for name, part in (("re", gamma.re), ("im", gamma.im))}
+        assert not any(part.is_zero() for name in parts for part in parts[name])
+        squares = {"re": 0, "im": 0}
+        mul = Jet.__mul__
+
+        def counted_mul(a, b):
+            for name, restrictions in parts.items():
+                if a is b and a in restrictions:
+                    squares[name] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(Jet, "__mul__", counted_mul)
+        assert_all_zero(check_structure(solve_calabi_yau(g, order)))
+        assert squares == {"re": 1, "im": 1}
+
+    @pytest.mark.parametrize("entries", TRIG_METRICS)
+    def test_restricted_modulus_equals_modulus_of_the_restriction(self, entries):
+        # the same coefficients in the same dict order, so float sweeps are bitwise unchanged
+        gamma = build_gamma(metric_from_exprs(entries, 6, FLOAT))
+        for p in (1, 2, 3):
+            restricted = gamma.abs2().restrict_zero(Y_VARS[p:])
+            assert list(restricted.coeffs.items()) == list(
+                gamma.restrict_zero(Y_VARS[p:]).abs2().coeffs.items())
 
     def test_degenerate_cofactor_names_its_minor(self):
         order = 2
