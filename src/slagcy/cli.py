@@ -25,6 +25,7 @@ import argparse
 import configparser
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -203,7 +204,6 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
         sc.order = sect.getint("order", sc.order)
         sc.grid = sect.getint("grid", sc.grid)
         sc.t_samples = sect.getint("t_samples", sc.t_samples)
-        sc.phi_tolerance = sect.getfloat("phi_tolerance", sc.phi_tolerance)
     except ValueError as exc:
         raise ScenarioError(f"bad numeric value in [scenario]: {exc}") from exc
 
@@ -221,15 +221,30 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(sc, key, value)
-    tol_text = sect.get("tolerance", "").strip()
+    if "phi_tolerance" in sect:
+        sc.phi_tolerance = _tolerance("phi_tolerance", sect["phi_tolerance"], FLOAT)
     if sc.tolerance is None:
-        try:
-            sc.tolerance = (Fraction(tol_text or 0) if sc.mode == EXACT
-                            else float(tol_text or 1e-12))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScenarioError(f"bad tolerance {tol_text!r} in {sc.mode} mode") from exc
+        default = "0" if sc.mode == EXACT else "1e-12"
+        sc.tolerance = _tolerance("tolerance", sect.get("tolerance") or default, sc.mode)
     _validate(sc)
     return sc
+
+
+# an exact tolerance: p, p/q or a decimal whose exponent has at most 3 digits
+_EXACT_TOLERANCE = re.compile(r"[0-9]+/[0-9]+|([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]{1,3})?")
+
+
+def _tolerance(key: str, text: str, mode: str):
+    """A finite, non-negative tolerance read in ``mode``; str() of it, which
+    the report echoes, must stay within 4300 digits."""
+    try:
+        if mode == FLOAT or _EXACT_TOLERANCE.fullmatch(text):
+            value = float(text) if mode == FLOAT else Fraction(text)
+            if 0 <= value < float("inf") and str(value):
+                return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ScenarioError(f"bad {key} {text!r} in {mode} mode: need a finite number >= 0")
 
 
 def _validate(sc: Scenario) -> None:

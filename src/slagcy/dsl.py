@@ -22,10 +22,13 @@ from typing import Union
 
 import numpy as np
 
-from .jets import EXACT, Jet, JetDomainError, jet_cos, jet_exp, jet_log, jet_pow, jet_sin, jet_sqrt
+from .jets import EXACT, Jet, JetDomainError, jet_call, jet_pow
 
 VARIABLES = ("t", "x1", "x2", "x3")
-FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
+# name -> (sample evaluator, needs a positive argument); jets use jets.jet_call
+_FUNCTION_TABLE = {"exp": (np.exp, False), "log": (np.log, True), "sin": (np.sin, False),
+                   "cos": (np.cos, False), "sqrt": (np.sqrt, True)}
+FUNCTIONS = tuple(_FUNCTION_TABLE)
 CONSTANTS = ("pi", "e")
 
 
@@ -376,16 +379,11 @@ def eval_grid(e: Expr, env: dict) -> np.ndarray:
         return base ** float(e.exponent)
     if isinstance(e, Call):
         arg = eval_grid(e.arg, env)
-        if e.fn == "exp":
-            return np.exp(arg)
-        if e.fn == "sin":
-            return np.sin(arg)
-        if e.fn == "cos":
-            return np.cos(arg)
-        bad = arg <= 0.0
-        if np.any(bad):
-            raise EvalDomainError(f"{e.fn} of non-positive sample at grid index {_domain_index(bad)}")
-        return np.log(arg) if e.fn == "log" else np.sqrt(arg)
+        fn, positive = _FUNCTION_TABLE[e.fn]
+        if positive and np.any(arg <= 0.0):
+            raise EvalDomainError(f"{e.fn} of non-positive sample at grid index "
+                                  f"{_domain_index(arg <= 0.0)}")
+        return fn(arg)
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -424,7 +422,5 @@ def eval_jet(e: Expr, env: dict) -> Jet:
     if isinstance(e, Pow):
         return jet_pow(eval_jet(e.base, env), e.exponent)
     if isinstance(e, Call):
-        arg = eval_jet(e.arg, env)
-        fn = {"exp": jet_exp, "log": jet_log, "sin": jet_sin, "cos": jet_cos, "sqrt": jet_sqrt}[e.fn]
-        return fn(arg)
+        return jet_call(e.fn, eval_jet(e.arg, env))
     raise TypeError(f"not an Expr: {e!r}")

@@ -191,9 +191,7 @@ class Jet:
         v = _coerce(other, self.mode)
         if v == 0:
             raise JetDomainError("division by zero scalar")
-        if self.mode == EXACT:
-            return self * (Fraction(1) / v)
-        return self * (1.0 / v)
+        return self * (1 / v)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -268,9 +266,7 @@ class Jet:
         """Debug dump: one "multi-index : coefficient" line in graded-lex order."""
         lines = []
         for idx in sorted(self.coeffs, key=grlex_key):
-            v = self.coeffs[idx]
-            sv = str(v) if self.mode == EXACT else repr(v)
-            lines.append(" ".join(str(e) for e in idx) + " : " + sv)
+            lines.append(" ".join(str(e) for e in idx) + " : " + str(self.coeffs[idx]))
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -328,65 +324,12 @@ def mul_sum(terms, order: int) -> Jet:
 # -- elementary functions -----------------------------------------------------
 
 
-def _factorials(order: int):
-    out = [1]
-    for k in range(1, order + 1):
-        out.append(out[-1] * k)
-    return out
-
-
-def _exp_coeffs(c, order: int, mode: str):
-    fact = _factorials(order)
-    if mode == EXACT:
-        if c != 0:
-            raise JetDomainError("exact exp needs constant term 0")
-        return [Fraction(1, fact[k]) for k in range(order + 1)]
-    e = math.exp(c)
-    return [e / fact[k] for k in range(order + 1)]
-
-def _log_coeffs(c, order: int, mode: str):
-    if c <= 0:
-        raise JetDomainError(f"log needs positive constant term, got {c}")
-    if mode == EXACT:
-        if c != 1:
-            raise JetDomainError("exact log needs constant term 1")
-        return [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)]
-    out = [math.log(c)]
-    ck = 1.0
-    for k in range(1, order + 1):
-        ck *= c
-        out.append((-1.0) ** (k + 1) / (k * ck))
-    return out
-
-def _sin_coeffs(c, order: int, mode: str):
-    fact = _factorials(order)
-    if mode == EXACT:
-        if c != 0:
-            raise JetDomainError("exact sin needs constant term 0")
-        cycle = [Fraction(0), Fraction(1), Fraction(0), Fraction(-1)]
-    else:
-        s, co = math.sin(c), math.cos(c)
-        cycle = [s, co, -s, -co]
-    return [cycle[k % 4] / fact[k] for k in range(order + 1)]
-
-def _cos_coeffs(c, order: int, mode: str):
-    fact = _factorials(order)
-    if mode == EXACT:
-        if c != 0:
-            raise JetDomainError("exact cos needs constant term 0")
-        cycle = [Fraction(1), Fraction(0), Fraction(-1), Fraction(0)]
-    else:
-        s, co = math.sin(c), math.cos(c)
-        cycle = [co, -s, -co, s]
-    return [cycle[k % 4] / fact[k] for k in range(order + 1)]
+# exact mode's one constant term per function: the value there, 0 or 1, is exact in floats
+_EXACT_AT = {"exp": 0, "log": 1, "sin": 0, "cos": 0}
 
 
 def _integer_nth_root(n: int, d: int) -> int | None:
-    """Exact d-th root of a non-negative integer, or None."""
-    if n < 0:
-        return None
-    if n in (0, 1) or d == 1:
-        return n
+    """Exact d-th root of a positive integer, or None."""
     x = 1 << -(-n.bit_length() // d)  # upper bound
     while True:
         y = ((d - 1) * x + n // x ** (d - 1)) // d
@@ -397,74 +340,73 @@ def _integer_nth_root(n: int, d: int) -> int | None:
 
 
 def _exact_pow(c: Fraction, r: Fraction) -> Fraction:
-    """c**r as an exact rational; raises if the result is irrational."""
-    if c <= 0:
-        raise JetDomainError(f"rational power needs positive constant term, got {c}")
-    num, den = r.numerator, r.denominator
-    p = _integer_nth_root(c.numerator, den)
-    q = _integer_nth_root(c.denominator, den)
+    """c**r for a positive rational c, as an exact rational; raises if it is irrational."""
+    p = _integer_nth_root(c.numerator, r.denominator)
+    q = _integer_nth_root(c.denominator, r.denominator)
     if p is None or q is None:
-        raise JetDomainError(
-            f"{c}**(1/{den}) is irrational; use float mode or adjust the constant term")
-    root = Fraction(p, q)
-    return root ** num
+        raise JetDomainError(f"{c}**(1/{r.denominator}) is irrational; "
+                             "use float mode or adjust the constant term")
+    return Fraction(p, q) ** r.numerator
 
 
-def _pow_coeffs(c, r: Fraction, order: int, mode: str):
-    # Generalized binomial series: (c + u)**r = c**r * sum binom(r,k) (u/c)**k.
-    if mode == EXACT:
-        head = _exact_pow(c, r)
-        out = [head]
+def _series(fn, c, order: int, mode: str) -> list:
+    """Taylor coefficients of fn at c, k = 0..order: the k-th multiplies u**k
+    in fn(c + u), and fn is exp, log, sin, cos or a Fraction r for u -> u**r.
+    Each recurrence runs on Fractions and floats alike; exact mode needs fn(c)
+    rational: c = 0 for exp, sin and cos, c = 1 for log, a rational root for r."""
+    exact, power = mode == EXACT, isinstance(fn, Fraction)
+    if (power or fn == "log") and c <= 0:
+        what = "rational power" if power else "log"
+        raise JetDomainError(f"{what} needs positive constant term, got {c}")
+    if power:  # generalized binomial series: (c + u)**r = c**r * sum binom(r,k) (u/c)**k
+        r = fn if exact else float(fn)
+        out = [_exact_pow(c, fn) if exact else c ** r]
         for k in range(1, order + 1):
-            head = head * (r - k + 1) / k / c
-            out.append(head)
+            out.append(out[-1] * (r - k + 1) / k / c)
         return out
-    if c <= 0:
-        raise JetDomainError(f"rational power needs positive constant term, got {c}")
-    head = c ** float(r)
-    out = [head]
-    rf = float(r)
-    for k in range(1, order + 1):
-        head = head * (rf - k + 1) / k / c
-        out.append(head)
-    return out
+    point = _EXACT_AT[fn]
+    if exact and c != point:
+        raise JetDomainError(f"exact {fn} needs constant term {point}")
+    num = Fraction if exact else float
+    if fn == "log":  # (-1)**(k + 1) / (k * c**k) for k >= 1
+        out = [num(math.log(c))]
+        one = ck = num(1)
+        for k in range(1, order + 1):
+            ck *= c
+            out.append((-one) ** (k + 1) / (k * ck))
+        return out
+    # f^(k)(c) / k!: exp repeats exp(c); cos runs through sin's cycle one step ahead
+    if fn == "exp":
+        cycle = [num(math.exp(c))] * 4
+    else:
+        s, co = num(math.sin(c)), num(math.cos(c))
+        cycle = [s, co, -s, -co]
+    return [cycle[(k + (fn == "cos")) % 4] / math.factorial(k) for k in range(order + 1)]
 
 
-def _compose(a: Jet, coeff_list) -> Jet:
-    """Horner evaluation of a scalar Taylor series on the nilpotent part of ``a``."""
+def _compose(a: Jet, fn) -> Jet:
+    """fn(a): the Taylor series of fn at the constant term, by Horner on the rest."""
+    coeffs = _series(fn, a.constant_term, a.order, a.mode)
     tilde = a - a.constant_term
-    res = Jet.constant(coeff_list[-1], a.order, a.mode)
-    for k in range(len(coeff_list) - 2, -1, -1):
-        res = res * tilde + coeff_list[k]
+    res = Jet.constant(coeffs[-1], a.order, a.mode)
+    for ck in reversed(coeffs[:-1]):
+        res = res * tilde + ck
     return res
 
 
-def jet_exp(a: Jet) -> Jet:
-    return _compose(a, _exp_coeffs(a.constant_term, a.order, a.mode))
+def jet_call(name: str, a: Jet) -> Jet:
+    """The DSL function ``name`` (exp, log, sin, cos or sqrt) of a jet."""
+    return _compose(a, Fraction(1, 2) if name == "sqrt" else name)
 
-def jet_log(a: Jet) -> Jet:
-    return _compose(a, _log_coeffs(a.constant_term, a.order, a.mode))
-
-def jet_sin(a: Jet) -> Jet:
-    return _compose(a, _sin_coeffs(a.constant_term, a.order, a.mode))
-
-def jet_cos(a: Jet) -> Jet:
-    return _compose(a, _cos_coeffs(a.constant_term, a.order, a.mode))
 
 def jet_pow(a: Jet, r) -> Jet:
-    """a**r for a rational exponent.
-
-    Non-negative integer exponents reduce to repeated multiplication and allow
-    a vanishing constant term; all other exponents need a positive constant
-    term (exactly representable in exact mode).
-    """
+    """a**r for a rational exponent.  Non-negative integer exponents reduce to
+    repeated multiplication and allow a vanishing constant term; all other
+    exponents need a positive constant term (a rational root in exact mode)."""
     r = Fraction(r)
     if r.denominator == 1 and r >= 0:
         return a ** int(r)
-    return _compose(a, _pow_coeffs(a.constant_term, r, a.order, a.mode))
-
-def jet_sqrt(a: Jet) -> Jet:
-    return _compose(a, _pow_coeffs(a.constant_term, Fraction(1, 2), a.order, a.mode))
+    return _compose(a, r)
 
 
 # -- complex jets and holomorphic extension -----------------------------------

@@ -50,7 +50,7 @@ from .jets import (
     JetError,
     det,
     holomorphic_extend,
-    jet_sqrt,
+    jet_pow,
     leading_minors,
     mul_sum,
 )
@@ -244,11 +244,16 @@ def build_gamma(g) -> ComplexJet:
     """Holomorphic extension of sqrt(det g): the unique coefficient of the
     holomorphic volume form restricting to the volume density on y = 0."""
     _validate_metric(g)
+    return _gamma(g)
+
+
+def _gamma(g) -> ComplexJet:
+    """build_gamma of a metric _validate_metric has passed."""
     d = det(g)
     if not float(d.constant_term) > 0:
         raise DegenerateMetricError(
             f"det(g) has non-positive constant term {d.constant_term}")
-    return holomorphic_extend(jet_sqrt(d))
+    return holomorphic_extend(jet_pow(d, Fraction(1, 2)))
 
 
 # -- the three evolution sweeps ----------------------------------------------------
@@ -369,7 +374,7 @@ def solve_calabi_yau(g, order: int, policy: ExtensionPolicy = CONSTANT_POLICY) -
     if order < 2:
         raise SolverError(f"order must be >= 2, got {order}")
     _validate_metric(g, order)
-    gamma = build_gamma(g)
+    gamma = _gamma(g)
     zero = g[0][0].zero_like()
     entries = {f"a{i}{j}": g[i - 1][j - 1] for i in (1, 2, 3) for j in (1, 2, 3)}
     entries.update({"b12": zero, "b13": zero, "b23": zero})
@@ -453,10 +458,6 @@ _DUMP_SECTIONS = (tuple(f"A {i} {j}" for i in (1, 2, 3) for j in (1, 2, 3))
                   + ("gamma re", "gamma im"))
 
 
-def _dump_scalar(v, mode: str) -> str:
-    return str(v) if mode == EXACT else repr(float(v))
-
-
 # str() of a Fraction, the only exact form dumps hold; Fraction(text) would
 # also read exponents, and '1e100000000' has a hundred million digits
 _EXACT_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -474,9 +475,8 @@ def _parse_scalar(text: str, mode: str):
 def dump_structure(s: CYStructureJet) -> str:
     """Stable text dump: per entry, "multi-index : coefficient" lines in
     graded-lex order.  The header's base_point is always the origin."""
-    mode = s.mode
-    lines = [_DUMP_HEADER, f"mode = {mode}", f"order = {s.order}",
-             "base_point = " + " ".join([_dump_scalar(0, mode)] * NVARS)]
+    lines = [_DUMP_HEADER, f"mode = {s.mode}", f"order = {s.order}",
+             "base_point = " + " ".join([str(s.gamma.re.zero_like().constant_term)] * NVARS)]
     def emit(tag, jet):
         lines.append(f"[{tag}]")
         dump = jet.dumps()

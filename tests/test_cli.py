@@ -1,7 +1,9 @@
+import ast
 import importlib.util
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +126,24 @@ MALFORMED = {
                                         "t_samples", "17"),
     "family-check t_samples below 2": ("family-check", family_scenario(), ["--t-samples", "1"],
                                        "t_samples", "2"),
+    "exact tolerance 1e5000": ("embed", embed_scenario(scenario="tolerance = 1e5000\n"), [],
+                               "tolerance"),
+    "exact tolerance 1e1000": ("embed", embed_scenario(scenario="tolerance = 1e1000\n"), [],
+                               "tolerance"),
+    "exact tolerance of 4999 digits": ("embed", embed_scenario(
+        scenario=f"tolerance = {'9' * 4000}e999\n"), [], "tolerance"),
+    "negative exact tolerance": ("embed", embed_scenario(scenario="tolerance = -1/2\n"), [],
+                                 "tolerance"),
+    "infinite float tolerance": ("embed", embed_scenario(scenario="tolerance = inf\n"),
+                                 ["--mode", "float"], "tolerance"),
+    "nan float tolerance": ("embed", embed_scenario(scenario="tolerance = nan\n"),
+                            ["--mode", "float"], "tolerance"),
+    "infinite phi_tolerance": ("phi2d", family_scenario(kind="phi2d", dim="2", entries='g11 = "1"\n'
+                                                        'g22 = "1"\n').replace(
+        "grid = 16\n", "grid = 16\nphi_tolerance = inf\n"), [], "phi_tolerance"),
+    "negative phi_tolerance": ("phi2d", family_scenario(kind="phi2d", dim="2", entries='g11 = "1"\n'
+                                                        'g22 = "1"\n').replace(
+        "grid = 16\n", "grid = 16\nphi_tolerance = -1e-8\n"), [], "phi_tolerance"),
     "phi2d grid above 256": ("phi2d", family_scenario(kind="phi2d", dim="2", entries='g11 = "1"\n'
                                                       'g22 = "1"\n'), ["--grid", "300"],
                              "grid", "256"),
@@ -162,6 +182,18 @@ class TestScenarioLoading:
         assert sc.order == 4
 
 
+    @pytest.mark.parametrize("text, value", [("0", 0), ("1/3", Fraction(1, 3)),
+                                             ("0.1", Fraction(1, 10)), ("2.5E+3", 2500),
+                                             ("1e-999", Fraction(1, 10 ** 999))])
+    def test_exact_tolerance_reads_exactly(self, text, value, tmp_path):
+        sc = load_scenario(write_scenario(tmp_path, embed_scenario(f"tolerance = {text}\n")))
+        assert type(sc.tolerance) is Fraction and sc.tolerance == value
+
+    def test_shipped_float_tolerance_reads_in_exact_mode(self):
+        sc = load_scenario(SCENARIOS / "trig_embed.ini", {"mode": "exact"})
+        assert sc.tolerance == Fraction(1, 10 ** 12)
+
+
 class TestBenchmarkScenarios:
     def test_every_workload_scenario_loads(self, tmp_path, monkeypatch):
         # pass 0 of each benchmark workload, written as the benchmark writes it
@@ -186,6 +218,35 @@ class TestBenchmarkScenarios:
         done = subprocess.run([sys.executable, str(REPO / "perfbench" / "selftest.py")],
                               cwd=REPO, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
+
+    def test_traced_replay_names_exist(self):
+        # Only the traced benchmark run reaches these names: its replay calls
+        # the modules' attributes and Tracer.patched wraps (object, attribute)
+        # targets, so a rename would otherwise first fail there.
+        tree = ast.parse((REPO / "perfbench" / "worker.py").read_text(encoding="utf-8"))
+        modules = {name: importlib.import_module(f"slagcy.{name}")
+                   for name in ("cli", "families", "hodge", "solver")}
+
+        def resolve(node):
+            if isinstance(node, ast.Name):
+                return modules[node.id]
+            return getattr(resolve(node.value), node.attr)
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("slagcy"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                assert hasattr(modules[node.value.id], node.attr), f"{node.value.id}.{node.attr}"
+        patched = next(node for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef) and node.name == "patched")
+        targets = [t.elts for node in ast.walk(patched) if isinstance(node, ast.List)
+                   for t in node.elts]
+        assert len(targets) == 5
+        for obj, attr, _ in targets:
+            assert hasattr(resolve(obj), attr.value), f"{ast.unparse(obj)}.{attr.value}"
 
 
 class TestExitCodes:

@@ -4,11 +4,13 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slagcy.dsl import eval_jet, parse
 from slagcy.jets import (
     EXACT,
     FLOAT,
@@ -28,12 +30,8 @@ from slagcy.jets import (
     det,
     grlex_key,
     holomorphic_extend,
-    jet_cos,
-    jet_exp,
-    jet_log,
+    jet_call,
     jet_pow,
-    jet_sin,
-    jet_sqrt,
     leading_minors,
     mul_sum,
 )
@@ -255,31 +253,31 @@ class TestRingAxiomsGenerated:
 class TestElementary:
     def test_sqrt_binomial(self):
         a = 1 + var(X1, order=2)
-        s = jet_sqrt(a)
+        s = jet_call("sqrt", a)
         assert s == Jet.from_terms(
             {(0,) * 6: 1, (1, 0, 0, 0, 0, 0): Fraction(1, 2),
              (2, 0, 0, 0, 0, 0): Fraction(-1, 8)}, 2)
         assert s * s == a
 
     def test_exp_of_zero_jet(self):
-        assert jet_exp(const(0)) == const(1)
+        assert jet_call("exp", const(0)) == const(1)
 
     def test_sin_matches_taylor(self):
         x2 = var(X2, order=3)
-        assert jet_sin(x2) == x2 - x2 * x2 * x2 / 6
+        assert jet_call("sin", x2) == x2 - x2 * x2 * x2 / 6
 
     def test_float_mode_matches_scalar_functions(self):
         # constant-term-only jets reproduce the scalar functions
-        for c, fn, ref in ((0.3, jet_exp, math.exp), (1.7, jet_log, math.log),
-                           (0.9, jet_sin, math.sin), (0.9, jet_cos, math.cos)):
-            jet = fn(Jet.constant(c, 3, FLOAT))
+        for c, fn, ref in ((0.3, "exp", math.exp), (1.7, "log", math.log),
+                           (0.9, "sin", math.sin), (0.9, "cos", math.cos)):
+            jet = jet_call(fn, Jet.constant(c, 3, FLOAT))
             assert jet.constant_term == pytest.approx(ref(c), abs=1e-15)
 
     def test_exp_log_inverse(self):
         rng = random.Random(3)
         a = random_jet(rng, order=4, vars=(X1, X2)) * Fraction(1, 10)
         a = a - a.constant_term  # zero constant term for exact exp
-        assert jet_log(jet_exp(a) ) == a
+        assert jet_call("log", jet_call("exp", a)) == a
 
     def test_pow_rational_consistency(self):
         a = 1 + var(X2, order=4)
@@ -288,19 +286,96 @@ class TestElementary:
 
     def test_exact_root_extraction(self):
         a = 4 + var(X1, order=2) * 4
-        s = jet_sqrt(a)
+        s = jet_call("sqrt", a)
         assert s.constant_term == 2
         assert s * s == a
         with pytest.raises(JetDomainError, match="irrational"):
-            jet_sqrt(2 + var(X1, order=2))
+            jet_call("sqrt", 2 + var(X1, order=2))
 
     def test_domain_errors(self):
         with pytest.raises(JetDomainError):
-            jet_log(var(X1))  # constant term 0
+            jet_call("log", var(X1))  # constant term 0
         with pytest.raises(JetDomainError):
-            jet_sqrt(const(-1) + var(X1))
+            jet_call("sqrt", const(-1) + var(X1))
         with pytest.raises(JetDomainError):
-            jet_exp(const(1))  # e is irrational; exact mode
+            jet_call("exp", const(1))  # e is irrational; exact mode
+
+
+# the series of jet_call and jet_pow against mpmath: function, its mpmath form,
+# and whether it needs a positive constant term
+SERIES = [("exp", mpmath.exp, False), ("log", mpmath.log, True), ("sin", mpmath.sin, False),
+          ("cos", mpmath.cos, False), ("sqrt", mpmath.sqrt, True)]
+SERIES += [(r, lambda x, r=r: x ** (mpmath.mpf(r.numerator) / r.denominator), True)
+           for r in (Fraction(-1), Fraction(1, 3), Fraction(-3, 2), Fraction(5, 2))]
+
+
+def series_of(fn, c, order, mode):
+    """Coefficients of u**k, k = 0..order, in fn(c + u), read off the jet in x1."""
+    a = Jet.constant(c, order, mode) + Jet.variable(X1, order, mode)
+    jet = jet_call(fn, a) if isinstance(fn, str) else jet_pow(a, fn)
+    return [jet.coeffs.get((k, 0, 0, 0, 0, 0), 0) for k in range(order + 1)]
+
+
+def dyadic(q):
+    return q.denominator & (q.denominator - 1) == 0
+
+
+class TestSeries:
+    @pytest.mark.parametrize("fn, ref, positive", SERIES, ids=[str(f[0]) for f in SERIES])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_float_series_matches_mpmath(self, fn, ref, positive, data):
+        # constant terms on a 1/1000 grid: no point but 0 lies near a zero of
+        # sin or cos, so every nonzero coefficient is far above mpmath's error
+        lo = 50 if positive else -5000
+        c = data.draw(st.integers(lo, 10000 if positive else 5000)) / 1000
+        order = data.draw(st.integers(1, 10))
+        with mpmath.workdps(40):
+            want = mpmath.taylor(ref, mpmath.mpf(c), order)
+            for k, got in enumerate(series_of(fn, c, order, FLOAT)):
+                assert abs(got - want[k]) <= 1e-14 * abs(want[k]), (k, got, want[k])
+
+    @pytest.mark.parametrize("fn, c", [
+        ("exp", 0), ("sin", 0), ("cos", 0), ("log", 1), ("sqrt", 4), ("sqrt", Fraction(9, 4)),
+        (Fraction(-1), 3), (Fraction(-1), Fraction(1, 4)), (Fraction(1, 3), Fraction(1, 8)),
+        (Fraction(1, 3), 27), (Fraction(-3, 2), 4), (Fraction(-3, 2), Fraction(9, 4)),
+        (Fraction(5, 2), 4), (Fraction(5, 2), Fraction(1, 4))])
+    def test_exact_series_is_the_float_series(self, fn, c):
+        # one recurrence for both modes: bit for bit where the float one rounds
+        # once per coefficient (exp, log, sin, cos) or nowhere (every power
+        # coefficient dyadic), else to 4 ulps
+        exact = series_of(fn, Fraction(c), 10, EXACT)
+        floats = series_of(fn, float(c), 10, FLOAT)
+        if fn in ("exp", "log", "sin", "cos") or all(dyadic(q) for q in exact):
+            assert [float(q) for q in exact] == floats
+        for q, f in zip(exact, floats):
+            assert f == pytest.approx(float(q), rel=4 * 2.0 ** -52, abs=0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: jet_call("exp", const(1) + var(X1)), "exact exp needs constant term 0"),
+        (lambda: jet_call("sin", const(Fraction(1, 2))), "exact sin needs constant term 0"),
+        (lambda: jet_call("cos", const(-1) + var(X2)), "exact cos needs constant term 0"),
+        (lambda: jet_call("log", const(2) + var(X1)), "exact log needs constant term 1"),
+        (lambda: jet_call("log", var(X1)), "log needs positive constant term, got 0"),
+        (lambda: jet_call("log", const(-1.5, mode=FLOAT)),
+         "log needs positive constant term, got -1.5"),
+        (lambda: jet_call("sqrt", const(-1) + var(X1)),
+         "rational power needs positive constant term, got -1"),
+        (lambda: jet_pow(var(X1, mode=FLOAT), Fraction(-1, 3)),
+         "rational power needs positive constant term, got 0.0"),
+        (lambda: jet_call("sqrt", const(2) + var(X1)),
+         "2**(1/2) is irrational; use float mode or adjust the constant term"),
+        (lambda: jet_pow(const(Fraction(9, 4)), Fraction(2, 3)),
+         "9/4**(1/3) is irrational; use float mode or adjust the constant term"),
+        (lambda: eval_jet(parse("1 + pi*x1"), {"x1": var(X1)}),
+         "constant pi is irrational; not representable in exact mode"),
+        (lambda: eval_jet(parse("e"), {"x1": var(X1)}),
+         "constant e is irrational; not representable in exact mode"),
+    ])
+    def test_domain_errors(self, call, message):
+        with pytest.raises(JetDomainError) as err:
+            call()
+        assert type(err.value) is JetDomainError and str(err.value) == message
 
 
 class TestPartial:

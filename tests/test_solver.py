@@ -26,7 +26,6 @@ from slagcy.jets import (
     Jet,
     det,
     holomorphic_extend,
-    jet_sqrt,
 )
 from slagcy.solver import (
     CONSTANT_POLICY,
