@@ -16,8 +16,10 @@ chain of such literals.  Number literals are decimal and parsed exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -25,11 +27,8 @@ import numpy as np
 from .jets import EXACT, Jet, JetDomainError, jet_call, jet_pow
 
 VARIABLES = ("t", "x1", "x2", "x3")
-# name -> (sample evaluator, needs a positive argument); jets use jets.jet_call
-_FUNCTION_TABLE = {"exp": (np.exp, False), "log": (np.log, True), "sin": (np.sin, False),
-                   "cos": (np.cos, False), "sqrt": (np.sqrt, True)}
-FUNCTIONS = tuple(_FUNCTION_TABLE)
-CONSTANTS = ("pi", "e")
+FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")  # samples: _SAMPLES; jets: jets.jet_call
+CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
 class ParseError(Exception):
@@ -42,7 +41,7 @@ class ParseError(Exception):
 
 
 class EvalDomainError(Exception):
-    """A sample or base point fell outside a function's domain."""
+    """A sample outside the domain table, a non-finite value or an unbound variable."""
 
 
 @dataclass(frozen=True)
@@ -260,167 +259,102 @@ def parse(text: str) -> Expr:
         raise ParseError(parser.peek()[2], "an expression nested less deeply") from None
 
 
-# -- canonical printer -----------------------------------------------------------
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return 1 if e.op in "+-" else 2
-    if isinstance(e, Neg):
-        return 3
-    if isinstance(e, Pow):  # a power base that is a power needs parentheses
-        return 4
-    return 9
-
-
-def _fmt_fraction(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def to_text(e: Expr) -> str:
-    """Canonical rendering; parse(to_text(parse(s))) == parse(s)."""
-    if isinstance(e, Num):
-        if e.value.denominator == 1:
-            return str(e.value.numerator)
-        return f"({_fmt_fraction(e.value)})"
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        inner = to_text(e.arg)
-        if _prec(e.arg) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, BinOp):
-        lp, rp = _prec(e.left), _prec(e.right)
-        mine = _prec(e)
-        left = to_text(e.left)
-        right = to_text(e.right)
-        if lp < mine:
-            left = f"({left})"
-        # left-associativity: parenthesize a right operand of equal precedence
-        if rp < mine or (rp == mine and isinstance(e.right, BinOp)) or isinstance(e.right, Neg):
-            right = f"({right})"
-        return f"{left}{e.op}{right}"
-    if isinstance(e, Pow):
-        base = to_text(e.base)
-        if _prec(e.base) < 9:
-            base = f"({base})"
-        exp = e.exponent
-        if exp.denominator == 1 and exp >= 0:
-            return f"{base}^{exp.numerator}"
-        return f"{base}^({_fmt_fraction(exp)})"
-    if isinstance(e, Call):
-        return f"{e.fn}({to_text(e.arg)})"
+def _walk(e: Expr, env: dict, arith: dict):
+    """The one walk over the seven node types.  ``env`` binds names to values;
+    ``arith`` maps "var", "num", "const", "neg", the operators, "^" and the functions
+    to the values' arithmetic, and "overflow" to the error a float overflow raises."""
+    try:
+        if isinstance(e, Num):
+            return arith["num"](e.value)
+        if isinstance(e, Const):
+            return arith["const"](e.name)
+        if isinstance(e, Var):
+            if e.name not in env:
+                raise EvalDomainError(f"unbound variable {e.name!r}")
+            return arith["var"](env[e.name])
+        if isinstance(e, Neg):
+            return arith["neg"](_walk(e.arg, env, arith))
+        if isinstance(e, BinOp):
+            return arith[e.op](_walk(e.left, env, arith), _walk(e.right, env, arith))
+        if isinstance(e, Pow):
+            return arith["^"](_walk(e.base, env, arith), e.exponent)
+        if isinstance(e, Call):
+            return arith[e.fn](_walk(e.arg, env, arith))
+    except OverflowError:  # e.g. a literal or an exp beyond the double range
+        raise arith["overflow"]("float overflow") from None
     raise TypeError(f"not an Expr: {e!r}")
+
+
+_NAMES = {**dict.fromkeys(("var", "neg", *FUNCTIONS), set), **dict.fromkeys("+-*/", operator.or_),
+          "num": lambda _: set(), "const": lambda _: set(), "^": lambda base, _: base}
 
 
 def free_variables(e: Expr) -> set:
-    """Names of the variables the expression actually uses."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return free_variables(e.arg)
-    if isinstance(e, BinOp):
-        return free_variables(e.left) | free_variables(e.right)
-    if isinstance(e, Pow):
-        return free_variables(e.base)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    return set()
+    """Names of the variables the expression uses: the walk over sets of names."""
+    return _walk(e, {name: {name} for name in VARIABLES}, _NAMES)
 
 
-# -- evaluation to grid samples ---------------------------------------------------
+# -- evaluation ----------------------------------------------------------------------
+
+_RING = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _domain_index(bad: np.ndarray):
-    flat = int(np.argmax(bad))
-    return tuple(int(i) for i in np.unravel_index(flat, bad.shape))
+def _in_domain(samples, bad, what: str):
+    """``samples``, unless ``bad`` holds at a grid index: EvalDomainError names it."""
+    if bad.any():
+        index = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
+        raise EvalDomainError(f"{what} at grid index {tuple(int(i) for i in index)}")
+    return samples
 
 
+def _sample_pow(base, r: Fraction):
+    if r.denominator != 1:
+        return _in_domain(base, base <= 0, "fractional power of a non-positive sample") ** float(r)
+    base = _in_domain(base, base == 0, "negative power of a zero sample") if r < 0 else base
+    return base ** int(r)
+
+
+# The one domain table: "/" and a negative integer "^" need non-zero samples;
+# a fractional "^", log and sqrt need positive ones.
+_SAMPLES = {**_RING, "var": partial(np.asarray, dtype=np.float64), "num": np.float64,
+            "const": lambda name: np.float64(CONSTANTS[name]), "^": _sample_pow,
+            "/": lambda a, b: a / _in_domain(b, b == 0, "division by a zero sample"),
+            "log": lambda a: np.log(_in_domain(a, a <= 0, "log of a non-positive sample")),
+            "sqrt": lambda a: np.sqrt(_in_domain(a, a <= 0, "sqrt of a non-positive sample")),
+            "exp": np.exp, "sin": np.sin, "cos": np.cos, "overflow": EvalDomainError}
+
+
+@np.errstate(all="raise", under="ignore")
 def eval_grid(e: Expr, env: dict) -> np.ndarray:
-    """Pointwise double-precision evaluation; ``env`` binds variable names to
-    floats or broadcastable arrays.  Raises EvalDomainError with the offending
-    grid index for log/sqrt/fractional powers of non-positive samples."""
-    if isinstance(e, Num):
-        return np.float64(e.value)
-    if isinstance(e, Const):
-        return np.float64(math.pi if e.name == "pi" else math.e)
-    if isinstance(e, Var):
-        if e.name not in env:
-            raise EvalDomainError(f"unbound variable {e.name!r}")
-        return np.asarray(env[e.name], dtype=np.float64)
-    if isinstance(e, Neg):
-        return -eval_grid(e.arg, env)
-    if isinstance(e, BinOp):
-        left = eval_grid(e.left, env)
-        right = eval_grid(e.right, env)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        bad = right == 0.0
-        if np.any(bad):
-            raise EvalDomainError(f"division by zero at grid index {_domain_index(bad)}")
-        return left / right
-    if isinstance(e, Pow):
-        base = eval_grid(e.base, env)
-        if e.exponent.denominator == 1:
-            return base ** int(e.exponent)
-        bad = base <= 0.0
-        if np.any(bad):
-            raise EvalDomainError(
-                f"fractional power of non-positive sample at grid index {_domain_index(bad)}")
-        return base ** float(e.exponent)
-    if isinstance(e, Call):
-        arg = eval_grid(e.arg, env)
-        fn, positive = _FUNCTION_TABLE[e.fn]
-        if positive and np.any(arg <= 0.0):
-            raise EvalDomainError(f"{e.fn} of non-positive sample at grid index "
-                                  f"{_domain_index(arg <= 0.0)}")
-        return fn(arg)
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-# -- evaluation to jets ------------------------------------------------------------
+    """Pointwise double-precision evaluation; ``env`` binds variable names to floats
+    or broadcastable arrays.  A sample outside the domain table, or a value on
+    finite samples that is not finite, raises EvalDomainError with its grid index."""
+    try:
+        return _walk(e, env, _SAMPLES)
+    except FloatingPointError:  # an overflow or a nan: find where the value is not finite
+        with np.errstate(all="ignore"):
+            value = _walk(e, env, _SAMPLES)
+        _in_domain(value, ~np.isfinite(value), "non-finite value")
+        return value  # only an intermediate value overflowed
 
 
 def eval_jet(e: Expr, env: dict) -> Jet:
-    """Compositional evaluation into jet arithmetic; ``env`` binds variable
-    names to generator jets (all compatible).  Jets are expanded at the
-    origin: bind ``x1`` to ``Jet.variable(X1, n) + a`` to expand around
-    x1 = a.  Constant terms agree with eval_grid at the expansion point."""
+    """Compositional evaluation into jet arithmetic; ``env`` binds variable names
+    to generator jets (all compatible), expanded at the origin: bind ``x1`` to
+    ``Jet.variable(X1, n) + a`` to expand around x1 = a.  Constant terms agree with
+    eval_grid there; jet_pow and jet_call hold the domain rules, and float
+    coefficients must be finite."""
     ref = next(iter(env.values()))
-    if isinstance(e, Num):
-        return Jet.constant(e.value, ref.order, ref.mode)
-    if isinstance(e, Const):
+
+    def const(name: str) -> Jet:
         if ref.mode == EXACT:
-            raise JetDomainError(f"constant {e.name} is irrational; not representable in exact mode")
-        value = math.pi if e.name == "pi" else math.e
-        return Jet.constant(value, ref.order, ref.mode)
-    if isinstance(e, Var):
-        if e.name not in env:
-            raise EvalDomainError(f"unbound variable {e.name!r}")
-        return env[e.name]
-    if isinstance(e, Neg):
-        return -eval_jet(e.arg, env)
-    if isinstance(e, BinOp):
-        left = eval_jet(e.left, env)
-        right = eval_jet(e.right, env)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        return left / right
-    if isinstance(e, Pow):
-        return jet_pow(eval_jet(e.base, env), e.exponent)
-    if isinstance(e, Call):
-        return jet_call(e.fn, eval_jet(e.arg, env))
-    raise TypeError(f"not an Expr: {e!r}")
+            raise JetDomainError(f"constant {name} is irrational; not representable in exact mode")
+        return Jet.constant(CONSTANTS[name], ref.order, ref.mode)
+
+    arith = {**_RING, **{fn: partial(jet_call, fn) for fn in FUNCTIONS}, "const": const,
+             "var": lambda jet: jet, "num": lambda c: Jet.constant(c, ref.order, ref.mode),
+             "/": operator.truediv, "^": jet_pow, "overflow": JetDomainError}
+    value = _walk(e, env, arith)
+    if ref.mode != EXACT and not all(map(math.isfinite, value.coeffs.values())):
+        raise JetDomainError("non-finite float coefficient")
+    return value

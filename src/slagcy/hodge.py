@@ -200,7 +200,11 @@ def harmonic_basis_diag3(fam: MetricFamily, t: float, n: int = 256) -> HarmonicB
 
 
 def phi_admissibility(fam: MetricFamily, n: int, nt: int, tol: float) -> FamilyCheckReport:
-    """Admissibility check of a Phi run: at most 128 points per axis, 2..9 t-samples."""
+    """Admissibility check of a Phi run: at most 128 points per axis, 2..9 t-samples.
+    A family with a non-periodic axis is no torus and is refused before sampling."""
+    if not all(fam.periodic):
+        raise HodgeError(f"Phi needs a torus: family {fam.name!r} has periodic = "
+                         + " ".join(str(int(p)) for p in fam.periodic))
     return check_slag_family(fam, n=min(n, 128), nt=max(2, min(nt, 9)), tol=tol)
 
 

@@ -115,9 +115,10 @@ class Jet:
         return not self.coeffs
 
     def max_abs_coeff(self):
-        if not self.coeffs:
-            return _coerce(0, self.mode)
-        return max(abs(v) for v in self.coeffs.values())
+        """The largest |coefficient|: 0 for the zero jet, nan if one is nan."""
+        if self.mode == FLOAT and any(map(math.isnan, self.coeffs.values())):
+            return math.nan  # max() keeps or drops a nan by its position
+        return max(map(abs, self.coeffs.values()), default=_coerce(0, self.mode))
 
     @cached_property
     def _by_degree(self) -> tuple:
@@ -340,7 +341,7 @@ def _integer_nth_root(n: int, d: int) -> int | None:
 
 
 def _exact_pow(c: Fraction, r: Fraction) -> Fraction:
-    """c**r for a positive rational c, as an exact rational; raises if it is irrational."""
+    """c**r as an exact rational, c positive unless r is an integer; raises if irrational."""
     p = _integer_nth_root(c.numerator, r.denominator)
     q = _integer_nth_root(c.denominator, r.denominator)
     if p is None or q is None:
@@ -355,7 +356,10 @@ def _series(fn, c, order: int, mode: str) -> list:
     Each recurrence runs on Fractions and floats alike; exact mode needs fn(c)
     rational: c = 0 for exp, sin and cos, c = 1 for log, a rational root for r."""
     exact, power = mode == EXACT, isinstance(fn, Fraction)
-    if (power or fn == "log") and c <= 0:
+    if power and fn.denominator == 1:  # a negative integer, as jet_pow sends no other
+        if c == 0:
+            raise JetDomainError(f"negative power needs non-zero constant term, got {c}")
+    elif (power or fn == "log") and c <= 0:
         what = "rational power" if power else "log"
         raise JetDomainError(f"{what} needs positive constant term, got {c}")
     if power:  # generalized binomial series: (c + u)**r = c**r * sum binom(r,k) (u/c)**k
@@ -401,8 +405,9 @@ def jet_call(name: str, a: Jet) -> Jet:
 
 def jet_pow(a: Jet, r) -> Jet:
     """a**r for a rational exponent.  Non-negative integer exponents reduce to
-    repeated multiplication and allow a vanishing constant term; all other
-    exponents need a positive constant term (a rational root in exact mode)."""
+    repeated multiplication and allow a vanishing constant term; negative
+    integers need a non-zero constant term, as 1/a does, and fractions a
+    positive one (with a rational root in exact mode)."""
     r = Fraction(r)
     if r.denominator == 1 and r >= 0:
         return a ** int(r)

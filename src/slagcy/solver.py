@@ -30,6 +30,7 @@ well every constraint holds; nothing is assumed that is not re-checked.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -180,7 +181,13 @@ class ResidualReport:
         return {name: getattr(self, name) for name in self._FIELDS}
 
     def max_residual(self):
-        return max(self.as_dict().values())
+        return _worst(self.as_dict().values())
+
+
+def _worst(values):
+    """The largest value, or nan if one is nan: max() keeps or drops a nan by position."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else max(values)
 
 
 # -- hermitian matrix helpers ----------------------------------------------------
@@ -404,11 +411,11 @@ def check_structure(s: CYStructureJet) -> ResidualReport:
 
     closure = {}
     for p, label in ((1, "C1"), (2, "C2.1"), (3, "C3.1")):
-        closure[label] = max(
+        closure[label] = _worst(
             (b[i, j].partial(_Y[p]) - a[p, j].partial(_X[i]) + a[p, i].partial(_X[j]))
             .max_abs_coeff() for i, j in _PAIRS)
     for r, p in _PAIRS:
-        closure[f"C{p}.{r + 1}"] = max(
+        closure[f"C{p}.{r + 1}"] = _worst(
             (a[r, k].partial(_Y[p]) - a[p, k].partial(_Y[r]) - b[r, p].partial(_X[k]))
             .max_abs_coeff() for k in (1, 2, 3))
     for label, v1, v2, v3 in (("C4.1", X1, X2, X3), ("C4.2", Y1, Y2, Y3)):
@@ -416,15 +423,15 @@ def check_structure(s: CYStructureJet) -> ResidualReport:
                           + b[1, 2].partial(v3)).max_abs_coeff()
     details.update(closure)
 
-    res_initial_A = max((a[i, j].restrict_zero(Y_VARS) - s.g[i - 1][j - 1]).max_abs_coeff()
+    res_initial_A = _worst((a[i, j].restrict_zero(Y_VARS) - s.g[i - 1][j - 1]).max_abs_coeff()
                         for i in (1, 2, 3) for j in (1, 2, 3))
-    res_initial_B = max(bij.restrict_zero(Y_VARS).max_abs_coeff() for bij in b.values())
-    res_symmetry = max((a[i, j] - a[j, i]).max_abs_coeff() for i, j in _PAIRS)
+    res_initial_B = _worst(bij.restrict_zero(Y_VARS).max_abs_coeff() for bij in b.values())
+    res_symmetry = _worst((a[i, j] - a[j, i]).max_abs_coeff() for i, j in _PAIRS)
     res_slice_im = gamma.im.restrict_zero(Y_VARS).max_abs_coeff()
 
     report = ResidualReport(
-        res_D=max(details["D"], details["D_imag"]),
-        res_domega=max(closure.values()),
+        res_D=_worst((details["D"], details["D_imag"])),
+        res_domega=_worst(closure.values()),
         res_C41=closure["C4.1"],
         res_C42=closure["C4.2"],
         res_initial_A=res_initial_A,
@@ -443,7 +450,7 @@ def horizontal_slice_residuals(s: CYStructureJet) -> dict:
     """Residuals of the conditions making every slice {y1 = t, y2 = y3 = 0}
     special Lagrangian: B and Im(gamma) restricted to that slice family."""
     e = s.h.entries
-    b_max = max(e[k].restrict_zero((Y2, Y3)).max_abs_coeff() for k in ("b12", "b13", "b23"))
+    b_max = _worst(e[k].restrict_zero((Y2, Y3)).max_abs_coeff() for k in ("b12", "b13", "b23"))
     im_max = s.gamma.im.restrict_zero((Y2, Y3)).max_abs_coeff()
     return {"B_slice": b_max, "im_gamma_slice": im_max}
 
@@ -465,7 +472,10 @@ _EXACT_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 def _parse_scalar(text: str, mode: str):
     if mode != EXACT:
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"float scalar {text!r} is not finite")
+        return value
     match = _EXACT_SCALAR.fullmatch(text)
     if match is None:
         raise ValueError(f"exact scalar {text!r} is not of the form p or p/q")

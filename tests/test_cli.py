@@ -138,6 +138,28 @@ MALFORMED = {
                                  ["--mode", "float"], "tolerance"),
     "nan float tolerance": ("embed", embed_scenario(scenario="tolerance = nan\n"),
                             ["--mode", "float"], "tolerance"),
+    "negative power of a zero sample": ("family-check", family_scenario(
+        entries='g11 = "1 + x1^-2"\ng22 = "1"\ng33 = "1"\n'), [], "negative power",
+        "grid index (0, 0, 0)"),
+    "sample overflow": ("family-check", family_scenario(
+        entries='g11 = "exp(800*x1)"\ng22 = "1"\ng33 = "1"\n'), [], "non-finite",
+        "grid index (15, 0, 0)"),
+    "float jet overflow": ("embed", embed_scenario().replace('g11 = "1"',
+                                                            'g11 = "exp(1000 + x1)"'),
+                           ["--mode", "float"], "g11", "float overflow"),
+    "non-finite float jet": ("embed", embed_scenario().replace('g11 = "1"',
+                                                              'g11 = "(2+x1)^2000"'),
+                             ["--mode", "float"], "g11", "non-finite"),
+    "phi on a non-periodic family": ("phi", family_scenario(
+        kind="phi", entries='periodic = 0 1 1\ng11 = "1"\ng22 = "1"\ng33 = "1"\n'), [],
+        "torus", "periodic = 0 1 1"),
+    "phi2d on a non-periodic family": ("phi2d", family_scenario(
+        kind="phi2d", dim="2", entries='periodic = 1 0\ng11 = "1"\ng22 = "1"\n'), [],
+        "torus", "periodic = 1 0"),
+    "nan in a float dump": ("verify", FLAT_FLOAT_DUMP.replace(" : 1.0\n", " : nan\n", 1),
+                            ["--mode", "float"], "not finite", ": nan"),
+    "inf in a float dump": ("verify", FLAT_FLOAT_DUMP.replace(" : 1.0\n", " : -inf\n", 1),
+                            ["--mode", "float"], "not finite", ": -inf"),
     "infinite phi_tolerance": ("phi2d", family_scenario(kind="phi2d", dim="2", entries='g11 = "1"\n'
                                                         'g22 = "1"\n').replace(
         "grid = 16\n", "grid = 16\nphi_tolerance = inf\n"), [], "phi_tolerance"),

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,6 @@ from slagcy.dsl import (
     eval_jet,
     free_variables,
     parse,
-    to_text,
 )
 from slagcy.gridops import periodic_axis, periodic_quad
 from slagcy.jets import EXACT, FLOAT, X1, X2, X3, Jet, JetDomainError
@@ -29,6 +29,24 @@ from slagcy.jets import EXACT, FLOAT, X1, X2, X3, Jet, JetDomainError
 
 def bessel_i0(t, terms=60):
     return math.fsum((t / 2) ** (2 * k) / math.factorial(k) ** 2 for k in range(terms))
+
+
+# a sample point of (t, x1, x2, x3) away from the domain boundaries of the corpus
+SAMPLE = {"t": 0.7, "x1": 0.3, "x2": 1.9, "x3": 0.45}
+
+
+def assert_evaluates_like_python(text):
+    """eval_grid(parse(text)) at SAMPLE against Python's evaluation of the same
+    text, with ``^`` read as ``**`` and every number a numpy double; the two
+    differ only in rounding, e.g. where the parser folds a literal ratio."""
+    got = eval_grid(parse(text), SAMPLE)
+    names = {"_n": np.float64, "pi": math.pi, "e": math.e, "exp": np.exp, "log": np.log,
+             "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
+    names.update((name, np.asarray(v)) for name, v in SAMPLE.items())
+    code = re.sub(r"(?<![\w.])([0-9]+\.?[0-9]*|\.[0-9]+)", r"_n('\1')", text).replace("^", "**")
+    with np.errstate(all="ignore"):
+        want = eval(code, {"__builtins__": {}}, names)
+    assert np.isclose(got, want, rtol=1e-9, atol=1e-9), (text, code, got, want)
 
 
 class TestParse:
@@ -86,9 +104,8 @@ class TestParse:
     ]
 
     @pytest.mark.parametrize("text", CORPUS)
-    def test_print_parse_roundtrip(self, text):
-        ast = parse(text)
-        assert parse(to_text(ast)) == ast
+    def test_corpus_evaluates_like_python(self, text):
+        assert_evaluates_like_python(text)
 
     def test_free_variables(self):
         assert free_variables(parse("exp(t*sin(2*pi*x1)) + x3")) == {"t", "x1", "x3"}
@@ -126,20 +143,21 @@ def expr_text(atoms=st.sampled_from(["x1", "x2", "x3", "t", "pi", "e", "0", "1",
     return st.recursive(atoms, extend, max_leaves=20)
 
 
-class TestPrintParseGenerated:
-    """``to_text`` prints every parsed expression as text that parses back to it."""
+class TestParseGenerated:
+    """``parse`` reads every expression as Python reads the same text."""
 
     @settings(max_examples=400)
     @given(text=expr_text())
+    @example(text="2^2^3^2")  # 2^(2^9), not 2^((2^3)^2)
+    @example(text="x2^3^2^2")
     @example(text="(x1^2)^3")
     @example(text="(x1^(2/3))^3")
     @example(text="((1/3)^2)^(1/2)")
-    def test_roundtrip(self, text):
+    def test_evaluates_like_python(self, text):
         try:
-            ast = parse(text)
-        except ParseError:
-            assume(False)  # e.g. a fractional exponent in a literal power chain
-        assert parse(to_text(ast)) == ast
+            assert_evaluates_like_python(text)
+        except (ParseError, EvalDomainError):
+            assume(False)  # a fractional exponent in a power chain, a sample off the domain
 
 
 class TestParseErrorsGenerated:
@@ -191,6 +209,21 @@ class TestEvalGrid:
             eval_grid(parse("log(x1)"), {"x1": x})
         with pytest.raises(EvalDomainError, match="grid index"):
             eval_grid(parse("x1^(1/2)"), {"x1": x})
+
+    @pytest.mark.parametrize("text,message", [
+        ("1 + x1^-2", r"negative power of a zero sample at grid index \(1,\)"),
+        ("1 + 1/x1^2", r"division by a zero sample at grid index \(1,\)"),
+        ("sqrt(x1)", r"sqrt of a non-positive sample at grid index \(1,\)"),
+        ("exp(800*x1)", r"non-finite value at grid index \(2,\)"),
+        ("(2 + x1)^2000", r"non-finite value at grid index \(0,\)"),
+        ("x1^(1/2) - x1^(1/2)", r"fractional power of a non-positive sample"),
+        ("1" + "0" * 400 + " + x1", "float overflow"),
+    ])
+    def test_one_domain_table(self, text, message):
+        # a zero sample fails a negative power as it fails a division, and a
+        # value that overflows fails with its index, not with a RuntimeWarning
+        with pytest.raises(EvalDomainError, match=message):
+            eval_grid(parse(text), {"x1": np.array([0.5, 0.0, 1.0])})
 
     def test_unbound_variable(self):
         with pytest.raises(EvalDomainError, match="unbound"):
@@ -249,6 +282,37 @@ class TestEvalJet:
             for name, v in (("x1", X1), ("x2", X2), ("x3", X3)):
                 sym = str(sympy.expand(sympy.diff(expr, name))).replace("**", "^")
                 assert jet.partial(v) == eval_jet(parse(sym), self.gens(order=3))
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("base,n,rel", [("x1-2", 1, 1e-15), ("x1-2", 3, 1e-15),
+                                            ("x2/3 - x1 - 5/4", 3, 1e-14)])
+    def test_negative_power_of_a_negative_constant_term(self, mode, base, n, rel):
+        # the binomial series against the reciprocal: equal in exact mode, and
+        # apart by roundoff (relative ``rel``) in float mode
+        power = eval_jet(parse(f"({base})^-{n}"), self.gens(order=5, mode=mode))
+        quotient = eval_jet(parse(f"1/({base})^{n}"), self.gens(order=5, mode=mode))
+        if mode == EXACT:
+            assert power == quotient
+        else:
+            assert power.coeffs.keys() == quotient.coeffs.keys()
+            for idx, c in quotient.coeffs.items():
+                assert abs(power.coeffs[idx] - c) <= rel * abs(c), idx
+
+    def test_negative_power_of_a_positive_constant_term_is_unchanged(self):
+        jet = eval_jet(parse("(5 + x1)^(-2)"), self.gens(order=3, mode=FLOAT))
+        assert {idx[0]: c.hex() for idx, c in jet.coeffs.items()} == {
+            0: "0x1.47ae147ae147bp-5", 1: "-0x1.0624dd2f1a9fcp-6",
+            2: "0x1.3a92a30553262p-8", 3: "-0x1.4f8b588e368f1p-10"}
+
+    def test_negative_power_needs_a_non_zero_constant_term(self):
+        with pytest.raises(JetDomainError, match="non-zero constant term"):
+            eval_jet(parse("x1^-2"), self.gens())
+
+    @pytest.mark.parametrize("text", ["exp(1000 + x1)", "(2+x1)^2000", "(1/2 + x1)^-2000",
+                                      "1" + "0" * 400 + " + x1"])
+    def test_float_coefficients_must_be_finite(self, text):
+        with pytest.raises(JetDomainError, match="float overflow|non-finite"):
+            eval_jet(parse(text), self.gens(mode=FLOAT))
 
     def test_integer_power_at_zero_base_allowed(self):
         jet = eval_jet(parse("x1^3"), self.gens(order=4))

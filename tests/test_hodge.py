@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slagcy import hodge
-from slagcy.families import family_from_entries
+from slagcy.families import MetricFamily, family_from_entries
 from slagcy.gridops import periodic_axis, periodic_quad, spectral_diff
 from slagcy.hodge import (
     GramMatrix,
@@ -315,6 +315,15 @@ class TestPhiCurve3D:
         fam = family_from_entries({"g11": "exp(t)", "g22": "1", "g33": "1"})
         with pytest.raises(Exception, match="slice conditions"):
             phi_curve(fam, [0.0, 1.0], n=32)
+
+    @pytest.mark.parametrize("run,periodic", [(phi_curve, (False, True, True)),
+                                              (phi_2d, (True, False))])
+    def test_non_periodic_axis_refused_before_sampling(self, run, periodic, monkeypatch):
+        fam = family_from_entries({f"g{k}{k}": "1" for k in range(1, len(periodic) + 1)},
+                                  dim=len(periodic), periodic=periodic)
+        monkeypatch.setattr(MetricFamily, "sample_matrix", lambda *args: pytest.fail("sampled"))
+        with pytest.raises(HodgeError, match="Phi needs a torus"):
+            run(fam, [0.0, 1.0], n=16)
 
 
 class TestPhi2D:

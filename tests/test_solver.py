@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import itertools
+import math
 import random
 import re
 import time
@@ -310,6 +311,19 @@ class TestCheckStructure:
         assert report.res_symmetry != 0
         assert report.res_domega != 0
 
+    def test_nan_coefficient_fails_a_residual_with_nan(self):
+        # max() keeps or drops a nan by its position; every maximum must carry it
+        order = 6
+        st = solve_calabi_yau(metric_from_exprs(TRIG_METRICS[0], order, FLOAT), order)
+        entries = dict(st.h.entries)
+        coeffs = dict(entries["a11"].coeffs)
+        coeffs[(0, 0, 0, 2, 0, 0)] = math.nan
+        entries["a11"] = Jet(order, coeffs, FLOAT)
+        report = check_structure(CYStructureJet(h=HermitianJet(entries), gamma=st.gamma,
+                                                g=st.g, policy=st.policy, order=order))
+        assert any(math.isnan(v) for v in report.as_dict().values())
+        assert math.isnan(report.max_residual())
+
     def test_effective_orders_recorded(self):
         st = solve_calabi_yau(identity_metric(4), 4)
         report = check_structure(st)
@@ -384,6 +398,15 @@ class TestDumpLoad:
         text = text.replace("[A 1 1]\n", f"[A 1 1]\n{line}\n", 1)
         with pytest.raises(SolverError):
             load_structure(text)
+
+    @pytest.mark.parametrize("scalar", ["nan", "inf", "-inf", "-NaN", "Infinity"])
+    @pytest.mark.parametrize("line", [0, 1, 2])
+    def test_non_finite_float_names_its_line(self, scalar, line):
+        text = small_dump(FLOAT)
+        old = re.findall(r"(?m)^[0-9 ]+ : .*$", text)[line]
+        new = old.partition(" : ")[0] + " : " + scalar
+        with pytest.raises(SolverError, match=re.escape(f"bad coefficient line {new!r}")):
+            load_structure(text.replace(old + "\n", new + "\n", 1))
 
     # a dump cut short or with an extra section: test_cli.MALFORMED
     @pytest.mark.parametrize("edit,message", [
