@@ -4,7 +4,9 @@ A jet stores the Taylor coefficients of a real-analytic germ at the origin,
 up to a fixed total degree, as a sparse map from exponent tuples to scalars.
 A germ at another point is expanded in shifted generators, e.g.
 ``Jet.variable(X1, n) + a`` for x1 around a.  Two scalar modes are supported:
-exact rationals (``Fraction``) and binary floats.  All operations are pure;
+exact rationals and binary floats.  An exact jet is stored as integer
+numerators over one reduced denominator, and every operation works on that
+form, building no ``Fraction`` per coefficient.  All operations are pure;
 jets are treated as immutable values.
 
 Variables are fixed as (x1, x2, x3, y1, y2, y3) with z_k = x_k + i*y_k.
@@ -27,6 +29,7 @@ EXACT = "exact"
 FLOAT = "float"
 
 ZERO_INDEX = (0,) * NVARS
+_TERM_LINE = " ".join(["%d"] * NVARS) + " : %s"  # a multi-index and its coefficient
 
 MultiIndex = tuple  # 6 non-negative integer exponents
 
@@ -52,24 +55,27 @@ def _coerce(value, mode: str):
     if mode == EXACT:
         if isinstance(value, float):
             raise JetDomainError(f"float scalar {value!r} not allowed in exact mode")
-        if isinstance(value, Fraction):
-            return value
-        return Fraction(value)
+        return value if isinstance(value, (int, Fraction)) else Fraction(value)
     return float(value)
 
 
-@dataclass(frozen=True)
 class Jet:
     """Truncated Taylor expansion at the origin up to total degree ``order``.
 
-    A shift of the expansion point is expressed in the generators, not stored.
-    ``coeffs`` maps exponent tuples to nonzero scalars; an absent index is a
-    zero coefficient.  Do not mutate ``coeffs`` after construction.
+    ``num`` maps exponent tuples to nonzero numerators over the one denominator
+    ``den``; an absent index is a zero coefficient.  Exact numerators are ints
+    over the lcm of the coefficients' denominators, so gcd(den, *num.values())
+    is 1 (den is 1 for the zero jet); float mode stores the coefficients and
+    den = 1.  ``Jet(order, coeffs, mode)`` builds this form from scalars and
+    ``coeffs`` reads them back (``Fraction``s in exact mode).  Do not mutate
+    ``num``.  A shift of the expansion point is written in the generators.
     """
 
-    order: int
-    coeffs: dict
-    mode: str
+    def __init__(self, order: int, coeffs: dict, mode: str):
+        den = math.lcm(*(c.denominator for c in coeffs.values())) if mode == EXACT else 1
+        if mode == EXACT:
+            coeffs = {idx: c.numerator * (den // c.denominator) for idx, c in coeffs.items()}
+        self.order, self.mode, self.num, self.den = order, mode, coeffs, den
 
     # -- constructors -------------------------------------------------------
 
@@ -93,7 +99,7 @@ class Jet:
         coeffs = {}
         for idx, val in terms.items():
             idx = tuple(idx)
-            if len(idx) != NVARS or any(e < 0 for e in idx):
+            if len(idx) != NVARS or min(idx) < 0:
                 raise JetError(f"bad multi-index {idx}")
             if sum(idx) > order:
                 raise JetError(f"multi-index {idx} exceeds order {order}")
@@ -103,36 +109,46 @@ class Jet:
         return Jet(order, coeffs, mode)
 
     def zero_like(self, order: int | None = None) -> "Jet":
-        return Jet(self.order if order is None else order, {}, self.mode)
+        return _jet(self.order if order is None else order, self.mode, {})
 
     # -- basic queries -------------------------------------------------------
 
     @property
+    def coeffs(self) -> dict:
+        """The coefficients: the stored floats, or ``Fraction``s built per call."""
+        if self.mode == EXACT:
+            return {idx: Fraction(c, self.den) for idx, c in self.num.items()}
+        return self.num
+
+    @property
     def constant_term(self):
-        return self.coeffs.get(ZERO_INDEX, _coerce(0, self.mode))
+        c = self.num.get(ZERO_INDEX, 0.0 if self.mode == FLOAT else 0)
+        return c if self.mode == FLOAT else Fraction(c, self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def max_abs_coeff(self):
         """The largest |coefficient|: 0 for the zero jet, nan if one is nan."""
-        if self.mode == FLOAT and any(map(math.isnan, self.coeffs.values())):
+        if self.mode == EXACT:
+            return Fraction(max(map(abs, self.num.values()), default=0), self.den)
+        if any(map(math.isnan, self.num.values())):
             return math.nan  # max() keeps or drops a nan by its position
-        return max(map(abs, self.coeffs.values()), default=_coerce(0, self.mode))
+        return max(map(abs, self.num.values()), default=0.0)
 
     @cached_property
-    def _by_degree(self) -> tuple:
-        """``(d, numerators, terms)`` for ``mul_sum``: exact coefficients as integer
-        numerators over their least common denominator d (float: d = 1 and the
-        coefficients), in dict order and as sorted (degree, index, numerator)."""
-        d, num = 1, self.coeffs
-        if self.mode == EXACT:
-            d = math.lcm(*(c.denominator for c in num.values()))
-            num = {idx: c.numerator * (d // c.denominator) for idx, c in num.items()}
-        return d, num, sorted((sum(idx), idx, c) for idx, c in num.items())
+    def _by_degree(self) -> list:
+        """The terms as sorted (degree, index, numerator) triples, for ``mul_sum``."""
+        return sorted((sum(idx), idx, c) for idx, c in self.num.items())
 
     def depends_on(self, var: int) -> bool:
-        return any(idx[var] for idx in self.coeffs)
+        return any(idx[var] for idx in self.num)
+
+    def __eq__(self, other):
+        if not isinstance(other, Jet):
+            return NotImplemented
+        return ((self.order, self.mode, self.den, self.num)
+                == (other.order, other.mode, other.den, other.num))
 
     def __bool__(self) -> bool:  # pragma: no cover - guard against accidental truthiness
         raise TypeError("ambiguous truth value of a Jet; use is_zero()")
@@ -147,30 +163,30 @@ class Jet:
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
+        """self + sign * other, both scaled to the lcm of the denominators."""
         if not isinstance(other, Jet):
             other = Jet.constant(other, self.order, self.mode)
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for idx, v in other.coeffs.items():
-            s = out.get(idx)
-            if s is None:
-                out[idx] = v
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        out = dict(self.num) if sa == 1 else {idx: c * sa for idx, c in self.num.items()}
+        terms = other.num if sb == 1 else {idx: c * sb for idx, c in other.num.items()}
+        for idx, v in terms.items():
+            s = out.get(idx, 0) + v
+            if s:
+                out[idx] = s
             else:
-                s = s + v
-                if s == 0:
-                    del out[idx]
-                else:
-                    out[idx] = s
-        return Jet(self.order, out, self.mode)
+                out.pop(idx, None)
+        return _jet(self.order, self.mode, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.order, {k: -v for k, v in self.coeffs.items()}, self.mode)
+        return _jet(self.order, self.mode, {k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -180,7 +196,9 @@ class Jet:
             v = _coerce(other, self.mode)
             if v == 0:
                 return self.zero_like()
-            return Jet(self.order, {k: c * v for k, c in self.coeffs.items()}, self.mode)
+            p, q = (v.numerator, v.denominator) if self.mode == EXACT else (v, 1)
+            return _jet(self.order, self.mode, {k: c * p for k, c in self.num.items()},
+                        self.den * q)
         self._check_compatible(other)
         return mul_sum(((1, self, other),), self.order)
 
@@ -192,7 +210,7 @@ class Jet:
         v = _coerce(other, self.mode)
         if v == 0:
             raise JetDomainError("division by zero scalar")
-        return self * (1 / v)
+        return self * (1 / v if self.mode == FLOAT else Fraction(1, v))
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -226,70 +244,75 @@ class Jet:
         """Formal partial derivative; the result order drops by one."""
         if self.order < 1:
             raise JetDomainError("cannot differentiate an order-0 jet")
-        out = {}
-        for idx, c in self.coeffs.items():
-            e = idx[var]
-            if e:
-                key = idx[:var] + (e - 1,) + idx[var + 1:]
-                out[key] = c * e
-        return Jet(self.order - 1, out, self.mode)
+        out = {idx[:var] + (idx[var] - 1,) + idx[var + 1:]: c * idx[var]
+               for idx, c in self.num.items() if idx[var]}
+        return _jet(self.order - 1, self.mode, out, self.den)
 
     # -- reshaping -----------------------------------------------------------
 
     def restrict_zero(self, vars: Iterable[int]) -> "Jet":
         """Restriction to the subspace where the given variables vanish."""
         vars = tuple(vars)
-        out = {idx: c for idx, c in self.coeffs.items() if all(idx[v] == 0 for v in vars)}
-        return Jet(self.order, out, self.mode)
+        out = {idx: c for idx, c in self.num.items() if all(idx[v] == 0 for v in vars)}
+        return _jet(self.order, self.mode, out, self.den)
 
     def slice_coeff(self, var: int, m: int) -> "Jet":
         """Coefficient of the m-th power of one variable, as a jet in the others."""
         if m > self.order:
             raise JetError("slice degree exceeds order")
-        out = {}
-        for idx, c in self.coeffs.items():
-            if idx[var] == m:
-                out[idx[:var] + (0,) + idx[var + 1:]] = c
-        return Jet(self.order - m, out, self.mode)
+        out = {idx[:var] + (0,) + idx[var + 1:]: c for idx, c in self.num.items() if idx[var] == m}
+        return _jet(self.order - m, self.mode, out, self.den)
 
     def mul_monomial(self, var: int, m: int) -> "Jet":
         """Multiply by the m-th power of a coordinate; raises the order by m."""
         out = {}
-        for idx, c in self.coeffs.items():
+        for idx, c in self.num.items():
             if idx[var] != 0:
                 raise JetError("mul_monomial expects a jet free of the target variable")
             out[idx[:var] + (m,) + idx[var + 1:]] = c
-        return Jet(self.order + m, out, self.mode)
+        return _jet(self.order + m, self.mode, out, self.den)
 
     # -- output ------------------------------------------------------------------
 
     def dumps(self) -> str:
-        """Debug dump: one "multi-index : coefficient" line in graded-lex order."""
+        """Debug dump: one "multi-index : coefficient" line in graded-lex order,
+        an exact coefficient written as str() of its Fraction."""
+        den, exact = self.den, self.mode == EXACT
         lines = []
-        for idx in sorted(self.coeffs, key=grlex_key):
-            lines.append(" ".join(str(e) for e in idx) + " : " + str(self.coeffs[idx]))
+        for _, idx, c in sorted([(sum(idx), idx, c) for idx, c in self.num.items()]):
+            if exact:
+                g = math.gcd(c, den)
+                c = c // g if g == den else f"{c // g}/{den // g}"
+            lines.append(_TERM_LINE % (*idx, c))
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        terms = []
-        for idx in sorted(self.coeffs, key=grlex_key)[:8]:
+        terms, coeffs = [], self.coeffs
+        for idx in sorted(coeffs, key=grlex_key)[:8]:
             mono = "*".join(f"{VAR_NAMES[k]}^{e}" if e > 1 else VAR_NAMES[k]
                             for k, e in enumerate(idx) if e)
-            c = self.coeffs[idx]
-            terms.append(f"{c}" + (f"*{mono}" if mono else ""))
-        if len(self.coeffs) > 8:
+            terms.append(f"{coeffs[idx]}" + (f"*{mono}" if mono else ""))
+        if len(coeffs) > 8:
             terms.append("...")
         body = " + ".join(terms) if terms else "0"
         return f"Jet<{self.mode},o{self.order}>({body})"
 
 
+def _jet(order: int, mode: str, num: dict, den: int = 1) -> Jet:
+    """The jet num / den, reduced by gcd(den, *num.values()): every result's constructor."""
+    if den != 1 and (g := math.gcd(den, *num.values())) != 1:
+        num, den = {idx: c // g for idx, c in num.items()}, den // g
+    jet = object.__new__(Jet)
+    jet.order, jet.mode, jet.num, jet.den = order, mode, num, den
+    return jet
+
+
 def mul_sum(terms, order: int) -> Jet:
     """sum(sign * a * b for sign, a, b in terms), up to total degree ``order``,
     accumulated in one map without truncating the factors first.  ``terms`` is
-    not empty; factors share their mode and have orders >= ``order``.
-    Exact sums add integer numerators over one common denominator D and build one
-    ``Fraction`` per output coefficient.  Float sums run the same loop with the
-    float D = 1.0: scaling by +-1.0 is exact and cheaper than by an int."""
+    not empty; factors share their mode and have orders >= ``order``.  Each
+    product's numerators are scaled to D, the lcm of the products' denominators;
+    float sums have D = 1 and scale by +-1.0: exact, and cheaper than an int."""
     if not terms:
         raise JetError("mul_sum needs at least one term")
     mode = terms[0][1].mode
@@ -299,14 +322,12 @@ def mul_sum(terms, order: int) -> Jet:
         if order > min(a.order, b.order):
             raise JetError(
                 f"a product of orders {a.order} and {b.order} is not known to order {order}")
-    exact = mode == EXACT
-    D = math.lcm(*(a._by_degree[0] * b._by_degree[0] for _, a, b in terms)) if exact else 1.0
+    D = math.lcm(*(a.den * b.den for _, a, b in terms)) if mode == EXACT else 1.0
     out: dict = {}
     for sign, a, b in terms:
-        da, lhs = a._by_degree[:2] if exact else (1, a.coeffs)
-        db, _, rhs = b._by_degree
-        scale = -(D // (da * db)) if sign < 0 else D // (da * db)
-        for ia, ca in lhs.items():
+        rhs = b._by_degree
+        scale = -(D // (a.den * b.den)) if sign < 0 else D // (a.den * b.den)
+        for ia, ca in a.num.items():
             ca = ca * scale
             room = order - sum(ia)
             for deg, ib, cb in rhs:
@@ -317,9 +338,7 @@ def mul_sum(terms, order: int) -> Jet:
                 prod = ca * cb
                 s = out.get(key)
                 out[key] = prod if s is None else s + prod
-    if exact:
-        return Jet(order, {k: Fraction(v, D) for k, v in out.items() if v}, mode)
-    return Jet(order, {k: v for k, v in out.items() if v}, mode)
+    return _jet(order, mode, {k: v for k, v in out.items() if v}, int(D))
 
 
 # -- elementary functions -----------------------------------------------------
@@ -456,13 +475,13 @@ def holomorphic_extend(f: Jet) -> ComplexJet:
     expanded binomially; the real and imaginary coefficient buckets satisfy the
     Cauchy-Riemann relations exactly and restrict to (f, 0) at y = 0.
     """
-    for idx in f.coeffs:
+    for idx in f.num:
         if idx[Y1] or idx[Y2] or idx[Y3]:
             raise JetDomainError("holomorphic_extend needs a jet in the x-variables only")
     re: dict = {}
     im: dict = {}
     comb = math.comb
-    for idx, c in f.coeffs.items():
+    for idx, c in f.num.items():
         a1, a2, a3 = idx[0], idx[1], idx[2]
         for b1 in range(a1 + 1):
             f1 = comb(a1, b1)
@@ -477,9 +496,8 @@ def holomorphic_extend(f: Jet) -> ComplexJet:
                         coeff = -coeff
                     prev = bucket.get(key)
                     bucket[key] = coeff if prev is None else prev + coeff
-    re = {k: v for k, v in re.items() if v != 0}
-    im = {k: v for k, v in im.items() if v != 0}
-    return ComplexJet(Jet(f.order, re, f.mode), Jet(f.order, im, f.mode))
+    return ComplexJet(*(_jet(f.order, f.mode, {k: v for k, v in part.items() if v}, f.den)
+                        for part in (re, im)))
 
 
 def det(m):

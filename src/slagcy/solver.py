@@ -230,12 +230,12 @@ def _validate_metric(g, order: int | None = None):
     for row in g:
         for entry in row:
             ref._check_compatible(entry)
-            for idx in entry.coeffs:
+            for idx in entry.num:
                 if idx[Y1] or idx[Y2] or idx[Y3]:
                     raise SolverError("metric jets must not depend on the y-variables")
     for i in range(3):
         for j in range(i + 1, 3):
-            if g[i][j].coeffs != g[j][i].coeffs:
+            if g[i][j] != g[j][i]:
                 raise SolverError(f"metric is not symmetric at entry ({i + 1},{j + 1})")
     if order is not None and ref.order != order:
         raise SolverError(f"metric jets have order {ref.order}, expected {order}")
@@ -470,16 +470,20 @@ _DUMP_SECTIONS = (tuple(f"A {i} {j}" for i in (1, 2, 3) for j in (1, 2, 3))
 _EXACT_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_scalar(text: str, mode: str):
+def _parse_scalar(text: str, mode: str) -> tuple:
+    """A dump scalar as (numerator, denominator): (p, q) of exact p/q, (x, 1) of float x."""
     if mode != EXACT:
         value = float(text)
         if not math.isfinite(value):
             raise ValueError(f"float scalar {text!r} is not finite")
-        return value
+        return value, 1
     match = _EXACT_SCALAR.fullmatch(text)
     if match is None:
         raise ValueError(f"exact scalar {text!r} is not of the form p or p/q")
-    return Fraction(int(match[1]), int(match[2] or 1))
+    p, q = int(match[1]), int(match[2] or 1)
+    if q == 0:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    return p, q
 
 
 def dump_structure(s: CYStructureJet) -> str:
@@ -531,7 +535,7 @@ def load_structure(text: str) -> CYStructureJet:
         raise SolverError(f"unknown mode {mode!r}")
     if order < 2:
         raise SolverError(f"bad structure dump header: order must be >= 2, got {order}")
-    if len(base_point) != NVARS or any(base_point):
+    if len(base_point) != NVARS or any(p for p, _ in base_point):
         raise SolverError("bad structure dump header: base_point must be the origin")
 
     sections: dict = {}
@@ -549,7 +553,7 @@ def load_structure(text: str) -> CYStructureJet:
                 raise SolverError("coefficient line before any section")
             idx_text, _, val_text = ln.partition(":")
             try:
-                idx = tuple(int(v) for v in idx_text.split())
+                idx = tuple(map(int, idx_text.split()))
                 value = _parse_scalar(val_text.strip(), mode)
             except (ValueError, ZeroDivisionError) as exc:
                 raise SolverError(f"bad coefficient line {ln!r}: {exc}") from exc
@@ -563,8 +567,12 @@ def load_structure(text: str) -> CYStructureJet:
         raise SolverError(f"structure dump lacks {', '.join(missing)}")
 
     def jet_of(tag: str) -> Jet:
+        terms = sections[tag]  # numerators over one denominator, then one division
+        den = math.lcm(*(q for _, q in terms.values()))
         try:
-            return Jet.from_terms(sections[tag], order, mode)
+            jet = Jet.from_terms({idx: p * (den // q) for idx, (p, q) in terms.items()},
+                                 order, mode)
+            return jet if den == 1 else jet / den
         except JetError as exc:
             raise SolverError(f"bad structure dump section [{tag}]: {exc}") from exc
 

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -144,6 +145,15 @@ MALFORMED = {
     "sample overflow": ("family-check", family_scenario(
         entries='g11 = "exp(800*x1)"\ng22 = "1"\ng33 = "1"\n'), [], "non-finite",
         "grid index (15, 0, 0)"),
+    "collapse22 normalizer overflow": ("family-check", family_scenario(
+        constructor="collapse22", t_max="1", entries='w = "800*x1"\nt1 = 2\n'), [],
+        "not finite at t=0.0", "overflow"),
+    "collapse22 squared normalizer overflow": ("family-check", family_scenario(
+        constructor="collapse22", t_max="1", entries='w = "730*x1"\nt1 = 2\n'), [],
+        "not finite at t=0.0", "out of range"),
+    "collapse21 squared normalizer overflow": ("family-check", family_scenario(
+        constructor="collapse21", t_max="1", entries='w = "730*x1"\nv = "0"\nt1 = 2\n'), [],
+        "not finite at t=0.0", "out of range"),
     "float jet overflow": ("embed", embed_scenario().replace('g11 = "1"',
                                                             'g11 = "exp(1000 + x1)"'),
                            ["--mode", "float"], "g11", "float overflow"),
@@ -375,6 +385,22 @@ class TestPerKindFlags:
             assert err.startswith("usage: ") and f"unrecognized arguments: {flag} 7" in err
 
 
+DENOMINATOR_RICH = """[scenario]
+kind = embed
+order = 6
+mode = exact
+tolerance = 0
+
+[metric]
+g11 = "1 + x1/2 + x2^2/3"
+g12 = "x3/4 + 2*x1*x2/7"
+g13 = "x1*x3/8"
+g22 = "1 + x2/8 + x3^2/3"
+g23 = "x2/4 + x1^2/2"
+g33 = "1 + x3/2 + 2*x1^2/7"
+"""
+
+
 class TestGolden:
     def test_poly_embed_dump_is_pinned(self, tmp_path):
         # exact-mode dumps stay byte-identical
@@ -382,6 +408,29 @@ class TestGolden:
         assert main(["embed", "--scenario", str(SCENARIOS / "poly_embed.ini"),
                      "--deterministic", "--dump", str(dump)]) == 0
         assert dump.read_bytes() == (GOLDEN / "poly_embed.dump").read_bytes()
+
+    def test_denominator_rich_and_float_outputs_are_pinned(self, tmp_path):
+        # sha256 of the outputs at the commit before exact jets moved to
+        # integer numerators: an exact order-6 dump with denominators 2, 3, 4,
+        # 7 and 8, the verify report of that dump, and a float order-8 dump
+        exact = write_scenario(tmp_path, DENOMINATOR_RICH, "exact.ini")
+        dump = tmp_path / "exact.dump"
+        assert main(["embed", "--scenario", exact, "--deterministic", "--dump", str(dump)]) == 0
+        verify = write_scenario(tmp_path, "[scenario]\nkind = verify\nmode = exact\n"
+                                f"tolerance = 0\n\n[input]\nstructure = {dump}\n", "verify.ini")
+        report = tmp_path / "verify.json"
+        assert main(["verify", "--scenario", verify, "--deterministic",
+                     "--out-json", str(report)]) == 0
+        trig = write_scenario(tmp_path, (SCENARIOS / "trig_embed.ini").read_text().replace(
+            "order = 6", "order = 8"), "trig.ini")
+        trig_dump = tmp_path / "trig.dump"  # the verdict at order 8 is not pinned, only the dump
+        main(["embed", "--scenario", trig, "--deterministic", "--dump", str(trig_dump)])
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (dump, report, trig_dump)]
+        assert digests == [
+            "10f972b2a661a8868676cff895ab36e24569fc99cc0e9b98f0c115c122a1dbf4",
+            "c048f3dc57c29d3c1f2a44ea4242fd4d14c9e8ee8d72a9207f917c9fb3cfe14e",
+            "14125016f975c61ababcfddb616d73c5760228f35dc6ab73e8b164a4160ec013",
+        ]
 
     def test_flat_embed_json_is_byte_stable(self, tmp_path):
         out1 = tmp_path / "r1.json"

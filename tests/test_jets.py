@@ -250,6 +250,154 @@ class TestRingAxiomsGenerated:
         assert mul_sum(terms, order) == acc
 
 
+# -- the stored form: integer numerators over one reduced denominator ---------------
+
+ZERO = (0,) * NVARS
+
+
+def _unit(k):
+    return tuple(int(j == k) for j in range(NVARS))
+
+
+def _shift(idx, var, by):
+    return idx[:var] + (idx[var] + by,) + idx[var + 1:]
+
+
+def _nonzero(coeffs):
+    return {k: v for k, v in coeffs.items() if v != 0}
+
+
+def ref_add(x, y, sign=1):
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, 0) + sign * v
+    return _nonzero(out)
+
+
+def ref_mul(x, y, order):
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            k = tuple(p + q for p, q in zip(i, j))
+            if sum(k) <= order:
+                out[k] = out.get(k, 0) + a * b
+    return _nonzero(out)
+
+
+def ref_reciprocal(x, order):
+    """1/x = (1/c) * sum_n u**n with x = c * (1 - u), on Fraction dicts."""
+    c = x[ZERO]
+    u = {k: -v / c for k, v in x.items() if k != ZERO}
+    acc = term = {ZERO: Fraction(1)}
+    for _ in range(order):
+        term = ref_mul(term, u, order)
+        acc = ref_add(acc, term)
+    return {k: v / c for k, v in acc.items()}
+
+
+def ref_holomorphic(x):
+    """(re, im) of x with every x_k**a replaced by (x_k + i y_k)**a, binomially."""
+    out = {}
+    for idx, c in x.items():
+        for bs in itertools.product(*(range(a + 1) for a in idx[:3])):
+            coeff = c * math.prod(math.comb(a, b) for a, b in zip(idx, bs))
+            key = tuple(a - b for a, b in zip(idx, bs)) + bs
+            negative, imaginary = divmod(sum(bs) % 4, 2)  # i**n for n = 0, 1, 2, 3
+            re_im = out.setdefault(key, [0, 0])
+            re_im[imaginary] += -coeff if negative else coeff
+    return (_nonzero({k: v[0] for k, v in out.items()}),
+            _nonzero({k: v[1] for k, v in out.items()}))
+
+
+# op -> (the jet operation, its reference on Fraction dicts), both given
+# (a, b, s, var, m): two jets, a non-zero scalar, a variable and a degree;
+# each returns its result(s) with the expected order
+NUMERATOR_OPS = {
+    "add": (lambda a, b, s, var, m: a + b,
+            lambda a, b, s, var, m: (ref_add(a.coeffs, b.coeffs), a.order)),
+    "sub": (lambda a, b, s, var, m: a - b,
+            lambda a, b, s, var, m: (ref_add(a.coeffs, b.coeffs, -1), a.order)),
+    "neg": (lambda a, b, s, var, m: -a,
+            lambda a, b, s, var, m: ({k: -v for k, v in a.coeffs.items()}, a.order)),
+    "mul": (lambda a, b, s, var, m: a * b,
+            lambda a, b, s, var, m: (ref_mul(a.coeffs, b.coeffs, a.order), a.order)),
+    "scalar mul": (lambda a, b, s, var, m: a * s,
+                   lambda a, b, s, var, m: ({k: v * s for k, v in a.coeffs.items()}, a.order)),
+    "scalar div": (lambda a, b, s, var, m: a / s,
+                   lambda a, b, s, var, m: ({k: v / s for k, v in a.coeffs.items()}, a.order)),
+    "reciprocal": (lambda a, b, s, var, m: (a - a.constant_term + s).reciprocal(),
+                   lambda a, b, s, var, m: (ref_reciprocal(
+                       {**{k: v for k, v in a.coeffs.items() if k != ZERO}, ZERO: s}, a.order),
+                       a.order)),
+    "partial": (lambda a, b, s, var, m: a.partial(var),
+                lambda a, b, s, var, m: ({_shift(k, var, -1): v * k[var]
+                                          for k, v in a.coeffs.items() if k[var]}, a.order - 1)),
+    "slice_coeff": (lambda a, b, s, var, m: a.slice_coeff(var, m),
+                    lambda a, b, s, var, m: ({_shift(k, var, -m): v for k, v in a.coeffs.items()
+                                              if k[var] == m}, a.order - m)),
+    "restrict_zero": (lambda a, b, s, var, m: a.restrict_zero((var, (var + m) % NVARS)),
+                      lambda a, b, s, var, m: ({k: v for k, v in a.coeffs.items()
+                                                if not k[var] and not k[(var + m) % NVARS]},
+                                               a.order)),
+    "mul_monomial": (lambda a, b, s, var, m: a.restrict_zero((var,)).mul_monomial(var, m),
+                     lambda a, b, s, var, m: ({_shift(k, var, m): v for k, v in a.coeffs.items()
+                                               if not k[var]}, a.order + m)),
+    "holomorphic_extend": (
+        lambda a, b, s, var, m: holomorphic_extend(a.restrict_zero(Y_VARS)),
+        lambda a, b, s, var, m: (ref_holomorphic({k: v for k, v in a.coeffs.items()
+                                                  if not any(k[3:])}), a.order)),
+}
+
+
+@st.composite
+def numerator_cases(draw):
+    order = draw(st.integers(1, 4))
+    a, b = draw(gen_jets(order)), draw(gen_jets(order))
+    s = draw(_SCALARS[EXACT].filter(lambda v: v != 0))
+    return a, b, s, draw(st.integers(0, NVARS - 1)), draw(st.integers(0, order))
+
+
+def assert_numerator_form(jet, expect, order):
+    """``jet`` has the coefficients ``expect`` and the reduced numerator form."""
+    coeffs = jet.coeffs
+    assert (jet.order, jet.mode, coeffs) == (order, EXACT, expect)
+    assert all(type(c) is int and c != 0 for c in jet.num.values())
+    assert jet.den == math.lcm(*(c.denominator for c in coeffs.values()))
+    assert math.gcd(jet.den, *jet.num.values()) == 1
+    if jet.is_zero():
+        assert jet.den == 1
+
+
+class TestNumeratorForm:
+    """Every exact result is stored as integer numerators over the least common
+    denominator and equals the same operation done on Fraction coefficients."""
+
+    @pytest.mark.parametrize("op", sorted(NUMERATOR_OPS))
+    @settings(max_examples=60)
+    @given(case=numerator_cases())
+    def test_result_is_reduced_and_matches_fractions(self, op, case):
+        run, ref = NUMERATOR_OPS[op]
+        got, (expect, order) = run(*case), ref(*case)
+        if op == "holomorphic_extend":
+            assert_numerator_form(got.re, expect[0], order)
+            assert_numerator_form(got.im, expect[1], order)
+        else:
+            assert_numerator_form(got, expect, order)
+
+    def test_equal_values_built_by_different_paths_are_equal(self):
+        half = Jet.constant(Fraction(1, 2), 3)
+        x = var(X1, order=3)
+        assert Jet.from_terms({ZERO: Fraction(2, 4)}, 3) == half
+        assert Jet.from_terms({ZERO: "3/6"}, 3) == half
+        assert Jet(3, {ZERO: Fraction(1, 2)}, EXACT) == half
+        assert const(1, 3) / 2 == half == 1 - half == half * (x + 1) / (x + 1)
+        assert x / 2 + x / 2 == x == Jet.from_terms({_unit(X1): Fraction(4, 4)}, 3)
+        assert (x / 3 + half) - x / 3 == half
+        assert (x / 6).partial(X1) * 6 == const(1, 2)
+        assert ((x + 2) * (x + 2) / 4).den == 4
+        assert (x / 2 - x / 2).den == 1 and (x / 2 - x / 2) == x.zero_like()
+
+
 class TestElementary:
     def test_sqrt_binomial(self):
         a = 1 + var(X1, order=2)
