@@ -27,7 +27,6 @@ from . import dsl
 from .dsl import Expr, eval_grid, eval_jet, free_variables, parse
 from .gridops import grid_diff, periodic_axis, periodic_quad
 from .jets import FLOAT, X1, X2, X3, Y1, Jet, JetError, det, leading_minors
-from .solver import ExtensionPolicy
 
 
 class FamilyError(Exception):
@@ -431,14 +430,11 @@ def metric_jets(fam: MetricFamily, t, order: int, mode: str = FLOAT) -> list:
 
 def family_to_policy(fam: MetricFamily, base_t: float, order: int,
                      mode: str = FLOAT, *, check: bool = True):
-    """(g, policy): the metric jets at t = base_t, and an extension policy
-    assigning the free step-1 entries from A_{base_t + y1}, so that the solved
-    structure carries the slices {y1 = const} as the family's tori.  The
-    admissibility check runs before any expansion."""
+    """(g, policy): the metric jets at t = base_t, and the step-1 policy
+    A_{base_t + y1}, the metric the solved structure's slices {y1 = const}
+    carry as the family's tori.  The admissibility check runs before any
+    expansion."""
     if check:
         check_slag_family(fam, n=_CHECK_N, nt=_POLICY_CHECK_NT, tol=_CHECK_TOL).raise_if_failed()
-    g = metric_jets(fam, base_t, order, mode)
-    a = metric_jets(fam, Jet.variable(Y1, order, mode) + base_t, order, mode)
-    policy_keys = {"a22": (2, 2), "a33": (3, 3), "a12": (1, 2), "a13": (1, 3), "a23": (2, 3)}
-    step1 = {key: a[i - 1][j - 1] for key, (i, j) in policy_keys.items()}
-    return g, ExtensionPolicy(step1=step1)
+    return (metric_jets(fam, base_t, order, mode),
+            metric_jets(fam, Jet.variable(Y1, order, mode) + base_t, order, mode))

@@ -26,7 +26,7 @@ from .gridops import periodic_quad, spectral_diff
 from .jets import det
 
 __all__ = [
-    "HarmonicBasis", "GramMatrix", "PhiCurve", "harmonic_basis_diag3",
+    "HarmonicBasis", "PhiCurve", "harmonic_basis_diag3",
     "harmonic_basis_2d", "gram_L2", "phi_admissibility", "phi_curve", "phi_2d", "phi_csv",
 ]
 
@@ -54,16 +54,6 @@ class HarmonicBasis:
     sqrt_det: np.ndarray       # pointwise sqrt(det g), broadcastable
     scale: float               # 2D volume-normalization factor applied to C
     residuals: dict            # periods, closure, co-closure
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """L2 inner products of the basis forms."""
-
-    matrix: np.ndarray
-
-    def det(self) -> float:
-        return float(det(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -112,7 +102,7 @@ def _pointwise_inverse(metric) -> tuple:
     return [[cofactor(c, r) / det_m for c in range(dim)] for r in range(dim)], det_m
 
 
-def gram_L2(basis: HarmonicBasis) -> GramMatrix:
+def gram_L2(basis: HarmonicBasis) -> np.ndarray:
     """Gram matrix <theta_i, theta_j> = int g^{kl} theta_ik theta_jl sqrt(det g)
     over the torus, by periodic quadrature on the basis grid."""
     dim, inv, theta, sqrt_det = basis.dim, basis.inverse, basis.theta, basis.sqrt_det
@@ -122,7 +112,7 @@ def gram_L2(basis: HarmonicBasis) -> GramMatrix:
             integrand = sum(inv[k][l] * theta[i][k] * theta[j][l]
                             for k in range(dim) for l in range(dim))
             entries[i, j] = entries[j, i] = float(periodic_quad(integrand * sqrt_det))
-    return GramMatrix(matrix=entries)
+    return entries
 
 
 def _verify_periods(theta, tol: float) -> float:
@@ -220,8 +210,7 @@ def _phi_samples(fam: MetricFamily, t_samples: Sequence, n: int, check: bool,
     integrals = np.empty((len(ts), 3), dtype=np.float64)
     for k, t in enumerate(ts):
         basis = basis_at(float(t))
-        gram = gram_L2(basis)
-        phis[k] = gram.det()
+        phis[k] = float(det(gram_L2(basis)))
         integrals[k] = row(basis, phis[k], t)
     return PhiCurve(t=ts, phi=phis, integrals=integrals)
 

@@ -34,6 +34,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 from .jets import (
     EXACT,
@@ -77,26 +78,19 @@ _X = (None, X1, X2, X3)
 _Y = (None, Y1, Y2, Y3)
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 
+# The entries a step-1 policy assigns: the ones sweep 1 leaves free
 _STEP1_POLICY_KEYS = ("a22", "a33", "a12", "a13", "a23")
 
 _POLICY_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class ExtensionPolicy:
-    """Choice of the entries the construction leaves free.
-
-    ``step1`` optionally assigns a22, a33, a12, a13, a23 on {y2=y3=0} (jets in
-    x and y1), which is what the slices {y1 = t} of a family need.  ``None``,
-    and every later sweep, use the constant rule: the entry keeps its previous
-    values, with no dependence on the new evolution variable.  Assigned jets
-    must restrict to the data they extend.
-    """
-
-    step1: dict | None = None
-
-
-CONSTANT_POLICY = ExtensionPolicy()
+# A policy chooses the entries the construction leaves free.  A step-1 policy
+# is the 3x3 matrix of metric jets, in x and y1, that the slices {y1 = t,
+# y2 = y3 = 0} must carry (a family's A at base_t + y1); sweep 1 takes the
+# entries named in _STEP1_POLICY_KEYS from it, which must restrict to the data
+# they extend, and ignores the rest.  None, and every later sweep, use the
+# constant rule: the entry keeps its previous values, with no dependence on
+# the new evolution variable.
+CONSTANT_POLICY = None
 
 
 @dataclass(frozen=True)
@@ -146,7 +140,7 @@ class CYStructureJet:
     h: HermitianJet
     gamma: ComplexJet
     g: tuple  # 3x3 input metric jets
-    policy: ExtensionPolicy | None
+    policy: list | None  # step-1 policy matrix, None for the constant policy
     order: int
 
     @property
@@ -273,17 +267,11 @@ def _coeff_close(a: Jet, b: Jet) -> bool:
     return diff <= _POLICY_TOL
 
 
-def _apply_policy(step: int, entries: dict, policy: ExtensionPolicy) -> None:
-    assigned = policy.step1
-    if step != 1 or assigned is None:
+def _apply_policy(step: int, entries: dict, policy) -> None:
+    if step != 1 or policy is None:
         return
-    extra = set(assigned) - set(_STEP1_POLICY_KEYS)
-    if extra:
-        raise PolicyError(f"step 1 policy cannot assign {sorted(extra)}")
     for key in _STEP1_POLICY_KEYS:
-        if key not in assigned:
-            continue
-        jet = assigned[key]
+        jet = policy[int(key[1]) - 1][int(key[2]) - 1]
         entries["a11"]._check_compatible(jet)
         if jet.depends_on(Y2) or jet.depends_on(Y3):
             raise PolicyError(f"step 1 policy entry {key} may not depend on y2, y3")
@@ -305,7 +293,7 @@ def _evolution(p: int) -> dict:
 
 
 def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
-            policy: ExtensionPolicy = CONSTANT_POLICY) -> HermitianJet:
+            policy=CONSTANT_POLICY) -> HermitianJet:
     """One evolution sweep: extend the partial solution into y1, y2 or y3.
 
     The state must already solve the previous sweeps (for step 1: carry the
@@ -372,7 +360,7 @@ def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
                                   cur[key].zero_like()) for key in ENTRY_KEYS})
 
 
-def solve_calabi_yau(g, order: int, policy: ExtensionPolicy = CONSTANT_POLICY) -> CYStructureJet:
+def solve_calabi_yau(g, order: int, policy=CONSTANT_POLICY) -> CYStructureJet:
     """Run the full construction: gamma, then the three sweeps.
 
     ``g`` is a 3x3 array of symmetric, y-free jets of the requested order with
@@ -458,11 +446,19 @@ def horizontal_slice_residuals(s: CYStructureJet) -> dict:
 # -- structure dump / load -------------------------------------------------------------
 
 _DUMP_HEADER = "slagcy-structure v1"
-# The sections of a dump, in the order dump_structure writes them.
-_DUMP_SECTIONS = (tuple(f"A {i} {j}" for i in (1, 2, 3) for j in (1, 2, 3))
-                  + tuple(f"B {i} {j}" for i, j in ((1, 2), (1, 3), (2, 3)))
-                  + tuple(f"g {i} {j}" for i in (1, 2, 3) for j in range(i, 4))
-                  + ("gamma re", "gamma im"))
+_G_UPPER = tuple((i, j) for i in (1, 2, 3) for j in range(i, 4))
+# The dump format, which dump_structure writes and load_structure reads: the
+# three header keys, then the twenty sections, in writer order, each with the
+# reader of its value off a structure.  The header's base_point is the origin.
+_DUMP_TABLE = (
+    ("mode", lambda s: s.mode),
+    ("order", lambda s: s.order),
+    ("base_point", lambda s: " ".join([str(s.gamma.re.zero_like().constant_term)] * NVARS)),
+    *((f"{k[0].upper()} {k[1]} {k[2]}", lambda s, k=k: s.h.entries[k]) for k in ENTRY_KEYS),
+    *((f"g {i} {j}", lambda s, i=i, j=j: s.g[i - 1][j - 1]) for i, j in _G_UPPER),
+    *((f"gamma {part}", lambda s, part=part: getattr(s.gamma, part)) for part in ("re", "im")),
+)
+_DUMP_KEYS, _DUMP_SECTIONS = _DUMP_TABLE[:3], _DUMP_TABLE[3:]
 
 
 # str() of a Fraction, the only exact form dumps hold; Fraction(text) would
@@ -487,48 +483,40 @@ def _parse_scalar(text: str, mode: str) -> tuple:
 
 
 def dump_structure(s: CYStructureJet) -> str:
-    """Stable text dump: per entry, "multi-index : coefficient" lines in
-    graded-lex order.  The header's base_point is always the origin."""
-    lines = [_DUMP_HEADER, f"mode = {s.mode}", f"order = {s.order}",
-             "base_point = " + " ".join([str(s.gamma.re.zero_like().constant_term)] * NVARS)]
-    def emit(tag, jet):
+    """Stable text dump in the layout of ``_DUMP_TABLE``: the header lines,
+    then per section its "multi-index : coefficient" lines in graded-lex order."""
+    lines = [_DUMP_HEADER] + [f"{key} = {value(s)}" for key, value in _DUMP_KEYS]
+    for tag, jet in _DUMP_SECTIONS:
         lines.append(f"[{tag}]")
-        dump = jet.dumps()
+        dump = jet(s).dumps()
         if dump:
             lines.append(dump)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            emit(f"A {i} {j}", s.h.A(i, j))
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        emit(f"B {i} {j}", s.h.entries[f"b{i}{j}"])
-    for i in (1, 2, 3):
-        for j in range(i, 4):
-            emit(f"g {i} {j}", s.g[i - 1][j - 1])
-    emit("gamma re", s.gamma.re)
-    emit("gamma im", s.gamma.im)
     return "\n".join(lines) + "\n"
 
 
 def load_structure(text: str) -> CYStructureJet:
     """Parse a dump back into a structure (policy is not recorded).  The dump
-    must hold exactly the sections dump_structure writes, each once, and each
-    multi-index at most once per section."""
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
+    must hold exactly the header lines and sections of ``_DUMP_TABLE``, in its
+    order for the header and each once, and each multi-index at most once per
+    section."""
+    lines = text.splitlines()
     if not lines or lines[0] != _DUMP_HEADER:
         raise SolverError("not a structure dump (bad header)")
+    pos = next((n for n, ln in enumerate(lines) if ln.startswith("[")), len(lines))
     meta = {}
-    pos = 1
-    while pos < len(lines) and not lines[pos].startswith("["):
-        if "=" in lines[pos]:
-            key, _, value = lines[pos].partition("=")
-            meta[key.strip()] = value.strip()
-        pos += 1
+    for entry, ln in zip_longest(_DUMP_KEYS, lines[1:pos]):
+        key = entry and entry[0]
+        if ln is None:
+            raise SolverError(f"structure dump missing {key!r}")
+        name, eq, value = ln.partition("=")
+        if not eq or name.strip() != key:
+            raise SolverError(f"bad structure dump header line {ln!r}: expected "
+                              + (f"{key} = ..." if key else "a section"))
+        meta[key] = value.strip()
     try:
         mode = meta["mode"]
         order = int(meta["order"])
         base_point = tuple(_parse_scalar(v, mode) for v in meta["base_point"].split())
-    except KeyError as exc:
-        raise SolverError(f"structure dump missing {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise SolverError(f"bad structure dump header: {exc}") from exc
     if mode not in (EXACT, FLOAT):
@@ -538,19 +526,17 @@ def load_structure(text: str) -> CYStructureJet:
     if len(base_point) != NVARS or any(p for p, _ in base_point):
         raise SolverError("bad structure dump header: base_point must be the origin")
 
+    tags = [tag for tag, _ in _DUMP_SECTIONS]
     sections: dict = {}
-    tag = None
     for ln in lines[pos:]:
         if ln.startswith("["):
             tag = ln.strip("[]")
-            if tag not in _DUMP_SECTIONS:
+            if tag not in tags:
                 raise SolverError(f"unknown structure dump section [{tag}]")
             if tag in sections:
                 raise SolverError(f"structure dump section [{tag}] appears twice")
             sections[tag] = {}
         elif ln.strip():
-            if tag is None:
-                raise SolverError("coefficient line before any section")
             idx_text, _, val_text = ln.partition(":")
             try:
                 idx = tuple(map(int, idx_text.split()))
@@ -562,7 +548,7 @@ def load_structure(text: str) -> CYStructureJet:
             if idx in sections[tag]:
                 raise SolverError(f"multi-index {idx} appears twice in section [{tag}]")
             sections[tag][idx] = value
-    missing = [f"[{t}]" for t in _DUMP_SECTIONS if t not in sections]
+    missing = [f"[{t}]" for t in tags if t not in sections]
     if missing:
         raise SolverError(f"structure dump lacks {', '.join(missing)}")
 
@@ -576,15 +562,8 @@ def load_structure(text: str) -> CYStructureJet:
         except JetError as exc:
             raise SolverError(f"bad structure dump section [{tag}]: {exc}") from exc
 
-    entries = {f"a{i}{j}": jet_of(f"A {i} {j}") for i in (1, 2, 3) for j in (1, 2, 3)}
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        entries[f"b{i}{j}"] = jet_of(f"B {i} {j}")
-    g = [[None] * 3 for _ in range(3)]
-    for i in (1, 2, 3):
-        for j in range(i, 4):
-            jet = jet_of(f"g {i} {j}")
-            g[i - 1][j - 1] = jet
-            g[j - 1][i - 1] = jet
-    gamma = ComplexJet(jet_of("gamma re"), jet_of("gamma im"))
-    return CYStructureJet(h=HermitianJet(entries), gamma=gamma,
-                          g=tuple(tuple(row) for row in g), policy=None, order=order)
+    jets = [jet_of(tag) for tag in tags]
+    upper = dict(zip(_G_UPPER, jets[len(ENTRY_KEYS):]))
+    g = tuple(tuple(upper[min(i, j), max(i, j)] for j in (1, 2, 3)) for i in (1, 2, 3))
+    return CYStructureJet(h=HermitianJet(dict(zip(ENTRY_KEYS, jets))),
+                          gamma=ComplexJet(*jets[-2:]), g=g, policy=None, order=order)

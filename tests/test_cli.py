@@ -73,6 +73,11 @@ MALFORMED = {
     "dump coefficient": ("verify", structure_dump(line="0 0 0 0 0 0 : one"), []),
     "dump zero denominator": ("verify", structure_dump(line="0 0 0 0 0 0 : 1/0"), []),
     "dump multi-index": ("verify", structure_dump(line="0 0 x 0 0 0 : 1"), []),
+    "dump junk header line": ("verify", structure_dump(base_point="0 0 0 0 0 0\njunk"), [],
+                              "'junk'"),
+    "dump unknown header key": ("verify", structure_dump(order="2\ncolour = red"), [],
+                                "'colour = red'"),
+    "dump repeated order": ("verify", structure_dump(order="4\norder = 9"), [], "'order = 9'"),
     "family dim": ("family-check", family_scenario(dim="three"), []),
     "family t_min": ("family-check", family_scenario(t_min="zero"), []),
     "family t_max": ("family-check", family_scenario(t_max="1.0.0"), []),

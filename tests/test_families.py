@@ -24,9 +24,16 @@ from slagcy.families import (
     make_cone_family,
 )
 from slagcy.gridops import grid_diff, periodic_axis, periodic_quad
-from slagcy.jets import EXACT, Y1, Y2, Y3, det
-from slagcy.solver import check_structure, horizontal_slice_residuals, solve_calabi_yau
+from slagcy.jets import EXACT, X1, Y1, Y2, Y3, Jet, det
+from slagcy.solver import (
+    PolicyError,
+    check_structure,
+    dump_structure,
+    horizontal_slice_residuals,
+    solve_calabi_yau,
+)
 
+RATIONAL = {"g11": "(1 + t*x1^2)^2", "g22": "1/(1 + t*x1^2)", "g33": "1/(1 + t*x1^2)"}
 BESSEL = {"g11": "exp(-2*t*sin(2*pi*x1))", "g22": "exp(t*sin(2*pi*x1))",
           "g33": "exp(t*sin(2*pi*x1))"}
 
@@ -336,8 +343,9 @@ class TestFamilyToPolicy:
         g, policy = family_to_policy(fam, 0.0, order=4)
         for i in range(3):
             assert float(g[i][i].constant_term) == 1.0
-        for jet in policy.step1.values():
-            assert not jet.depends_on(Y2)
+        for row in policy:
+            for jet in row:
+                assert not jet.depends_on(Y2)
 
     def test_inadmissible_family_refused(self):
         fam = family_from_entries({"g11": "exp(t)", "g22": "1", "g33": "1"})
@@ -359,8 +367,7 @@ class TestFamilyToPolicy:
         assert float(res["im_gamma_slice"]) < 1e-13
 
     def test_exact_rational_family_slices_exactly(self):
-        entries = {"g11": "(1 + t*x1^2)^2", "g22": "1/(1 + t*x1^2)",
-                   "g33": "1/(1 + t*x1^2)"}
+        entries = RATIONAL
         fam = family_from_entries(entries, t_range=(0.0, 0.5),
                                   periodic=(False, True, True))
         g, policy = family_to_policy(fam, Fraction(1, 4), order=4, mode=EXACT)
@@ -382,6 +389,22 @@ class TestFamilyToPolicy:
         }
         fam_a11 = eval_jet(parse(entries["g11"]), env)
         assert st.h.A(1, 1).restrict_zero((Y2, Y3)) == fam_a11
+
+    def test_policy_is_read_only_at_the_free_step1_entries(self):
+        # a11 and the lower triangle of the policy matrix are never read, so
+        # garbage there leaves the exact dump byte-identical
+        fam = family_from_entries(RATIONAL, t_range=(0.0, 0.5), periodic=(False, True, True))
+        g, policy = family_to_policy(fam, Fraction(1, 4), order=4, mode=EXACT)
+        junk = Jet.variable(Y1, 4, EXACT) * Jet.variable(X1, 4, EXACT)
+        spoiled = [[jet + junk if i > j or i == j == 0 else jet for j, jet in enumerate(row)]
+                   for i, row in enumerate(policy)]
+        dump = dump_structure(solve_calabi_yau(g, 4, policy))
+        assert dump_structure(solve_calabi_yau(g, 4, spoiled)) == dump
+        assert dump_structure(solve_calabi_yau(g, 4)) != dump  # the policy is read
+        bad = [list(row) for row in policy]
+        bad[1][1] = bad[1][1] + Jet.variable(X1, 4, EXACT)
+        with pytest.raises(PolicyError, match="restrict"):
+            solve_calabi_yau(g, 4, bad)
 
     def test_two_dim_family_rejected(self):
         fam = family_from_entries({"g11": "1", "g22": "1"}, dim=2)

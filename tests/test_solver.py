@@ -33,7 +33,6 @@ from slagcy.solver import (
     ENTRY_KEYS,
     CYStructureJet,
     DegenerateMetricError,
-    ExtensionPolicy,
     HermitianJet,
     PolicyError,
     SolverError,
@@ -70,6 +69,14 @@ def metric_from_exprs(entries, order, mode=EXACT):
 
 def identity_metric(order, mode=EXACT):
     return metric_from_exprs({}, order, mode)
+
+
+def policy_matrix(g, **entries):
+    """A step-1 policy: the metric jets g, with the named entries (a22=...) replaced."""
+    m = [list(row) for row in g]
+    for key, jet in entries.items():
+        m[int(key[1]) - 1][int(key[2]) - 1] = jet
+    return m
 
 
 def assert_all_zero(report):
@@ -218,14 +225,15 @@ class TestFullSolve:
         # a different admissible extension of the free entries: add y1-dependence
         y1 = Jet.variable(Y1, order)
         x1 = Jet.variable(X1, order)
-        step1 = {
-            "a22": g[1][1] + y1 * x1 / 2,
-            "a33": g[2][2] + y1 * y1 / 4,
-            "a12": g[0][1] + y1 * x1 * x1 / 8,
-            "a13": g[0][2],
-            "a23": g[1][2] + y1 / 8,
-        }
-        st_alt = solve_calabi_yau(g, order, ExtensionPolicy(step1=step1))
+        policy = policy_matrix(
+            g,
+            a22=g[1][1] + y1 * x1 / 2,
+            a33=g[2][2] + y1 * y1 / 4,
+            a12=g[0][1] + y1 * x1 * x1 / 8,
+            a13=g[0][2],
+            a23=g[1][2] + y1 / 8,
+        )
+        st_alt = solve_calabi_yau(g, order, policy)
         assert_all_zero(check_structure(st_alt))
         for i in (1, 2, 3):
             for j in (1, 2, 3):
@@ -241,14 +249,14 @@ class TestFullSolve:
     def test_policy_must_restrict_to_initial_data(self):
         order = 3
         g = identity_metric(order)
-        bad = ExtensionPolicy(step1={"a22": g[1][1] + Jet.variable(X1, order)})
+        bad = policy_matrix(g, a22=g[1][1] + Jet.variable(X1, order))
         with pytest.raises(PolicyError, match="restrict"):
             solve_calabi_yau(g, order, bad)
 
     def test_policy_variable_restrictions(self):
         order = 3
         g = identity_metric(order)
-        bad = ExtensionPolicy(step1={"a22": g[1][1] + Jet.variable(Y2, order)})
+        bad = policy_matrix(g, a22=g[1][1] + Jet.variable(Y2, order))
         with pytest.raises(PolicyError, match="may not depend"):
             solve_calabi_yau(g, order, bad)
 
@@ -388,16 +396,22 @@ class TestDumpLoad:
         ("", "3 0 0 0 0 0 : 1"),  # above the order
         ("order = 0", ""),
         ("order = -1", ""),
+        ("base_point = 0 0 0 0 0 0\njunk", ""),
+        ("mode = exact\ncolour = red", ""),
+        ("order = 2\norder = 9", ""),
     ])
     def test_malformed_dump_raises_solver_error(self, header, line):
-        # each case spoils one header field or adds one line to a complete dump
+        # each case spoils one header field, adds one line after a header field
+        # (the error names it) or adds one line to a complete dump
         text = small_dump(EXACT)
         if header:
             key = header.partition(" = ")[0]
             text = re.sub(rf"(?m)^{key} = .*$", header, text, count=1)
         text = text.replace("[A 1 1]\n", f"[A 1 1]\n{line}\n", 1)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError) as err:
             load_structure(text)
+        for added in header.split("\n")[1:]:
+            assert repr(added) in str(err.value)
 
     @pytest.mark.parametrize("scalar", ["nan", "inf", "-inf", "-NaN", "Infinity"])
     @pytest.mark.parametrize("line", [0, 1, 2])
@@ -644,9 +658,9 @@ class TestSliceSweep:
             # degree m each round solves for
             policy = CONSTANT_POLICY
             if step == 1 and data.draw(st.booleans()):
-                keys = ("a22", "a33", "a12", "a13", "a23")
+                keys = solver._STEP1_POLICY_KEYS
                 chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
-                policy = ExtensionPolicy(step1={
+                policy = policy_matrix(g, **{
                     k: _perturbed(data.draw, state.entries[k], Y1, (X1, X2, X3, Y1))
                     for k in chosen})
             expect = full_determinant_sweep(step, state, gamma, policy)
