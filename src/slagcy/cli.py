@@ -276,9 +276,23 @@ def _parse_expr(text: str, where: str):
 def _pop_number(spec: dict, key: str, default: str, kind=float):
     text = spec.pop(key, default)
     try:
-        return kind(text)
-    except ValueError as exc:
-        raise ScenarioError(f"[family] {key}: not a number: {text!r}") from exc
+        value = kind(text)
+        if abs(value) < float("inf"):  # False for nan
+            return value
+    except ValueError:
+        pass
+    raise ScenarioError(f"[family] {key}: not a finite number: {text!r}")
+
+
+_PERIODIC_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _periodic_flag(word: str) -> bool:
+    try:
+        return _PERIODIC_WORDS[word.lower()]
+    except KeyError:
+        raise ScenarioError(f"[family] periodic: {word!r} is not one of "
+                            f"0/1/true/false/yes/no") from None
 
 
 def _pop_expr(spec: dict, key: str, default: str):
@@ -294,7 +308,7 @@ def _family_from_scenario(sc: Scenario) -> MetricFamily:
     name = spec.pop("name", constructor)
     if constructor == "direct":
         dim = _pop_number(spec, "dim", "3", int)
-        flags = tuple(v.lower() in ("1", "true", "yes") for v in spec.pop("periodic", "").split())
+        flags = tuple(map(_periodic_flag, spec.pop("periodic", "").split()))
         if flags and len(flags) != dim:
             raise ScenarioError("periodic needs one flag per x-variable")
         entries = {k: _pop_expr(spec, k, "") for k in list(spec)}

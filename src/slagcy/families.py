@@ -7,12 +7,12 @@ harmonicity splits into the closure of the form (curl of the first row) and
 the closure of its Hodge dual (x1-independence of sqrt(det A_t)).  The test
 evaluates these three residuals on sampled grids.
 
-Constructors cover a block-diagonal class diag(e^u, Q_t) with
-det(Q_t) = e^{-u} q(x2, x3), two collapsing degenerations of it obtained by
-normalizing integral constraints numerically, and the cone-asymptotic
-cylinder family built from a curve (x1 + i t)^(1/3).  Entries are either DSL
-expressions (jet-expandable) or plain grid evaluators (when a numeric
-normalization constant is baked in).
+Constructors, each built by family_from_entries, cover a block-diagonal
+class diag(e^u, Q_t) with det(Q_t) = e^{-u} q(x2, x3), two collapsing
+degenerations of it obtained by normalizing integral constraints
+numerically, and the cone-asymptotic cylinder family built from a curve
+(x1 + i t)^(1/3).  Entries are DSL expressions (jet-expandable), except in
+the collapsing pair, whose numeric normalizers make them grid evaluators.
 """
 
 from __future__ import annotations
@@ -117,6 +117,8 @@ def family_from_entries(entries, *, dim: int = 3, t_range=(0.0, 1.0),
                         periodic=None, name: str = "") -> MetricFamily:
     """Build a symmetric family from an upper-triangular dict like
     {"g11": "...", "g12": "...", ...}; missing off-diagonals are zero."""
+    if dim not in (2, 3):  # before dim sizes anything
+        raise FamilyError(f"dim must be 2 or 3, got {dim}")
     if periodic is None:
         periodic = (True,) * dim
     grid = [[None] * dim for _ in range(dim)]
@@ -231,7 +233,7 @@ def check_slag_family(fam: MetricFamily, n: int = 64, nt: int = 9,
                              tolerance=tol, n=n, nt=nt)
 
 
-# -- constructors for the block-diagonal class -------------------------------------
+# -- constructors ------------------------------------------------------------------
 
 
 # grid points per axis, tolerance and t-samples of the checks the block
@@ -255,12 +257,8 @@ def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), name: str = "block") -> Me
         raise FamilyError("u may depend on t and x1 only")
     if free_variables(q) - {"x2", "x3"}:
         raise FamilyError("q may depend on x2 and x3 only")
-    entries = (
-        (ExprEntry(dsl.Call("exp", u)), _entry(0), _entry(0)),
-        (_entry(0), ExprEntry(qm[0][0]), ExprEntry(qm[0][1])),
-        (_entry(0), ExprEntry(qm[0][1]), ExprEntry(qm[1][1])),
-    )
-    fam = MetricFamily(3, entries, tuple(t_range), (True, True, True), name)
+    fam = family_from_entries({"g11": dsl.Call("exp", u), "g22": qm[0][0], "g23": qm[0][1],
+                               "g33": qm[1][1]}, t_range=t_range, name=name)
     axes = family_axes(fam, _CHECK_N)
     q_samples = eval_grid(q, axes)
     worst = 0.0
@@ -277,11 +275,12 @@ def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), name: str = "block") -> Me
 _NORM_GRID = 256
 
 
-def _collapse_norm(w: Expr, t: float) -> float:
-    """Integral of e^{w(t,s)/2} over one period in x1."""
-    s = periodic_axis(_NORM_GRID)
-    vals = np.exp(0.5 * eval_grid(w, {"t": t, "x1": s}))
-    return float(periodic_quad(vals))
+def _normalizer(f: Expr, t: float, env: dict, over: str):
+    """int_0^1 e^{f/2} d(over) on a _NORM_GRID-point periodic axis, shaped like
+    the broadcast of f's other variables as ``env`` binds them."""
+    env = {name: np.asarray(x)[..., None] for name, x in env.items()}
+    env.update({"t": t, over: periodic_axis(_NORM_GRID)})
+    return periodic_quad(np.exp(0.5 * eval_grid(f, env)), axis=-1)
 
 
 def make_collapsing_22(w_raw, t1: float, *, t_range=None,
@@ -290,32 +289,9 @@ def make_collapsing_22(w_raw, t1: float, *, t_range=None,
 
     The raw profile is renormalized to u_t = w_raw - 2 log int_0^1 e^{w_raw/2},
     which pins int_0^1 e^{u_t/2} = 1 for every t; the metric is
-    diag(e^u, 1, e^{-u}).
+    diag(e^u, 1, e^{-u}), the x2-profile-free case of make_collapsing_21.
     """
-    w = _as_expr(w_raw)
-    if free_variables(w) - {"t", "x1"}:
-        raise FamilyError("the collapse profile may depend on t and x1 only")
-    if t_range is None:
-        t_range = (0.0, 0.9 * t1)
-    if not t_range[1] < t1:
-        raise FamilyError(f"t_range must stay strictly below the collapse time {t1}")
-    collapse_norm = lru_cache(maxsize=1)(partial(_collapse_norm, w))
-
-    def a11(t, axes):
-        norm = collapse_norm(t)
-        return np.exp(eval_grid(w, {"t": t, "x1": axes["x1"]})) / norm ** 2
-
-    def a33(t, axes):
-        norm = collapse_norm(t)
-        return np.exp(-eval_grid(w, {"t": t, "x1": axes["x1"]})) * norm ** 2
-
-    zero = _entry(0)
-    entries = (
-        (GridEntry(a11), zero, zero),
-        (zero, _entry(1), zero),
-        (zero, zero, GridEntry(a33)),
-    )
-    return MetricFamily(3, entries, tuple(t_range), (True, True, True), name)
+    return make_collapsing_21(w_raw, 0, t1, t_range=t_range, name=name)
 
 
 def make_collapsing_21(w_raw, v_raw, t1: float, *, t_range=None,
@@ -332,76 +308,40 @@ def make_collapsing_21(w_raw, v_raw, t1: float, *, t_range=None,
         t_range = (0.0, 0.9 * t1)
     if not t_range[1] < t1:
         raise FamilyError(f"t_range must stay strictly below the collapse time {t1}")
+    w_norm = lru_cache(maxsize=1)(partial(_normalizer, w, env={}, over="x1"))
 
-    def _v_norm(t: float, x1: np.ndarray) -> np.ndarray:
-        """Per-x1 normalizer int_0^1 e^{v(t,x1,s)/2} ds, broadcast like x1."""
-        flat = np.atleast_1d(np.asarray(x1, dtype=np.float64)).ravel()
-        s = periodic_axis(_NORM_GRID)
-        vals = np.exp(0.5 * eval_grid(v, {"t": t, "x1": flat[:, None], "x2": s[None, :]}))
-        vals = np.broadcast_to(np.asarray(vals), (flat.size, s.size))
-        norms = np.asarray(periodic_quad(vals, axis=1))
-        return norms.reshape(np.shape(x1) if np.ndim(x1) else ())
-    collapse_norm = lru_cache(maxsize=1)(partial(_collapse_norm, w))
+    def at(e, t, axes):
+        return eval_grid(e, {**axes, "t": t})
 
     def a11(t, axes):
-        norm = collapse_norm(t)
-        return np.exp(eval_grid(w, {"t": t, "x1": axes["x1"]})) / norm ** 2
+        return np.exp(at(w, t, axes)) / w_norm(t) ** 2
 
     def a22(t, axes):
-        vn = _v_norm(t, axes["x1"])
-        vv = eval_grid(v, {"t": t, "x1": axes["x1"], "x2": axes["x2"]})
-        return np.exp(vv) / vn ** 2
+        return np.exp(at(v, t, axes)) / _normalizer(v, t, axes, "x2") ** 2
 
     def a33(t, axes):
-        norm = collapse_norm(t)
-        vn = _v_norm(t, axes["x1"])
-        vv = eval_grid(v, {"t": t, "x1": axes["x1"], "x2": axes["x2"]})
-        wv = eval_grid(w, {"t": t, "x1": axes["x1"]})
-        return np.exp(-(wv + vv)) * norm ** 2 * vn ** 2
+        return (np.exp(-(at(w, t, axes) + at(v, t, axes))) * w_norm(t) ** 2
+                * _normalizer(v, t, axes, "x2") ** 2)
 
-    zero = _entry(0)
-    entries = (
-        (GridEntry(a11), zero, zero),
-        (zero, GridEntry(a22), zero),
-        (zero, zero, GridEntry(a33)),
-    )
-    return MetricFamily(3, entries, tuple(t_range), (True, True, True), name)
+    return family_from_entries({"g11": GridEntry(a11), "g22": GridEntry(a22),
+                                "g33": GridEntry(a33)}, t_range=t_range, name=name)
 
 
 def make_cone_family(f, *, t_range=(0.1, 1.0), name: str = "cone") -> MetricFamily:
     """Cylinder family asymptotic to a cone: diag(|c'|^2, |c|^2 f, |c|^2 f)
-    for the curve c(x1) = (x1 + i t)^(1/3), principal branch, x1 > 0.
+    for the curve c(x1) = (x1 + i t)^(1/3).
 
-    ``f`` is the conformal factor of the cross-section metric, a positive
-    function of (x2, x3).  Not periodic in x1; grids avoid the branch point.
+    ``f`` is the conformal factor of the cross-section metric, a function of
+    (x2, x3) that check_slag_family needs positive.  The modulus
+    |c|^6 = x1^2 + t^2 is the same on every branch, so the entries are DSL
+    expressions; their one singular point is x1 = t = 0.  Not periodic in x1.
     """
     f = _as_expr(f)
     if free_variables(f) - {"x2", "x3"}:
         raise FamilyError("the conformal factor may depend on x2 and x3 only")
-
-    def _modulus_sq(t, x1):
-        x1 = np.asarray(x1, dtype=np.float64)
-        if not np.all(x1 > 0):
-            raise FamilyError("cone family sampled at x1 <= 0 (branch point)")
-        return x1 ** 2 + float(t) ** 2
-
-    def a11(t, axes):
-        # |c'|^2 = (1/9) |x1 + i t|^(-4/3)
-        return _modulus_sq(t, axes["x1"]) ** (-2.0 / 3.0) / 9.0
-
-    def across(t, axes):
-        fv = eval_grid(f, {"x2": axes.get("x2", 0.0), "x3": axes.get("x3", 0.0)})
-        if not np.all(fv > 0):
-            raise FamilyError("conformal factor must be positive on samples")
-        return _modulus_sq(t, axes["x1"]) ** (1.0 / 3.0) * fv
-
-    zero = _entry(0)
-    entries = (
-        (GridEntry(a11), zero, zero),
-        (zero, GridEntry(across), zero),
-        (zero, zero, GridEntry(across)),
-    )
-    return MetricFamily(3, entries, tuple(t_range), (False, True, True), name)
+    across = dsl.BinOp("*", parse("(x1^2 + t^2)^(1/3)"), f)
+    return family_from_entries({"g11": "(x1^2 + t^2)^(-2/3) / 9", "g22": across, "g33": across},
+                               t_range=t_range, periodic=(False, True, True), name=name)
 
 
 # -- bridge into the structure solver ------------------------------------------------

@@ -79,10 +79,22 @@ MALFORMED = {
                                 "'colour = red'"),
     "dump repeated order": ("verify", structure_dump(order="4\norder = 9"), [], "'order = 9'"),
     "family dim": ("family-check", family_scenario(dim="three"), []),
+    "family dim of 401 digits": ("family-check", family_scenario(dim="1" + "0" * 400), [],
+                                 "dim must be 2 or 3"),
     "family t_min": ("family-check", family_scenario(t_min="zero"), []),
     "family t_max": ("family-check", family_scenario(t_max="1.0.0"), []),
     "family t1": ("family-check", family_scenario(constructor="collapse22",
                                                   entries='w = "0"\nt1 = soon\n'), []),
+    "infinite family t_max": ("family-check", family_scenario(t_max="inf"), [], "t_max"),
+    "infinite family t_min": ("family-check", family_scenario(t_min="-inf"), [], "t_min"),
+    "infinite family t1": ("family-check", family_scenario(constructor="collapse22",
+                                                           entries='w = "0"\nt1 = inf\n'), [],
+                           "t1"),
+    "periodic flag word": ("family-check", family_scenario(
+        entries='periodic = 1 1 banana\ng11 = "1"\ng22 = "1"\ng33 = "1"\n'), [],
+        "periodic", "'banana'"),
+    "cone conformal factor not positive": ("family-check", family_scenario(
+        constructor="cone", t_min="0.1", entries='f = "-1"\n'), [], "leading minor 2"),
     "grid in file": ("family-check", family_scenario(grid="1"), []),
     "t_samples in file": ("family-check", family_scenario(t_samples="0"), []),
     "grid flag": ("phi", family_scenario(kind="phi"), ["--grid", "1"]),
@@ -405,8 +417,39 @@ g23 = "x2/4 + x1^2/2"
 g33 = "1 + x3/2 + 2*x1^2/7"
 """
 
+# an admissible family-check scenario for each constructor but "direct"
+CONSTRUCTOR_SCENARIOS = {
+    "block": family_scenario(constructor="block", entries='u = "t*sin(2*pi*x1)"\n'
+                             'q22 = "exp(-t*sin(2*pi*x1))"\n'),
+    "collapse22": family_scenario(constructor="collapse22", t_max="0.7",
+                                  entries='w = "(t/(1-t))*cos(pi*x1)^2"\nt1 = 1\n'),
+    "collapse21": family_scenario(constructor="collapse21", t_max="0.6", entries=(
+        'w = "(t/(1-t))*cos(pi*x1)^2"\nv = "(t/(1-t))*cos(pi*x2)^2*(1+sin(2*pi*x1)/4)"\n'
+        't1 = 1\n')),
+    "cone": family_scenario(constructor="cone", t_min="0.1",
+                            entries='f = "2 + sin(2*pi*x2)*cos(2*pi*x3)/2"\n'),
+}
+
+
+def constructor_transcript(tmp_path, capsys) -> str:
+    """Exit code, stdout and stderr of `family-check --deterministic` on each
+    CONSTRUCTOR_SCENARIOS entry, in one text."""
+    parts = []
+    for name, text in CONSTRUCTOR_SCENARIOS.items():
+        code = main(["family-check", "--scenario", write_scenario(tmp_path, text, f"{name}.ini"),
+                     "--deterministic"])
+        out, err = capsys.readouterr()
+        parts.append(f"### {name}: exit {code}\n--- stdout\n{out}--- stderr\n{err}")
+    return "".join(parts)
+
 
 class TestGolden:
+    def test_family_constructors_are_pinned(self, tmp_path, capsys):
+        # the residuals are roundoff, so any change in how a constructor
+        # samples its entries shows in the transcript
+        transcript = constructor_transcript(tmp_path, capsys)
+        assert transcript == (GOLDEN / "family_constructors.txt").read_text(encoding="utf-8")
+
     def test_poly_embed_dump_is_pinned(self, tmp_path):
         # exact-mode dumps stay byte-identical
         dump = tmp_path / "structure.txt"

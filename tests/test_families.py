@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slagcy import families
-from slagcy.dsl import eval_grid, parse
+from slagcy.dsl import EvalDomainError, eval_grid, parse
 from slagcy.families import (
     ExprEntry,
     FamilyCheckReport,
@@ -22,6 +22,7 @@ from slagcy.families import (
     make_collapsing_21,
     make_collapsing_22,
     make_cone_family,
+    metric_jets,
 )
 from slagcy.gridops import grid_diff, periodic_axis, periodic_quad
 from slagcy.jets import EXACT, X1, Y1, Y2, Y3, Jet, det
@@ -183,9 +184,10 @@ class TestSampling:
         quads = []
         quad = families.periodic_quad
 
-        def counted(*args, **kwargs):
-            quads.append(args)
-            return quad(*args, **kwargs)
+        def counted(samples, **kwargs):
+            if np.ndim(samples):  # a v-profile free of x2 integrates as a constant
+                quads.append(samples)
+            return quad(samples, **kwargs)
 
         w = "(t/(1-t))*cos(pi*x1)^2"
         fam22 = make_collapsing_22(w, t1=1.0, t_range=(0.0, 0.7))
@@ -202,7 +204,7 @@ class TestSampling:
         monkeypatch.setattr(families, "periodic_quad", quad)
         assert fam21.entries[0][0].sample(0.3, {"x1": axes["x1"]}).shape == axes["x1"].shape
         wv = eval_grid(parse(w), {"t": 0.3, "x1": axes["x1"]})
-        norm = families._collapse_norm(parse(w), 0.3)
+        norm = families._normalizer(parse(w), 0.3, {}, "x1")
         assert np.array_equal(m22[0][0], np.exp(wv) / norm ** 2)
         assert np.array_equal(m22[2][2], np.exp(-wv) * norm ** 2)
 
@@ -321,15 +323,23 @@ class TestConeFamily:
                                                  "x3": 0.0})[0])
         assert abs(a22 - 2.0 ** (1.0 / 3.0)) < 1e-12
 
-    def test_nonpositive_x1_rejected(self):
-        fam = make_cone_family("1")
-        with pytest.raises(FamilyError, match="branch point"):
-            fam.entries[0][0].sample(0.5, {"x1": np.array([0.0, 0.5])})
+    def test_only_the_singular_point_rejected(self):
+        # |c|^6 = x1^2 + t^2 on every branch, so x1 <= 0 samples are fine
+        g11 = make_cone_family("1").entries[0][0]
+        with pytest.raises(EvalDomainError, match="fractional power"):
+            g11.sample(0.0, {"x1": np.array([0.5, 0.0])})
+        x1 = np.array([0.0, -0.5])
+        assert np.array_equal(g11.sample(0.5, {"x1": x1}), (x1 ** 2 + 0.25) ** (-2 / 3) / 9)
 
     def test_nonpositive_conformal_factor_rejected(self):
-        fam = make_cone_family("-1")
-        with pytest.raises(FamilyError, match="positive"):
-            fam.entries[1][1].sample(0.5, {"x1": np.array([0.5]), "x2": 0.0, "x3": 0.0})
+        with pytest.raises(FamilyError, match="leading minor 2"):
+            check_slag_family(make_cone_family("-1"), n=8, nt=2)
+
+    def test_exact_jets_need_a_rational_root(self):
+        g = metric_jets(make_cone_family("1"), 1, 4, EXACT)
+        assert [g[i][i].constant_term for i in range(3)] == [Fraction(1, 9), 1, 1]
+        with pytest.raises(FamilyError, match="g11"):
+            metric_jets(make_cone_family("1"), Fraction(1, 2), 4, EXACT)
 
     def test_passes_family_check_on_interior_grid(self):
         fam = make_cone_family("1")
