@@ -303,8 +303,9 @@ def _family_from_scenario(sc: Scenario) -> MetricFamily:
     """The [family] section's family; a key that no code reads is an error."""
     spec = dict(sc.family)
     constructor = spec.pop("constructor", "direct").strip()
-    t_min = _pop_number(spec, "t_min", "0")
-    t_max = _pop_number(spec, "t_max", "1")
+    # a t-range the scenario leaves out is the constructor's own
+    bounds = {} if spec.keys().isdisjoint({"t_min", "t_max"}) else {"t_range": (
+        _pop_number(spec, "t_min", "0"), _pop_number(spec, "t_max", "1"))}
     name = spec.pop("name", constructor)
     if constructor == "direct":
         dim = _pop_number(spec, "dim", "3", int)
@@ -331,7 +332,7 @@ def _family_from_scenario(sc: Scenario) -> MetricFamily:
         raise ScenarioError(f"[family] keys not read by constructor {constructor!r}: "
                             f"{', '.join(sorted(spec))}")
     try:
-        return build(t_range=(t_min, t_max), name=name)
+        return build(**bounds, name=name)
     except FamilyError as exc:
         raise ScenarioError(f"[family]: {exc}") from exc
 

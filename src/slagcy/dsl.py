@@ -355,6 +355,6 @@ def eval_jet(e: Expr, env: dict) -> Jet:
              "var": lambda jet: jet, "num": lambda c: Jet.constant(c, ref.order, ref.mode),
              "/": operator.truediv, "^": jet_pow, "overflow": JetDomainError}
     value = _walk(e, env, arith)
-    if ref.mode != EXACT and not all(map(math.isfinite, value.coeffs.values())):
+    if ref.mode != EXACT and not math.isfinite(value.max_abs_coeff()):
         raise JetDomainError("non-finite float coefficient")
     return value

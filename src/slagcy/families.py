@@ -309,6 +309,12 @@ def make_collapsing_21(w_raw, v_raw, t1: float, *, t_range=None,
     if not t_range[1] < t1:
         raise FamilyError(f"t_range must stay strictly below the collapse time {t1}")
     w_norm = lru_cache(maxsize=1)(partial(_normalizer, w, env={}, over="x1"))
+    v_last = [None, None, None]  # (t, axes, v-normalizer) of the last call; holds axes
+
+    def v_norm(t, axes):
+        if v_last[0] != t or v_last[1] is not axes:
+            v_last[:] = t, axes, _normalizer(v, t, axes, "x2")
+        return v_last[2]
 
     def at(e, t, axes):
         return eval_grid(e, {**axes, "t": t})
@@ -317,11 +323,11 @@ def make_collapsing_21(w_raw, v_raw, t1: float, *, t_range=None,
         return np.exp(at(w, t, axes)) / w_norm(t) ** 2
 
     def a22(t, axes):
-        return np.exp(at(v, t, axes)) / _normalizer(v, t, axes, "x2") ** 2
+        return np.exp(at(v, t, axes)) / v_norm(t, axes) ** 2
 
     def a33(t, axes):
         return (np.exp(-(at(w, t, axes) + at(v, t, axes))) * w_norm(t) ** 2
-                * _normalizer(v, t, axes, "x2") ** 2)
+                * v_norm(t, axes) ** 2)
 
     return family_from_entries({"g11": GridEntry(a11), "g22": GridEntry(a22),
                                 "g33": GridEntry(a33)}, t_range=t_range, name=name)

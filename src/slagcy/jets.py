@@ -1,13 +1,18 @@
 """Truncated multivariate power series (jets) in up to six real variables.
 
 A jet stores the Taylor coefficients of a real-analytic germ at the origin,
-up to a fixed total degree, as a sparse map from exponent tuples to scalars.
-A germ at another point is expanded in shifted generators, e.g.
-``Jet.variable(X1, n) + a`` for x1 around a.  Two scalar modes are supported:
-exact rationals and binary floats.  An exact jet is stored as integer
-numerators over one reduced denominator, and every operation works on that
-form, building no ``Fraction`` per coefficient.  All operations are pure;
-jets are treated as immutable values.
+up to a fixed total degree, as a sparse map from packed monomial keys to
+scalars.  A key holds a multi-index (e1, ..., e6) as one int of seven 16-bit
+fields: the total degree on top, then e1 down to e6.  Adding two keys
+multiplies the monomials, sorting keys is graded-lex order, and the fields
+bound the order at 65535.  Exponent tuples appear only at the boundary: the
+constructors, the ``coeffs`` view and ``dumps``.  A germ at another point is
+expanded in shifted generators, e.g. ``Jet.variable(X1, n) + a`` for x1
+around a.  Two scalar modes are supported: exact rationals and binary
+floats.  An exact jet is stored as integer numerators over one reduced
+denominator, and every operation works on that form, building no
+``Fraction`` per coefficient.  All operations are pure; jets are treated as
+immutable values.
 
 Variables are fixed as (x1, x2, x3, y1, y2, y3) with z_k = x_k + i*y_k.
 """
@@ -15,6 +20,7 @@ Variables are fixed as (x1, x2, x3, y1, y2, y3) with z_k = x_k + i*y_k.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -31,7 +37,12 @@ FLOAT = "float"
 ZERO_INDEX = (0,) * NVARS
 _TERM_LINE = " ".join(["%d"] * NVARS) + " : %s"  # a multi-index and its coefficient
 
-MultiIndex = tuple  # 6 non-negative integer exponents
+MAX_ORDER = 0xFFFF  # the largest degree a 16-bit key field holds
+_KEY = struct.Struct(">7H")  # a packed key's fields: degree, e1, ..., e6
+_KEY_PACK, _FROM_BYTES = _KEY.pack, int.from_bytes  # bound once: _pack runs per term
+_DEG = 16 * NVARS  # the shift of the degree field
+_SHIFT = tuple(16 * (NVARS - 1 - v) for v in range(NVARS))  # the shift of each exponent
+_UNIT = tuple((1 << _DEG) + (1 << s) for s in _SHIFT)  # the key of each variable
 
 
 class JetError(Exception):
@@ -46,9 +57,19 @@ class JetDomainError(JetError):
     """A scalar or constant term lies outside the domain of an operation."""
 
 
-def grlex_key(idx: MultiIndex) -> tuple:
-    """Graded-lexicographic sort key: total degree first, then lex."""
-    return (sum(idx), idx)
+def _pack(idx, order: int) -> int:
+    """The key of an exponent tuple of total degree at most ``order``."""
+    try:
+        key = _FROM_BYTES(_KEY_PACK(sum(idx), *idx), "big")
+    except (struct.error, TypeError):  # not six exponents in 0..MAX_ORDER
+        raise JetError(f"bad multi-index {idx}") from None
+    if key >> _DEG > order:
+        raise JetError(f"multi-index {idx} exceeds order {order}")
+    return key
+
+
+def _unpack(key: int) -> tuple:
+    return _KEY.unpack(key.to_bytes(14, "big"))[1:]
 
 
 def _coerce(value, mode: str):
@@ -62,27 +83,32 @@ def _coerce(value, mode: str):
 class Jet:
     """Truncated Taylor expansion at the origin up to total degree ``order``.
 
-    ``num`` maps exponent tuples to nonzero numerators over the one denominator
+    ``num`` maps packed keys to nonzero numerators over the one denominator
     ``den``; an absent index is a zero coefficient.  Exact numerators are ints
     over the lcm of the coefficients' denominators, so gcd(den, *num.values())
     is 1 (den is 1 for the zero jet); float mode stores the coefficients and
-    den = 1.  ``Jet(order, coeffs, mode)`` builds this form from scalars and
-    ``coeffs`` reads them back (``Fraction``s in exact mode).  Do not mutate
+    den = 1.  ``Jet(order, coeffs, mode)`` builds this form from exponent
+    tuples, each of degree <= order <= MAX_ORDER, and scalars; ``coeffs``
+    reads them back (``Fraction``s in exact mode).  Do not mutate
     ``num``.  A shift of the expansion point is written in the generators.
     """
 
     def __init__(self, order: int, coeffs: dict, mode: str):
-        den = math.lcm(*(c.denominator for c in coeffs.values())) if mode == EXACT else 1
+        if not 0 <= order <= MAX_ORDER:
+            raise JetError(f"jet order {order} is outside 0..{MAX_ORDER}")
+        num = {_pack(idx, order): c for idx, c in coeffs.items()}
+        den = math.lcm(*(c.denominator for c in num.values())) if mode == EXACT else 1
         if mode == EXACT:
-            coeffs = {idx: c.numerator * (den // c.denominator) for idx, c in coeffs.items()}
-        self.order, self.mode, self.num, self.den = order, mode, coeffs, den
+            num = {k: c.numerator * (den // c.denominator) for k, c in num.items() if c}
+        elif not all(num.values()):
+            num = {k: c for k, c in num.items() if c}
+        self.order, self.mode, self.num, self.den = order, mode, num, den
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def constant(value, order: int, mode: str = EXACT) -> "Jet":
-        v = _coerce(value, mode)
-        return Jet(order, {} if v == 0 else {ZERO_INDEX: v}, mode)
+        return Jet(order, {ZERO_INDEX: _coerce(value, mode)}, mode)
 
     @staticmethod
     def variable(var: int, order: int, mode: str = EXACT) -> "Jet":
@@ -96,17 +122,7 @@ class Jet:
 
     @staticmethod
     def from_terms(terms: dict, order: int, mode: str = EXACT) -> "Jet":
-        coeffs = {}
-        for idx, val in terms.items():
-            idx = tuple(idx)
-            if len(idx) != NVARS or min(idx) < 0:
-                raise JetError(f"bad multi-index {idx}")
-            if sum(idx) > order:
-                raise JetError(f"multi-index {idx} exceeds order {order}")
-            v = _coerce(val, mode)
-            if v != 0:
-                coeffs[idx] = v
-        return Jet(order, coeffs, mode)
+        return Jet(order, {idx: _coerce(val, mode) for idx, val in terms.items()}, mode)
 
     def zero_like(self, order: int | None = None) -> "Jet":
         return _jet(self.order if order is None else order, self.mode, {})
@@ -115,14 +131,13 @@ class Jet:
 
     @property
     def coeffs(self) -> dict:
-        """The coefficients: the stored floats, or ``Fraction``s built per call."""
-        if self.mode == EXACT:
-            return {idx: Fraction(c, self.den) for idx, c in self.num.items()}
-        return self.num
+        """The coefficients by exponent tuple, built per call (``Fraction``s in exact mode)."""
+        exact, den = self.mode == EXACT, self.den
+        return {_unpack(k): Fraction(c, den) if exact else c for k, c in self.num.items()}
 
     @property
     def constant_term(self):
-        c = self.num.get(ZERO_INDEX, 0.0 if self.mode == FLOAT else 0)
+        c = self.num.get(0, 0.0 if self.mode == FLOAT else 0)
         return c if self.mode == FLOAT else Fraction(c, self.den)
 
     def is_zero(self) -> bool:
@@ -138,11 +153,11 @@ class Jet:
 
     @cached_property
     def _by_degree(self) -> list:
-        """The terms as sorted (degree, index, numerator) triples, for ``mul_sum``."""
-        return sorted((sum(idx), idx, c) for idx, c in self.num.items())
+        """The (key, numerator) pairs in graded-lex order, for ``mul_sum``."""
+        return sorted(self.num.items())
 
     def depends_on(self, var: int) -> bool:
-        return any(idx[var] for idx in self.num)
+        return any(k >> _SHIFT[var] & 0xFFFF for k in self.num)
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
@@ -244,33 +259,35 @@ class Jet:
         """Formal partial derivative; the result order drops by one."""
         if self.order < 1:
             raise JetDomainError("cannot differentiate an order-0 jet")
-        out = {idx[:var] + (idx[var] - 1,) + idx[var + 1:]: c * idx[var]
-               for idx, c in self.num.items() if idx[var]}
+        s, unit = _SHIFT[var], _UNIT[var]
+        out = {k - unit: c * e for k, c in self.num.items() if (e := k >> s & 0xFFFF)}
         return _jet(self.order - 1, self.mode, out, self.den)
 
     # -- reshaping -----------------------------------------------------------
 
     def restrict_zero(self, vars: Iterable[int]) -> "Jet":
         """Restriction to the subspace where the given variables vanish."""
-        vars = tuple(vars)
-        out = {idx: c for idx, c in self.num.items() if all(idx[v] == 0 for v in vars)}
+        mask = sum(0xFFFF << _SHIFT[v] for v in set(vars))  # their exponents' bits
+        out = {k: c for k, c in self.num.items() if not k & mask}
         return _jet(self.order, self.mode, out, self.den)
 
     def slice_coeff(self, var: int, m: int) -> "Jet":
         """Coefficient of the m-th power of one variable, as a jet in the others."""
         if m > self.order:
             raise JetError("slice degree exceeds order")
-        out = {idx[:var] + (0,) + idx[var + 1:]: c for idx, c in self.num.items() if idx[var] == m}
+        s, cut = _SHIFT[var], m * _UNIT[var]
+        out = {k - cut: c for k, c in self.num.items() if k >> s & 0xFFFF == m}
         return _jet(self.order - m, self.mode, out, self.den)
 
     def mul_monomial(self, var: int, m: int) -> "Jet":
-        """Multiply by the m-th power of a coordinate; raises the order by m."""
-        out = {}
-        for idx, c in self.num.items():
-            if idx[var] != 0:
-                raise JetError("mul_monomial expects a jet free of the target variable")
-            out[idx[:var] + (m,) + idx[var + 1:]] = c
-        return _jet(self.order + m, self.mode, out, self.den)
+        """Multiply by the m-th power of a coordinate; raises the order by m, as
+        far as MAX_ORDER (the solver restores an order slice_coeff lowered)."""
+        if self.depends_on(var):
+            raise JetError("mul_monomial expects a jet free of the target variable")
+        if self.order + m > MAX_ORDER:
+            raise JetError(f"mul_monomial would raise the order past {MAX_ORDER}")
+        add = m * _UNIT[var]
+        return _jet(self.order + m, self.mode, {k + add: c for k, c in self.num.items()}, self.den)
 
     # -- output ------------------------------------------------------------------
 
@@ -279,16 +296,16 @@ class Jet:
         an exact coefficient written as str() of its Fraction."""
         den, exact = self.den, self.mode == EXACT
         lines = []
-        for _, idx, c in sorted([(sum(idx), idx, c) for idx, c in self.num.items()]):
+        for k, c in sorted(self.num.items()):
             if exact:
                 g = math.gcd(c, den)
                 c = c // g if g == den else f"{c // g}/{den // g}"
-            lines.append(_TERM_LINE % (*idx, c))
+            lines.append(_TERM_LINE % (*_unpack(k), c))
         return "\n".join(lines)
 
     def __repr__(self) -> str:
         terms, coeffs = [], self.coeffs
-        for idx in sorted(coeffs, key=grlex_key)[:8]:
+        for idx in map(_unpack, sorted(self.num)[:8]):
             mono = "*".join(f"{VAR_NAMES[k]}^{e}" if e > 1 else VAR_NAMES[k]
                             for k, e in enumerate(idx) if e)
             terms.append(f"{coeffs[idx]}" + (f"*{mono}" if mono else ""))
@@ -312,7 +329,8 @@ def mul_sum(terms, order: int) -> Jet:
     accumulated in one map without truncating the factors first.  ``terms`` is
     not empty; factors share their mode and have orders >= ``order``.  Each
     product's numerators are scaled to D, the lcm of the products' denominators;
-    float sums have D = 1 and scale by +-1.0: exact, and cheaper than an int."""
+    float sums have D = 1 and scale by +-1.0: exact, and cheaper than an int.
+    A key's first product is added to zero, which changes no nonzero sum."""
     if not terms:
         raise JetError("mul_sum needs at least one term")
     mode = terms[0][1].mode
@@ -324,20 +342,18 @@ def mul_sum(terms, order: int) -> Jet:
                 f"a product of orders {a.order} and {b.order} is not known to order {order}")
     D = math.lcm(*(a.den * b.den for _, a, b in terms)) if mode == EXACT else 1.0
     out: dict = {}
+    get, zero = out.get, 0 if mode == EXACT else 0.0
     for sign, a, b in terms:
         rhs = b._by_degree
         scale = -(D // (a.den * b.den)) if sign < 0 else D // (a.den * b.den)
-        for ia, ca in a.num.items():
+        for ka, ca in a.num.items():
             ca = ca * scale
-            room = order - sum(ia)
-            for deg, ib, cb in rhs:
-                if deg > room:
+            cap = (order + 1 - (ka >> _DEG)) << _DEG  # the least key of too high a degree
+            for kb, cb in rhs:
+                if kb >= cap:
                     break
-                key = (ia[0] + ib[0], ia[1] + ib[1], ia[2] + ib[2],
-                       ia[3] + ib[3], ia[4] + ib[4], ia[5] + ib[5])
-                prod = ca * cb
-                s = out.get(key)
-                out[key] = prod if s is None else s + prod
+                key = ka + kb  # no field carries: each sum is at most the degree <= order
+                out[key] = get(key, zero) + ca * cb
     return _jet(order, mode, {k: v for k, v in out.items() if v}, int(D))
 
 
@@ -475,21 +491,22 @@ def holomorphic_extend(f: Jet) -> ComplexJet:
     expanded binomially; the real and imaginary coefficient buckets satisfy the
     Cauchy-Riemann relations exactly and restrict to (f, 0) at y = 0.
     """
-    for idx in f.num:
-        if idx[Y1] or idx[Y2] or idx[Y3]:
-            raise JetDomainError("holomorphic_extend needs a jet in the x-variables only")
+    if any(map(f.depends_on, Y_VARS)):
+        raise JetDomainError("holomorphic_extend needs a jet in the x-variables only")
     re: dict = {}
     im: dict = {}
     comb = math.comb
-    for idx, c in f.num.items():
-        a1, a2, a3 = idx[0], idx[1], idx[2]
+    # moving one power from x_k to y_k adds d_k to the key
+    d1, d2, d3 = ((1 << _SHIFT[y]) - (1 << _SHIFT[x]) for x, y in zip((X1, X2, X3), Y_VARS))
+    for k, c in f.num.items():
+        a1, a2, a3 = _unpack(k)[:3]
         for b1 in range(a1 + 1):
-            f1 = comb(a1, b1)
+            f1, k1 = comb(a1, b1), k + b1 * d1
             for b2 in range(a2 + 1):
-                f2 = f1 * comb(a2, b2)
+                f2, k2 = f1 * comb(a2, b2), k1 + b2 * d2
                 for b3 in range(a3 + 1):
                     coeff = c * (f2 * comb(a3, b3))
-                    key = (a1 - b1, a2 - b2, a3 - b3, b1, b2, b3)
+                    key = k2 + b3 * d3
                     r = (b1 + b2 + b3) & 3
                     bucket = re if r % 2 == 0 else im
                     if r >= 2:

@@ -39,6 +39,7 @@ from itertools import zip_longest
 from .jets import (
     EXACT,
     FLOAT,
+    MAX_ORDER,
     NVARS,
     X1,
     X2,
@@ -224,9 +225,8 @@ def _validate_metric(g, order: int | None = None):
     for row in g:
         for entry in row:
             ref._check_compatible(entry)
-            for idx in entry.num:
-                if idx[Y1] or idx[Y2] or idx[Y3]:
-                    raise SolverError("metric jets must not depend on the y-variables")
+            if any(map(entry.depends_on, Y_VARS)):
+                raise SolverError("metric jets must not depend on the y-variables")
     for i in range(3):
         for j in range(i + 1, 3):
             if g[i][j] != g[j][i]:
@@ -521,8 +521,9 @@ def load_structure(text: str) -> CYStructureJet:
         raise SolverError(f"bad structure dump header: {exc}") from exc
     if mode not in (EXACT, FLOAT):
         raise SolverError(f"unknown mode {mode!r}")
-    if order < 2:
-        raise SolverError(f"bad structure dump header: order must be >= 2, got {order}")
+    if not 2 <= order <= MAX_ORDER:
+        bound = ">= 2" if order < 2 else f"<= {MAX_ORDER}"
+        raise SolverError(f"bad structure dump header: order must be {bound}, got {order}")
     if len(base_point) != NVARS or any(p for p, _ in base_point):
         raise SolverError("bad structure dump header: base_point must be the origin")
 

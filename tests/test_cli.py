@@ -15,6 +15,7 @@ from slagcy.jets import FLOAT
 from slagcy.cli import (
     KINDS,
     ScenarioError,
+    _family_from_scenario,
     emit_report,
     load_scenario,
     main,
@@ -49,13 +50,15 @@ FLAT_FLOAT_DUMP = dump_structure(solve_calabi_yau(
 
 
 def family_scenario(kind="family-check", **fields):
+    """A family scenario; a t_min or t_max of None leaves that key out."""
     v = {"grid": "16", "t_samples": "3", "constructor": "direct",
          "t_min": "0", "t_max": "1", "entries": 'g11 = "1"\ng22 = "1"\ng33 = "1"\n'}
     v.update(fields)
     dim = f"dim = {v['dim']}\n" if "dim" in v else ""
+    t_lines = "".join(f"{k} = {v[k]}\n" for k in ("t_min", "t_max") if v[k] is not None)
     return (f"[scenario]\nkind = {kind}\nmode = float\ngrid = {v['grid']}\n"
             f"t_samples = {v['t_samples']}\n\n[family]\nconstructor = {v['constructor']}\n"
-            f"{dim}t_min = {v['t_min']}\nt_max = {v['t_max']}\n{v['entries']}")
+            f"{dim}{t_lines}{v['entries']}")
 
 
 def embed_scenario(scenario="", sections=""):
@@ -78,6 +81,10 @@ MALFORMED = {
     "dump unknown header key": ("verify", structure_dump(order="2\ncolour = red"), [],
                                 "'colour = red'"),
     "dump repeated order": ("verify", structure_dump(order="4\norder = 9"), [], "'order = 9'"),
+    "dump order past the key range": ("verify", structure_dump(order="70000"), [],
+                                      "order must be <= 65535, got 70000"),
+    "order past the key range": ("embed", embed_scenario(), ["--order", "70000"],
+                                 "order 70000"),
     "family dim": ("family-check", family_scenario(dim="three"), []),
     "family dim of 401 digits": ("family-check", family_scenario(dim="1" + "0" * 400), [],
                                  "dim must be 2 or 3"),
@@ -377,6 +384,29 @@ class TestExitCodes:
         data = json.loads(out.read_text())
         assert data["scenario"]["tolerance"] == 1e-12
         assert max(v["value"] for v in data["verdicts"]) > 0  # float roundoff is judged
+
+
+# [family] entries without t_min and t_max -> the constructor's own t-range
+DEFAULT_RANGES = {
+    "collapse22": ('w = "t*cos(pi*x1)^2"\n', (0.0, 0.9)),
+    "collapse22 with t1 = 2": ('w = "t*cos(pi*x1)^2"\nt1 = 2\n', (0.0, 1.8)),
+    "cone": ('f = "1"\n', (0.1, 1.0)),
+}
+
+
+class TestFamilyRange:
+    @pytest.mark.parametrize("name", sorted(DEFAULT_RANGES))
+    def test_unset_range_is_the_constructors(self, name, tmp_path, capsys):
+        entries, t_range = DEFAULT_RANGES[name]
+        path = write_scenario(tmp_path, family_scenario(
+            constructor=name.split()[0], t_min=None, t_max=None, entries=entries))
+        assert _family_from_scenario(load_scenario(path)).t_range == pytest.approx(t_range)
+        assert main(["family-check", "--scenario", path]) == 0, capsys.readouterr().err
+
+    def test_one_bound_set_keeps_the_other_default(self, tmp_path):
+        path = write_scenario(tmp_path, family_scenario(
+            constructor="collapse22", t_min=None, t_max="0.5", entries='w = "0"\n'))
+        assert _family_from_scenario(load_scenario(path)).t_range == (0.0, 0.5)
 
 
 # the subcommands that take each flag besides --scenario; --mode, --out-json

@@ -197,11 +197,16 @@ class TestSampling:
         monkeypatch.setattr(families, "periodic_quad", counted)
         m22 = fam22.sample_matrix(0.3, axes)
         assert len(quads) == 1
+        m21 = fam21.sample_matrix(0.3, axes)
+        assert len(quads) == 3  # one w-normalizer; one v-normalizer for a22 and a33
         fam21.sample_matrix(0.3, axes)
-        assert len(quads) == 4  # one w-normalizer; the v-normalizer in a22 and a33
-        fam21.sample_matrix(0.3, axes)
-        assert len(quads) == 6
+        assert len(quads) == 3  # both are kept for the same t and axes
+        fam21.sample_matrix(0.4, axes)
+        assert len(quads) == 5
         monkeypatch.setattr(families, "periodic_quad", quad)
+        v = parse("(t/(1-t))*cos(pi*x2)^2*(1+sin(2*pi*x1)/4)")
+        vv = eval_grid(v, {**axes, "t": 0.3})
+        assert np.array_equal(m21[1][1], np.exp(vv) / families._normalizer(v, 0.3, axes, "x2") ** 2)
         assert fam21.entries[0][0].sample(0.3, {"x1": axes["x1"]}).shape == axes["x1"].shape
         wv = eval_grid(parse(w), {"t": 0.3, "x1": axes["x1"]})
         norm = families._normalizer(parse(w), 0.3, {}, "x1")

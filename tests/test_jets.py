@@ -14,6 +14,7 @@ from slagcy.dsl import eval_jet, parse
 from slagcy.jets import (
     EXACT,
     FLOAT,
+    MAX_ORDER,
     NVARS,
     X1,
     X2,
@@ -28,13 +29,18 @@ from slagcy.jets import (
     JetDomainError,
     JetError,
     det,
-    grlex_key,
     holomorphic_extend,
     jet_call,
     jet_pow,
     leading_minors,
     mul_sum,
 )
+from slagcy.jets import _pack, _unpack
+
+
+def grlex_key(idx):
+    """Graded-lexicographic sort key of an exponent tuple: total degree, then lex."""
+    return (sum(idx), idx)
 
 
 def var(k, order=4, mode=EXACT):
@@ -149,32 +155,35 @@ _SCALARS = {
 
 
 @functools.cache
-def gen_jets(order, mode=EXACT, nvars=NVARS):
-    """Jets with up to six terms in the first ``nvars`` variables (all six by
-    default; 3 gives x-only jets); may be zero.  Cached, so each strategy is
+def gen_jets(order, mode=EXACT, nvars=NVARS, size=6):
+    """Jets with up to ``size`` terms in the first ``nvars`` variables (all six
+    by default; 3 gives x-only jets); may be zero.  Cached, so each strategy is
     built once (hypothesis hashes the sampled lists)."""
     monomials = sorted((idx + (0,) * (NVARS - nvars)
                         for idx in itertools.product(range(order + 1), repeat=nvars)
                         if sum(idx) <= order), key=grlex_key)
-    terms = st.dictionaries(st.sampled_from(monomials), _SCALARS[mode], max_size=6)
+    terms = st.dictionaries(st.sampled_from(monomials), _SCALARS[mode], max_size=size)
     return terms.map(lambda t: Jet.from_terms(t, order, mode))
 
 
 @st.composite
-def cauchy_sums(draw, mode):
+def cauchy_sums(draw, mode, max_order=4, size=6):
     """(terms, order): 1-12 signed products, some factors above the target order."""
-    order = draw(st.integers(0, 4))
+    order = draw(st.integers(0, max_order))
     terms = []
     for _ in range(draw(st.integers(1, 12))):
         sign = draw(st.sampled_from((1, -1)))
-        a, b = (draw(gen_jets(order + draw(st.integers(0, 2)), mode)) for _ in range(2))
+        a, b = (draw(gen_jets(order + draw(st.integers(0, 2)), mode, size=size))
+                for _ in range(2))
         terms.append((sign, a, b))
     return terms, order
 
 
 def reference_mul_sum(terms, order):
-    """Oracle: the product loop with one scalar multiply and add per pair of
-    terms (a normalised ``Fraction`` each in exact mode), as dict items."""
+    """Oracle: the Cauchy loop on exponent tuples, one scalar multiply and add
+    per pair of terms (a normalised ``Fraction`` each in exact mode), the
+    outer loop in insertion order and the inner one in graded-lex order, as
+    dict items."""
     out = {}
     for sign, a, b in terms:
         rhs = sorted((sum(idx), idx, c) for idx, c in b.coeffs.items())
@@ -185,7 +194,8 @@ def reference_mul_sum(terms, order):
             for db, ib, cb in rhs:
                 if db > room:
                     break
-                key = tuple(x + y for x, y in zip(ia, ib))
+                key = (ia[0] + ib[0], ia[1] + ib[1], ia[2] + ib[2],
+                       ia[3] + ib[3], ia[4] + ib[4], ia[5] + ib[5])
                 prod = ca * cb
                 s = out.get(key)
                 out[key] = prod if s is None else s + prod
@@ -205,6 +215,15 @@ class TestMulSum:
         expect = reference_mul_sum(terms, order)
         assert [(k, repr(v)) for k, v in got.coeffs.items()] == \
             [(k, repr(v)) for k, v in expect]
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_dense_float_sums_match_the_tuple_loop_bit_for_bit(self, data):
+        # up to 30 terms a factor, so most keys collect several products
+        terms, order = data.draw(cauchy_sums(FLOAT, max_order=6, size=30))
+        got = mul_sum(terms, order)
+        assert [(k, v.hex()) for k, v in got.coeffs.items()] == \
+            [(k, v.hex()) for k, v in reference_mul_sum(terms, order)]
 
     def test_empty_sum_raises(self):
         with pytest.raises(JetError, match="at least one term"):
@@ -701,11 +720,12 @@ class TestDumpAndSlices:
         ]
 
     def test_grlex_ordering(self):
-        idx = [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
-               (2, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 2)]
-        ordered = sorted(idx, key=grlex_key)
-        assert ordered[0] == (0,) * 6
-        assert sum(ordered[1]) <= sum(ordered[-1])
+        # sorting packed keys is sorting by total degree, then lex from x1
+        idx = [(0, 0, 0, 0, 0, 2), (2, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+               (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 1)]
+        assert [_unpack(k) for k in sorted(_pack(i, MAX_ORDER) for i in idx)] == [
+            (0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 2), (0, 0, 0, 1, 0, 1), (2, 0, 0, 0, 0, 0)]
 
     def test_slice_and_attach_roundtrip(self):
         a = var(X1, order=4) + var(Y1, order=4) * var(Y1, order=4) * var(X2, order=4)
@@ -718,3 +738,89 @@ class TestDumpAndSlices:
         a = var(X1, order=3) + var(X1, order=3) * var(Y2, order=3)
         assert a.restrict_zero((Y2,)) == var(X1, order=3)
 
+
+
+# -- the packed key: one int per multi-index ------------------------------------------
+
+# exponent tuples whose total degree fits the degree field
+_INDICES = st.tuples(*[st.integers(0, MAX_ORDER // NVARS)] * NVARS) | st.tuples(
+    *[st.integers(0, 3)] * NVARS)
+
+
+class TestPackedKeys:
+    @given(idx=_INDICES)
+    def test_pack_unpack_round_trip(self, idx):
+        key = _pack(idx, MAX_ORDER)
+        assert _unpack(key) == idx
+        assert key >> 16 * NVARS == sum(idx)  # the degree field
+
+    @given(idx=st.lists(_INDICES, max_size=20, unique=True))
+    def test_sorted_keys_are_graded_lex(self, idx):
+        keys = sorted(_pack(i, MAX_ORDER) for i in idx)
+        assert [_unpack(k) for k in keys] == sorted(idx, key=grlex_key)
+
+    @given(a=_INDICES, b=_INDICES)
+    def test_adding_keys_multiplies_monomials(self, a, b):
+        if sum(a) + sum(b) <= MAX_ORDER:
+            product = tuple(x + y for x, y in zip(a, b))
+            assert _pack(a, MAX_ORDER) + _pack(b, MAX_ORDER) == _pack(product, MAX_ORDER)
+
+    @pytest.mark.parametrize("op", ["partial", "slice_coeff", "mul_monomial", "restrict_zero"])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_key_operations_match_tuple_references(self, op, data):
+        # NUMERATOR_OPS' references on tuple-keyed dicts, here on float
+        # jets: the same bits in the same dict order
+        order = data.draw(st.integers(1, 5))
+        a = data.draw(gen_jets(order, FLOAT, size=20))
+        var, m = data.draw(st.integers(0, NVARS - 1)), data.draw(st.integers(0, order))
+        run, ref = NUMERATOR_OPS[op]
+        got, (expect, expect_order) = run(a, a, 1, var, m), ref(a, a, 1, var, m)
+        assert got.order == expect_order
+        assert [(k, v.hex()) for k, v in got.coeffs.items()] == \
+            [(k, v.hex()) for k, v in expect.items()]
+        assert a.depends_on(var) == any(k[var] for k in a.coeffs)
+
+    @pytest.mark.parametrize("idx,message", [
+        ((-1, 0, 0, 0, 0, 1), "bad multi-index"),
+        ((0, 0, 0, 0, 0), "bad multi-index"),
+        ((MAX_ORDER + 1, 0, 0, 0, 0, 0), "bad multi-index"),
+        ((1, 0, 0, 0, 0, 3), "exceeds order 3"),
+    ])
+    def test_every_index_is_checked_zero_or_not(self, idx, message):
+        for value in (1, 0):
+            with pytest.raises(JetError, match=message):
+                Jet.from_terms({idx: value}, 3)
+
+    @pytest.mark.parametrize("build", [
+        lambda order: Jet.constant(1, order),
+        lambda order: Jet.variable(X1, order, FLOAT),
+        lambda order: Jet.from_terms({}, order),
+        lambda order: Jet(order, {}, FLOAT),
+    ])
+    def test_order_must_fit_the_degree_field(self, build):
+        assert build(MAX_ORDER).order == MAX_ORDER
+        for order in (MAX_ORDER + 1, 70000, -1):
+            with pytest.raises(JetError, match="order"):
+                build(order)
+
+    def test_no_field_carries_at_the_largest_order(self):
+        top = (MAX_ORDER - 1, 0, 0, 0, 0, 0)
+        a = Jet.from_terms({top: 2.0, (0, 0, 0, 0, 0, 1): 1.0}, MAX_ORDER, FLOAT)
+        prod = a * Jet.variable(X1, MAX_ORDER, FLOAT)
+        assert prod.coeffs == {(MAX_ORDER, 0, 0, 0, 0, 0): 2.0, (1, 0, 0, 0, 0, 1): 1.0}
+
+    def test_mul_monomial_restores_what_slice_coeff_lowered(self):
+        # the solver's only use of mul_monomial: put back the power of the
+        # evolution variable that slice_coeff took out, at the order it had,
+        # so the degree field never passes MAX_ORDER and no key carries
+        a = Jet.from_terms({(0, 0, 0, MAX_ORDER, 0, 0): 1.0, (MAX_ORDER - 5, 0, 0, 5, 0, 0): 3.0,
+                            (1, 2, 0, 5, 0, 0): -1.0}, MAX_ORDER, FLOAT)
+        for m in (5, MAX_ORDER):
+            sl = a.slice_coeff(Y1, m)
+            assert sl.order == MAX_ORDER - m
+            back = sl.mul_monomial(Y1, m)
+            assert back.order == MAX_ORDER
+            assert back.coeffs == {k: v for k, v in a.coeffs.items() if k[Y1] == m}
+            with pytest.raises(JetError, match=f"past {MAX_ORDER}"):
+                sl.mul_monomial(Y1, m + 1)

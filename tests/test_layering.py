@@ -51,3 +51,21 @@ def test_imports_stay_within_the_layer(module):
 def test_the_check_sees_relative_imports():
     assert package_imports(SRC / "families.py") == {"dsl", "gridops", "jets"}
     assert package_imports(SRC / "hodge.py") == {"families", "gridops", "jets"}
+
+
+def attribute_reads(path: Path, name: str) -> list:
+    """The lines of ``path`` that read an attribute called ``name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == name]
+
+
+@pytest.mark.parametrize("module", sorted(set(ALLOWED) - {"jets"}))
+def test_packed_keys_stay_inside_jets(module):
+    # a jet's ``num`` is keyed by packed ints; other modules go through
+    # coeffs, depends_on and the other Jet methods
+    assert attribute_reads(SRC / f"{module}.py", "num") == []
+
+
+def test_the_key_check_sees_reads_of_num():
+    assert attribute_reads(SRC / "jets.py", "num")
