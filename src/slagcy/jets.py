@@ -35,7 +35,7 @@ EXACT = "exact"
 FLOAT = "float"
 
 ZERO_INDEX = (0,) * NVARS
-_TERM_LINE = " ".join(["%d"] * NVARS) + " : %s"  # a multi-index and its coefficient
+_TERM_HEAD = " ".join(["%d"] * NVARS) + " : "  # a multi-index, before its coefficient
 
 MAX_ORDER = 0xFFFF  # the largest degree a 16-bit key field holds
 _KEY = struct.Struct(">7H")  # a packed key's fields: degree, e1, ..., e6
@@ -124,8 +124,8 @@ class Jet:
     def from_terms(terms: dict, order: int, mode: str = EXACT) -> "Jet":
         return Jet(order, {idx: _coerce(val, mode) for idx, val in terms.items()}, mode)
 
-    def zero_like(self, order: int | None = None) -> "Jet":
-        return _jet(self.order if order is None else order, self.mode, {})
+    def zero_like(self) -> "Jet":
+        return _jet(self.order, self.mode, {})
 
     # -- basic queries -------------------------------------------------------
 
@@ -236,9 +236,9 @@ class Jet:
             raise JetDomainError(
                 "division by a jet with zero constant term (singular leading coefficient)")
         u = (self / c) - 1  # nilpotent part; u**(order+1) == 0
-        acc = Jet.constant(1, self.order, self.mode)
-        for _ in range(self.order):
-            acc = mul_sum(((-1, u, acc),), self.order) + 1
+        acc = Jet.constant(1, 0, self.mode)
+        for i in range(1, self.order + 1):  # pass i settles degree i, as in _compose
+            acc = mul_sum(((-1, u, _jet(i, self.mode, acc.num, acc.den)),), i) + 1
         return acc / c
 
     def __pow__(self, n: int) -> "Jet":
@@ -279,29 +279,21 @@ class Jet:
         out = {k - cut: c for k, c in self.num.items() if k >> s & 0xFFFF == m}
         return _jet(self.order - m, self.mode, out, self.den)
 
-    def mul_monomial(self, var: int, m: int) -> "Jet":
-        """Multiply by the m-th power of a coordinate; raises the order by m, as
-        far as MAX_ORDER (the solver restores an order slice_coeff lowered)."""
-        if self.depends_on(var):
-            raise JetError("mul_monomial expects a jet free of the target variable")
-        if self.order + m > MAX_ORDER:
-            raise JetError(f"mul_monomial would raise the order past {MAX_ORDER}")
-        add = m * _UNIT[var]
-        return _jet(self.order + m, self.mode, {k + add: c for k, c in self.num.items()}, self.den)
-
     # -- output ------------------------------------------------------------------
 
-    def dumps(self) -> str:
+    def dumps(self, heads: dict | None = None) -> str:
         """Debug dump: one "multi-index : coefficient" line in graded-lex order,
-        an exact coefficient written as str() of its Fraction."""
-        den, exact = self.den, self.mode == EXACT
-        lines = []
-        for k, c in sorted(self.num.items()):
-            if exact:
-                g = math.gcd(c, den)
-                c = c // g if g == den else f"{c // g}/{den // g}"
-            lines.append(_TERM_LINE % (*_unpack(k), c))
-        return "\n".join(lines)
+        an exact coefficient written as str() of its Fraction.  ``heads`` maps
+        keys to their "multi-index : " line heads; jets dumped together may
+        share one, so that each key is unpacked and formatted once."""
+        den, heads = self.den, {} if heads is None else heads
+        for k in self.num.keys() - heads.keys():
+            heads[k] = _TERM_HEAD % _unpack(k)
+        items = sorted(self.num.items())
+        if self.mode == EXACT:
+            items = [(k, c // g if (g := math.gcd(c, den)) == den else f"{c // g}/{den // g}")
+                     for k, c in items]
+        return "\n".join([f"{heads[k]}{c}" for k, c in items])
 
     def __repr__(self) -> str:
         terms, coeffs = [], self.coeffs
@@ -330,7 +322,11 @@ def mul_sum(terms, order: int) -> Jet:
     not empty; factors share their mode and have orders >= ``order``.  Each
     product's numerators are scaled to D, the lcm of the products' denominators;
     float sums have D = 1 and scale by +-1.0: exact, and cheaper than an int.
-    A key's first product is added to zero, which changes no nonzero sum."""
+    A key's first product is added to zero, which changes no nonzero sum.
+    Only pairs that reach the result are visited: a product with an empty
+    factor is skipped, and so is a term of ``a`` above ``order`` less the
+    least degree in ``b``; the rest run in a's insertion order and b's
+    graded-lex order, so every sum and first touch is the plain loop's."""
     if not terms:
         raise JetError("mul_sum needs at least one term")
     mode = terms[0][1].mode
@@ -345,8 +341,13 @@ def mul_sum(terms, order: int) -> Jet:
     get, zero = out.get, 0 if mode == EXACT else 0.0
     for sign, a, b in terms:
         rhs = b._by_degree
+        if not (rhs and a.num):
+            continue
         scale = -(D // (a.den * b.den)) if sign < 0 else D // (a.den * b.den)
+        top = (order + 1 - (rhs[0][0] >> _DEG)) << _DEG  # a's keys from here pair with nothing
         for ka, ca in a.num.items():
+            if ka >= top:
+                continue
             ca = ca * scale
             cap = (order + 1 - (ka >> _DEG)) << _DEG  # the least key of too high a degree
             for kb, cb in rhs:
@@ -355,6 +356,27 @@ def mul_sum(terms, order: int) -> Jet:
                 key = ka + kb  # no field carries: each sum is at most the degree <= order
                 out[key] = get(key, zero) + ca * cb
     return _jet(order, mode, {k: v for k, v in out.items() if v}, int(D))
+
+
+def from_slices(var: int, slices) -> Jet:
+    """sum(s * x_var**k for k, s in enumerate(slices)), of the order of
+    slices[0]: slice k is free of ``var`` and of order slices[0].order - k, as
+    slice_coeff returns it.  The slices' keys are disjoint, so one pass puts
+    them in slice order over the lcm of their denominators."""
+    if not slices:
+        raise JetError("from_slices needs at least one slice")
+    order, mode, unit = slices[0].order, slices[0].mode, _UNIT[var]
+    den = math.lcm(*(s.den for s in slices))
+    out: dict = {}
+    for k, s in enumerate(slices):
+        if (s.order, s.mode) != (order - k, mode):
+            raise IncompatibleJetsError(
+                f"slice {k} has order {s.order} in {s.mode} mode, not {order - k} in {mode}")
+        if s.depends_on(var):
+            raise JetError(f"slice {k} depends on {VAR_NAMES[var]}")
+        add, scale = k * unit, den // s.den
+        out.update({key + add: c * scale for key, c in s.num.items()})
+    return _jet(order, mode, out, den)
 
 
 # -- elementary functions -----------------------------------------------------
@@ -424,12 +446,15 @@ def _series(fn, c, order: int, mode: str) -> list:
 
 
 def _compose(a: Jet, fn) -> Jet:
-    """fn(a): the Taylor series of fn at the constant term, by Horner on the rest."""
+    """fn(a): the Taylor series of fn at the constant term, by Horner on the
+    rest.  That rest has no constant term, so degree d of a pass reads only
+    degrees below d of the pass before: pass i is summed to degree i alone,
+    and each coefficient is the same float sum a full-order pass gives."""
     coeffs = _series(fn, a.constant_term, a.order, a.mode)
     tilde = a - a.constant_term
-    res = Jet.constant(coeffs[-1], a.order, a.mode)
-    for ck in reversed(coeffs[:-1]):
-        res = res * tilde + ck
+    res = Jet.constant(coeffs[-1], 0, a.mode)
+    for i, ck in enumerate(reversed(coeffs[:-1]), 1):
+        res = mul_sum(((1, _jet(i, a.mode, res.num, res.den), tilde),), i) + ck
     return res
 
 

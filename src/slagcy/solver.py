@@ -52,6 +52,7 @@ from .jets import (
     Jet,
     JetError,
     det,
+    from_slices,
     holomorphic_extend,
     jet_pow,
     leading_minors,
@@ -356,8 +357,7 @@ def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
         sl[d_key][m] = sl[d_key][m] + mul_sum(((1, numer, cof0_inv),), order - m)
 
     del h, cof, im  # so that each entry's slices are released once it is reassembled
-    return HermitianJet({key: sum((s.mul_monomial(ev, k) for k, s in enumerate(sl.pop(key))),
-                                  cur[key].zero_like()) for key in ENTRY_KEYS})
+    return HermitianJet({key: from_slices(ev, sl.pop(key)) for key in ENTRY_KEYS})
 
 
 def solve_calabi_yau(g, order: int, policy=CONSTANT_POLICY) -> CYStructureJet:
@@ -486,12 +486,14 @@ def dump_structure(s: CYStructureJet) -> str:
     """Stable text dump in the layout of ``_DUMP_TABLE``: the header lines,
     then per section its "multi-index : coefficient" lines in graded-lex order."""
     lines = [_DUMP_HEADER] + [f"{key} = {value(s)}" for key, value in _DUMP_KEYS]
+    heads: dict = {}  # the sections share their keys' line heads
     for tag, jet in _DUMP_SECTIONS:
         lines.append(f"[{tag}]")
-        dump = jet(s).dumps()
+        dump = jet(s).dumps(heads)
         if dump:
             lines.append(dump)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def load_structure(text: str) -> CYStructureJet:

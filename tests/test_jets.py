@@ -29,13 +29,14 @@ from slagcy.jets import (
     JetDomainError,
     JetError,
     det,
+    from_slices,
     holomorphic_extend,
     jet_call,
     jet_pow,
     leading_minors,
     mul_sum,
 )
-from slagcy.jets import _pack, _unpack
+from slagcy.jets import _pack, _series, _unpack
 
 
 def grlex_key(idx):
@@ -159,23 +160,28 @@ def gen_jets(order, mode=EXACT, nvars=NVARS, size=6):
     """Jets with up to ``size`` terms in the first ``nvars`` variables (all six
     by default; 3 gives x-only jets); may be zero.  Cached, so each strategy is
     built once (hypothesis hashes the sampled lists)."""
-    monomials = sorted((idx + (0,) * (NVARS - nvars)
-                        for idx in itertools.product(range(order + 1), repeat=nvars)
-                        if sum(idx) <= order), key=grlex_key)
+    monomials = [()]
+    for _ in range(nvars):  # only the exponent tuples of degree <= order
+        monomials = [m + (e,) for m in monomials for e in range(order + 1 - sum(m))]
+    monomials = sorted((m + (0,) * (NVARS - nvars) for m in monomials), key=grlex_key)
     terms = st.dictionaries(st.sampled_from(monomials), _SCALARS[mode], max_size=size)
     return terms.map(lambda t: Jet.from_terms(t, order, mode))
 
 
 @st.composite
 def cauchy_sums(draw, mode, max_order=4, size=6):
-    """(terms, order): 1-12 signed products, some factors above the target order."""
+    """(terms, order): 1-12 signed products whose factors reach up to ``order``
+    degrees above the target, as a sweep's slices do, and are often empty."""
     order = draw(st.integers(0, max_order))
-    terms = []
-    for _ in range(draw(st.integers(1, 12))):
-        sign = draw(st.sampled_from((1, -1)))
-        a, b = (draw(gen_jets(order + draw(st.integers(0, 2)), mode, size=size))
-                for _ in range(2))
-        terms.append((sign, a, b))
+
+    def factor():
+        top = order + draw(st.integers(0, max(order, 2)))
+        if draw(st.integers(0, 3)) == 0:
+            return Jet.from_terms({}, top, mode)
+        return draw(gen_jets(top, mode, size=size))
+
+    terms = [(draw(st.sampled_from((1, -1))), factor(), factor())
+             for _ in range(draw(st.integers(1, 12)))]
     return terms, order
 
 
@@ -235,6 +241,127 @@ class TestMulSum:
             mul_sum(((1, exact, floating),), 2)
         with pytest.raises(IncompatibleJetsError, match="mode"):
             mul_sum(((1, floating, floating), (1, exact, exact)), 2)
+
+
+# -- the truncated loops against the full-order loops they replace, bit for bit ------
+
+
+def bits(jet):
+    """A jet's order and its terms in dict order, each float by float.hex."""
+    return jet.order, [(k, v.hex() if isinstance(v, float) else v) for k, v in jet.coeffs.items()]
+
+
+def plain_product(sign, a, b, order):
+    """sign * a * b to ``order`` by the tuple loop, as a jet."""
+    return Jet(order, dict(reference_mul_sum(((sign, a, b),), order)), a.mode)
+
+
+def full_order_reciprocal(x):
+    """1/x by Horner passes that each run to the full order: acc = 1 - u * acc."""
+    c = x.constant_term
+    u = x / c - 1
+    acc = Jet.constant(1, x.order, x.mode)
+    for _ in range(x.order):
+        acc = plain_product(-1, u, acc, x.order) + 1
+    return acc / c
+
+
+def full_order_compose(a, fn):
+    """fn(a) by Horner passes that each run to the full order: res = res * tilde + c_k."""
+    coeffs = _series(fn, a.constant_term, a.order, a.mode)
+    tilde = a - a.constant_term
+    res = Jet.constant(coeffs[-1], a.order, a.mode)
+    for ck in reversed(coeffs[:-1]):
+        res = plain_product(1, res, tilde, a.order) + ck
+    return res
+
+
+def raised_slice_sum(var, slices):
+    """The jet with the given slices in ``var``: a sum from zero of each slice
+    times var**k, the slices shifted on exponent tuples."""
+    order, mode = slices[0].order, slices[0].mode
+    total = Jet.from_terms({}, order, mode)
+    for k, s in enumerate(slices):
+        total = total + Jet(order, {_shift(idx, var, k): c for idx, c in s.coeffs.items()}, mode)
+    return total
+
+
+_POSITIVE = st.floats(0.25, 4)
+# fn, the constant terms exact mode allows it (None: any non-zero one), and
+# the float constant terms it allows
+COMPOSED = [
+    ("exp", (0,), _SCALARS[FLOAT]), ("sin", (0,), _SCALARS[FLOAT]),
+    ("cos", (0,), _SCALARS[FLOAT]), ("log", (1,), _POSITIVE),
+    ("sqrt", (1, 4, Fraction(9, 4)), _POSITIVE),
+    (Fraction(-1), None, st.tuples(_POSITIVE, st.sampled_from((1, -1))).map(math.prod)),
+    (Fraction(-3), None, st.tuples(_POSITIVE, st.sampled_from((1, -1))).map(math.prod)),
+    (Fraction(1, 3), (1, 8, Fraction(1, 27)), _POSITIVE),
+    (Fraction(-3, 2), (1, Fraction(1, 4), 9), _POSITIVE),
+]
+
+
+@st.composite
+def slice_lists(draw, mode):
+    """(var, slices): slices 0, 1, ... of one jet in var, up to at most the
+    order; slice k is of order ``order - k`` and free of var."""
+    order, v = draw(st.integers(0, 5)), draw(st.integers(0, NVARS - 1))
+    return v, [draw(gen_jets(order - k, mode, size=8)).restrict_zero((v,))
+               for k in range(draw(st.integers(1, order + 1)))]
+
+
+class TestTruncatedLoops:
+    """The reciprocal and composition passes summed to their own degree, and
+    the one-pass reassembly of slices, give the bits and the dict order of the
+    full-order loops."""
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_reciprocal_matches_the_full_order_loop(self, mode, data):
+        a = data.draw(gen_jets(data.draw(st.integers(0, 7)), mode, size=15))
+        c = data.draw(_SCALARS[mode].filter(lambda v: abs(v) >= 0.25))
+        a = a - a.constant_term + c
+        assert bits(a.reciprocal()) == bits(full_order_reciprocal(a))
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("fn, exact_at, float_at", COMPOSED,
+                             ids=[str(f[0]) for f in COMPOSED])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_composition_matches_the_full_order_loop(self, mode, fn, exact_at, float_at, data):
+        a = data.draw(gen_jets(data.draw(st.integers(0, 6)), mode, size=12))
+        if mode == FLOAT:
+            c = data.draw(float_at)
+        elif exact_at is None:
+            c = data.draw(_SCALARS[EXACT].filter(lambda v: v != 0))
+        else:
+            c = data.draw(st.sampled_from(exact_at))
+        a = a - a.constant_term + c
+        got = jet_call(fn, a) if isinstance(fn, str) else jet_pow(a, fn)
+        expect = full_order_compose(a, Fraction(1, 2) if fn == "sqrt" else fn)
+        assert bits(got) == bits(expect)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @settings(max_examples=60)
+    @given(case=st.data())
+    def test_from_slices_matches_the_sum_of_raised_slices(self, mode, case):
+        # exact slices carry different denominators: the one pass scales them
+        # to their lcm and reduces, as the running sum does
+        v, slices = case.draw(slice_lists(mode))
+        got, expect = from_slices(v, slices), raised_slice_sum(v, slices)
+        assert got == expect
+        assert bits(got) == bits(expect)
+
+    def test_from_slices_refuses_what_is_not_a_slice_list(self):
+        x = var(X1, order=3)
+        with pytest.raises(JetError, match="at least one slice"):
+            from_slices(Y1, [])
+        with pytest.raises(IncompatibleJetsError, match="slice 1 has order 3"):
+            from_slices(Y1, [x, x])
+        with pytest.raises(IncompatibleJetsError, match="float mode, not 2 in exact"):
+            from_slices(Y1, [x, var(X1, order=2, mode=FLOAT)])
+        with pytest.raises(JetError, match="slice 0 depends on y1"):
+            from_slices(Y1, [var(Y1, order=3)])
 
 
 @st.composite
@@ -358,9 +485,11 @@ NUMERATOR_OPS = {
                       lambda a, b, s, var, m: ({k: v for k, v in a.coeffs.items()
                                                 if not k[var] and not k[(var + m) % NVARS]},
                                                a.order)),
-    "mul_monomial": (lambda a, b, s, var, m: a.restrict_zero((var,)).mul_monomial(var, m),
-                     lambda a, b, s, var, m: ({_shift(k, var, m): v for k, v in a.coeffs.items()
-                                               if not k[var]}, a.order + m)),
+    "from_slices": (lambda a, b, s, var, m: from_slices(var, [a.slice_coeff(var, k)
+                                                              for k in range(m + 1)]),
+                    lambda a, b, s, var, m: ({k: v for j in range(m + 1)
+                                              for k, v in a.coeffs.items() if k[var] == j},
+                                             a.order)),
     "holomorphic_extend": (
         lambda a, b, s, var, m: holomorphic_extend(a.restrict_zero(Y_VARS)),
         lambda a, b, s, var, m: (ref_holomorphic({k: v for k, v in a.coeffs.items()
@@ -719,6 +848,15 @@ class TestDumpAndSlices:
             "1 1 0 0 0 0 : 1",
         ]
 
+    def test_dumps_share_one_head_table(self):
+        # the jets of one structure dump share a table of "multi-index : " heads
+        a = 1 + var(X2, order=2) / 3
+        b = var(X2, order=2) * var(Y1, order=2) - var(X2, order=2)
+        heads = {}
+        assert [a.dumps(heads), b.dumps(heads)] == [a.dumps(), b.dumps()]
+        assert sorted(map(_unpack, heads)) == sorted({*a.coeffs, *b.coeffs})
+        assert heads[_pack((0, 1, 0, 1, 0, 0), 2)] == "0 1 0 1 0 0 : "
+
     def test_grlex_ordering(self):
         # sorting packed keys is sorting by total degree, then lex from x1
         idx = [(0, 0, 0, 0, 0, 2), (2, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
@@ -731,7 +869,7 @@ class TestDumpAndSlices:
         a = var(X1, order=4) + var(Y1, order=4) * var(Y1, order=4) * var(X2, order=4)
         sl = a.slice_coeff(Y1, 2)
         assert sl == var(X2, order=2)
-        back = sl.mul_monomial(Y1, 2)
+        back = from_slices(Y1, [const(0, order=4), const(0, order=3), sl])
         assert back == var(X2, order=4) * var(Y1, order=4) * var(Y1, order=4)
 
     def test_restrict_zero(self):
@@ -765,7 +903,7 @@ class TestPackedKeys:
             product = tuple(x + y for x, y in zip(a, b))
             assert _pack(a, MAX_ORDER) + _pack(b, MAX_ORDER) == _pack(product, MAX_ORDER)
 
-    @pytest.mark.parametrize("op", ["partial", "slice_coeff", "mul_monomial", "restrict_zero"])
+    @pytest.mark.parametrize("op", ["partial", "slice_coeff", "from_slices", "restrict_zero"])
     @settings(max_examples=40)
     @given(data=st.data())
     def test_key_operations_match_tuple_references(self, op, data):
@@ -810,17 +948,20 @@ class TestPackedKeys:
         prod = a * Jet.variable(X1, MAX_ORDER, FLOAT)
         assert prod.coeffs == {(MAX_ORDER, 0, 0, 0, 0, 0): 2.0, (1, 0, 0, 0, 0, 1): 1.0}
 
-    def test_mul_monomial_restores_what_slice_coeff_lowered(self):
-        # the solver's only use of mul_monomial: put back the power of the
-        # evolution variable that slice_coeff took out, at the order it had,
-        # so the degree field never passes MAX_ORDER and no key carries
+    def test_from_slices_restores_what_slice_coeff_lowered(self):
+        # the solver's use of from_slices: put back the power of the evolution
+        # variable that slice_coeff took out, at the order it had, so the
+        # degree field never passes MAX_ORDER and no key carries
         a = Jet.from_terms({(0, 0, 0, MAX_ORDER, 0, 0): 1.0, (MAX_ORDER - 5, 0, 0, 5, 0, 0): 3.0,
                             (1, 2, 0, 5, 0, 0): -1.0}, MAX_ORDER, FLOAT)
         for m in (5, MAX_ORDER):
             sl = a.slice_coeff(Y1, m)
             assert sl.order == MAX_ORDER - m
-            back = sl.mul_monomial(Y1, m)
+            zeros = [Jet(MAX_ORDER - k, {}, FLOAT) for k in range(m)]
+            back = from_slices(Y1, zeros + [sl])
             assert back.order == MAX_ORDER
             assert back.coeffs == {k: v for k, v in a.coeffs.items() if k[Y1] == m}
-            with pytest.raises(JetError, match=f"past {MAX_ORDER}"):
-                sl.mul_monomial(Y1, m + 1)
+            # one power more would need an order past MAX_ORDER: a slice list
+            # has no place for it
+            with pytest.raises(IncompatibleJetsError, match=f"slice {m + 1} has order"):
+                from_slices(Y1, zeros + [Jet(MAX_ORDER - m, {}, FLOAT), sl])

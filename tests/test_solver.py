@@ -545,6 +545,12 @@ EVOLUTION = {
 MIRRORS = {1: (), 2: (("a21", "a12"), ("a31", "a13")), 3: (("a31", "a13"), ("a32", "a23"))}
 
 
+def times_power(jet, var, m):
+    """jet * var**m, of order jet.order + m, shifting the exponent tuples."""
+    return Jet(jet.order + m, {idx[:var] + (idx[var] + m,) + idx[var + 1:]: c
+                               for idx, c in jet.coeffs.items()}, jet.mode)
+
+
 def full_determinant_sweep(step, state, gamma, policy=CONSTANT_POLICY):
     """Reference sweep: read the degree-m slice of det(h) off the full 3x3
     determinant of the state capped at degree m in the evolution variable, and
@@ -573,14 +579,14 @@ def full_determinant_sweep(step, state, gamma, policy=CONSTANT_POLICY):
                 rhs = d if rhs is None else rhs + d
             new_slices[key] = rhs / m
         for key, sl in new_slices.items():
-            cur[key] = cur[key] + sl.mul_monomial(ev, m)
+            cur[key] = cur[key] + times_power(sl, ev, m)
         for dst, src in MIRRORS[step]:
-            cur[dst] = cur[dst] + new_slices[src].mul_monomial(ev, m)
+            cur[dst] = cur[dst] + times_power(new_slices[src], ev, m)
         det_rest = det(_hmatrix(HermitianJet({k: capped(cur[k], ev, m)
                                               for k in ENTRY_KEYS}))).re
         numer = gamma_sq.slice_coeff(ev, m) - det_rest.slice_coeff(ev, m)
         d_slice = numer / truncated(cof0, order - m)
-        cur[d_key] = cur[d_key] + d_slice.mul_monomial(ev, m)
+        cur[d_key] = cur[d_key] + times_power(d_slice, ev, m)
     return HermitianJet(cur)
 
 
