@@ -355,7 +355,35 @@ def mul_sum(terms, order: int) -> Jet:
                     break
                 key = ka + kb  # no field carries: each sum is at most the degree <= order
                 out[key] = get(key, zero) + ca * cb
-    return _jet(order, mode, {k: v for k, v in out.items() if v}, int(D))
+    if not all(out.values()):  # only a sum that cancelled leaves a zero
+        out = {k: v for k, v in out.items() if v}
+    return _jet(order, mode, out, int(D))
+
+
+def partial_sum(terms) -> Jet:
+    """sum(sign * j.partial(var) for sign, j, var in terms), each sign +-1, in
+    one map over the lcm of the denominators; the result order drops by one.
+    Each coefficient meets its terms in the order the chained partials and
+    +/- add them, and c * e * sign is exact, so every float sum is the chain's."""
+    if not terms:
+        raise JetError("partial_sum needs at least one term")
+    first = terms[0][1]
+    for _, j, _ in terms:
+        first._check_compatible(j)
+    if first.order < 1:
+        raise JetDomainError("cannot differentiate an order-0 jet")
+    den = math.lcm(*(j.den for _, j, _ in terms))
+    out: dict = {}
+    get = out.get
+    for sign, j, var in terms:
+        s, unit, scale = _SHIFT[var], _UNIT[var], sign * (den // j.den)
+        for k, c in j.num.items():
+            if e := k >> s & 0xFFFF:
+                key = k - unit
+                out[key] = get(key, 0) + c * (e * scale)
+    if not all(out.values()):
+        out = {k: v for k, v in out.items() if v}
+    return _jet(first.order - 1, first.mode, out, den)
 
 
 def from_slices(var: int, slices) -> Jet:
@@ -547,12 +575,35 @@ def det(m):
 
     Entries may be jets, complex jets, sample arrays or scalars; the
     expression order is fixed, so float results are reproducible bit for bit.
+    Complex jets are expanded in fused Cauchy sums by ``_complex_det``.
     """
+    if isinstance(m[0][0], ComplexJet):
+        return _complex_det(m)
     if len(m) == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _complex_det(m) -> ComplexJet:
+    """det of a matrix of complex jets in fused Cauchy sums: each row-1 entry
+    times its cofactor splits into signed products of real jets, and the real
+    and the imaginary part are one mul_sum each.  A 3x3 determinant takes six
+    calls for its cofactors and two for itself, and adds no full-order jets."""
+    ref = m[0][0].re
+    for row in m:
+        for z in row:
+            ref._check_compatible(z.re)
+    if len(m) == 2:
+        pairs = ((1, m[0][0], m[1][1]), (-1, m[0][1], m[1][0]))
+    else:
+        pairs = [(-1 if c == 1 else 1, m[0][c],
+                  _complex_det([[row[k] for k in range(3) if k != c] for row in m[1:]]))
+                 for c in range(3)]
+    re = [t for s, x, y in pairs for t in ((s, x.re, y.re), (-s, x.im, y.im))]
+    im = [t for s, x, y in pairs for t in ((s, x.re, y.im), (s, x.im, y.re))]
+    return ComplexJet(mul_sum(re, ref.order), mul_sum(im, ref.order))
 
 
 def leading_minors(m) -> list:

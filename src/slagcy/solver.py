@@ -57,6 +57,7 @@ from .jets import (
     jet_pow,
     leading_minors,
     mul_sum,
+    partial_sum,
 )
 
 
@@ -334,13 +335,8 @@ def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
     for m in range(1, order + 1):
         new_slices = {}
         for key, terms in system.items():
-            rhs = None
-            for sign, src, var in terms:
-                d = sl[src][m - 1].partial(var)
-                if sign < 0:
-                    d = -d
-                rhs = d if rhs is None else rhs + d
-            new_slices[key] = rhs / m
+            new_slices[key] = partial_sum([(sign, sl[src][m - 1], var)
+                                           for sign, src, var in terms]) / m
         for key, new in new_slices.items():
             sl[key][m] = sl[key][m] + new
         for r in range(1, step):
@@ -400,15 +396,15 @@ def check_structure(s: CYStructureJet) -> ResidualReport:
     closure = {}
     for p, label in ((1, "C1"), (2, "C2.1"), (3, "C3.1")):
         closure[label] = _worst(
-            (b[i, j].partial(_Y[p]) - a[p, j].partial(_X[i]) + a[p, i].partial(_X[j]))
+            partial_sum(((1, b[i, j], _Y[p]), (-1, a[p, j], _X[i]), (1, a[p, i], _X[j])))
             .max_abs_coeff() for i, j in _PAIRS)
     for r, p in _PAIRS:
         closure[f"C{p}.{r + 1}"] = _worst(
-            (a[r, k].partial(_Y[p]) - a[p, k].partial(_Y[r]) - b[r, p].partial(_X[k]))
+            partial_sum(((1, a[r, k], _Y[p]), (-1, a[p, k], _Y[r]), (-1, b[r, p], _X[k])))
             .max_abs_coeff() for k in (1, 2, 3))
     for label, v1, v2, v3 in (("C4.1", X1, X2, X3), ("C4.2", Y1, Y2, Y3)):
-        closure[label] = (b[2, 3].partial(v1) - b[1, 3].partial(v2)
-                          + b[1, 2].partial(v3)).max_abs_coeff()
+        closure[label] = partial_sum(
+            ((1, b[2, 3], v1), (-1, b[1, 3], v2), (1, b[1, 2], v3))).max_abs_coeff()
     details.update(closure)
 
     res_initial_A = _worst((a[i, j].restrict_zero(Y_VARS) - s.g[i - 1][j - 1]).max_abs_coeff()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slagcy import jets
 from slagcy.dsl import eval_jet, parse
 from slagcy.jets import (
     EXACT,
@@ -35,6 +36,7 @@ from slagcy.jets import (
     jet_pow,
     leading_minors,
     mul_sum,
+    partial_sum,
 )
 from slagcy.jets import _pack, _series, _unpack
 
@@ -699,6 +701,59 @@ class TestPartial:
             Jet.constant(2, 0).partial(X1)
 
 
+def chained_partials(terms):
+    """Oracle for partial_sum: one ``partial`` jet per term, joined by +/-."""
+    acc = None
+    for sign, jet, v in terms:
+        d = jet.partial(v)
+        if acc is None:
+            acc = d if sign > 0 else -d
+        else:
+            acc = acc + d if sign > 0 else acc - d
+    return acc
+
+
+@st.composite
+def partial_sums(draw, mode):
+    """1-6 signed partials of 1-3 jets of one order, a jet often repeated
+    with both signs, so that some sums cancel exactly; jets in two variables
+    put several terms on most keys."""
+    order, nvars = draw(st.integers(1, 5)), draw(st.sampled_from((2, NVARS)))
+    pool = [draw(gen_jets(order, mode, nvars, size=20)) for _ in range(draw(st.integers(1, 3)))]
+    return [(draw(st.sampled_from((1, -1))), draw(st.sampled_from(pool)),
+             draw(st.integers(0, nvars - 1))) for _ in range(draw(st.integers(1, 6)))]
+
+
+class TestPartialSum:
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_matches_the_chained_partials(self, mode, data):
+        terms = data.draw(partial_sums(mode))
+        got, expect = partial_sum(terms), chained_partials(terms)
+        assert got == expect
+        if mode == FLOAT:  # every coefficient, bit for bit
+            assert {k: v.hex() for k, v in got.coeffs.items()} == \
+                {k: v.hex() for k, v in expect.coeffs.items()}
+
+    def test_exact_terms_over_different_denominators(self):
+        a = Jet.from_terms({(2, 0, 0, 1, 0, 0): Fraction(1, 3)}, 3)
+        b = Jet.from_terms({(1, 0, 0, 2, 0, 0): Fraction(1, 2), (0, 1, 0, 0, 0, 0): 5}, 3)
+        got = partial_sum(((1, a, X1), (-1, b, Y1)))
+        assert got == a.partial(X1) - b.partial(Y1)
+        assert got.coeffs == {(1, 0, 0, 1, 0, 0): Fraction(2, 3) - 1}
+
+    def test_refuses_what_partial_and_sums_refuse(self):
+        with pytest.raises(JetError, match="at least one term"):
+            partial_sum(())
+        with pytest.raises(JetDomainError):
+            partial_sum(((1, const(2, 0), X1),))
+        with pytest.raises(IncompatibleJetsError):
+            partial_sum(((1, var(X1, order=3), X1), (1, var(X1, order=4), X1)))
+        with pytest.raises(IncompatibleJetsError):
+            partial_sum(((1, var(X1), X1), (1, var(X1, mode=FLOAT), X1)))
+
+
 def extend_by_substitution(f):
     """Independent oracle: substitute z_k = x_k + i y_k by complex jet powers."""
     order, mode = f.order, f.mode
@@ -830,6 +885,34 @@ class TestDet3:
                                            (2, "ndarray"), (3, "ndarray")])
     def test_other_inputs_against_permutation_oracle(self, size, kind):
         self.check_against_oracle(size, kind)
+
+    @pytest.mark.parametrize("size,calls", [(2, 2), (3, 8)])
+    def test_complex_det_is_fused_sums_without_additions(self, size, calls, monkeypatch):
+        # each part of each cofactor, then of the determinant, is one mul_sum
+        m = random_det_matrix(random.Random(31), size, "complex")
+        expect = det_permutation_oracle(m)
+        counts = {"mul_sum": 0, "add": 0}
+        fused, add = jets.mul_sum, Jet.__add__
+
+        def counted_mul_sum(terms, order):
+            counts["mul_sum"] += 1
+            return fused(terms, order)
+
+        def counted_add(self, other, sign=1):
+            counts["add"] += 1
+            return add(self, other, sign)
+
+        monkeypatch.setattr(jets, "mul_sum", counted_mul_sum)
+        monkeypatch.setattr(Jet, "__add__", counted_add)
+        got = det(m)
+        assert counts == {"mul_sum": calls, "add": 0}
+        assert got == expect
+
+    def test_complex_det_refuses_mixed_orders(self):
+        m = random_det_matrix(random.Random(37), 3, "complex")
+        m[2][1] = ComplexJet(var(X1), var(X2))  # order 4 among order-3 entries
+        with pytest.raises(IncompatibleJetsError, match="orders differ"):
+            det(m)
 
     def test_leading_minors(self):
         m = [[Fraction(4), Fraction(1), Fraction(1, 2)],

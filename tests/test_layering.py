@@ -69,3 +69,36 @@ def test_packed_keys_stay_inside_jets(module):
 
 def test_the_key_check_sees_reads_of_num():
     assert attribute_reads(SRC / "jets.py", "num")
+
+
+# the helpers of the CK sweeps; the verifier restates (D) and d(omega) = 0 on
+# its own, so that it checks the sweeps rather than repeating them
+SWEEP_HELPERS = {"_product_terms", "_extend_cofactors", "ck_step", "_evolution"}
+
+
+def reachable_calls(path: Path, name: str) -> set:
+    """The names that function ``name`` of ``path`` calls, directly or through
+    the other functions of that module it calls."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called, todo = set(), [name]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if callee is not None and callee not in called:
+                    called.add(callee)
+                    if callee in functions:
+                        todo.append(callee)
+    return called
+
+
+def test_the_verifier_calls_no_sweep_helper():
+    assert reachable_calls(SRC / "solver.py", "check_structure") & SWEEP_HELPERS == set()
+
+
+def test_the_call_check_sees_the_sweep_helpers():
+    assert {"det", "partial_sum", "_hmatrix"} <= reachable_calls(SRC / "solver.py",
+                                                                 "check_structure")
+    assert SWEEP_HELPERS <= reachable_calls(SRC / "solver.py", "solve_calabi_yau")

@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import functools
 import itertools
@@ -6,6 +7,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -762,3 +764,90 @@ class TestSliceSweep:
             minor = re.escape(f"({i},{j})x({i},{j}) minor multiplying a{step}{step}")
             with pytest.raises(DegenerateMetricError, match=minor):
                 ck_step(step, HermitianJet(entries), build_gamma(g))
+
+
+# -- the verifier's fused determinant ------------------------------------------------
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# constant term with every 2x2 minor nonzero, so that a change to any one entry
+# moves det(h) at degree 1; det = 4 has a rational square root
+DENSE_METRIC = {"g11": "2 + x2^2", "g12": "1 + x3/4", "g13": "1", "g22": "2 + x1*x3/4",
+                "g23": "1 + x1/8", "g33": "2"}
+
+
+def laplace_det(m):
+    """det(m) of complex jets by the row-1 Laplace expression in ComplexJet
+    arithmetic: full-order products joined by full-order sums."""
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def scenario_structure(name):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(SCENARIOS / name)
+    order, mode = parser.getint("scenario", "order"), parser["scenario"]["mode"]
+    entries = {k: v.strip('"') for k, v in parser["metric"].items()}
+    return solve_calabi_yau(metric_from_exprs(entries, order, mode), order)
+
+
+def assert_fused_det_near_laplace(h, rel):
+    m = _hmatrix(h)
+    got, expect = det(m), laplace_det(m)
+    scale = max(expect.re.max_abs_coeff(), expect.im.max_abs_coeff())
+    for part in ("re", "im"):
+        diff = (getattr(got, part) - getattr(expect, part)).max_abs_coeff()
+        assert diff <= rel * scale, (part, diff, scale)
+
+
+class TestFusedDeterminant:
+    """check_structure's det(h), fused Cauchy sums, against the Laplace
+    expression in ComplexJet arithmetic."""
+
+    @pytest.mark.parametrize("name", ["poly_embed.ini", "flat_embed.ini"])
+    def test_exact_scenarios_equal_the_laplace_expression(self, name):
+        m = _hmatrix(scenario_structure(name).h)
+        assert det(m) == laplace_det(m)
+
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_exact_generated_structures_equal_the_laplace_expression(self, data):
+        order = data.draw(st.integers(2, 4))
+        m = _hmatrix(solve_calabi_yau(data.draw(exact_metrics(order)), order).h)
+        assert det(m) == laplace_det(m)
+
+    @pytest.mark.parametrize("entries", TRIG_METRICS + [DENSE_METRIC])
+    def test_float_structures_agree_within_roundoff(self, entries):
+        order = 6
+        assert_fused_det_near_laplace(
+            solve_calabi_yau(metric_from_exprs(entries, order, FLOAT), order).h, 1e-13)
+
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_float_generated_structures_agree_within_roundoff(self, data):
+        order = data.draw(st.integers(2, 4))
+        exact = data.draw(exact_metrics(order))
+        g = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                g[i][j] = g[j][i] = float_copy(exact[i][j], data.draw)
+        assert_fused_det_near_laplace(solve_calabi_yau(g, order).h, 1e-13)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("key, mirror", [("b12", None), ("b23", None), ("a12", "a21"),
+                                             ("a23", "a32"), ("a31", "a13")])
+    def test_a_perturbed_entry_fails_the_determinant(self, mode, key, mirror):
+        # a b coefficient keeps h hermitian and moves det(h) by its square; an
+        # a entry without its mirror makes h non-hermitian and moves it linearly
+        order = 4
+        cy = solve_calabi_yau(metric_from_exprs(DENSE_METRIC, order, mode), order)
+        report = check_structure(cy)
+        assert report.res_D == 0 if mode == EXACT else report.res_D < 1e-12
+        entries = dict(cy.h.entries)
+        entries[key] = entries[key] + Jet.from_terms({(1, 0, 0, 0, 0, 0): Fraction(1, 64)},
+                                                     order, mode)
+        report = check_structure(CYStructureJet(h=HermitianJet(entries), gamma=cy.gamma,
+                                                g=cy.g, policy=cy.policy, order=order))
+        assert report.res_D > (0 if mode == EXACT else 1e-6)
+        if mirror is not None:
+            assert report.res_symmetry > 0
