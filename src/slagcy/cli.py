@@ -31,7 +31,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +495,7 @@ def emit_report(report: RunReport, json_path=None, csv_path=None,
 # -- entry point ------------------------------------------------------------------------
 
 
+@cache  # built once per process; parse_args leaves the parser unchanged
 def _build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="slagcy",
                                  description="Calabi-Yau structures around special "

@@ -7,10 +7,11 @@ theta_3 = dx3) and general admissible 2D metrics with det = C(x2).  The
 obstruction function is the determinant of the L2 Gram matrix of that basis;
 it is identically 1 for the 2D class and genuinely t-dependent in 3D.
 
-From the basis through the Gram integrands and harmonicity checks, every
-sample keeps the broadcast shape `MetricFamily.sample_matrix` gives it: an
-x1-only entry is (n, 1, 1) in 3D and (n, 1) in 2D, a constant is 0-d and a
-vanishing basis component is the scalar 0.0, so work follows the variables
+Each form theta_i carries its flux J_i = sqrt(det g) g^{-1} theta_i, formed once:
+co-closure is div J_i = 0 and <theta_i, theta_j> is the torus mean of theta_i . J_j.
+Every sample keeps the broadcast shape `MetricFamily.sample_matrix` gives it (an
+x1-only entry is (n, 1, 1) in 3D and (n, 1) in 2D, a constant is 0-d) and products
+skip the scalar 0.0 of a vanishing basis component, so work follows the variables
 a family depends on, not n^dim.
 """
 
@@ -50,7 +51,7 @@ class HarmonicBasis:
     dim: int
     theta: list                # theta[i][k], broadcastable entries
     metric: list               # metric[k][l]: the samples that produced it
-    inverse: list              # inverse[k][l]: pointwise g^{kl}
+    flux: list                 # flux[i][k]: (sqrt(det g) g^{-1} theta_i)_k
     sqrt_det: np.ndarray       # pointwise sqrt(det g), broadcastable
     scale: float               # 2D volume-normalization factor applied to C
     residuals: dict            # periods, closure, co-closure
@@ -85,9 +86,9 @@ def phi_csv(t, phi, integrals=None) -> str:
 # -- shared helpers --------------------------------------------------------------
 
 
-def _pointwise_inverse(metric) -> tuple:
-    """Inverse (a nested dim x dim list) and determinant of metric samples,
-    scalars or arrays of broadcast-compatible shapes, by cofactors over
+def _pointwise_adjugate(metric) -> tuple:
+    """Adjugate det(g) g^{-1} (a nested dim x dim list) and determinant of metric
+    samples, scalars or arrays of broadcast-compatible shapes, by cofactors over
     `jets.det`; each entry keeps the broadcast shape of its cofactor."""
     dim = len(metric)
 
@@ -99,19 +100,23 @@ def _pointwise_inverse(metric) -> tuple:
     det_m = det(metric)
     if not np.all(det_m > 0):
         raise HodgeError("singular metric sample (non-positive determinant)")
-    return [[cofactor(c, r) / det_m for c in range(dim)] for r in range(dim)], det_m
+    return [[cofactor(c, r) for c in range(dim)] for r in range(dim)], det_m
+
+
+def _contract(row, vec):
+    """sum_k row[k] vec[k] over the components of ``vec`` that are not the scalar 0.0."""
+    first, *rest = (a * v for a, v in zip(row, vec) if not (np.ndim(v) == 0 and v == 0.0))
+    return sum(rest, first)
 
 
 def gram_L2(basis: HarmonicBasis) -> np.ndarray:
-    """Gram matrix <theta_i, theta_j> = int g^{kl} theta_ik theta_jl sqrt(det g)
-    over the torus, by periodic quadrature on the basis grid."""
-    dim, inv, theta, sqrt_det = basis.dim, basis.inverse, basis.theta, basis.sqrt_det
+    """Gram matrix <theta_i, theta_j> = int theta_i . J_j over the torus (J_j the
+    flux of theta_j), by periodic quadrature on the basis grid."""
+    dim, theta, flux = basis.dim, basis.theta, basis.flux
     entries = np.empty((dim, dim), dtype=np.float64)
     for i in range(dim):
         for j in range(i, dim):
-            integrand = sum(inv[k][l] * theta[i][k] * theta[j][l]
-                            for k in range(dim) for l in range(dim))
-            entries[i, j] = entries[j, i] = float(periodic_quad(integrand * sqrt_det))
+            entries[i, j] = entries[j, i] = float(periodic_quad(_contract(flux[j], theta[i])))
     return entries
 
 
@@ -135,27 +140,20 @@ def _closure_residual(theta) -> float:
                for row in theta for a in range(dim) for b in range(a + 1, dim))
 
 
-def _coclosure_residual(theta, inv, sqrt_det) -> float:
-    weighted = [[sqrt_det * a for a in row] for row in inv]  # shared by every theta_i
-    worst = 0.0
-    for row in theta:
-        div = sum(spectral_diff(sum(w * c for w, c in zip(w_k, row)), k)
-                  for k, w_k in enumerate(weighted))
-        worst = max(worst, float(np.max(np.abs(div / sqrt_det))))
-    return worst
-
-
-def _verified_basis(theta, metric, inv, det_g, tol: float, scale: float) -> HarmonicBasis:
-    """The basis of ``theta`` after its periods, closure and co-closure checks;
-    ``inv`` and ``det_g`` are the pointwise inverse and determinant of ``metric``."""
+def _verified_basis(theta, metric, adj, det_g, tol: float, scale: float) -> HarmonicBasis:
+    """The basis of ``theta`` and its fluxes after the periods, closure and co-closure
+    checks; ``adj`` and ``det_g`` are the pointwise adjugate and determinant of ``metric``."""
     sqrt_det = np.sqrt(det_g)
+    flux = [[_contract(row, th) / sqrt_det for row in adj] for th in theta]
     period_err = _verify_periods(theta, tol)
     closure = _closure_residual(theta)
-    coclosure = _coclosure_residual(theta, inv, sqrt_det)
+    # max |delta theta_i| = max |sum_k d_k J_ik| / sqrt(det g)
+    coclosure = max(float(np.max(np.abs(sum(spectral_diff(j_k, k) for k, j_k in enumerate(row))
+                                        / sqrt_det))) for row in flux)
     if max(closure, coclosure) > tol:
         raise HodgeError(
             f"harmonicity residual above tolerance: d={closure:.3e}, delta={coclosure:.3e}")
-    return HarmonicBasis(dim=len(theta), theta=theta, metric=metric, inverse=inv,
+    return HarmonicBasis(dim=len(theta), theta=theta, metric=metric, flux=flux,
                          sqrt_det=sqrt_det, scale=scale,
                          residuals={"periods": period_err, "closure": closure,
                                     "coclosure": coclosure})
@@ -186,7 +184,7 @@ def harmonic_basis_diag3(fam: MetricFamily, t: float, n: int = 256) -> HarmonicB
         raise HodgeError("non-positive diagonal sample")
     theta = [[g11 / periodic_quad(g11), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     metric = [[g11, 0.0, 0.0], [0.0, g22, 0.0], [0.0, 0.0, g33]]
-    return _verified_basis(theta, metric, *_pointwise_inverse(metric), _DIAG3_TOL, 1.0)
+    return _verified_basis(theta, metric, *_pointwise_adjugate(metric), _DIAG3_TOL, 1.0)
 
 
 def phi_admissibility(fam: MetricFamily, n: int, nt: int, tol: float) -> FamilyCheckReport:
@@ -257,7 +255,7 @@ def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128) -> HarmonicBasi
     if fam.dim != 2:
         raise HodgeError("2D basis needs a 2-dimensional family")
     g = fam.sample_matrix(t, family_axes(fam, n))
-    inv, det_g = _pointwise_inverse(g)
+    adj, det_g = _pointwise_adjugate(g)
     det_g = np.atleast_2d(det_g)  # constant families give 0-d samples
     if float(np.max(np.ptp(det_g, axis=0))) > _TWO_D_TOL:
         raise HodgeError("determinant depends on x1 (not an admissible 2D family)")
@@ -274,7 +272,7 @@ def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128) -> HarmonicBasi
 
     theta = [[g[0][0] / big_m, (g[0][1] * big_k - sqrt_c * big_l) / (big_k * big_m)],
              [0.0, sqrt_c / big_k]]
-    return _verified_basis(theta, g, inv, det_g, _TWO_D_TOL, 1.0 / big_k)
+    return _verified_basis(theta, g, adj, det_g, _TWO_D_TOL, 1.0 / big_k)
 
 
 def phi_2d(fam: MetricFamily, t_samples: Sequence, n: int = 128, *,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slagcy import Jet, family_from_entries, phi_curve, solve_calabi_yau
+from slagcy import Jet, cli, family_from_entries, phi_curve, solve_calabi_yau
 from slagcy.jets import FLOAT
 from slagcy.cli import (
     KINDS,
@@ -250,14 +250,20 @@ class TestScenarioLoading:
         assert sc.tolerance == Fraction(1, 10 ** 12)
 
 
+def perfbench_workloads(monkeypatch):
+    """The benchmark's `perfbench/workloads.py`, imported by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  REPO / "perfbench" / "workloads.py")
+    W = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, W)  # its dataclasses look themselves up
+    spec.loader.exec_module(W)
+    return W
+
+
 class TestBenchmarkScenarios:
     def test_every_workload_scenario_loads(self, tmp_path, monkeypatch):
         # pass 0 of each benchmark workload, written as the benchmark writes it
-        spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                      REPO / "perfbench" / "workloads.py")
-        W = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, W)  # its dataclasses look themselves up
-        spec.loader.exec_module(W)
+        W = perfbench_workloads(monkeypatch)
         for workload in W.WORKLOADS:
             workdir = tmp_path / workload
             workdir.mkdir()
@@ -268,6 +274,19 @@ class TestBenchmarkScenarios:
                     family_from_entries({k: parse(v) for k, v in sc.metric.items()})
                 if workload == "embed_exact":
                     assert load_scenario(files.verify_scenario).kind == "verify"
+
+    @pytest.mark.parametrize("workload", ["phi_2d", "phi_3d"])
+    def test_first_phi_ops_pass_the_benchmark_check(self, workload, tmp_path, monkeypatch):
+        # the first five ops of pass 0, run through the CLI and checked by the
+        # benchmark's own oracles (Phi == 1 in 2D, I0 ratios in 3D, and the
+        # drift family of phi_3d refused with exit code 1)
+        W = perfbench_workloads(monkeypatch)
+        ops = W.make_pass(workload, 0, 0)[:5]
+        if workload == "phi_3d":
+            assert sum(op.params["drift"] for op in ops) == 1
+        for op in ops:
+            files = W.write_op(op, tmp_path)
+            W.check_op(files, [main(argv) for argv in files.calls()])
 
     def test_generator_selftest_passes(self):
         # the benchmark's own generators call the jet and DSL API directly
@@ -303,6 +322,38 @@ class TestBenchmarkScenarios:
         assert len(targets) == 5
         for obj, attr, _ in targets:
             assert hasattr(resolve(obj), attr.value), f"{ast.unparse(obj)}.{attr.value}"
+
+
+class TestArgParser:
+    PHI2D = ("[scenario]\nkind = phi2d\nmode = float\ngrid = 24\nt_samples = 3\n"
+             "tolerance = 1e-10\n\n[family]\nconstructor = direct\ndim = 2\n"
+             'g11 = "exp(t*cos(2*pi*x1))"\ng12 = "1/4"\ng22 = "17/16*exp(-t*cos(2*pi*x1))"\n')
+
+    @staticmethod
+    def run(argv, capsys):
+        """(exit code, report without timings, whether it had timings, stderr)."""
+        code = main(argv)
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        timed = report.pop("timings", None) is not None
+        return code, report, timed, err
+
+    def test_parser_is_built_once(self):
+        assert cli._build_arg_parser() is cli._build_arg_parser()
+
+    @pytest.mark.parametrize("first", ["flags", "plain"])
+    def test_no_flag_leaks_into_the_next_call(self, first, tmp_path, capsys):
+        path = write_scenario(tmp_path, self.PHI2D)
+        calls = {"flags": ["phi2d", "--scenario", path, "--deterministic", "--grid", "16"],
+                 "plain": ["phi2d", "--scenario", path]}
+        order = [first, "plain" if first == "flags" else "flags"]
+        together = [self.run(calls[name], capsys) for name in order]
+        for name, got in zip(order, together):
+            cli._build_arg_parser.cache_clear()
+            assert got == self.run(calls[name], capsys)  # a lone call on a fresh parser
+        runs = dict(zip(order, together))
+        assert runs["flags"][1]["scenario"]["grid"] == 16 and not runs["flags"][2]
+        assert runs["plain"][1]["scenario"]["grid"] == 24 and runs["plain"][2]
 
 
 class TestExitCodes:

@@ -134,6 +134,17 @@ def linalg_inverse(m):
     return np.moveaxis(np.linalg.inv(full), (-2, -1), (0, 1)), np.linalg.det(full)
 
 
+def linalg_gram(basis):
+    """The inverse-weighted Gram matrix int g^{kl} theta_ik theta_jl sqrt(det g),
+    with g^{kl} and det g from np.linalg."""
+    inv, det_g = linalg_inverse(basis.metric)
+    theta = dense(basis.theta)
+    dim = basis.dim
+    return np.array([[np.mean(sum(inv[k, l] * theta[i, k] * theta[j, l]
+                                  for k in range(dim) for l in range(dim)) * np.sqrt(det_g))
+                      for j in range(dim)] for i in range(dim)])
+
+
 def sparse_spd(rng, dim, n):
     """Diagonally dominant symmetric entries of shapes (n, 1), (1, n) and (1, 1)."""
     shapes = [(n, 1), (1, n), (1, 1)]
@@ -146,16 +157,19 @@ def sparse_spd(rng, dim, n):
 
 
 class TestPointwiseInverse:
+    """`hodge._pointwise_adjugate`: adj(g) = det(g) g^{-1} and det(g)."""
+
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("shape", [(17,), (9, 9), "sparse"])
     def test_matches_linalg(self, dim, shape):
         rng = np.random.default_rng(5 + dim)
         m = sparse_spd(rng, dim, 9) if shape == "sparse" else spd_stack(rng, dim, shape)
-        inv, det_m = hodge._pointwise_inverse(m)
+        adj, det_m = hodge._pointwise_adjugate(m)
         ref_inv, ref_det = linalg_inverse(m)
-        inv = dense(inv)
-        assert inv.shape == ref_inv.shape
-        assert np.max(np.abs(inv - ref_inv)) <= 1e-13 * np.max(np.abs(ref_inv))
+        ref_adj = ref_inv * ref_det
+        adj = dense(adj)
+        assert adj.shape == ref_adj.shape
+        assert np.max(np.abs(adj - ref_adj)) <= 1e-13 * np.max(np.abs(ref_adj))
         assert np.max(np.abs(det_m - ref_det) / np.abs(ref_det)) <= 1e-13
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -164,7 +178,7 @@ class TestPointwiseInverse:
         for bad in (np.ones((dim, dim)), np.diag([-1.0] + [1.0] * (dim - 1))):
             m[:, :, 5] = bad  # one sample with det 0, then det -1
             with pytest.raises(HodgeError, match="non-positive determinant"):
-                hodge._pointwise_inverse(m)
+                hodge._pointwise_adjugate(m)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_gram_det_matches_linalg(self, dim):
@@ -175,9 +189,10 @@ class TestPointwiseInverse:
             assert abs(got - np.linalg.det(matrix)) <= 1e-13 * abs(np.linalg.det(matrix))
 
     def test_inverse_formed_once_per_t(self, monkeypatch):
+        # one adjugate per basis, shared by its fluxes, the co-closure check and Gram
         calls = []
-        original = hodge._pointwise_inverse
-        monkeypatch.setattr(hodge, "_pointwise_inverse", lambda m: calls.append(1) or original(m))
+        original = hodge._pointwise_adjugate
+        monkeypatch.setattr(hodge, "_pointwise_adjugate", lambda m: calls.append(1) or original(m))
         fam = family_from_entries(TWO_D_FAMILIES[1], dim=2)
         phi_2d(fam, np.linspace(0, 1, 4), n=32, check=False)
         phi_curve(bessel_family(), np.linspace(0, 1, 3), n=32, check=False)
@@ -210,7 +225,7 @@ class TestDiag3Basis:
                 if i != j:
                     assert np.ndim(basis.theta[i][j]) == 0 and basis.theta[i][j] == 0.0
                     assert np.ndim(basis.metric[i][j]) == 0 and basis.metric[i][j] == 0.0
-                assert np.shape(basis.inverse[i][j]) in ((), (n, 1, 1))
+                assert np.shape(basis.flux[i][j]) == (n, 1, 1)
 
     def test_period_normalization(self):
         basis = harmonic_basis_diag3(bessel_family(), 0.7, n=256)
@@ -264,6 +279,68 @@ class TestGram:
             gram = gram_L2(harmonic_basis_diag3(fam, 0.8, n=128))
             assert np.allclose(gram, gram.T)
             assert np.all(np.linalg.eigvalsh(gram) > 0)
+
+
+def generated_2d_families(seed, count):
+    """Admissible 2D families g11 = e^w, g12 = b, g22 = (C(x2) + b^2) e^-w with
+    w = c*t*cos(2*pi*k*x1) and C = 1 + a*cos(2*pi*x2), so det = C(x2)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        c, a = rng.uniform(0.5, 1.5), rng.uniform(0.1, 0.5)
+        k, b = rng.randint(1, 3), rng.randint(1, 8) / 16
+        w = f"{c}*t*cos(2*pi*{k}*x1)"
+        out.append(family_from_entries({"g11": f"exp({w})", "g12": f"{b}",
+                                        "g22": f"(1 + {a}*cos(2*pi*x2) + {b}^2)*exp(-{w})"},
+                                       dim=2))
+    return out
+
+
+class TestFlux:
+    @pytest.mark.parametrize("fam", generated_2d_families(2201, 4) + [
+        family_from_entries(entries, dim=2) for entries in TWO_D_FAMILIES])
+    def test_2d_gram_matches_inverse_oracle(self, fam):
+        for t in (0.3, 1.0):
+            basis = harmonic_basis_2d(fam, t, n=64)
+            gram, ref = gram_L2(basis), linalg_gram(basis)
+            assert np.max(np.abs(gram - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_bessel_gram_matches_inverse_oracle(self):
+        for t in (0.0, 0.4, 1.0):
+            basis = harmonic_basis_diag3(bessel_family(), t, n=128)
+            gram, ref = gram_L2(basis), linalg_gram(basis)
+            assert np.max(np.abs(gram - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_x1_only_2d_flux_keeps_natural_shapes(self):
+        n = 64
+        basis = harmonic_basis_2d(family_from_entries(TWO_D_FAMILIES[0], dim=2), 0.7, n=n)
+        assert np.ndim(basis.metric[0][1]) == 0
+        for row in basis.flux:
+            assert [np.shape(j_k) for j_k in row] == [(n, 1), (n, 1)]
+
+    def test_flux_is_sqrt_det_inverse_times_theta(self):
+        basis = harmonic_basis_2d(generated_2d_families(2202, 1)[0], 0.8, n=32)
+        inv, det_g = linalg_inverse(basis.metric)
+        want = np.einsum("kl...,il...->ik...", inv, dense(basis.theta)) * np.sqrt(det_g)
+        got = dense(basis.flux)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("build", [
+        lambda: harmonic_basis_2d(family_from_entries(TWO_D_FAMILIES[1], dim=2), 0.5, n=32),
+        lambda: harmonic_basis_diag3(bessel_family(), 0.7, n=64)], ids=["2d", "diag3"])
+    def test_tampered_theta_fails_coclosure(self, build):
+        # theta_1 + d(eps*sin(2*pi*x1)) is still closed and keeps its periods,
+        # but is not co-closed
+        basis, tol = build(), 1e-8
+        n = np.shape(basis.theta[0][0])[0]
+        bump = 2 * np.pi * 1e-3 * np.cos(2 * np.pi * periodic_axis(n))
+        theta = [list(row) for row in basis.theta]
+        theta[0][0] = theta[0][0] + bump.reshape((n,) + (1,) * (basis.dim - 1))
+        with pytest.raises(HodgeError, match="delta=") as err:
+            hodge._verified_basis(theta, basis.metric, *hodge._pointwise_adjugate(basis.metric),
+                                  tol, basis.scale)
+        found = dict(part.split("=") for part in str(err.value).split(": ")[1].split(", "))
+        assert float(found["d"]) <= tol < float(found["delta"])
 
 
 class TestPhiCurve3D:
@@ -411,7 +488,7 @@ class TestPhi2D:
         theta[0][0] = theta[0][0] * (1 + 0.1 * np.sin(2 * np.pi * periodic_axis(n)))[None, :]
         assert hodge._closure_residual(theta) > 0.1
         with pytest.raises(HodgeError, match="harmonicity residual"):
-            hodge._verified_basis(theta, basis.metric, *hodge._pointwise_inverse(basis.metric),
+            hodge._verified_basis(theta, basis.metric, *hodge._pointwise_adjugate(basis.metric),
                                   tol, basis.scale)
 
     def test_x1_dependent_determinant_rejected(self):
