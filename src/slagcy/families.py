@@ -18,7 +18,7 @@ the collapsing pair, whose numeric normalizers make them grid evaluators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -69,11 +69,13 @@ class GridEntry:
 
     fn: Callable
 
-    def sample(self, t: float, axes: dict) -> np.ndarray:
+    def sample(self, t, axes: dict) -> np.ndarray:
         try:  # the normalizers overflow here; as Python floats, their ** raises
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 return np.asarray(self.fn(t, axes), dtype=np.float64)
         except (FloatingPointError, OverflowError) as exc:
+            for one in np.ravel(t) if np.ndim(t) else ():  # the first t to fail alone names itself
+                self.sample(float(one), axes)
             raise FamilyError(f"entry not finite at t={t}: {exc.args[-1]}") from exc
 
 
@@ -106,7 +108,7 @@ class MetricFamily:
         if not lo <= hi:
             raise FamilyError(f"empty t_range {self.t_range}")
 
-    def sample_matrix(self, t: float, axes: dict) -> list:
+    def sample_matrix(self, t, axes: dict) -> list:
         """Sample each entry on or above the diagonal once; mirror the rest."""
         upper = {(i, j): self.entries[i][j].sample(t, axes)
                  for i in range(self.dim) for j in range(i, self.dim)}
@@ -275,12 +277,23 @@ def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), name: str = "block") -> Me
 _NORM_GRID = 256
 
 
-def _normalizer(f: Expr, t: float, env: dict, over: str):
+def _normalizer(f: Expr, t, env: dict, over: str):
     """int_0^1 e^{f/2} d(over) on a _NORM_GRID-point periodic axis, shaped like
-    the broadcast of f's other variables as ``env`` binds them."""
-    env = {name: np.asarray(x)[..., None] for name, x in env.items()}
-    env.update({"t": t, over: periodic_axis(_NORM_GRID)})
+    the broadcast of f's other variables as ``env`` and ``t`` bind them."""
+    env = {name: np.asarray(x)[..., None] for name, x in {**env, "t": t}.items()}
+    env[over] = periodic_axis(_NORM_GRID)
     return periodic_quad(np.exp(0.5 * eval_grid(f, env)), axis=-1)
+
+
+def _last_call(norm):
+    """``norm(t, axes)`` kept for its last t values and axes object (the memo holds both)."""
+    last = [None, None, None]
+
+    def memo(t, axes):
+        if last[1] is not axes or not np.array_equal(last[0], t):
+            last[:] = t, axes, norm(t, axes)
+        return last[2]
+    return memo
 
 
 def make_collapsing_22(w_raw, t1: float, *, t_range=None,
@@ -308,25 +321,20 @@ def make_collapsing_21(w_raw, v_raw, t1: float, *, t_range=None,
         t_range = (0.0, 0.9 * t1)
     if not t_range[1] < t1:
         raise FamilyError(f"t_range must stay strictly below the collapse time {t1}")
-    w_norm = lru_cache(maxsize=1)(partial(_normalizer, w, env={}, over="x1"))
-    v_last = [None, None, None]  # (t, axes, v-normalizer) of the last call; holds axes
-
-    def v_norm(t, axes):
-        if v_last[0] != t or v_last[1] is not axes:
-            v_last[:] = t, axes, _normalizer(v, t, axes, "x2")
-        return v_last[2]
+    w_norm = _last_call(lambda t, axes: _normalizer(w, t, {}, "x1"))
+    v_norm = _last_call(partial(_normalizer, v, over="x2"))
 
     def at(e, t, axes):
         return eval_grid(e, {**axes, "t": t})
 
     def a11(t, axes):
-        return np.exp(at(w, t, axes)) / w_norm(t) ** 2
+        return np.exp(at(w, t, axes)) / w_norm(t, axes) ** 2
 
     def a22(t, axes):
         return np.exp(at(v, t, axes)) / v_norm(t, axes) ** 2
 
     def a33(t, axes):
-        return (np.exp(-(at(w, t, axes) + at(v, t, axes))) * w_norm(t) ** 2
+        return (np.exp(-(at(w, t, axes) + at(v, t, axes))) * w_norm(t, axes) ** 2
                 * v_norm(t, axes) ** 2)
 
     return family_from_entries({"g11": GridEntry(a11), "g22": GridEntry(a22),

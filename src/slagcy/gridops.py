@@ -15,12 +15,12 @@ def periodic_axis(n: int, periodic: bool = True) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-def periodic_quad(samples, axis=None) -> np.ndarray | float:
+def periodic_quad(samples, axis=None, keepdims: bool = False) -> np.ndarray | float:
     """Trapezoid rule over the unit period on a uniform periodic grid.
 
     With no endpoint duplication this is the plain mean, which is spectrally
     accurate for smooth periodic integrands.  ``axis=None`` integrates over
-    every axis.
+    every axis; ``keepdims`` keeps the integrated axes at size 1.
     """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim == 0:
@@ -30,13 +30,13 @@ def periodic_quad(samples, axis=None) -> np.ndarray | float:
     if axis is None:
         axis = tuple(range(arr.ndim))
     # size-1 axes of broadcast sample arrays integrate as constants
-    out = arr.mean(axis=axis)
+    out = arr.mean(axis=axis, keepdims=keepdims)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def spectral_diff(samples, axis: int) -> np.ndarray:
-    """Real-FFT (``rfft``/``irfft``) derivative along ``axis`` (>= 0) of a
-    periodic sample array over the unit period.
+    """Real-FFT (``rfft``/``irfft``) derivative along ``axis`` (negative axes
+    count from the end) of a periodic sample array over the unit period.
 
     Samples constant along the axis (an absent or size-1 axis, or a
     materialized broadcast copy) differentiate to exact zeros without a
@@ -44,9 +44,9 @@ def spectral_diff(samples, axis: int) -> np.ndarray:
     spectral derivatives.
     """
     arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim <= axis or np.all(arr == arr.take([0], axis=axis)):
+    if not -arr.ndim <= axis < arr.ndim or np.all(arr == arr.take([0], axis=axis)):
         return np.zeros_like(arr)
-    n = arr.shape[axis]
+    n, axis = arr.shape[axis], axis % arr.ndim
     # wavenumbers 0..n//2 along ``axis``, trailing size-1 axes for broadcasting
     k = np.arange(n // 2 + 1, dtype=np.float64).reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
     if n % 2 == 0:

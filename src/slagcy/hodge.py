@@ -12,7 +12,10 @@ co-closure is div J_i = 0 and <theta_i, theta_j> is the torus mean of theta_i . 
 Every sample keeps the broadcast shape `MetricFamily.sample_matrix` gives it (an
 x1-only entry is (n, 1, 1) in 3D and (n, 1) in 2D, a constant is 0-d) and products
 skip the scalar 0.0 of a vanishing basis component, so work follows the variables
-a family depends on, not n^dim.
+a family depends on, not n^dim.  A builder takes t as a float or as a batch of
+shape (T,) + (1,) * dim, so spatial axes count from the end (-dim..-1).  The Phi
+loop builds its first t alone, then chunks of t within max(n^2, P) points per
+sample, P the first t's broadcast size.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ class HarmonicBasis:
     theta: list                # theta[i][k], broadcastable entries
     metric: list               # metric[k][l]: the samples that produced it
     flux: list                 # flux[i][k]: (sqrt(det g) g^{-1} theta_i)_k
-    sqrt_det: np.ndarray       # pointwise sqrt(det g), broadcastable
-    scale: float               # 2D volume-normalization factor applied to C
+    scale: float               # 2D volume-normalization factor applied to C, per t
     residuals: dict            # periods, closure, co-closure
 
 
@@ -111,13 +113,13 @@ def _contract(row, vec):
 
 def gram_L2(basis: HarmonicBasis) -> np.ndarray:
     """Gram matrix <theta_i, theta_j> = int theta_i . J_j over the torus (J_j the
-    flux of theta_j), by periodic quadrature on the basis grid."""
+    flux of theta_j), by periodic quadrature; a batch of T values of t adds a last axis."""
     dim, theta, flux = basis.dim, basis.theta, basis.flux
-    entries = np.empty((dim, dim), dtype=np.float64)
-    for i in range(dim):
-        for j in range(i, dim):
-            entries[i, j] = entries[j, i] = float(periodic_quad(_contract(flux[j], theta[i])))
-    return entries
+    quads = {(i, j): periodic_quad(_contract(flux[j], theta[i]), axis=tuple(range(-dim, 0)))
+             for i in range(dim) for j in range(i, dim)}
+    # a t-dependent metric has a t-dependent det g, and every flux divides by its sqrt:
+    # either every entry carries the batch axis or none does
+    return np.array([[quads[min(i, j), max(i, j)] for j in range(dim)] for i in range(dim)])
 
 
 def _verify_periods(theta, tol: float) -> float:
@@ -127,8 +129,10 @@ def _verify_periods(theta, tol: float) -> float:
     circles, is the torus mean of theta[i][j]; closure makes the
     representative irrelevant up to quadrature error.
     """
-    worst = max(abs(float(periodic_quad(comp)) - (1.0 if i == j else 0.0))
-                for i, row in enumerate(theta) for j, comp in enumerate(row))
+    space = tuple(range(-len(theta), 0))
+    devs = (periodic_quad(comp, axis=space) - (1.0 if i == j else 0.0)
+            for i, row in enumerate(theta) for j, comp in enumerate(row))
+    worst = max(abs(dev) if isinstance(dev, float) else float(np.abs(dev).max()) for dev in devs)
     if worst > tol:
         raise HodgeError(f"cycle normalization off by {worst:.3e} (tol {tol:.1e})")
     return worst
@@ -137,7 +141,7 @@ def _verify_periods(theta, tol: float) -> float:
 def _closure_residual(theta) -> float:
     dim = len(theta)
     return max(float(np.max(np.abs(spectral_diff(row[b], a) - spectral_diff(row[a], b))))
-               for row in theta for a in range(dim) for b in range(a + 1, dim))
+               for row in theta for a in range(-dim, 0) for b in range(a + 1, 0))
 
 
 def _verified_basis(theta, metric, adj, det_g, tol: float, scale: float) -> HarmonicBasis:
@@ -147,14 +151,13 @@ def _verified_basis(theta, metric, adj, det_g, tol: float, scale: float) -> Harm
     flux = [[_contract(row, th) / sqrt_det for row in adj] for th in theta]
     period_err = _verify_periods(theta, tol)
     closure = _closure_residual(theta)
-    # max |delta theta_i| = max |sum_k d_k J_ik| / sqrt(det g)
-    coclosure = max(float(np.max(np.abs(sum(spectral_diff(j_k, k) for k, j_k in enumerate(row))
+    # max |delta theta_i| = max |sum_k d_k J_ik| / sqrt(det g), axes counted from the end
+    coclosure = max(float(np.max(np.abs(sum(map(spectral_diff, row, range(-len(row), 0)))
                                         / sqrt_det))) for row in flux)
     if max(closure, coclosure) > tol:
         raise HodgeError(
             f"harmonicity residual above tolerance: d={closure:.3e}, delta={coclosure:.3e}")
-    return HarmonicBasis(dim=len(theta), theta=theta, metric=metric, flux=flux,
-                         sqrt_det=sqrt_det, scale=scale,
+    return HarmonicBasis(dim=len(theta), theta=theta, metric=metric, flux=flux, scale=scale,
                          residuals={"periods": period_err, "closure": closure,
                                     "coclosure": coclosure})
 
@@ -162,7 +165,7 @@ def _verified_basis(theta, metric, adj, det_g, tol: float, scale: float) -> Harm
 # -- diagonal 3D basis --------------------------------------------------------------
 
 
-def harmonic_basis_diag3(fam: MetricFamily, t: float, n: int = 256) -> HarmonicBasis:
+def harmonic_basis_diag3(fam: MetricFamily, t, n: int = 256) -> HarmonicBasis:
     """Cycle-normalized harmonic basis for diagonal metrics depending on
     (t, x1) with unit determinant: theta_1 = g11/int(g11) dx1, theta_2 = dx2,
     theta_3 = dx3.  The family must be diagonal (off-diagonal samples within
@@ -175,14 +178,15 @@ def harmonic_basis_diag3(fam: MetricFamily, t: float, n: int = 256) -> HarmonicB
         for j in range(3):
             if i != j and float(np.max(np.abs(m[i][j]))) > _DIAG3_TOL:
                 raise HodgeError(f"family entry ({i + 1},{j + 1}) is not zero")
-        if any(size > 1 for size in np.shape(m[i][i])[1:]):
+        if any(size > 1 for size in np.shape(m[i][i])[-2:]):
             raise HodgeError(f"diagonal entry ({i + 1},{i + 1}) depends on x2 or x3")
     g11, g22, g33 = m[0][0], m[1][1], m[2][2]
     if float(np.max(np.abs(g11 * g22 * g33 - 1.0))) > _DIAG3_TOL:
         raise HodgeError("family determinant is not identically 1 on samples")
     if any(np.any(g <= 0) for g in (g11, g22, g33)):
         raise HodgeError("non-positive diagonal sample")
-    theta = [[g11 / periodic_quad(g11), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    theta = [[g11 / periodic_quad(g11, axis=(-3, -2, -1), keepdims=True), 0.0, 0.0],
+             [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     metric = [[g11, 0.0, 0.0], [0.0, g22, 0.0], [0.0, 0.0, g33]]
     return _verified_basis(theta, metric, *_pointwise_adjugate(metric), _DIAG3_TOL, 1.0)
 
@@ -198,18 +202,26 @@ def phi_admissibility(fam: MetricFamily, n: int, nt: int, tol: float) -> FamilyC
 
 def _phi_samples(fam: MetricFamily, t_samples: Sequence, n: int, check: bool,
                  basis_at, row) -> PhiCurve:
-    """The Phi loop shared by both classes: admissibility check, then per t
-    the basis ``basis_at(t)``, its Gram matrix, det, and ``row(basis, phi, t)``
-    for the three integral columns."""
+    """The Phi loop shared by both classes: admissibility check, then per chunk of
+    t values (module docstring) the basis ``basis_at(t)``, its Gram matrix, det,
+    and the three integral columns ``row(basis, phi, t)`` of the chunk's phi and t."""
     if check:
         phi_admissibility(fam, n, len(t_samples), _CHECK_TOL).raise_if_failed()
     ts = np.asarray(list(t_samples), dtype=np.float64)
     phis = np.empty_like(ts)
     integrals = np.empty((len(ts), 3), dtype=np.float64)
-    for k, t in enumerate(ts):
-        basis = basis_at(float(t))
-        phis[k] = float(det(gram_L2(basis)))
-        integrals[k] = row(basis, phis[k], t)
+    lo, step = 0, 1
+    while lo < len(ts):
+        k = slice(lo, lo + step)
+        # a lone t goes as a float: a batch axis of size 1 only slows (n, n) transforms
+        basis = basis_at(ts[k].reshape((-1,) + (1,) * fam.dim) if step > 1 else float(ts[lo]))
+        phis[k] = det(gram_L2(basis))
+        for c, col in enumerate(row(basis, phis[k], ts[k])):
+            integrals[k, c] = col
+        lo += step
+        if lo == 1:  # after the first t alone: its samples broadcast to `points`
+            points = np.broadcast(*(g for r in basis.metric for g in r)).size
+            step = max(n * n, points) // points
     return PhiCurve(t=ts, phi=phis, integrals=integrals)
 
 
@@ -223,15 +235,14 @@ def phi_curve(fam: MetricFamily, t_samples: Sequence, n: int = 256, *,
     """
     def row(basis, phi, t):
         g11, g22, g33 = basis.metric[0][0], basis.metric[1][1], basis.metric[2][2]
-        i11 = float(periodic_quad(g11))
-        i22 = float(periodic_quad(1.0 / g22))
-        i33 = float(periodic_quad(1.0 / g33))
-        cross = float(periodic_quad(1.0 / (g22 * g33)))
-        closed = i22 * i33 / cross
-        if abs(phi - closed) > _CLOSED_FORM_TOL:
+        i11, i22, i33, cross = (periodic_quad(g, axis=(-3, -2, -1)) for g in
+                                (g11, 1.0 / g22, 1.0 / g33, 1.0 / (g22 * g33)))
+        closed = np.broadcast_to(i22 * i33 / cross, phi.shape)
+        if np.max(np.abs(phi - closed)) > _CLOSED_FORM_TOL:
+            k = int(np.argmax(np.abs(phi - closed)))
             raise HodgeError(
-                f"quadrature Gram disagrees with the closed form at t={t}: "
-                f"{phi!r} vs {closed!r}")
+                f"quadrature Gram disagrees with the closed form at t={t[k]}: "
+                f"{phi[k]!r} vs {closed[k]!r}")
         return i11, i22, i33
 
     return _phi_samples(fam, t_samples, n, check,
@@ -241,7 +252,7 @@ def phi_curve(fam: MetricFamily, t_samples: Sequence, n: int = 256, *,
 # -- general 2D basis ----------------------------------------------------------------
 
 
-def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128) -> HarmonicBasis:
+def harmonic_basis_2d(fam: MetricFamily, t, n: int = 128) -> HarmonicBasis:
     """Cycle-normalized harmonic basis for an admissible 2D family with
     det = C(x2):
 
@@ -257,22 +268,23 @@ def harmonic_basis_2d(fam: MetricFamily, t: float, n: int = 128) -> HarmonicBasi
     g = fam.sample_matrix(t, family_axes(fam, n))
     adj, det_g = _pointwise_adjugate(g)
     det_g = np.atleast_2d(det_g)  # constant families give 0-d samples
-    if float(np.max(np.ptp(det_g, axis=0))) > _TWO_D_TOL:
+    if float(np.max(np.ptp(det_g, axis=-2))) > _TWO_D_TOL:
         raise HodgeError("determinant depends on x1 (not an admissible 2D family)")
-    sqrt_c = np.sqrt(det_g.mean(axis=0, keepdims=True))  # sqrt(C(x2)), shape (1, n) or (1, 1)
+    sqrt_c = np.sqrt(det_g.mean(axis=-2, keepdims=True))  # sqrt(C(x2)), shape (..., 1, n|1)
 
-    m_per_col = periodic_quad(g[0][0], axis=0)
-    l_per_row = periodic_quad(g[0][1], axis=1)
-    if float(np.ptp(m_per_col)) > _TWO_D_TOL or float(np.ptp(l_per_row)) > _TWO_D_TOL:
+    m_per_col = periodic_quad(g[0][0], axis=-2, keepdims=True)
+    l_per_row = periodic_quad(g[0][1], axis=-1, keepdims=True)
+    if any(np.ptp(q, axis=(-2, -1)).max() > _TWO_D_TOL
+           for q in (m_per_col, l_per_row) if np.ndim(q)):
         raise HodgeError("int g11 dx1 or int g12 dx2 is not constant "
                          "(the dual of d/dx1 is not closed)")
-    big_m = float(np.mean(m_per_col))
-    big_l = float(np.mean(l_per_row))
-    big_k = float(periodic_quad(sqrt_c))
+    big_m = periodic_quad(m_per_col, axis=-1, keepdims=True)
+    big_l = periodic_quad(l_per_row, axis=-2, keepdims=True)
+    big_k = periodic_quad(sqrt_c, axis=(-2, -1), keepdims=True)
 
     theta = [[g[0][0] / big_m, (g[0][1] * big_k - sqrt_c * big_l) / (big_k * big_m)],
              [0.0, sqrt_c / big_k]]
-    return _verified_basis(theta, g, adj, det_g, _TWO_D_TOL, 1.0 / big_k)
+    return _verified_basis(theta, g, adj, det_g, _TWO_D_TOL, 1.0 / big_k[..., 0, 0])
 
 
 def phi_2d(fam: MetricFamily, t_samples: Sequence, n: int = 128, *,
@@ -284,7 +296,7 @@ def phi_2d(fam: MetricFamily, t_samples: Sequence, n: int = 128, *,
     """
     def row(basis, phi, t):
         g = basis.metric
-        return periodic_quad(g[0][0]), periodic_quad(g[0][1]), 1.0 / basis.scale
+        return [periodic_quad(e, axis=(-2, -1)) for e in g[0]] + [1.0 / basis.scale]
 
     return _phi_samples(fam, t_samples, n, check,
                         lambda t: harmonic_basis_2d(fam, t, n), row)

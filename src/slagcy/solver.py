@@ -214,7 +214,7 @@ def _extend_cofactors(h, cof, m: int, order: int) -> None:
         re1, im1 = _product_terms(h[1][c1], h[2][c2], m, sign)
         re2, im2 = _product_terms(h[1][c2], h[2][c1], m, -sign)
         re.append(mul_sum(re1 + re2, order - m))
-        im.append(mul_sum(im1 + im2, order - m))
+        im.append(mul_sum(im1 + im2, order - m) if c else re[-1].zero_like())  # h[0][0] is real
 
 
 # -- gamma ------------------------------------------------------------------------

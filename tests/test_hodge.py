@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from slagcy import hodge
-from slagcy.families import MetricFamily, family_from_entries
+from slagcy.families import (
+    FamilyError,
+    MetricFamily,
+    family_axes,
+    family_from_entries,
+    make_collapsing_22,
+)
 from slagcy.gridops import periodic_axis, periodic_quad, spectral_diff
 from slagcy.hodge import (
     HodgeError,
@@ -106,6 +112,20 @@ class TestSpectralDiff:
             assert np.all(d == 0.0)
         assert np.all(spectral_diff(base[0], 3) == 0.0)  # an axis the samples lack
 
+    @pytest.mark.parametrize("shape", [(5, 16, 1, 1), (3, 16, 15), (4, 1, 16)])
+    def test_batch_lanes_match_unbatched(self, shape):
+        # spatial axes counted from the end: each lane of a leading batch axis
+        # differentiates and integrates bit for bit as it does alone
+        arr = np.exp(np.random.default_rng(len(shape)).standard_normal(shape))
+        dim = len(shape) - 1
+        for axis in range(-dim, 0):
+            batched = spectral_diff(arr, axis)
+            assert all(np.array_equal(batched[k], spectral_diff(arr[k], axis))
+                       for k in range(shape[0]))
+        means = periodic_quad(arr, axis=tuple(range(-dim, 0)))
+        assert means.shape == shape[:1]
+        assert [periodic_quad(lane) for lane in arr] == list(means)
+
     def test_even_n_drops_the_nyquist_mode(self):
         n = 16
         x = periodic_axis(n)
@@ -188,15 +208,16 @@ class TestPointwiseInverse:
             got = float(det(matrix))  # the Phi of _phi_samples
             assert abs(got - np.linalg.det(matrix)) <= 1e-13 * abs(np.linalg.det(matrix))
 
-    def test_inverse_formed_once_per_t(self, monkeypatch):
-        # one adjugate per basis, shared by its fluxes, the co-closure check and Gram
+    def test_inverse_formed_once_per_chunk(self, monkeypatch):
+        # one adjugate per basis, shared by its fluxes, the co-closure check and Gram;
+        # an x1-only curve is two bases: its first t, then every other t in one chunk
         calls = []
         original = hodge._pointwise_adjugate
         monkeypatch.setattr(hodge, "_pointwise_adjugate", lambda m: calls.append(1) or original(m))
         fam = family_from_entries(TWO_D_FAMILIES[1], dim=2)
         phi_2d(fam, np.linspace(0, 1, 4), n=32, check=False)
         phi_curve(bessel_family(), np.linspace(0, 1, 3), n=32, check=False)
-        assert len(calls) == 7
+        assert len(calls) == 4
 
 
 class TestDiag3Basis:
@@ -218,7 +239,6 @@ class TestDiag3Basis:
         n = 64
         basis = harmonic_basis_diag3(bessel_family(), 1.0, n=n)
         assert basis.theta[0][0].shape == (n, 1, 1)
-        assert basis.sqrt_det.shape == (n, 1, 1)
         for i in range(3):
             assert basis.metric[i][i].shape == (n, 1, 1)
             for j in range(3):
@@ -403,6 +423,80 @@ class TestPhiCurve3D:
             run(fam, [0.0, 1.0], n=16)
 
 
+def phi_3d_style_family():
+    """A family as the phi_3d benchmark generates them: diag(e^-2u, e^u, e^u)."""
+    u = "0.731*t*sin(2*pi*3*x1)"
+    return family_from_entries({"g11": f"exp(-2*{u})", "g22": f"exp({u})", "g33": f"exp({u})"})
+
+
+BATCHED_CURVES = {
+    "bessel": (phi_curve, bessel_family, 256),
+    "phi_3d-style": (phi_curve, phi_3d_style_family, 256),
+    "collapse22": (phi_curve, lambda: make_collapsing_22(
+        "(t/(1-t))*cos(pi*x1)^2", t1=1.0, t_range=(0.0, 0.7)), 128),
+    "x1-only 2D": (phi_2d, lambda: family_from_entries(TWO_D_FAMILIES[0], dim=2), 128),
+    # scenarios/twod_offdiag_phi.ini: x1-only as well, so batched
+    "twod_offdiag_phi": (phi_2d, lambda: family_from_entries(TWO_D_FAMILIES[1], dim=2), 128),
+    # as the phi_2d benchmark generates them: g22 depends on x1 and x2, one t per chunk
+    "phi_2d-style": (phi_2d, lambda: generated_2d_families(2203, 1)[0], 128),
+}
+
+
+class TestBatchedCurve:
+    """The Phi loop samples chunks of t along a leading batch axis."""
+
+    @pytest.mark.parametrize("name", BATCHED_CURVES)
+    def test_batch_equals_one_t_at_a_time(self, name):
+        run, build, n = BATCHED_CURVES[name]
+        fam = build()
+        ts = np.linspace(fam.t_range[0], fam.t_range[1], 21)
+        curve = run(fam, ts, n=n, check=False)
+        alone = [run(fam, [t], n=n, check=False) for t in ts]
+        assert np.array_equal(curve.phi, np.concatenate([c.phi for c in alone]))
+        assert np.array_equal(curve.integrals, np.concatenate([c.integrals for c in alone]))
+
+    @pytest.mark.parametrize("name", BATCHED_CURVES)
+    def test_samples_stay_within_the_chunk_bound(self, name, monkeypatch):
+        run, build, n = BATCHED_CURVES[name]
+        fam = build()
+        one_t = max(np.size(e) for row in fam.sample_matrix(fam.t_range[0], family_axes(fam, n))
+                    for e in row)
+        sizes = []
+        original = MetricFamily.sample_matrix
+
+        def recorded(self, t, axes):
+            m = original(self, t, axes)
+            sizes.append(max(np.size(e) for row in m for e in row))
+            return m
+
+        monkeypatch.setattr(MetricFamily, "sample_matrix", recorded)
+        run(fam, np.linspace(fam.t_range[0], fam.t_range[1], 21), n=n, check=False)
+        assert max(sizes) <= max(n * n, one_t)
+        if name == "bessel":
+            assert len(sizes) <= 2
+
+    def test_sampling_failure_names_one_t(self):
+        # the first t passes; t = 0.5 overflows inside the batch of the rest
+        fam = make_collapsing_22("(1 + 2000*t)*x1", t1=2.0, t_range=(0.0, 1.0))
+        with pytest.raises(FamilyError, match=r"not finite at t=0\.5: "):
+            phi_curve(fam, np.linspace(0.0, 1.0, 5), n=32, check=False)
+
+    def test_traced_names_are_reached_through_the_module(self, monkeypatch):
+        # the benchmark's traced replay times hodge.basis and hodge.gram by
+        # patching these three module attributes
+        calls = []
+        for name in ("harmonic_basis_diag3", "harmonic_basis_2d", "gram_L2"):
+            original = getattr(hodge, name)
+            monkeypatch.setattr(hodge, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        phi_curve(bessel_family(), np.linspace(0, 1, 3), n=32, check=False)
+        assert sorted(set(calls)) == ["gram_L2", "harmonic_basis_diag3"]
+        calls.clear()
+        phi_2d(family_from_entries(TWO_D_FAMILIES[2], dim=2), np.linspace(0, 1, 3), n=32,
+               check=False)
+        assert sorted(set(calls)) == ["gram_L2", "harmonic_basis_2d"]
+
+
 class TestPhi2D:
     def test_flat_2d(self):
         curve = phi_2d(flat_family(dim=2), np.linspace(0, 1, 3), n=32)
@@ -453,7 +547,6 @@ class TestPhi2D:
         assert basis.theta[0][1].shape == (1, 1)
         assert basis.theta[1][1].shape == (1, 1)
         assert np.ndim(basis.theta[1][0]) == 0 and basis.theta[1][0] == 0.0
-        assert basis.sqrt_det.shape == (n, 1)
 
     def test_gram_entries_match_remark_formulas(self):
         # |theta1|^2 = (1 + L^2)/M, <theta1,theta2> = -L, |theta2|^2 = M  (K = 1)
