@@ -262,8 +262,8 @@ def _validate(sc: Scenario) -> None:
             raise ScenarioError(f"{sc.kind} samples families in floats: mode must be float")
     if sc.kind == "family-check" and not 2 <= sc.t_samples <= 17:
         raise ScenarioError(f"family-check needs 2 <= t_samples <= 17, got {sc.t_samples}")
-    if sc.kind == "phi2d" and sc.grid > 256:
-        raise ScenarioError(f"phi2d needs grid <= 256, got {sc.grid}")
+    if sc.kind in ("phi", "phi2d") and sc.grid > 256:
+        raise ScenarioError(f"{sc.kind} needs grid <= 256, got {sc.grid}")
 
 
 def _parse_expr(text: str, where: str):
@@ -448,11 +448,6 @@ def _execute(sc: Scenario) -> RunReport:
         raise ScenarioError(str(exc)) from exc
     report.timings["total_s"] = time.perf_counter() - t0
     return report
-
-
-def run_scenario(path, overrides: dict | None = None) -> RunReport:
-    """Load, execute and report one scenario file."""
-    return _execute(load_scenario(path, overrides))
 
 
 # -- report emission ------------------------------------------------------------------

@@ -204,8 +204,11 @@ def check_slag_family(fam: MetricFamily, n: int = 64, nt: int = 9,
     """
     if nt < 2:
         raise FamilyError("need at least 2 t-samples for the t-derivative")
-    axes = family_axes(fam, n)
     lo, hi = fam.t_range
+    if lo == hi:
+        raise FamilyError(f"t_range {fam.t_range} is one point; the t-derivative "
+                          "needs t_min < t_max")
+    axes = family_axes(fam, n)
     ts = np.linspace(lo, hi, nt)
 
     dets = []

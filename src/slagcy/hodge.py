@@ -29,12 +29,6 @@ from .families import FamilyCheckReport, MetricFamily, check_slag_family, family
 from .gridops import periodic_quad, spectral_diff
 from .jets import det
 
-__all__ = [
-    "HarmonicBasis", "PhiCurve", "harmonic_basis_diag3",
-    "harmonic_basis_2d", "gram_L2", "phi_admissibility", "phi_curve", "phi_2d", "phi_csv",
-]
-
-
 _CHECK_TOL = 1e-10        # admissibility tolerance of a Phi run
 _CLOSED_FORM_TOL = 1e-10  # largest gap between the quadrature and closed-form 3D Phi
 # harmonicity tolerances of the diagonal 3D and the 2D basis builders

@@ -6,13 +6,13 @@ scalars.  A key holds a multi-index (e1, ..., e6) as one int of seven 16-bit
 fields: the total degree on top, then e1 down to e6.  Adding two keys
 multiplies the monomials, sorting keys is graded-lex order, and the fields
 bound the order at 65535.  Exponent tuples appear only at the boundary: the
-constructors, the ``coeffs`` view and ``dumps``.  A germ at another point is
-expanded in shifted generators, e.g. ``Jet.variable(X1, n) + a`` for x1
-around a.  Two scalar modes are supported: exact rationals and binary
-floats.  An exact jet is stored as integer numerators over one reduced
-denominator, and every operation works on that form, building no
-``Fraction`` per coefficient.  All operations are pure; jets are treated as
-immutable values.
+one constructor ``Jet(order, coeffs, mode)``, the ``coeffs`` view and
+``dumps``.  A germ at another point is expanded in shifted generators, e.g.
+``Jet.variable(X1, n) + a`` for x1 around a.  Two scalar modes are
+supported: exact rationals and binary floats.  An exact jet is stored as
+integer numerators over one reduced denominator, and every operation works
+on that form, building no ``Fraction`` per coefficient.  All operations are
+pure; jets are treated as immutable values.
 
 Variables are fixed as (x1, x2, x3, y1, y2, y3) with z_k = x_k + i*y_k.
 """
@@ -88,15 +88,16 @@ class Jet:
     over the lcm of the coefficients' denominators, so gcd(den, *num.values())
     is 1 (den is 1 for the zero jet); float mode stores the coefficients and
     den = 1.  ``Jet(order, coeffs, mode)`` builds this form from exponent
-    tuples, each of degree <= order <= MAX_ORDER, and scalars; ``coeffs``
-    reads them back (``Fraction``s in exact mode).  Do not mutate
-    ``num``.  A shift of the expansion point is written in the generators.
+    tuples, each of degree <= order <= MAX_ORDER, and scalars, each coerced
+    to the mode (a float refused in exact mode); ``coeffs`` reads them back
+    (``Fraction``s in exact mode).  Do not mutate ``num``.  A shift of the
+    expansion point is written in the generators.
     """
 
     def __init__(self, order: int, coeffs: dict, mode: str):
         if not 0 <= order <= MAX_ORDER:
             raise JetError(f"jet order {order} is outside 0..{MAX_ORDER}")
-        num = {_pack(idx, order): c for idx, c in coeffs.items()}
+        num = {_pack(idx, order): _coerce(c, mode) for idx, c in coeffs.items()}
         den = math.lcm(*(c.denominator for c in num.values())) if mode == EXACT else 1
         if mode == EXACT:
             num = {k: c.numerator * (den // c.denominator) for k, c in num.items() if c}
@@ -108,7 +109,7 @@ class Jet:
 
     @staticmethod
     def constant(value, order: int, mode: str = EXACT) -> "Jet":
-        return Jet(order, {ZERO_INDEX: _coerce(value, mode)}, mode)
+        return Jet(order, {ZERO_INDEX: value}, mode)
 
     @staticmethod
     def variable(var: int, order: int, mode: str = EXACT) -> "Jet":
@@ -118,11 +119,7 @@ class Jet:
         if order < 1:
             raise JetError("variable jet needs order >= 1")
         idx = tuple(1 if k == var else 0 for k in range(NVARS))
-        return Jet(order, {idx: _coerce(1, mode)}, mode)
-
-    @staticmethod
-    def from_terms(terms: dict, order: int, mode: str = EXACT) -> "Jet":
-        return Jet(order, {idx: _coerce(val, mode) for idx, val in terms.items()}, mode)
+        return Jet(order, {idx: 1}, mode)
 
     def zero_like(self) -> "Jet":
         return _jet(self.order, self.mode, {})
@@ -139,9 +136,6 @@ class Jet:
     def constant_term(self):
         c = self.num.get(0, 0.0 if self.mode == FLOAT else 0)
         return c if self.mode == FLOAT else Fraction(c, self.den)
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def max_abs_coeff(self):
         """The largest |coefficient|: 0 for the zero jet, nan if one is nan."""
@@ -166,7 +160,7 @@ class Jet:
                 == (other.order, other.mode, other.den, other.num))
 
     def __bool__(self) -> bool:  # pragma: no cover - guard against accidental truthiness
-        raise TypeError("ambiguous truth value of a Jet; use is_zero()")
+        raise TypeError("ambiguous truth value of a Jet; compare with zero_like()")
 
     # -- compatibility -------------------------------------------------------
 
@@ -252,16 +246,6 @@ class Jet:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    # -- calculus ------------------------------------------------------------
-
-    def partial(self, var: int) -> "Jet":
-        """Formal partial derivative; the result order drops by one."""
-        if self.order < 1:
-            raise JetDomainError("cannot differentiate an order-0 jet")
-        s, unit = _SHIFT[var], _UNIT[var]
-        out = {k - unit: c * e for k, c in self.num.items() if (e := k >> s & 0xFFFF)}
-        return _jet(self.order - 1, self.mode, out, self.den)
 
     # -- reshaping -----------------------------------------------------------
 
@@ -361,10 +345,11 @@ def mul_sum(terms, order: int) -> Jet:
 
 
 def partial_sum(terms) -> Jet:
-    """sum(sign * j.partial(var) for sign, j, var in terms), each sign +-1, in
+    """sum(sign * d(j)/d(x_var) for sign, j, var in terms), each sign +-1, in
     one map over the lcm of the denominators; the result order drops by one.
-    Each coefficient meets its terms in the order the chained partials and
-    +/- add them, and c * e * sign is exact, so every float sum is the chain's."""
+    Each coefficient meets its terms in the order that single partials joined
+    by +/- would add them, and c * e * sign is exact, so every float sum is
+    that chain's."""
     if not terms:
         raise JetError("partial_sum needs at least one term")
     first = terms[0][1]
@@ -515,16 +500,6 @@ class ComplexJet:
     def __post_init__(self):
         self.re._check_compatible(self.im)
 
-    def __add__(self, other: "ComplexJet") -> "ComplexJet":
-        return ComplexJet(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexJet") -> "ComplexJet":
-        return ComplexJet(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "ComplexJet") -> "ComplexJet":
-        return ComplexJet(self.re * other.re - self.im * other.im,
-                          self.re * other.im + self.im * other.re)
-
     def abs2(self) -> Jet:
         """Modulus squared re**2 + im**2 as a real jet, formed once per jet."""
         return self._abs2
@@ -532,9 +507,6 @@ class ComplexJet:
     @cached_property
     def _abs2(self) -> Jet:
         return self.re * self.re + self.im * self.im
-
-    def restrict_zero(self, vars) -> "ComplexJet":
-        return ComplexJet(self.re.restrict_zero(vars), self.im.restrict_zero(vars))
 
 
 def holomorphic_extend(f: Jet) -> ComplexJet:

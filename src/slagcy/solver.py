@@ -555,8 +555,7 @@ def load_structure(text: str) -> CYStructureJet:
         terms = sections[tag]  # numerators over one denominator, then one division
         den = math.lcm(*(q for _, q in terms.values()))
         try:
-            jet = Jet.from_terms({idx: p * (den // q) for idx, (p, q) in terms.items()},
-                                 order, mode)
+            jet = Jet(order, {idx: p * (den // q) for idx, (p, q) in terms.items()}, mode)
             return jet if den == 1 else jet / den
         except JetError as exc:
             raise SolverError(f"bad structure dump section [{tag}]: {exc}") from exc

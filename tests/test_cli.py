@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -20,7 +21,6 @@ from slagcy.cli import (
     load_scenario,
     main,
     report_json,
-    run_scenario,
 )
 from slagcy.dsl import parse
 from slagcy.hodge import phi_csv
@@ -59,6 +59,16 @@ def family_scenario(kind="family-check", **fields):
     return (f"[scenario]\nkind = {kind}\nmode = float\ngrid = {v['grid']}\n"
             f"t_samples = {v['t_samples']}\n\n[family]\nconstructor = {v['constructor']}\n"
             f"{dim}{t_lines}{v['entries']}")
+
+
+def run_scenario(path):
+    """Load and execute one scenario file, as ``main`` does before it writes anything."""
+    return cli._execute(load_scenario(path))
+
+
+# an admissible family whose det is 1 at every t
+UNIT_DET_ENTRIES = ('g11 = "exp(t*sin(2*pi*x1))"\ng22 = "exp(-t*sin(2*pi*x1))"\n'
+                    'g33 = "1"\n')
 
 
 def embed_scenario(scenario="", sections=""):
@@ -203,6 +213,11 @@ MALFORMED = {
     "phi2d grid above 256": ("phi2d", family_scenario(kind="phi2d", dim="2", entries='g11 = "1"\n'
                                                       'g22 = "1"\n'), ["--grid", "300"],
                              "grid", "256"),
+    "phi grid above 256": ("phi", family_scenario(kind="phi"), ["--grid", "300"], "grid", "256"),
+    "family-check on a point t-range": ("family-check", family_scenario(
+        t_min="0.5", t_max="0.5", entries=UNIT_DET_ENTRIES), [], "t_range"),
+    "phi on a point t-range": ("phi", family_scenario(
+        kind="phi", t_min="0.5", t_max="0.5", entries=UNIT_DET_ENTRIES), [], "t_range"),
 }
 
 
@@ -315,6 +330,17 @@ class TestBenchmarkScenarios:
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in modules):
                 assert hasattr(modules[node.value.id], node.attr), f"{node.value.id}.{node.attr}"
+        # each call into those modules binds its positional count and keywords,
+        # e.g. CYStructureJet(policy=) and phi_curve(check=)
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+                 and node.func.value.id in modules]
+        assert len(calls) >= 15
+        for call in calls:
+            assert not any(isinstance(a, ast.Starred) for a in call.args)
+            assert all(k.arg for k in call.keywords)
+            inspect.signature(resolve(call.func)).bind(
+                *call.args, **{k.arg: k.value for k in call.keywords})
         patched = next(node for node in ast.walk(tree)
                        if isinstance(node, ast.FunctionDef) and node.name == "patched")
         targets = [t.elts for node in ast.walk(patched) if isinstance(node, ast.List)
