@@ -23,6 +23,15 @@ def ref_add(x, y, sign=1):
     return _nonzero(out)
 
 
+def max_abs(values):
+    """The largest |value|: 0.0 for none, nan if one is nan (max() keeps or
+    drops a nan by its position)."""
+    values = list(values)
+    if any(map(math.isnan, values)):
+        return math.nan
+    return max(map(abs, values), default=0.0)
+
+
 def ref_mul(x, y, order):
     out = {}
     for i, a in x.items():

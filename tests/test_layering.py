@@ -148,5 +148,9 @@ def readers() -> list:
 
 
 def test_every_defined_name_has_a_reader():
+    """Names are matched as bare text, not through their class or module: a read of
+    any same-named name or attribute anywhere in the readers counts, so a method
+    passes when an unrelated object has an attribute of its name.  The check can
+    miss an unread name this way, but never flags a read one."""
     defined = set().union(*map(defined_names, parsed(SRC.glob("*.py"))))
     assert defined - set().union(*map(names_read, readers())) == set(UNREAD)

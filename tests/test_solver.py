@@ -49,7 +49,7 @@ from slagcy.solver import (
     _hmatrix,
 )
 
-from oracles import RefComplex, partial_of, ref_add
+from oracles import RefComplex, max_abs, partial_of, ref_add
 
 
 def jets_env(order, mode=EXACT):
@@ -797,10 +797,9 @@ def scenario_structure(name):
 def assert_fused_det_near_laplace(h, rel):
     m = _hmatrix(h)
     got, expect = RefComplex.of(det(m)), laplace_det(m)
-    scale = max(map(abs, [*expect.re.values(), *expect.im.values()]))
+    scale = max_abs([*expect.re.values(), *expect.im.values()])
     for part in ("re", "im"):
-        diff = max(map(abs, ref_add(getattr(got, part), getattr(expect, part), -1).values()),
-                   default=0.0)
+        diff = max_abs(ref_add(getattr(got, part), getattr(expect, part), -1).values())
         assert diff <= rel * scale, (part, diff, scale)
 
 
