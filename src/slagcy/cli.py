@@ -262,7 +262,7 @@ def _validate(sc: Scenario) -> None:
             raise ScenarioError(f"{sc.kind} samples families in floats: mode must be float")
     if sc.kind == "family-check" and not 2 <= sc.t_samples <= 17:
         raise ScenarioError(f"family-check needs 2 <= t_samples <= 17, got {sc.t_samples}")
-    if sc.kind in ("phi", "phi2d") and sc.grid > 256:
+    if sc.kind in ("family-check", "phi", "phi2d") and sc.grid > 256:
         raise ScenarioError(f"{sc.kind} needs grid <= 256, got {sc.grid}")
 
 
@@ -394,11 +394,8 @@ def _run_family_check(sc: Scenario) -> RunReport:
     fam = _family_from_scenario(sc)
     tol = float(sc.tolerance)
     report = check_slag_family(fam, n=sc.grid, nt=sc.t_samples, tol=tol)
-    verdicts = [
-        _verdict("det_t_independence", report.det_t_independence, tol),
-        _verdict("det_x1_independence", report.det_x1_independence, tol),
-        _verdict("closure_residual", report.closure_residual, tol),
-    ]
+    verdicts = [_verdict(name, getattr(report, name), tol) for name in
+                ("det_t_independence", "det_x1_independence", "closure_residual")]
     return RunReport(scenario=sc.echo(), verdicts=verdicts,
                      family_check=_jsonable(report.as_dict()))
 

@@ -5,7 +5,7 @@ A family A_t feeds the structure solver with every horizontal slice
 depend on t and the 1-form dual to d/dx1 is harmonic for A_t at every t;
 harmonicity splits into the closure of the form (curl of the first row) and
 the closure of its Hodge dual (x1-independence of sqrt(det A_t)).  The test
-evaluates these three residuals on sampled grids.
+evaluates these three residuals on sampled grids, in the chunks of t_batches.
 
 Constructors, each built by family_from_entries, cover a block-diagonal
 class diag(e^u, Q_t) with det(Q_t) = e^{-u} q(x2, x3), two collapsing
@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from . import dsl
-from .dsl import Expr, eval_grid, eval_jet, free_variables, parse
-from .gridops import grid_diff, periodic_axis, periodic_quad
+from .dsl import EvalDomainError, Expr, eval_grid, eval_jet, free_variables, parse
+from .gridops import curl_residual, grid_diff, periodic_axis, periodic_quad
 from .jets import FLOAT, X1, X2, X3, Y1, Jet, JetError, det, leading_minors
 
 
@@ -74,8 +74,6 @@ class GridEntry:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 return np.asarray(self.fn(t, axes), dtype=np.float64)
         except (FloatingPointError, OverflowError) as exc:
-            for one in np.ravel(t) if np.ndim(t) else ():  # the first t to fail alone names itself
-                self.sample(float(one), axes)
             raise FamilyError(f"entry not finite at t={t}: {exc.args[-1]}") from exc
 
 
@@ -193,11 +191,44 @@ class FamilyCheckReport:
         }
 
 
+def t_batches(ts: np.ndarray, n: int, dim: int, run, samples):
+    """Yield (k, run(t)) for the t values ts[k] in order: the first t alone, as a
+    float, then chunks of the rest as a batch axis t of shape (T,) + (1,) * dim
+    within max(n^2, P) points per sample, P the broadcast size of the first t's
+    ``samples(run(t))`` (a chunk of one t goes as a float).  The Phi loop of hodge
+    runs in it too."""
+    lo, step = 0, 1
+    while lo < len(ts):
+        k = slice(lo, lo + step)
+        try:
+            out = run(ts[k].reshape((-1,) + (1,) * dim) if step > 1 else float(ts[lo]))
+        except (FamilyError, EvalDomainError):  # the first t to fail alone raises its own error
+            for one in ts[k] if step > 1 else ():
+                run(float(one))
+            raise
+        if lo == 0:
+            points = np.broadcast(*(g for row in samples(out) for g in row)).size
+            step = max(n * n, points) // points
+        lo = k.stop
+        yield k, out
+
+
+def _positive_samples(fam: MetricFamily, t, axes: dict) -> tuple:
+    """(m, leading minors of m) for the samples m of ``fam`` at ``t``, all positive."""
+    m = fam.sample_matrix(t, axes)
+    minors = leading_minors(m)  # positive definiteness, and det(m) last
+    for k, minor in enumerate(minors, start=1):
+        if not np.all(minor > 0):
+            raise FamilyError(f"non-positive-definite sample at t={t}: leading minor {k} "
+                              f"reaches {float(np.min(minor))}")
+    return m, minors
+
+
 def check_slag_family(fam: MetricFamily, n: int = 64, nt: int = 9,
                       tol: float = 1e-10) -> FamilyCheckReport:
-    """Evaluate the three slice conditions at nt values of t on n points per
-    axis.  Each entry is sampled and differentiated at its own broadcast
-    shape, so an x1-only family costs O(n) per t, not O(n^dim).
+    """Evaluate the three slice conditions at nt values of t, in the chunks of
+    :func:`t_batches`, on n points per axis.  Each entry is sampled and differentiated
+    at its own broadcast shape, so an x1-only family costs O(n) per t, not O(n^dim).
 
     A passing family feeds :func:`family_to_policy` with every horizontal
     slice special Lagrangian.
@@ -211,31 +242,17 @@ def check_slag_family(fam: MetricFamily, n: int = 64, nt: int = 9,
     axes = family_axes(fam, n)
     ts = np.linspace(lo, hi, nt)
 
-    dets = []
-    closure_max = 0.0
-    sqrt_det_x1_max = 0.0
-    for t in ts:
-        m = fam.sample_matrix(float(t), axes)
-        minors = leading_minors(m)  # positive definiteness, and det(m) last
-        for k, minor in enumerate(minors, start=1):
-            if not np.all(minor > 0):
-                raise FamilyError(
-                    f"non-positive-definite sample at t={float(t)}: leading minor {k} "
-                    f"reaches {float(np.min(minor))}")
-        dets.append(minors[-1])
-        d_sqrt = grid_diff(np.sqrt(minors[-1]), 0, fam.periodic[0], n)
+    dets, closure_max, sqrt_det_x1_max = [], 0.0, 0.0  # one det(m) per t, a t-free one repeated
+    for k, (m, minors) in t_batches(ts, n, fam.dim, lambda t: _positive_samples(fam, t, axes),
+                                    lambda out: out[0]):
+        dets.extend(minors[-1] if np.ndim(minors[-1]) > fam.dim else [minors[-1]] * len(ts[k]))
+        d_sqrt = grid_diff(np.sqrt(minors[-1]), -fam.dim, fam.periodic[0])
         sqrt_det_x1_max = max(sqrt_det_x1_max, float(np.max(np.abs(d_sqrt))))
-        for i in range(fam.dim):
-            for j in range(i + 1, fam.dim):
-                r = (grid_diff(m[0][j], i, fam.periodic[i], n)
-                     - grid_diff(m[0][i], j, fam.periodic[j], n))
-                closure_max = max(closure_max, float(np.max(np.abs(r))))
+        closure_max = max(closure_max, curl_residual(m[0], fam.periodic))
     det_t = np.gradient(np.stack(np.broadcast_arrays(*dets)), ts, axis=0)
-    det_t_max = float(np.max(np.abs(det_t)))
-    return FamilyCheckReport(det_t_independence=det_t_max,
+    return FamilyCheckReport(det_t_independence=float(np.max(np.abs(det_t))),
                              det_x1_independence=sqrt_det_x1_max,
-                             closure_residual=closure_max,
-                             tolerance=tol, n=n, nt=nt)
+                             closure_residual=closure_max, tolerance=tol, n=n, nt=nt)
 
 
 # -- constructors ------------------------------------------------------------------

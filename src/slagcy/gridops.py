@@ -34,19 +34,19 @@ def periodic_quad(samples, axis=None, keepdims: bool = False) -> np.ndarray | fl
     return float(out) if np.ndim(out) == 0 else out
 
 
-def spectral_diff(samples, axis: int) -> np.ndarray:
-    """Real-FFT (``rfft``/``irfft``) derivative along ``axis`` (negative axes
-    count from the end) of a periodic sample array over the unit period.
-
-    Samples constant along the axis (an absent or size-1 axis, or a
-    materialized broadcast copy) differentiate to exact zeros without a
-    transform.  For even n the Nyquist mode is dropped, as usual for odd-order
-    spectral derivatives.
-    """
+def grid_diff(samples, axis: int, periodic: bool) -> np.ndarray:
+    """Derivative along ``axis`` (negative axes count from the end) of samples on
+    n points of :func:`periodic_axis`: real FFT (``rfft``/``irfft``; for even n
+    the Nyquist mode is dropped, as usual for odd-order spectral derivatives) if
+    ``periodic``, else second-order finite differences at spacing 1/n.  Samples
+    constant along the axis (an absent or size-1 axis, or a materialized
+    broadcast copy) differentiate to exact zeros without a transform."""
     arr = np.asarray(samples, dtype=np.float64)
     if not -arr.ndim <= axis < arr.ndim or np.all(arr == arr.take([0], axis=axis)):
         return np.zeros_like(arr)
     n, axis = arr.shape[axis], axis % arr.ndim
+    if not periodic:
+        return np.gradient(arr, 1.0 / n, axis=axis)
     # wavenumbers 0..n//2 along ``axis``, trailing size-1 axes for broadcasting
     k = np.arange(n // 2 + 1, dtype=np.float64).reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
     if n % 2 == 0:
@@ -55,12 +55,11 @@ def spectral_diff(samples, axis: int) -> np.ndarray:
     return np.fft.irfft(spectrum, n=n, axis=axis)
 
 
-def grid_diff(samples, axis: int, periodic: bool, n: int) -> np.ndarray:
-    """Derivative along an axis sampled by :func:`periodic_axis`: spectral on
-    periodic axes, second-order finite differences otherwise."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim <= axis or arr.shape[axis] == 1:
-        return np.zeros_like(arr)
-    if periodic:
-        return spectral_diff(arr, axis)
-    return np.gradient(arr, 1.0 / n, axis=axis)
+def curl_residual(row, periodic) -> float:
+    """max |d_a row[b] - d_b row[a]| over the axis pairs a < b of a 1-form's
+    components ``row``: component k goes with axis k - len(row), counted from
+    the end, periodic as ``periodic[k]`` says.  Zero for a closed form."""
+    dim = len(row)
+    return max(float(np.max(np.abs(grid_diff(row[b], a - dim, periodic[a])
+                                   - grid_diff(row[a], b - dim, periodic[b]))))
+               for a in range(dim) for b in range(a + 1, dim))

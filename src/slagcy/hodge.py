@@ -14,8 +14,8 @@ x1-only entry is (n, 1, 1) in 3D and (n, 1) in 2D, a constant is 0-d) and produc
 skip the scalar 0.0 of a vanishing basis component, so work follows the variables
 a family depends on, not n^dim.  A builder takes t as a float or as a batch of
 shape (T,) + (1,) * dim, so spatial axes count from the end (-dim..-1).  The Phi
-loop builds its first t alone, then chunks of t within max(n^2, P) points per
-sample, P the first t's broadcast size.
+loop builds its bases in the chunks of `families.t_batches`, the schedule the
+admissibility check runs in too.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .families import FamilyCheckReport, MetricFamily, check_slag_family, family_axes
-from .gridops import periodic_quad, spectral_diff
+from .families import FamilyCheckReport, MetricFamily, check_slag_family, family_axes, t_batches
+from .gridops import curl_residual, grid_diff, periodic_quad
 from .jets import det
 
 _CHECK_TOL = 1e-10        # admissibility tolerance of a Phi run
@@ -132,26 +132,21 @@ def _verify_periods(theta, tol: float) -> float:
     return worst
 
 
-def _closure_residual(theta) -> float:
-    dim = len(theta)
-    return max(float(np.max(np.abs(spectral_diff(row[b], a) - spectral_diff(row[a], b))))
-               for row in theta for a in range(-dim, 0) for b in range(a + 1, 0))
-
-
 def _verified_basis(theta, metric, adj, det_g, tol: float, scale: float) -> HarmonicBasis:
     """The basis of ``theta`` and its fluxes after the periods, closure and co-closure
     checks; ``adj`` and ``det_g`` are the pointwise adjugate and determinant of ``metric``."""
     sqrt_det = np.sqrt(det_g)
     flux = [[_contract(row, th) / sqrt_det for row in adj] for th in theta]
+    dim = len(theta)
     period_err = _verify_periods(theta, tol)
-    closure = _closure_residual(theta)
+    closure = max(curl_residual(row, (True,) * dim) for row in theta)
     # max |delta theta_i| = max |sum_k d_k J_ik| / sqrt(det g), axes counted from the end
-    coclosure = max(float(np.max(np.abs(sum(map(spectral_diff, row, range(-len(row), 0)))
+    coclosure = max(float(np.max(np.abs(sum(grid_diff(j, k - dim, True) for k, j in enumerate(row))
                                         / sqrt_det))) for row in flux)
     if max(closure, coclosure) > tol:
         raise HodgeError(
             f"harmonicity residual above tolerance: d={closure:.3e}, delta={coclosure:.3e}")
-    return HarmonicBasis(dim=len(theta), theta=theta, metric=metric, flux=flux, scale=scale,
+    return HarmonicBasis(dim=dim, theta=theta, metric=metric, flux=flux, scale=scale,
                          residuals={"periods": period_err, "closure": closure,
                                     "coclosure": coclosure})
 
@@ -197,25 +192,17 @@ def phi_admissibility(fam: MetricFamily, n: int, nt: int, tol: float) -> FamilyC
 def _phi_samples(fam: MetricFamily, t_samples: Sequence, n: int, check: bool,
                  basis_at, row) -> PhiCurve:
     """The Phi loop shared by both classes: admissibility check, then per chunk of
-    t values (module docstring) the basis ``basis_at(t)``, its Gram matrix, det,
+    t values (`families.t_batches`) the basis ``basis_at(t)``, its Gram matrix, det,
     and the three integral columns ``row(basis, phi, t)`` of the chunk's phi and t."""
     if check:
         phi_admissibility(fam, n, len(t_samples), _CHECK_TOL).raise_if_failed()
     ts = np.asarray(list(t_samples), dtype=np.float64)
     phis = np.empty_like(ts)
     integrals = np.empty((len(ts), 3), dtype=np.float64)
-    lo, step = 0, 1
-    while lo < len(ts):
-        k = slice(lo, lo + step)
-        # a lone t goes as a float: a batch axis of size 1 only slows (n, n) transforms
-        basis = basis_at(ts[k].reshape((-1,) + (1,) * fam.dim) if step > 1 else float(ts[lo]))
+    for k, basis in t_batches(ts, n, fam.dim, basis_at, lambda basis: basis.metric):
         phis[k] = det(gram_L2(basis))
         for c, col in enumerate(row(basis, phis[k], ts[k])):
             integrals[k, c] = col
-        lo += step
-        if lo == 1:  # after the first t alone: its samples broadcast to `points`
-            points = np.broadcast(*(g for r in basis.metric for g in r)).size
-            step = max(n * n, points) // points
     return PhiCurve(t=ts, phi=phis, integrals=integrals)
 
 

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line.  Tolerances are pinned here and nowhere else."""
 
-import json
 import math
 import random
 import time
@@ -15,7 +14,6 @@ from slagcy.cli import main
 from slagcy.dsl import eval_jet, parse
 from slagcy.families import (
     check_slag_family,
-    family_axes,
     family_from_entries,
     family_to_policy,
     make_cone_family,

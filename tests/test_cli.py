@@ -214,6 +214,8 @@ MALFORMED = {
                                                       'g22 = "1"\n'), ["--grid", "300"],
                              "grid", "256"),
     "phi grid above 256": ("phi", family_scenario(kind="phi"), ["--grid", "300"], "grid", "256"),
+    "family-check grid above 256": ("family-check", family_scenario(), ["--grid", "300"],
+                                    "grid", "256"),
     "family-check on a point t-range": ("family-check", family_scenario(
         t_min="0.5", t_max="0.5", entries=UNIT_DET_ENTRIES), [], "t_range"),
     "phi on a point t-range": ("phi", family_scenario(

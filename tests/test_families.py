@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from slagcy.families import (
     ExprEntry,
     FamilyCheckReport,
     FamilyError,
-    GridEntry,
     InadmissibleFamilyError,
     MetricFamily,
     check_slag_family,
@@ -25,7 +23,7 @@ from slagcy.families import (
     metric_jets,
 )
 from slagcy.gridops import grid_diff, periodic_axis, periodic_quad
-from slagcy.jets import EXACT, X1, Y1, Y2, Y3, Jet, det
+from slagcy.jets import EXACT, X1, Y1, Y2, Y3, Jet, det, leading_minors
 from slagcy.solver import (
     PolicyError,
     check_structure,
@@ -108,11 +106,11 @@ def full_grid_check(fam, n, nt, tol):
         m = [[e.sample(float(t), axes) for e in row] for row in fam.entries]
         dets.append(np.broadcast_to(det(m), full))
         det_x1 = max(det_x1, float(np.max(np.abs(
-            grid_diff(np.sqrt(dets[-1]), 0, fam.periodic[0], n)))))
+            grid_diff(np.sqrt(dets[-1]), 0, fam.periodic[0])))))
         for i in range(fam.dim):
             for j in range(i + 1, fam.dim):
-                r = (grid_diff(m[0][j], i, fam.periodic[i], n)
-                     - grid_diff(m[0][i], j, fam.periodic[j], n))
+                r = (grid_diff(m[0][j], i, fam.periodic[i])
+                     - grid_diff(m[0][i], j, fam.periodic[j]))
                 closure = max(closure, float(np.max(np.abs(r))))
     det_t = float(np.max(np.abs(np.gradient(np.stack(dets), ts, axis=0))))
     return FamilyCheckReport(det_t, det_x1, closure, tol, n, nt)
@@ -152,6 +150,93 @@ class TestNaturalShapeCheck:
             tracemalloc.stop()
         assert report.passed(), report.as_dict()
         assert peak < 8 * 2 ** 20, peak
+
+
+def per_t_check(fam, n, nt, tol):
+    """Reference admissibility check one t at a time, each t a float: positivity
+    at each t before the next is sampled, and the residuals of its lone samples."""
+    axes = family_axes(fam, n)
+    ts = np.linspace(fam.t_range[0], fam.t_range[1], nt)
+    dets, closure, det_x1 = [], 0.0, 0.0
+    for t in ts:
+        m = fam.sample_matrix(float(t), axes)
+        minors = leading_minors(m)
+        for k, minor in enumerate(minors, start=1):
+            if not np.all(minor > 0):
+                raise FamilyError(f"non-positive-definite sample at t={float(t)}: leading "
+                                  f"minor {k} reaches {float(np.min(minor))}")
+        dets.append(minors[-1])
+        det_x1 = max(det_x1, float(np.max(np.abs(
+            grid_diff(np.sqrt(minors[-1]), 0, fam.periodic[0])))))
+        for i in range(fam.dim):
+            for j in range(i + 1, fam.dim):
+                r = (grid_diff(m[0][j], i, fam.periodic[i])
+                     - grid_diff(m[0][i], j, fam.periodic[j]))
+                closure = max(closure, float(np.max(np.abs(r))))
+    det_t = float(np.max(np.abs(np.gradient(np.stack(np.broadcast_arrays(*dets)), ts, axis=0))))
+    return FamilyCheckReport(det_t, det_x1, closure, tol, n, nt)
+
+
+# a phi_2d-style family: sampled at (n, n), so its check runs one t per chunk
+PHI_2D_STYLE = {"g11": "exp(0.83*t*cos(2*pi*2*x1))", "g12": "3/16",
+                "g22": "(1 + 0.3*cos(2*pi*x2) + (3/16)^2)*exp(-0.83*t*cos(2*pi*2*x1))"}
+BATCHED_FAMILIES = {**ORACLE_FAMILIES,
+                    "phi_2d-style": lambda: family_from_entries(PHI_2D_STYLE, dim=2)}
+
+
+def recorded_sampling(monkeypatch) -> list:
+    """The t argument of every MetricFamily.sample_matrix call from now on."""
+    calls = []
+    original = MetricFamily.sample_matrix
+
+    def recorded(self, t, axes):
+        calls.append(t)
+        return original(self, t, axes)
+
+    monkeypatch.setattr(MetricFamily, "sample_matrix", recorded)
+    return calls
+
+
+class TestBatchedCheck:
+    """check_slag_family runs its values of t in the chunks of families.t_batches."""
+
+    @pytest.mark.parametrize("n, nt", [(24, 5), (128, 9)])
+    @pytest.mark.parametrize("name", sorted(BATCHED_FAMILIES))
+    def test_matches_the_per_t_loop_bit_for_bit(self, name, n, nt):
+        fam = BATCHED_FAMILIES[name]()
+        got = check_slag_family(fam, n=n, nt=nt, tol=1e-10)
+        want = per_t_check(fam, n, nt, 1e-10)
+        assert got == want, (got, want)
+
+    def test_x1_only_family_samples_twice(self, monkeypatch):
+        calls = recorded_sampling(monkeypatch)
+        check_slag_family(bessel_family(), n=128, nt=9, tol=1e-10)
+        assert len(calls) == 2
+        assert isinstance(calls[0], float)
+        assert calls[1].shape == (8, 1, 1, 1)
+
+    def test_n_by_n_family_samples_one_float_t_at_a_time(self, monkeypatch):
+        calls = recorded_sampling(monkeypatch)
+        check_slag_family(BATCHED_FAMILIES["phi_2d-style"](), n=128, nt=9, tol=1e-10)
+        assert len(calls) == 9
+        assert all(isinstance(t, float) for t in calls)
+
+    @pytest.mark.parametrize("g11, named", [
+        ("1 - 2*t", "at t=0.5: leading minor 1 reaches 0.0"),
+        # not positive at t = 0.5, before log leaves its domain at t = 0.625
+        ("2 + log(0.6 - t)*x1", "at t=0.5: leading minor 1 reaches -0."),
+        ("1/(t - 0.5)^2 + x1", "division by a zero sample at grid index ()"),
+    ])
+    def test_failing_batch_raises_what_the_per_t_loop_raises(self, g11, named, monkeypatch):
+        fam = family_from_entries({"g11": g11, "g22": "1", "g33": "1"})
+        with pytest.raises(Exception) as want:
+            per_t_check(fam, 16, 9, 1e-10)
+        calls = recorded_sampling(monkeypatch)
+        with pytest.raises(type(want.value)) as got:
+            check_slag_family(fam, n=16, nt=9, tol=1e-10)
+        assert str(got.value) == str(want.value)
+        assert named in str(got.value)
+        assert np.shape(calls[1]) == (8, 1, 1, 1)  # the rest of t went as one batch first
 
 
 class TestSampling:

@@ -1,4 +1,4 @@
-import io
+import gc
 import math
 import random
 
@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from slagcy import hodge
+from slagcy.dsl import EvalDomainError
 from slagcy.families import (
     FamilyError,
     MetricFamily,
+    check_slag_family,
     family_axes,
     family_from_entries,
     make_collapsing_22,
 )
-from slagcy.gridops import periodic_axis, periodic_quad, spectral_diff
+from slagcy.gridops import curl_residual, grid_diff, periodic_axis, periodic_quad
 from slagcy.hodge import (
     HodgeError,
     PhiCurve,
@@ -71,7 +73,7 @@ class TestPeriodicQuad:
 
     def test_spectral_diff_accuracy(self):
         x = periodic_axis(64)
-        d = spectral_diff(np.sin(2 * np.pi * x), 0)
+        d = grid_diff(np.sin(2 * np.pi * x), 0, True)
         assert np.max(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-10
 
 
@@ -94,7 +96,7 @@ class TestSpectralDiff:
         other = [n, n, n]
         other[axis] = 1
         profile, offset = rng.uniform(0.5, 1.5, other), rng.standard_normal(other)
-        d = spectral_diff(f * profile + offset, axis)
+        d = grid_diff(f * profile + offset, axis, True)
         assert d.shape == (n, n, n)
         assert np.max(np.abs(d - df * profile)) < 1e-12
 
@@ -107,10 +109,10 @@ class TestSpectralDiff:
         full = [6, 7, 8]
         full[axis] = n
         for arr in (base, np.broadcast_to(base, full), np.broadcast_to(base, full).copy()):
-            d = spectral_diff(arr, axis)
+            d = grid_diff(arr, axis, True)
             assert d.shape == arr.shape
             assert np.all(d == 0.0)
-        assert np.all(spectral_diff(base[0], 3) == 0.0)  # an axis the samples lack
+        assert np.all(grid_diff(base[0], 3, True) == 0.0)  # an axis the samples lack
 
     @pytest.mark.parametrize("shape", [(5, 16, 1, 1), (3, 16, 15), (4, 1, 16)])
     def test_batch_lanes_match_unbatched(self, shape):
@@ -119,8 +121,8 @@ class TestSpectralDiff:
         arr = np.exp(np.random.default_rng(len(shape)).standard_normal(shape))
         dim = len(shape) - 1
         for axis in range(-dim, 0):
-            batched = spectral_diff(arr, axis)
-            assert all(np.array_equal(batched[k], spectral_diff(arr[k], axis))
+            batched = grid_diff(arr, axis, True)
+            assert all(np.array_equal(batched[k], grid_diff(arr[k], axis, True))
                        for k in range(shape[0]))
         means = periodic_quad(arr, axis=tuple(range(-dim, 0)))
         assert means.shape == shape[:1]
@@ -130,9 +132,9 @@ class TestSpectralDiff:
         n = 16
         x = periodic_axis(n)
         nyquist = np.cos(np.pi * n * x)  # (-1)^j on the grid
-        d = spectral_diff(np.sin(2 * np.pi * x) + nyquist, 0)
+        d = grid_diff(np.sin(2 * np.pi * x) + nyquist, 0, True)
         assert np.max(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-12
-        assert np.max(np.abs(spectral_diff(nyquist, 0))) < 1e-12
+        assert np.max(np.abs(grid_diff(nyquist, 0, True))) < 1e-12
 
 
 def spd_stack(rng, dim, shape):
@@ -481,6 +483,17 @@ class TestBatchedCurve:
         with pytest.raises(FamilyError, match=r"not finite at t=0\.5: "):
             phi_curve(fam, np.linspace(0.0, 1.0, 5), n=32, check=False)
 
+    def test_batch_domain_error_names_the_grid_point_of_one_t(self):
+        # t = 0.5 leaves sqrt's domain inside the batch of the rest: the error is
+        # the one t = 0.5 raises alone, its index a grid point without a batch axis
+        fam = family_from_entries({**BESSEL, "g22": "exp(t*sin(2*pi*x1)) + 0*sqrt(0.5 - t)"})
+        with pytest.raises(EvalDomainError) as alone:
+            phi_curve(fam, [0.5], n=32, check=False)
+        with pytest.raises(EvalDomainError) as batched:
+            phi_curve(fam, np.linspace(0.0, 1.0, 5), n=32, check=False)
+        assert str(batched.value) == str(alone.value)
+        assert str(alone.value).endswith("at grid index ()")
+
     def test_traced_names_are_reached_through_the_module(self, monkeypatch):
         # the benchmark's traced replay times hodge.basis and hodge.gram by
         # patching these three module attributes
@@ -495,6 +508,22 @@ class TestBatchedCurve:
         phi_2d(family_from_entries(TWO_D_FAMILIES[2], dim=2), np.linspace(0, 1, 3), n=32,
                check=False)
         assert sorted(set(calls)) == ["gram_L2", "harmonic_basis_2d"]
+
+
+class TestNoReferenceCycles:
+    def test_runs_leave_nothing_for_the_cyclic_collector(self):
+        # a cycle would keep a run's sample arrays alive until gc runs
+        runs = (lambda: check_slag_family(bessel_family(), n=128, nt=9, tol=1e-10),
+                lambda: phi_curve(bessel_family(), np.linspace(0, 1, 21), n=256),
+                lambda: phi_2d(generated_2d_families(2203, 1)[0], np.linspace(0, 1, 21), n=128))
+        gc.collect()
+        gc.disable()
+        try:
+            for run in runs:
+                run()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPhi2D:
@@ -569,7 +598,7 @@ class TestPhi2D:
             original = getattr(np.fft, name)
             monkeypatch.setattr(np.fft, name,
                                 lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
-        assert hodge._closure_residual(basis.theta) == 0.0
+        assert [curl_residual(row, (True, True)) for row in basis.theta] == [0.0, 0.0]
         assert calls == []
 
     def test_tampered_theta_fails_closure(self):
@@ -579,7 +608,7 @@ class TestPhi2D:
         basis = harmonic_basis_2d(family_from_entries(TWO_D_FAMILIES[1], dim=2), 0.5, n=n)
         theta = [list(row) for row in basis.theta]
         theta[0][0] = theta[0][0] * (1 + 0.1 * np.sin(2 * np.pi * periodic_axis(n)))[None, :]
-        assert hodge._closure_residual(theta) > 0.1
+        assert curl_residual(theta[0], (True, True)) > 0.1
         with pytest.raises(HodgeError, match="harmonicity residual"):
             hodge._verified_basis(theta, basis.metric, *hodge._pointwise_adjugate(basis.metric),
                                   tol, basis.scale)

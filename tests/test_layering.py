@@ -73,6 +73,32 @@ def test_the_key_check_sees_reads_of_num():
     assert attribute_reads(SRC / "jets.py", "num")
 
 
+def fft_uses(source: str) -> list:
+    """The lines of ``source`` that read an ``fft`` attribute (``np.fft``) or import
+    numpy's fft module or names from it."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Attribute) and node.attr == "fft")
+            or (isinstance(node, ast.Import)
+                and any(alias.name.startswith("numpy.fft") for alias in node.names))
+            or (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+                and ("fft" in node.module.split(".")
+                     or any(alias.name == "fft" for alias in node.names)))]
+
+
+@pytest.mark.parametrize("module", sorted(set(ALLOWED) - {"gridops"}))
+def test_fft_stays_inside_gridops(module):
+    # gridops.grid_diff is the package's one sampled derivative
+    assert fft_uses((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_fft_check_sees_numpy_fft():
+    assert fft_uses((SRC / "gridops.py").read_text(encoding="utf-8"))
+    for line in ("np.fft.rfft(a)", "import numpy.fft", "import numpy.fft as f",
+                 "from numpy import fft", "from numpy.fft import rfft"):
+        assert fft_uses(line) == [1], line
+    assert fft_uses("from numpy import gradient\nimport numpy as np") == []
+
+
 # the helpers of the CK sweeps; the verifier restates (D) and d(omega) = 0 on
 # its own, so that it checks the sweeps rather than repeating them
 SWEEP_HELPERS = {"_product_terms", "_extend_cofactors", "ck_step", "_evolution"}

@@ -3,7 +3,6 @@ import contextlib
 import functools
 import itertools
 import math
-import random
 import re
 import time
 from fractions import Fraction
