@@ -284,8 +284,8 @@ def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), name: str = "block") -> Me
     axes = family_axes(fam, _CHECK_N)
     q_samples = eval_grid(q, axes)
     worst = 0.0
-    for t in np.linspace(t_range[0], t_range[1], _BLOCK_CHECK_NT):
-        m = fam.sample_matrix(float(t), axes)
+    for _, m in t_batches(np.linspace(t_range[0], t_range[1], _BLOCK_CHECK_NT), _CHECK_N, 3,
+                          lambda t: fam.sample_matrix(t, axes), lambda m: m):
         det_q = det([row[1:] for row in m[1:]])
         worst = max(worst, float(np.max(np.abs(det_q - q_samples / m[0][0]))))
     if worst > _CHECK_TOL:

@@ -199,7 +199,19 @@ def _phi_samples(fam: MetricFamily, t_samples: Sequence, n: int, check: bool,
     ts = np.asarray(list(t_samples), dtype=np.float64)
     phis = np.empty_like(ts)
     integrals = np.empty((len(ts), 3), dtype=np.float64)
-    for k, basis in t_batches(ts, n, fam.dim, basis_at, lambda basis: basis.metric):
+
+    def at(t):  # a HodgeError names the first t to fail alone, a failing chunk re-run t by t
+        try:
+            return basis_at(t)
+        except HodgeError:
+            for one in np.ravel(t):
+                try:
+                    basis_at(float(one))
+                except HodgeError as alone:
+                    raise HodgeError(f"{alone} at t={float(one)}") from alone
+            raise
+
+    for k, basis in t_batches(ts, n, fam.dim, at, lambda basis: basis.metric):
         phis[k] = det(gram_L2(basis))
         for c, col in enumerate(row(basis, phis[k], ts[k])):
             integrals[k, c] = col

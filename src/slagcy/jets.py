@@ -300,10 +300,16 @@ def _jet(order: int, mode: str, num: dict, den: int = 1) -> Jet:
     return jet
 
 
+def _valuation(j: Jet) -> int:
+    """The least degree of a term; order + 1 for a zero jet, known to vanish that far."""
+    return min(j.num) >> _DEG if j.num else j.order + 1
+
+
 def mul_sum(terms, order: int) -> Jet:
     """sum(sign * a * b for sign, a, b in terms), up to total degree ``order``,
     accumulated in one map without truncating the factors first.  ``terms`` is
-    not empty; factors share their mode and have orders >= ``order``.  Each
+    not empty; factors share their mode, and each product is known to ``order``:
+    min(a.order + val b, b.order + val a) >= order, val the ``_valuation``.  Each
     product's numerators are scaled to D, the lcm of the products' denominators;
     float sums have D = 1 and scale by +-1.0: exact, and cheaper than an int.
     A key's first product is added to zero, which changes no nonzero sum.
@@ -317,7 +323,8 @@ def mul_sum(terms, order: int) -> Jet:
     for sign, a, b in terms:
         if not a.mode == b.mode == mode:
             raise IncompatibleJetsError("factors of a Cauchy sum differ in mode")
-        if order > min(a.order, b.order):
+        if order > min(a.order, b.order) and order > min(a.order + _valuation(b),
+                                                          b.order + _valuation(a)):
             raise JetError(
                 f"a product of orders {a.order} and {b.order} is not known to order {order}")
     D = math.lcm(*(a.den * b.den for _, a, b in terms)) if mode == EXACT else 1.0
@@ -550,7 +557,7 @@ def det(m):
     Complex jets are expanded in fused Cauchy sums by ``_complex_det``.
     """
     if isinstance(m[0][0], ComplexJet):
-        return _complex_det(m)
+        return _complex_det(m, m[0][0].re.order)
     if len(m) == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -558,11 +565,12 @@ def det(m):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def _complex_det(m) -> ComplexJet:
-    """det of a matrix of complex jets in fused Cauchy sums: each row-1 entry
-    times its cofactor splits into signed products of real jets, and the real
-    and the imaginary part are one mul_sum each.  A 3x3 determinant takes six
-    calls for its cofactors and two for itself, and adds no full-order jets."""
+def _complex_det(m, order: int) -> ComplexJet:
+    """det of a matrix of complex jets to ``order``, in fused Cauchy sums: each
+    row-1 entry times its cofactor splits into signed products of real jets, and
+    the real and the imaginary part are one mul_sum each.  The cofactor of an
+    entry of least degree v is formed to order - v, all that entry reaches; an
+    empty entry pairs with itself instead, a product that mul_sum skips."""
     ref = m[0][0].re
     for row in m:
         for z in row:
@@ -570,12 +578,13 @@ def _complex_det(m) -> ComplexJet:
     if len(m) == 2:
         pairs = ((1, m[0][0], m[1][1]), (-1, m[0][1], m[1][0]))
     else:
-        pairs = [(-1 if c == 1 else 1, m[0][c],
-                  _complex_det([[row[k] for k in range(3) if k != c] for row in m[1:]]))
-                 for c in range(3)]
+        tops = [order - min(_valuation(z.re), _valuation(z.im)) for z in m[0]]
+        pairs = [(-1 if c == 1 else 1, m[0][c], m[0][c] if top < 0 else _complex_det(
+                  [[row[k] for k in range(3) if k != c] for row in m[1:]], top))
+                 for c, top in enumerate(tops)]
     re = [t for s, x, y in pairs for t in ((s, x.re, y.re), (-s, x.im, y.im))]
     im = [t for s, x, y in pairs for t in ((s, x.re, y.im), (s, x.im, y.re))]
-    return ComplexJet(mul_sum(re, ref.order), mul_sum(im, ref.order))
+    return ComplexJet(mul_sum(re, order), mul_sum(im, order))
 
 
 def leading_minors(m) -> list:

@@ -59,6 +59,7 @@ from .jets import (
     mul_sum,
     partial_sum,
 )
+from .jets import _jet, _pack
 
 
 class SolverError(Exception):
@@ -496,7 +497,7 @@ def load_structure(text: str) -> CYStructureJet:
     """Parse a dump back into a structure (policy is not recorded).  The dump
     must hold exactly the header lines and sections of ``_DUMP_TABLE``, in its
     order for the header and each once, and each multi-index at most once per
-    section."""
+    section.  Each distinct multi-index is parsed and packed once per dump."""
     lines = text.splitlines()
     if not lines or lines[0] != _DUMP_HEADER:
         raise SolverError("not a structure dump (bad header)")
@@ -527,6 +528,7 @@ def load_structure(text: str) -> CYStructureJet:
 
     tags = [tag for tag, _ in _DUMP_SECTIONS]
     sections: dict = {}
+    keys, packed = {}, {}  # multi-index text -> exponent tuple -> key, each formed once
     for ln in lines[pos:]:
         if ln.startswith("["):
             tag = ln.strip("[]")
@@ -534,31 +536,33 @@ def load_structure(text: str) -> CYStructureJet:
                 raise SolverError(f"unknown structure dump section [{tag}]")
             if tag in sections:
                 raise SolverError(f"structure dump section [{tag}] appears twice")
-            sections[tag] = {}
+            terms = sections[tag] = {}
         elif ln.strip():
             idx_text, _, val_text = ln.partition(":")
             try:
-                idx = tuple(map(int, idx_text.split()))
+                idx = keys.get(idx_text) or keys.setdefault(
+                    idx_text, tuple(map(int, idx_text.split())))
                 value = _parse_scalar(val_text.strip(), mode)
             except (ValueError, ZeroDivisionError) as exc:
                 raise SolverError(f"bad coefficient line {ln!r}: {exc}") from exc
             if len(idx) != NVARS:
                 raise SolverError(f"bad multi-index line {ln!r}")
-            if idx in sections[tag]:
+            if idx in terms:
                 raise SolverError(f"multi-index {idx} appears twice in section [{tag}]")
-            sections[tag][idx] = value
+            terms[idx] = value
     missing = [f"[{t}]" for t in tags if t not in sections]
     if missing:
         raise SolverError(f"structure dump lacks {', '.join(missing)}")
 
     def jet_of(tag: str) -> Jet:
-        terms = sections[tag]  # numerators over one denominator, then one division
-        den = math.lcm(*(q for _, q in terms.values()))
-        try:
-            jet = Jet(order, {idx: p * (den // q) for idx, (p, q) in terms.items()}, mode)
-            return jet if den == 1 else jet / den
+        terms = sections[tag]  # numerators over one denominator, in file order
+        try:  # each index new to the dump, in file order, so the first bad one raises
+            packed.update((idx, _pack(idx, order)) for idx in terms if idx not in packed)
         except JetError as exc:
             raise SolverError(f"bad structure dump section [{tag}]: {exc}") from exc
+        den = math.lcm(*(q for _, q in terms.values()))
+        num = {packed[idx]: p * (den // q) for idx, (p, q) in terms.items() if p}
+        return _jet(order, mode, num, den)
 
     jets = [jet_of(tag) for tag in tags]
     upper = dict(zip(_G_UPPER, jets[len(ENTRY_KEYS):]))

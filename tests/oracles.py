@@ -3,13 +3,15 @@
 A coefficient map is a dict from exponent tuples (e1, ..., e6) to scalars,
 as ``Jet.coeffs`` returns it.  Every reference here loops over those tuples,
 so an oracle built on it is independent of the packed keys a jet stores.
+The one exception is ``full_order_complex_det``, a bit-for-bit reference
+built on ``mul_sum``, which the tests hold to the tuple loop separately.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 
-from slagcy.jets import Jet
+from slagcy.jets import ComplexJet, Jet, mul_sum
 
 
 def _nonzero(coeffs):
@@ -109,3 +111,21 @@ class RefComplex:
         return RefComplex(ref_add(ref_mul(self.re, other.re, o), ref_mul(self.im, other.im, o), -1),
                           ref_add(ref_mul(self.re, other.im, o), ref_mul(self.im, other.re, o)),
                           o)
+
+
+def full_order_complex_det(m):
+    """det of a 2x2 or 3x3 matrix of complex jets with every cofactor formed to
+    the entries' full order: each row-1 entry times its cofactor, split into
+    signed products of real jets, the real and the imaginary part one mul_sum
+    each.  Truncating a cofactor to the degrees its entry can reach must give
+    this determinant bit for bit."""
+    order = m[0][0].re.order
+    if len(m) == 2:
+        pairs = ((1, m[0][0], m[1][1]), (-1, m[0][1], m[1][0]))
+    else:
+        pairs = [(-1 if c == 1 else 1, m[0][c],
+                  full_order_complex_det([[row[k] for k in range(3) if k != c] for row in m[1:]]))
+                 for c in range(3)]
+    re = [t for s, x, y in pairs for t in ((s, x.re, y.re), (-s, x.im, y.im))]
+    im = [t for s, x, y in pairs for t in ((s, x.re, y.im), (s, x.im, y.re))]
+    return ComplexJet(mul_sum(re, order), mul_sum(im, order))

@@ -313,6 +313,36 @@ class TestBlockFamily:
         with pytest.raises(FamilyError, match="block-determinant"):
             make_block_family("0", [["2", "0"], ["0", "1"]], "1")
 
+    def test_x1_only_law_check_samples_twice(self, monkeypatch):
+        # the first t alone, then the other four in one chunk of t_batches
+        calls = []
+        original = MetricFamily.sample_matrix
+        monkeypatch.setattr(MetricFamily, "sample_matrix", lambda self, t, axes:
+                            calls.append(np.ndim(t)) or original(self, t, axes))
+        u = "t*sin(2*pi*x1)"
+        make_block_family(u, [["1", "0"], ["0", f"exp(-({u}))"]], "1")
+        assert calls == [0, 4]
+
+    @pytest.mark.parametrize("u,Q", [
+        ("0", [["2", "0"], ["0", "1"]]),
+        ("t*sin(2*pi*x1)", [["1", "0"], ["0", "exp(-t*sin(2*pi*x1))*(1 + t^2*cos(2*pi*x2))"]]),
+        ("t*sin(2*pi*x1)", [["1 + t*x3", "0"], ["0", "exp(-t*sin(2*pi*x1))"]]),
+    ])
+    def test_law_violation_reports_the_worst_of_the_single_t(self, u, Q):
+        # the value the one-t-at-a-time loop reads, formatted as before
+        fam = family_from_entries({"g11": f"exp({u})", "g22": Q[0][0], "g23": Q[0][1],
+                                   "g33": Q[1][1]})
+        axes = family_axes(fam, 64)
+        worst = 0.0
+        for t in np.linspace(0.0, 1.0, 5):
+            m = fam.sample_matrix(float(t), axes)
+            worst = max(worst, float(np.max(np.abs(
+                det([row[1:] for row in m[1:]]) - eval_grid(parse("1"), axes) / m[0][0]))))
+        with pytest.raises(FamilyError) as err:
+            make_block_family(u, Q, "1")
+        assert str(err.value) == ("block-determinant law violated: "
+                                  f"max |det(Q) - e^(-u) q| = {worst:.3e}")
+
     def test_asymmetric_block_rejected(self):
         with pytest.raises(FamilyError, match="symmetric"):
             make_block_family("0", [["1", "1/2"], ["0", "1"]], "3/4")

@@ -494,6 +494,21 @@ class TestBatchedCurve:
         assert str(batched.value) == str(alone.value)
         assert str(alone.value).endswith("at grid index ()")
 
+    @pytest.mark.parametrize("ts,first", [(np.linspace(0, 1, 21), 0.05), ([0.5], 0.5),
+                                          ([0.0, 0.0, 0.3, 0.6], 0.3)])
+    def test_basis_failure_names_the_first_t_to_fail_alone(self, ts, first):
+        # t = 0 passes alone; the drift fails every later t, alone or in the chunk
+        drift = family_from_entries({**BESSEL, "g11": "exp(0.1*t)*" + BESSEL["g11"]})
+        with pytest.raises(HodgeError) as err:
+            phi_curve(drift, ts, n=256, check=False)
+        assert str(err.value) == f"family determinant is not identically 1 on samples at t={first}"
+
+    def test_2d_basis_failure_names_its_t(self):
+        # det = C(x1, x2) depends on x1 for t > 0
+        fam = family_from_entries({"g11": "1 + t*cos(2*pi*x1)/2", "g22": "1"}, dim=2)
+        with pytest.raises(HodgeError, match=r"^determinant depends on x1 .* at t=0\.25$"):
+            phi_2d(fam, np.linspace(0, 1, 5), n=32, check=False)
+
     def test_traced_names_are_reached_through_the_module(self, monkeypatch):
         # the benchmark's traced replay times hodge.basis and hodge.gram by
         # patching these three module attributes

@@ -254,6 +254,39 @@ class TestMulSum:
         with pytest.raises(JetError, match="at least one term"):
             mul_sum((), 2)
 
+    @pytest.mark.parametrize("a,b,known", [
+        (var(X1, order=3), 1 + var(X2, order=2), 3),   # min(3 + 0, 2 + 1)
+        (var(X1, order=2) ** 2, var(X2, order=2), 3),  # min(2 + 1, 2 + 2)
+        (const(0, order=2), var(X1, order=5), 3),      # a zero jet of order 2 has val 3
+        (const(0, order=2), const(0, order=3), 6),     # min(2 + 4, 3 + 3)
+    ])
+    def test_valuation_bound_examples(self, a, b, known):
+        mul_sum(((1, a, b),), known)
+        mul_sum(((1, b, a),), known)
+        with pytest.raises(JetError, match=f"not known to order {known + 1}"):
+            mul_sum(((1, a, b),), known + 1)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_a_product_is_known_to_the_valuation_bound(self, mode, data):
+        # up to min(a.order + val b, b.order + val a), val the least degree of a
+        # term (order + 1 for a zero jet), the product of truncated factors is the
+        # product of the full ones bit for bit; one degree more raises
+        full = 8
+        a_full, b_full = (data.draw(gen_jets(full, mode, size=8)) for _ in range(2))
+        a, b = (truncated(j, data.draw(st.integers(0, 5))) for j in (a_full, b_full))
+
+        def val(j):
+            return min(map(sum, j.coeffs), default=j.order + 1)
+
+        known = min(a.order + val(b), b.order + val(a))
+        top = min(known, full)
+        assert bits(mul_sum(((1, a, b),), top)) == \
+            bits(truncated(mul_sum(((1, a_full, b_full),), full), top))
+        with pytest.raises(JetError, match="not known to order"):
+            mul_sum(((1, a, b),), known + 1)
+
     def test_mixed_modes_raise(self):
         exact, floating = var(X1, order=2), var(X1, order=2, mode=FLOAT)
         with pytest.raises(IncompatibleJetsError, match="mode"):

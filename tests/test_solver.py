@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slagcy import solver
+from slagcy import jets, solver
 from slagcy.dsl import eval_jet, parse
 from slagcy.jets import (
     EXACT,
@@ -48,7 +48,7 @@ from slagcy.solver import (
     _hmatrix,
 )
 
-from oracles import RefComplex, max_abs, partial_of, ref_add
+from oracles import RefComplex, full_order_complex_det, max_abs, partial_of, ref_add
 
 
 def jets_env(order, mode=EXACT):
@@ -436,6 +436,86 @@ class TestDumpLoad:
         load_structure(text)
         with pytest.raises(SolverError, match=message):
             load_structure(edit(text))
+
+
+def sections_by_oracle(text):
+    """Each section of a dump as the public constructor builds it from the
+    section's lines, in file order: Jet(order, {exponent tuple: scalar}, mode)."""
+    mode = re.search(r"(?m)^mode = (.*)$", text)[1]
+    order = int(re.search(r"(?m)^order = (.*)$", text)[1])
+    out = {}
+    for block in text.split("\n[")[1:]:
+        tag, *lines = block.rstrip("\n").split("\n")
+        out[tag.rstrip("]")] = Jet(order, {
+            tuple(map(int, idx.split())): Fraction(c) if mode == EXACT else float(c)
+            for idx, _, c in (ln.partition(" : ") for ln in lines)}, mode)
+    return out
+
+
+def jet_terms(jet):
+    """A jet's terms in dict order, floats by float.hex."""
+    return [(k, v.hex() if isinstance(v, float) else v) for k, v in jet.coeffs.items()]
+
+
+class TestLoaderParsesEachIndexOnce:
+    @pytest.mark.parametrize("mode,order,metrics", [(FLOAT, 8, TRIG_METRICS),
+                                                    (EXACT, 6, POLY_METRICS)])
+    def test_one_pack_per_distinct_multi_index(self, mode, order, metrics, monkeypatch):
+        text = dump_structure(solve_calabi_yau(metric_from_exprs(metrics[1], order, mode), order))
+        heads = [ln.partition(":")[0] for ln in text.splitlines() if " : " in ln]
+        packed = []
+        pack = solver._pack
+        monkeypatch.setattr(solver, "_pack",
+                            lambda idx, order: packed.append(idx) or pack(idx, order))
+        load_structure(text)
+        assert len(packed) == len(set(heads)) < len(heads) / 2
+        assert sorted(packed) == sorted({tuple(map(int, h.split())) for h in heads})
+
+    @pytest.mark.parametrize("mode,order", [(FLOAT, 8), (EXACT, 6)])
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_generated_dumps_round_trip_in_file_order(self, mode, order, data):
+        g = data.draw(exact_metrics(order))
+        if mode == FLOAT:
+            for i, j in itertools.combinations_with_replacement(range(3), 2):
+                g[i][j] = g[j][i] = float_copy(g[i][j], data.draw)
+        s = solve_calabi_yau(g, order)
+        text = dump_structure(s)
+        back = load_structure(text)
+        assert dump_structure(back) == text
+        expect = sections_by_oracle(text)
+        loaded = [*(back.h.entries[k] for k in ENTRY_KEYS),
+                  *(back.g[i - 1][j - 1] for i, j in solver._G_UPPER), back.gamma.re, back.gamma.im]
+        assert [tag for tag, _ in solver._DUMP_SECTIONS] == list(expect)
+        for jet, (tag, oracle) in zip(loaded, expect.items()):
+            assert jet == oracle, tag
+            assert jet_terms(jet) == jet_terms(oracle), tag
+        assert [back.h.entries[k] for k in ENTRY_KEYS] == [s.h.entries[k] for k in ENTRY_KEYS]
+        assert (back.gamma, back.g) == (s.gamma, s.g)
+
+    # two defects each: every line-level error is reported before an index that
+    # does not pack, and of those indices the one of the first section in table order
+    @pytest.mark.parametrize("edits,message", [
+        ((("A 1 1", "3 0 0 0 0 0 : 1"), ("gamma im", "0 0 x 0 0 0 : 1")),
+         "bad coefficient line '0 0 x 0 0 0 : 1': invalid literal for int() with base 10: 'x'"),
+        ((("A 1 1", "3 0 0 0 0 0 : 1"), ("gamma im", "0 0 0 0 0 : 1")),
+         "bad multi-index line '0 0 0 0 0 : 1'"),
+        ((("A 1 1", "3 0 0 0 0 0 : 1"), ("A 1 1", "3 0 0 0  0 0 : 2")),
+         "multi-index (3, 0, 0, 0, 0, 0) appears twice in section [A 1 1]"),
+        ((("A 1 1", "3 0 0 0 0 0 : 1"), ("g 3 3", "0 0 0 0 0 0 : 1/0")),
+         "bad coefficient line '0 0 0 0 0 0 : 1/0': Fraction(1, 0)"),
+        ((("B 1 2", "3 0 0 0 0 0 : 1"), ("A 2 2", "-1 0 0 0 0 0 : 0")),
+         "bad structure dump section [A 2 2]: bad multi-index (-1, 0, 0, 0, 0, 0)"),
+        ((("A 1 1", "65535 1 0 0 0 0 : 1"), ("B 1 2", "3 0 0 0 0 0 : 1")),
+         "bad structure dump section [A 1 1]: bad multi-index (65535, 1, 0, 0, 0, 0)"),
+    ])
+    def test_two_defects_report_the_first_as_before(self, edits, message):
+        text = small_dump(EXACT)
+        for tag, line in edits:
+            text = text.replace(f"[{tag}]\n", f"[{tag}]\n{line}\n", 1)
+        with pytest.raises(SolverError) as err:
+            load_structure(text)
+        assert str(err.value) == message
 
 
 @functools.cache
@@ -852,3 +932,71 @@ class TestFusedDeterminant:
         assert report.res_D > (0 if mode == EXACT else 1e-6)
         if mirror is not None:
             assert report.res_symmetry > 0
+
+
+def emptied(z):
+    return ComplexJet(z.re.zero_like(), z.im.zero_like())
+
+
+def with_term(jet, idx, value):
+    """``jet`` with the coefficient at ``idx`` replaced."""
+    return Jet(jet.order, {**jet.coeffs, idx: value}, jet.mode)
+
+
+class TestTruncatedCofactors:
+    """det of complex jets forms each cofactor only to the degrees its row-1 entry
+    can reach, and must equal the full-order cofactor expression bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(m):
+        got, expect = det(m), full_order_complex_det(m)
+        for part in ("re", "im"):
+            a, b = getattr(got, part), getattr(expect, part)
+            assert (a.order, a.mode, jet_terms(a)) == (b.order, b.mode, jet_terms(b)), part
+
+    @pytest.mark.parametrize("mode,entries", [
+        (EXACT, DENSE_METRIC), (FLOAT, DENSE_METRIC),  # constant off-diagonals
+        (EXACT, POLY_METRICS[1]), (FLOAT, POLY_METRICS[1]),  # off-diagonals vanishing at 0
+        (FLOAT, TRIG_METRICS[1]),  # off-diagonals vanishing to first order, or not at all
+        (FLOAT, TRIG_METRICS[0]),  # a diagonal metric
+    ])
+    def test_solved_structures(self, mode, entries):
+        order = 5
+        m = _hmatrix(solve_calabi_yau(metric_from_exprs(entries, order, mode), order).h)
+        self.assert_same_bits(m)
+        for cols in ((1,), (2,), (1, 2), (0, 1, 2)):  # empty row-1 entries get no cofactor
+            self.assert_same_bits([[emptied(z) if c in cols else z for c, z in enumerate(m[0])],
+                                   *m[1:]])
+
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1), (2, 0)])
+    def test_a_nan_coefficient(self, where):
+        order = 5
+        m = _hmatrix(solve_calabi_yau(metric_from_exprs(TRIG_METRICS[1], order, FLOAT), order).h)
+        r, c = where
+        z = m[r][c]
+        for idx in ((0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, order)):  # low and top degree
+            m[r][c] = ComplexJet(with_term(z.re, idx, math.nan), z.im)
+            self.assert_same_bits(m)
+
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_generated_float_structures(self, data):
+        order = data.draw(st.integers(2, 5))
+        exact = data.draw(exact_metrics(order))
+        g = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                g[i][j] = g[j][i] = float_copy(exact[i][j], data.draw)
+        self.assert_same_bits(_hmatrix(solve_calabi_yau(g, order).h))
+
+    def test_cofactor_orders(self, monkeypatch):
+        # a11 has a constant term, a12 + i b12 and a13 + i b13 vanish to second order:
+        # both parts of the cofactors of the last two are formed to order 5 - 2
+        order = 5
+        m = _hmatrix(solve_calabi_yau(metric_from_exprs(POLY_METRICS[1], order), order).h)
+        assert [min(map(sum, [*z.re.coeffs, *z.im.coeffs])) for z in m[0]] == [0, 2, 2]
+        orders = []
+        fused = jets.mul_sum
+        monkeypatch.setattr(jets, "mul_sum", lambda terms, o: orders.append(o) or fused(terms, o))
+        det(m)
+        assert orders == [5, 5, 3, 3, 3, 3, 5, 5]
