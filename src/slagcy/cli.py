@@ -41,7 +41,7 @@ from . import hodge as hodge_mod
 from .dsl import EvalDomainError, ParseError, parse
 from .families import FamilyError, MetricFamily, check_slag_family, family_from_entries
 from .hodge import HodgeError, phi_csv
-from .jets import EXACT, FLOAT, JetError
+from .jets import EXACT, FLOAT, JetError, within
 from .solver import (
     SolverError,
     check_structure,
@@ -341,11 +341,7 @@ def _family_from_scenario(sc: Scenario) -> MetricFamily:
 
 
 def _verdict(name: str, value, tolerance) -> dict:
-    if isinstance(value, Fraction) and isinstance(tolerance, (int, Fraction)):
-        passed = value <= tolerance
-    else:
-        passed = float(value) <= float(tolerance)
-    return {"name": name, "passed": bool(passed),
+    return {"name": name, "passed": within(value, tolerance),
             "value": _jsonable(value), "tolerance": _jsonable(tolerance)}
 
 

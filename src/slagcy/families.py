@@ -26,7 +26,11 @@ import numpy as np
 from . import dsl
 from .dsl import EvalDomainError, Expr, eval_grid, eval_jet, free_variables, parse
 from .gridops import curl_residual, grid_diff, periodic_axis, periodic_quad
-from .jets import FLOAT, X1, X2, X3, Y1, Jet, JetError, det, leading_minors
+from .jets import FLOAT, X1, X2, X3, Y1, Jet, JetError, det, leading_minors, within, worst
+
+# the guard tolerance of the admissibility checks (the block law, family_to_policy,
+# the Phi loop, check_slag_family's default) and of hodge's 3D basis and Phi checks
+CHECK_TOL = 1e-10
 
 
 class FamilyError(Exception):
@@ -166,12 +170,12 @@ class FamilyCheckReport:
 
     @property
     def worst(self) -> float:
-        """The largest of the three residuals."""
-        return max(self.det_t_independence, self.det_x1_independence,
-                   self.closure_residual)
+        """The largest of the three residuals, nan if one is nan."""
+        return worst((self.det_t_independence, self.det_x1_independence,
+                      self.closure_residual))
 
     def passed(self) -> bool:
-        return self.worst <= self.tolerance
+        return within(self.worst, self.tolerance)
 
     def raise_if_failed(self) -> None:
         """Raise InadmissibleFamilyError, naming every residual, unless passed()."""
@@ -225,7 +229,7 @@ def _positive_samples(fam: MetricFamily, t, axes: dict) -> tuple:
 
 
 def check_slag_family(fam: MetricFamily, n: int = 64, nt: int = 9,
-                      tol: float = 1e-10) -> FamilyCheckReport:
+                      tol: float = CHECK_TOL) -> FamilyCheckReport:
     """Evaluate the three slice conditions at nt values of t, in the chunks of
     :func:`t_batches`, on n points per axis.  Each entry is sampled and differentiated
     at its own broadcast shape, so an x1-only family costs O(n) per t, not O(n^dim).
@@ -242,26 +246,25 @@ def check_slag_family(fam: MetricFamily, n: int = 64, nt: int = 9,
     axes = family_axes(fam, n)
     ts = np.linspace(lo, hi, nt)
 
-    dets, closure_max, sqrt_det_x1_max = [], 0.0, 0.0  # one det(m) per t, a t-free one repeated
+    dets, sqrt_det_x1, closure = [], [], []  # one det(m) per t, a t-free one repeated
     for k, (m, minors) in t_batches(ts, n, fam.dim, lambda t: _positive_samples(fam, t, axes),
                                     lambda out: out[0]):
         dets.extend(minors[-1] if np.ndim(minors[-1]) > fam.dim else [minors[-1]] * len(ts[k]))
         d_sqrt = grid_diff(np.sqrt(minors[-1]), -fam.dim, fam.periodic[0])
-        sqrt_det_x1_max = max(sqrt_det_x1_max, float(np.max(np.abs(d_sqrt))))
-        closure_max = max(closure_max, curl_residual(m[0], fam.periodic))
+        sqrt_det_x1.append(float(np.max(np.abs(d_sqrt))))
+        closure.append(curl_residual(m[0], fam.periodic))
     det_t = np.gradient(np.stack(np.broadcast_arrays(*dets)), ts, axis=0)
     return FamilyCheckReport(det_t_independence=float(np.max(np.abs(det_t))),
-                             det_x1_independence=sqrt_det_x1_max,
-                             closure_residual=closure_max, tolerance=tol, n=n, nt=nt)
+                             det_x1_independence=worst(sqrt_det_x1),
+                             closure_residual=worst(closure), tolerance=tol, n=n, nt=nt)
 
 
 # -- constructors ------------------------------------------------------------------
 
 
-# grid points per axis, tolerance and t-samples of the checks the block
-# constructor and family_to_policy run
-_CHECK_N, _CHECK_TOL = 64, 1e-10
-_BLOCK_CHECK_NT, _POLICY_CHECK_NT = 5, 9
+# grid points per axis and t-samples of the checks the block constructor and
+# family_to_policy run
+_CHECK_N, _BLOCK_CHECK_NT, _POLICY_CHECK_NT = 64, 5, 9
 
 
 def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), name: str = "block") -> MetricFamily:
@@ -283,14 +286,13 @@ def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), name: str = "block") -> Me
                                "g33": qm[1][1]}, t_range=t_range, name=name)
     axes = family_axes(fam, _CHECK_N)
     q_samples = eval_grid(q, axes)
-    worst = 0.0
-    for _, m in t_batches(np.linspace(t_range[0], t_range[1], _BLOCK_CHECK_NT), _CHECK_N, 3,
-                          lambda t: fam.sample_matrix(t, axes), lambda m: m):
-        det_q = det([row[1:] for row in m[1:]])
-        worst = max(worst, float(np.max(np.abs(det_q - q_samples / m[0][0]))))
-    if worst > _CHECK_TOL:
+    ts = np.linspace(t_range[0], t_range[1], _BLOCK_CHECK_NT)
+    law = worst(float(np.max(np.abs(det([row[1:] for row in m[1:]]) - q_samples / m[0][0])))
+                for _, m in t_batches(ts, _CHECK_N, 3, lambda t: fam.sample_matrix(t, axes),
+                                      lambda m: m))
+    if not within(law, CHECK_TOL):
         raise FamilyError(
-            f"block-determinant law violated: max |det(Q) - e^(-u) q| = {worst:.3e}")
+            f"block-determinant law violated: max |det(Q) - e^(-u) q| = {law:.3e}")
     return fam
 
 
@@ -409,6 +411,6 @@ def family_to_policy(fam: MetricFamily, base_t: float, order: int,
     carry as the family's tori.  The admissibility check runs before any
     expansion."""
     if check:
-        check_slag_family(fam, n=_CHECK_N, nt=_POLICY_CHECK_NT, tol=_CHECK_TOL).raise_if_failed()
+        check_slag_family(fam, n=_CHECK_N, nt=_POLICY_CHECK_NT, tol=CHECK_TOL).raise_if_failed()
     return (metric_jets(fam, base_t, order, mode),
             metric_jets(fam, Jet.variable(Y1, order, mode) + base_t, order, mode))

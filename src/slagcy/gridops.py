@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 
@@ -58,8 +60,8 @@ def grid_diff(samples, axis: int, periodic: bool) -> np.ndarray:
 def curl_residual(row, periodic) -> float:
     """max |d_a row[b] - d_b row[a]| over the axis pairs a < b of a 1-form's
     components ``row``: component k goes with axis k - len(row), counted from
-    the end, periodic as ``periodic[k]`` says.  Zero for a closed form."""
-    dim = len(row)
-    return max(float(np.max(np.abs(grid_diff(row[b], a - dim, periodic[a])
-                                   - grid_diff(row[a], b - dim, periodic[b]))))
-               for a in range(dim) for b in range(a + 1, dim))
+    the end, periodic as ``periodic[k]`` says.  Zero for a closed form, nan if any is."""
+    dim = len(row)  # np.maximum keeps a nan, and reducing with it builds no array
+    return float(reduce(np.maximum, (np.max(np.abs(grid_diff(row[b], a - dim, periodic[a])
+                                                   - grid_diff(row[a], b - dim, periodic[b])))
+                                     for a in range(dim) for b in range(a + 1, dim))))

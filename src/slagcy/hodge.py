@@ -25,14 +25,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .families import FamilyCheckReport, MetricFamily, check_slag_family, family_axes, t_batches
+from .families import (CHECK_TOL, FamilyCheckReport, MetricFamily, check_slag_family,
+                       family_axes, t_batches)
 from .gridops import curl_residual, grid_diff, periodic_quad
-from .jets import det
+from .jets import det, within, worst
 
-_CHECK_TOL = 1e-10        # admissibility tolerance of a Phi run
-_CLOSED_FORM_TOL = 1e-10  # largest gap between the quadrature and closed-form 3D Phi
-# harmonicity tolerances of the diagonal 3D and the 2D basis builders
-_DIAG3_TOL, _TWO_D_TOL = 1e-10, 1e-8
+_TWO_D_TOL = 1e-8  # the 2D builder's guards: its co-closure residual grows with the metric
 
 
 class HodgeError(Exception):
@@ -64,8 +62,8 @@ class PhiCurve:
     def spread(self) -> float:
         return float(np.max(self.phi) - np.min(self.phi))
 
-    def classification(self, tol: float = 1e-10) -> str:
-        return "non-constant" if self.spread() > 100.0 * tol else "constant"
+    def classification(self, tol: float = CHECK_TOL) -> str:
+        return "constant" if within(self.spread(), 100.0 * tol) else "non-constant"
 
 
 def phi_csv(t, phi, integrals=None) -> str:
@@ -116,34 +114,23 @@ def gram_L2(basis: HarmonicBasis) -> np.ndarray:
     return np.array([[quads[min(i, j), max(i, j)] for j in range(dim)] for i in range(dim)])
 
 
-def _verify_periods(theta, tol: float) -> float:
-    """Max deviation of the cycle-period matrix from the identity.
-
-    The period of theta_i over cycle j, averaged over the representative
-    circles, is the torus mean of theta[i][j]; closure makes the
-    representative irrelevant up to quadrature error.
-    """
-    space = tuple(range(-len(theta), 0))
-    devs = (periodic_quad(comp, axis=space) - (1.0 if i == j else 0.0)
-            for i, row in enumerate(theta) for j, comp in enumerate(row))
-    worst = max(abs(dev) if isinstance(dev, float) else float(np.abs(dev).max()) for dev in devs)
-    if worst > tol:
-        raise HodgeError(f"cycle normalization off by {worst:.3e} (tol {tol:.1e})")
-    return worst
-
-
 def _verified_basis(theta, metric, adj, det_g, tol: float, scale: float) -> HarmonicBasis:
     """The basis of ``theta`` and its fluxes after the periods, closure and co-closure
     checks; ``adj`` and ``det_g`` are the pointwise adjugate and determinant of ``metric``."""
+    dim = len(theta)
+    # the period of theta_i over cycle j, averaged over its circles: the mean of theta[i][j]
+    devs = (periodic_quad(comp, axis=tuple(range(-dim, 0))) - float(i == j)
+            for i, row in enumerate(theta) for j, comp in enumerate(row))
+    period_err = worst(abs(d) if isinstance(d, float) else float(np.abs(d).max()) for d in devs)
+    if not within(period_err, tol):
+        raise HodgeError(f"cycle normalization off by {period_err:.3e} (tol {tol:.1e})")
     sqrt_det = np.sqrt(det_g)
     flux = [[_contract(row, th) / sqrt_det for row in adj] for th in theta]
-    dim = len(theta)
-    period_err = _verify_periods(theta, tol)
-    closure = max(curl_residual(row, (True,) * dim) for row in theta)
+    closure = worst(curl_residual(row, (True,) * dim) for row in theta)
     # max |delta theta_i| = max |sum_k d_k J_ik| / sqrt(det g), axes counted from the end
-    coclosure = max(float(np.max(np.abs(sum(grid_diff(j, k - dim, True) for k, j in enumerate(row))
-                                        / sqrt_det))) for row in flux)
-    if max(closure, coclosure) > tol:
+    coclosure = worst(float(np.max(np.abs(
+        sum(grid_diff(j, k - dim, True) for k, j in enumerate(row)) / sqrt_det))) for row in flux)
+    if not within(worst((closure, coclosure)), tol):
         raise HodgeError(
             f"harmonicity residual above tolerance: d={closure:.3e}, delta={coclosure:.3e}")
     return HarmonicBasis(dim=dim, theta=theta, metric=metric, flux=flux, scale=scale,
@@ -158,26 +145,26 @@ def harmonic_basis_diag3(fam: MetricFamily, t, n: int = 256) -> HarmonicBasis:
     """Cycle-normalized harmonic basis for diagonal metrics depending on
     (t, x1) with unit determinant: theta_1 = g11/int(g11) dx1, theta_2 = dx2,
     theta_3 = dx3.  The family must be diagonal (off-diagonal samples within
-    the 1e-10 tolerance count as exact zeros), x1-only and unit-determinant.
+    CHECK_TOL count as exact zeros), x1-only and unit-determinant to CHECK_TOL.
     Verified (periods, closure, co-closure) before returning."""
     if fam.dim != 3:
         raise HodgeError("diagonal basis needs a 3-dimensional family")
     m = fam.sample_matrix(t, family_axes(fam, n))
     for i in range(3):
         for j in range(3):
-            if i != j and float(np.max(np.abs(m[i][j]))) > _DIAG3_TOL:
+            if i != j and not within(float(np.max(np.abs(m[i][j]))), CHECK_TOL):
                 raise HodgeError(f"family entry ({i + 1},{j + 1}) is not zero")
         if any(size > 1 for size in np.shape(m[i][i])[-2:]):
             raise HodgeError(f"diagonal entry ({i + 1},{i + 1}) depends on x2 or x3")
     g11, g22, g33 = m[0][0], m[1][1], m[2][2]
-    if float(np.max(np.abs(g11 * g22 * g33 - 1.0))) > _DIAG3_TOL:
+    if not within(float(np.max(np.abs(g11 * g22 * g33 - 1.0))), CHECK_TOL):
         raise HodgeError("family determinant is not identically 1 on samples")
     if any(np.any(g <= 0) for g in (g11, g22, g33)):
         raise HodgeError("non-positive diagonal sample")
     theta = [[g11 / periodic_quad(g11, axis=(-3, -2, -1), keepdims=True), 0.0, 0.0],
              [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     metric = [[g11, 0.0, 0.0], [0.0, g22, 0.0], [0.0, 0.0, g33]]
-    return _verified_basis(theta, metric, *_pointwise_adjugate(metric), _DIAG3_TOL, 1.0)
+    return _verified_basis(theta, metric, *_pointwise_adjugate(metric), CHECK_TOL, 1.0)
 
 
 def phi_admissibility(fam: MetricFamily, n: int, nt: int, tol: float) -> FamilyCheckReport:
@@ -195,7 +182,7 @@ def _phi_samples(fam: MetricFamily, t_samples: Sequence, n: int, check: bool,
     t values (`families.t_batches`) the basis ``basis_at(t)``, its Gram matrix, det,
     and the three integral columns ``row(basis, phi, t)`` of the chunk's phi and t."""
     if check:
-        phi_admissibility(fam, n, len(t_samples), _CHECK_TOL).raise_if_failed()
+        phi_admissibility(fam, n, len(t_samples), CHECK_TOL).raise_if_failed()
     ts = np.asarray(list(t_samples), dtype=np.float64)
     phis = np.empty_like(ts)
     integrals = np.empty((len(ts), 3), dtype=np.float64)
@@ -231,8 +218,9 @@ def phi_curve(fam: MetricFamily, t_samples: Sequence, n: int = 256, *,
         i11, i22, i33, cross = (periodic_quad(g, axis=(-3, -2, -1)) for g in
                                 (g11, 1.0 / g22, 1.0 / g33, 1.0 / (g22 * g33)))
         closed = np.broadcast_to(i22 * i33 / cross, phi.shape)
-        if np.max(np.abs(phi - closed)) > _CLOSED_FORM_TOL:
-            k = int(np.argmax(np.abs(phi - closed)))
+        gap = np.abs(phi - closed)  # a nan gap is the first one argmax finds
+        if not within(float(np.max(gap)), CHECK_TOL):
+            k = int(np.argmax(gap))
             raise HodgeError(
                 f"quadrature Gram disagrees with the closed form at t={t[k]}: "
                 f"{phi[k]!r} vs {closed[k]!r}")
@@ -261,14 +249,14 @@ def harmonic_basis_2d(fam: MetricFamily, t, n: int = 128) -> HarmonicBasis:
     g = fam.sample_matrix(t, family_axes(fam, n))
     adj, det_g = _pointwise_adjugate(g)
     det_g = np.atleast_2d(det_g)  # constant families give 0-d samples
-    if float(np.max(np.ptp(det_g, axis=-2))) > _TWO_D_TOL:
+    if not within(float(np.max(np.ptp(det_g, axis=-2))), _TWO_D_TOL):
         raise HodgeError("determinant depends on x1 (not an admissible 2D family)")
     sqrt_c = np.sqrt(det_g.mean(axis=-2, keepdims=True))  # sqrt(C(x2)), shape (..., 1, n|1)
 
     m_per_col = periodic_quad(g[0][0], axis=-2, keepdims=True)
     l_per_row = periodic_quad(g[0][1], axis=-1, keepdims=True)
-    if any(np.ptp(q, axis=(-2, -1)).max() > _TWO_D_TOL
-           for q in (m_per_col, l_per_row) if np.ndim(q)):
+    if not all(within(float(np.max(np.ptp(q, axis=(-2, -1)))), _TWO_D_TOL)
+               for q in (m_per_col, l_per_row) if np.ndim(q)):
         raise HodgeError("int g11 dx1 or int g12 dx2 is not constant "
                          "(the dual of d/dx1 is not closed)")
     big_m = periodic_quad(m_per_col, axis=-1, keepdims=True)

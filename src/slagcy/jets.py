@@ -15,6 +15,7 @@ on that form, building no ``Fraction`` per coefficient.  All operations are
 pure; jets are treated as immutable values.
 
 Variables are fixed as (x1, x2, x3, y1, y2, y3) with z_k = x_k + i*y_k.
+The package's one verdict rule, ``within``, and its maximum ``worst`` live here.
 """
 
 from __future__ import annotations
@@ -590,3 +591,15 @@ def _complex_det(m, order: int) -> ComplexJet:
 def leading_minors(m) -> list:
     """Leading principal minors of a 2x2 or 3x3 matrix; the last is det(m)."""
     return [m[0][0]] + [det([row[:k] for row in m[:k]]) for k in range(2, len(m) + 1)]
+
+
+def worst(values):
+    """The largest value, or nan if one is nan: max() keeps or drops a nan by position."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else max(values)
+
+
+def within(value, tol) -> bool:
+    """Whether a residual passes: ``value <= tol``, exact for exact scalars; a nan
+    never passes, and an inf passes no finite ``tol``."""
+    return bool(value <= tol)

@@ -58,6 +58,8 @@ from .jets import (
     leading_minors,
     mul_sum,
     partial_sum,
+    within,
+    worst,
 )
 from .jets import _jet, _pack
 
@@ -179,13 +181,7 @@ class ResidualReport:
         return {name: getattr(self, name) for name in self._FIELDS}
 
     def max_residual(self):
-        return _worst(self.as_dict().values())
-
-
-def _worst(values):
-    """The largest value, or nan if one is nan: max() keeps or drops a nan by position."""
-    values = list(values)
-    return math.nan if any(v != v for v in values) else max(values)
+        return worst(self.as_dict().values())
 
 
 # -- hermitian matrix helpers ----------------------------------------------------
@@ -263,13 +259,6 @@ def _gamma(g) -> ComplexJet:
 # -- the three evolution sweeps ----------------------------------------------------
 
 
-def _coeff_close(a: Jet, b: Jet) -> bool:
-    diff = (a - b).max_abs_coeff()
-    if a.mode == EXACT:
-        return diff == 0
-    return diff <= _POLICY_TOL
-
-
 def _apply_policy(step: int, entries: dict, policy) -> None:
     if step != 1 or policy is None:
         return
@@ -278,7 +267,8 @@ def _apply_policy(step: int, entries: dict, policy) -> None:
         entries["a11"]._check_compatible(jet)
         if jet.depends_on(Y2) or jet.depends_on(Y3):
             raise PolicyError(f"step 1 policy entry {key} may not depend on y2, y3")
-        if not _coeff_close(jet.restrict_zero((Y1,)), entries[key]):
+        residual = (jet.restrict_zero((Y1,)) - entries[key]).max_abs_coeff()
+        if not within(residual, 0 if jet.mode == EXACT else _POLICY_TOL):
             raise PolicyError(
                 f"step 1 policy entry {key} does not restrict to the data it extends")
         entries[key] = jet
@@ -396,11 +386,11 @@ def check_structure(s: CYStructureJet) -> ResidualReport:
 
     closure = {}
     for p, label in ((1, "C1"), (2, "C2.1"), (3, "C3.1")):
-        closure[label] = _worst(
+        closure[label] = worst(
             partial_sum(((1, b[i, j], _Y[p]), (-1, a[p, j], _X[i]), (1, a[p, i], _X[j])))
             .max_abs_coeff() for i, j in _PAIRS)
     for r, p in _PAIRS:
-        closure[f"C{p}.{r + 1}"] = _worst(
+        closure[f"C{p}.{r + 1}"] = worst(
             partial_sum(((1, a[r, k], _Y[p]), (-1, a[p, k], _Y[r]), (-1, b[r, p], _X[k])))
             .max_abs_coeff() for k in (1, 2, 3))
     for label, v1, v2, v3 in (("C4.1", X1, X2, X3), ("C4.2", Y1, Y2, Y3)):
@@ -408,15 +398,15 @@ def check_structure(s: CYStructureJet) -> ResidualReport:
             ((1, b[2, 3], v1), (-1, b[1, 3], v2), (1, b[1, 2], v3))).max_abs_coeff()
     details.update(closure)
 
-    res_initial_A = _worst((a[i, j].restrict_zero(Y_VARS) - s.g[i - 1][j - 1]).max_abs_coeff()
-                        for i in (1, 2, 3) for j in (1, 2, 3))
-    res_initial_B = _worst(bij.restrict_zero(Y_VARS).max_abs_coeff() for bij in b.values())
-    res_symmetry = _worst((a[i, j] - a[j, i]).max_abs_coeff() for i, j in _PAIRS)
+    res_initial_A = worst((a[i, j].restrict_zero(Y_VARS) - s.g[i - 1][j - 1]).max_abs_coeff()
+                       for i in (1, 2, 3) for j in (1, 2, 3))
+    res_initial_B = worst(bij.restrict_zero(Y_VARS).max_abs_coeff() for bij in b.values())
+    res_symmetry = worst((a[i, j] - a[j, i]).max_abs_coeff() for i, j in _PAIRS)
     res_slice_im = gamma.im.restrict_zero(Y_VARS).max_abs_coeff()
 
     report = ResidualReport(
-        res_D=_worst((details["D"], details["D_imag"])),
-        res_domega=_worst(closure.values()),
+        res_D=worst((details["D"], details["D_imag"])),
+        res_domega=worst(closure.values()),
         res_C41=closure["C4.1"],
         res_C42=closure["C4.2"],
         res_initial_A=res_initial_A,
@@ -435,7 +425,7 @@ def horizontal_slice_residuals(s: CYStructureJet) -> dict:
     """Residuals of the conditions making every slice {y1 = t, y2 = y3 = 0}
     special Lagrangian: B and Im(gamma) restricted to that slice family."""
     e = s.h.entries
-    b_max = _worst(e[k].restrict_zero((Y2, Y3)).max_abs_coeff() for k in ("b12", "b13", "b23"))
+    b_max = worst(e[k].restrict_zero((Y2, Y3)).max_abs_coeff() for k in ("b12", "b13", "b23"))
     im_max = s.gamma.im.restrict_zero((Y2, Y3)).max_abs_coeff()
     return {"B_slice": b_max, "im_gamma_slice": im_max}
 

@@ -22,7 +22,9 @@ from slagcy.cli import (
     main,
     report_json,
 )
+from slagcy import hodge
 from slagcy.dsl import parse
+from slagcy.families import FamilyCheckReport
 from slagcy.hodge import phi_csv
 from slagcy.solver import dump_structure
 
@@ -694,6 +696,30 @@ class TestPhiPipeline:
         data = json.loads(text)
         assert [v["passed"] for v in data["verdicts"]] == \
                [v["passed"] for v in report.verdicts]
+
+
+NAN = float("nan")
+
+
+class TestFamilyVerdicts:
+    @pytest.mark.parametrize("kind", ["family-check", "phi"])
+    @pytest.mark.parametrize("fields", [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (NAN, 0.0, 0.0),
+                                        (0.0, NAN, 0.0), (0.0, 0.0, NAN)])
+    def test_report_verdict_agrees_with_the_verdicts(self, kind, fields, tmp_path, monkeypatch):
+        # the check's residuals are planted; the report's family_check.verdict, its
+        # verdicts list and the exit code all read the one rule, so a nan fails all three
+        planted = lambda fam, n, nt, tol: FamilyCheckReport(*fields, tol, n, nt)  # noqa: E731
+        monkeypatch.setattr(cli, "check_slag_family", planted)
+        monkeypatch.setattr(hodge, "phi_admissibility", planted)
+        out = tmp_path / "r.json"
+        code = main([kind, "--scenario", write_scenario(tmp_path, family_scenario(kind)),
+                     "--out-json", str(out)])
+        data = json.loads(out.read_text())
+        passed = fields == (0.0, 0.0, 0.0)
+        assert [v["passed"] for v in data["verdicts"]] == \
+            ([passed] if kind == "phi" else [f == 0.0 for f in fields])
+        assert data["family_check"]["verdict"] == ("pass" if passed else "fail")
+        assert code == (0 if passed else 1)
 
 
 class TestVerifyKind:

@@ -343,6 +343,13 @@ class TestBlockFamily:
         assert str(err.value) == ("block-determinant law violated: "
                                   f"max |det(Q) - e^(-u) q| = {worst:.3e}")
 
+    def test_a_nan_law_residual_is_a_violation(self):
+        # det(Q) = 10^400 - 10^400 is inf - inf = nan and e^(-u) q = 1/e^800 = 1/0 in
+        # floats, at every t; the overflows are the case, so their warnings are off
+        with np.errstate(all="ignore"), pytest.raises(FamilyError) as err:
+            make_block_family("-800", [["10^200", "10^200"], ["10^200", "10^200"]], "1")
+        assert str(err.value) == "block-determinant law violated: max |det(Q) - e^(-u) q| = nan"
+
     def test_asymmetric_block_rejected(self):
         with pytest.raises(FamilyError, match="symmetric"):
             make_block_family("0", [["1", "1/2"], ["0", "1"]], "3/4")

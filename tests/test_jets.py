@@ -37,6 +37,8 @@ from slagcy.jets import (
     leading_minors,
     mul_sum,
     partial_sum,
+    within,
+    worst,
 )
 from slagcy.jets import _pack, _series, _unpack
 
@@ -1059,3 +1061,27 @@ class TestPackedKeys:
             # has no place for it
             with pytest.raises(IncompatibleJetsError, match=f"slice {m + 1} has order"):
                 from_slices(Y1, zeros + [Jet(MAX_ORDER - m, {}, FLOAT), sl])
+
+
+class TestVerdictRule:
+    @pytest.mark.parametrize("value, tol, passed", [
+        (0.0, 0.0, True), (1e-13, 1e-12, True), (1e-12, 1e-12, True), (2e-12, 1e-12, False),
+        (math.nan, 1e-12, False), (math.nan, math.inf, False), (math.inf, 1e300, False),
+        (np.float64(math.nan), 1.0, False), (Fraction(0), 0, True),
+        (Fraction(1, 3), Fraction(1, 3), True), (Fraction(1, 10 ** 400), 0, False),
+        (Fraction(10 ** 400), Fraction(10 ** 400 + 1), True),
+    ])
+    def test_within(self, value, tol, passed):
+        # exact scalars compare exactly: 10^400 overflows a float and 10^-400
+        # rounds to 0.0 in one
+        assert within(value, tol) is passed
+
+    @pytest.mark.parametrize("values", [[math.nan, 0.0, 1.0], [0.0, math.nan, 1.0],
+                                        [1.0, 0.0, math.nan], [np.float64(math.nan), 2.0]])
+    def test_worst_is_nan_wherever_a_nan_sits(self, values):
+        assert math.isnan(worst(values))
+        assert math.isnan(worst(iter(values)))
+
+    def test_worst_is_max_otherwise(self):
+        assert worst([0.0, 3.0, 1.0]) == 3.0
+        assert worst(Fraction(k, 7) for k in (2, 5, 1)) == Fraction(5, 7)

@@ -99,6 +99,50 @@ def test_the_fft_check_sees_numpy_fft():
     assert fft_uses("from numpy import gradient\nimport numpy as np") == []
 
 
+# a name read as a tolerance: tol, tolerance, phi_tolerance, _POLICY_TOL, ...
+TOLERANCE_NAME = re.compile(r"(\w*_)?tol(erance)?", re.IGNORECASE)
+ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def tolerance_comparisons(source: str) -> list:
+    """(function, line) of each <, <=, > or >= comparison in ``source`` with an operand
+    that reads a name or attribute named like a tolerance; function is the innermost
+    enclosing function ("" at module level)."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare) and any(isinstance(op, ORDERING) for op in node.ops):
+            names = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                     for operand in (node.left, *node.comparators) for sub in ast.walk(operand)
+                     if isinstance(sub, (ast.Name, ast.Attribute))}
+            if any(TOLERANCE_NAME.fullmatch(name) for name in names):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_tolerances_are_compared_only_in_within(module):
+    # jets.within is the one verdict rule; a bare `worst > tol` lets a nan pass
+    found = tolerance_comparisons((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert [hit for hit in found if module != "jets" or hit[0] != "within"] == []
+
+
+def test_the_tolerance_check_sees_comparisons():
+    assert [f for f, _ in tolerance_comparisons((SRC / "jets.py").read_text())] == ["within"]
+    for line in ("if worst > tol:\n    raise E", "ok = x <= _CHECK_TOL", "a < self.tolerance",
+                 "np.max(r) >= 100.0 * tol", "0 < tol", "b = sc.phi_tolerance > v"):
+        assert tolerance_comparisons(line) == [("", 1)], line
+    assert tolerance_comparisons("def f(v, tol):\n    return v > tol") == [("f", 2)]
+    for line in ("0 <= value < float('inf')", "tol == 0", "within(x, tol)", "stop > total"):
+        assert tolerance_comparisons(line) == [], line
+
+
 # the helpers of the CK sweeps; the verifier restates (D) and d(omega) = 0 on
 # its own, so that it checks the sweeps rather than repeating them
 SWEEP_HELPERS = {"_product_terms", "_extend_cofactors", "ck_step", "_evolution"}
