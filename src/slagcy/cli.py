@@ -14,9 +14,11 @@ in double quotes::
     g22 = "1"
     g33 = "1"
 
-Subcommands mirror the kinds and take --scenario plus a flag for each
-[scenario] or [output] key their kind reads.  Exit codes: 0 all verdicts
-pass, 1 a verdict fails, 2 input or parse error.
+The scenario schema ``_KEYS`` declares each [scenario], [input] and [output]
+key once; loading, key refusal, the ``Scenario`` fields, the report's echo and
+the subcommands' flags follow from it.  Subcommands mirror the kinds and take
+--scenario plus the flag of each key their kind reads.  Exit codes: 0 all
+verdicts pass, 1 a verdict fails, 2 input or parse error.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, make_dataclass
 from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
@@ -51,70 +54,73 @@ from .solver import (
 )
 
 SCHEMA_VERSION = 1
-# The sections each kind reads, with the keys each may hold (None: checked
-# when the metric or family is built); _FAMILY_KEYS are the [scenario] keys
-# of family-check, phi and phi2d.
-_FAMILY_KEYS = {"kind", "mode", "tolerance", "grid", "t_samples"}
-_KIND_SECTIONS = {
-    "embed": {"scenario": {"kind", "order", "mode", "tolerance"}, "metric": None,
-              "output": {"json", "dump"}},
-    "verify": {"scenario": {"kind", "mode", "tolerance"}, "input": {"structure"},
-               "output": {"json"}},
-    "family-check": {"scenario": _FAMILY_KEYS, "family": None, "output": {"json"}},
-    "phi": {"scenario": _FAMILY_KEYS, "family": None, "output": {"json", "csv"}},
-    "phi2d": {"scenario": _FAMILY_KEYS | {"phi_tolerance"}, "family": None,
-              "output": {"json", "csv"}},
-}
-KINDS = tuple(_KIND_SECTIONS)
-# The command line flag that overrides each [scenario] or [output] key; a
-# subcommand takes the flags of the keys its kind reads.  Each flag's dest is
-# the Scenario field it sets.
-_FLAGS = {
-    "order": ("--order", {"type": int, "help": "override truncation order"}),
-    "grid": ("--grid", {"type": int, "help": "override grid resolution"}),
-    "mode": ("--mode", {"choices": (EXACT, FLOAT), "help": "override scalar mode"}),
-    "t_samples": ("--t-samples", {"type": int}),
-    "json": ("--out-json", {"dest": "json_path", "help": "write the JSON report here"}),
-    "csv": ("--out-csv", {"dest": "csv_path", "help": "write the phi CSV here"}),
-    "dump": ("--dump", {"dest": "dump_path", "help": "write a structure dump"}),
-}
+# The section of DSL entries each kind reads, checked when its metric or family is built
+_ENTRIES = {"embed": "metric", "verify": None, "family-check": "family", "phi": "family",
+            "phi2d": "family"}
+KINDS = tuple(_ENTRIES)
+_FAMILY_KINDS = tuple(kind for kind, entries in _ENTRIES.items() if entries == "family")
 
 
 class ScenarioError(Exception):
     """Unusable scenario file; maps to exit code 2."""
 
 
-@dataclass
-class Scenario:
-    kind: str
-    order: int = 6
-    mode: str = FLOAT
-    grid: int = 256
-    t_samples: int = 21
-    tolerance: object = None
-    phi_tolerance: float = 1e-8
-    metric: dict = field(default_factory=dict)      # key -> DSL text
-    family: dict = field(default_factory=dict)
-    structure_path: str | None = None
-    dump_path: str | None = None
-    json_path: str | None = None
-    csv_path: str | None = None
+# The key readers: (text, the mode read so far) -> value; a ValueError is a bad number.
+def _integer(text: str, mode) -> int:
+    return int(text)
 
-    def echo(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "order": self.order,
-            "mode": self.mode,
-            "grid": self.grid,
-            "t_samples": self.t_samples,
-            "tolerance": _jsonable(self.tolerance),
-            "phi_tolerance": self.phi_tolerance,
-        }
-        if self.metric:
-            out["metric"] = dict(sorted(self.metric.items()))
-        if self.family:
-            out["family"] = dict(sorted(self.family.items()))
-        return out
+
+def _path(text: str, mode) -> str | None:
+    return _unquote(text) or None
+
+
+class _Key(namedtuple("_Key", "section name kinds default read flag options",
+                       defaults=(None, {}))):
+    """A scenario key: the kinds that read it, the text it takes when the file
+    leaves it out, its reader, and the flag (with argparse options) overriding it."""
+
+    @property
+    def field(self) -> str:
+        """The Scenario field it sets; an [input] or [output] key sets a path."""
+        return self.name if self.section == "scenario" else f"{self.name}_path"
+
+
+# Every scenario key, in the order the file is read: each key's file text is
+# read, then its flag applies, so the tolerance (unset or empty: the default of
+# the final mode) comes last.  A key with choices takes only those words.
+_KEYS = (
+    _Key("scenario", "kind", KINDS, "", lambda text, mode: text.strip()),  # checked first
+    _Key("scenario", "order", ("embed",), "6", _integer,
+         "--order", {"type": int, "help": "override truncation order"}),
+    _Key("scenario", "grid", _FAMILY_KINDS, "256", _integer,
+         "--grid", {"type": int, "help": "override grid resolution"}),
+    _Key("scenario", "mode", KINDS, FLOAT, lambda text, mode: text.strip(),
+         "--mode", {"choices": (EXACT, FLOAT), "help": "override scalar mode"}),
+    _Key("scenario", "t_samples", _FAMILY_KINDS, "21", _integer, "--t-samples", {"type": int}),
+    _Key("scenario", "phi_tolerance", ("phi2d",), "1e-8",
+         lambda text, mode: _tolerance("phi_tolerance", text, FLOAT)),
+    _Key("scenario", "tolerance", KINDS, "", lambda text, mode: _tolerance(
+        "tolerance", text or ("0" if mode == EXACT else "1e-12"), mode)),
+    _Key("input", "structure", ("verify",), "", _path),
+    _Key("output", "json", KINDS, "", _path, "--out-json", {"help": "write the JSON report here"}),
+    _Key("output", "csv", ("phi", "phi2d"), "", _path,
+         "--out-csv", {"help": "write the phi CSV here"}),
+    _Key("output", "dump", ("embed",), "", _path, "--dump", {"help": "write a structure dump"}),
+)
+
+
+def _echo(self) -> dict:
+    out = {key.name: _jsonable(getattr(self, key.field)) for key in _KEYS
+           if key.section == "scenario"}
+    out.update((name, dict(sorted(getattr(self, name).items())))
+               for name in ("metric", "family") if getattr(self, name))
+    return out
+
+
+# A field per key and per section of DSL entries; echo() is the report's copy.
+Scenario = make_dataclass("Scenario", [key.field for key in _KEYS] + [
+    (name, dict, field(default_factory=dict)) for name in ("metric", "family")],
+    namespace={"echo": _echo})
 
 
 @dataclass
@@ -182,50 +188,40 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ScenarioError(f"malformed scenario {path}: {exc}") from exc
-    if not parser.has_section("scenario"):
+    sections = {name: parser[name] for name in parser.sections()}
+    if "scenario" not in sections:
         raise ScenarioError("scenario file needs a [scenario] section")
-    sect = parser["scenario"]
-    kind = sect.get("kind", "").strip()
+    kind = sections["scenario"].get("kind", "").strip()
     if kind not in KINDS:
         raise ScenarioError(f"kind must be one of {KINDS}, got {kind!r}")
-    reads = _KIND_SECTIONS[kind]
-    for name in parser.sections():
+    entries = _ENTRIES[kind]
+    reads = {entries: None} if entries else {}  # section -> the keys it may hold (None: any)
+    for key in _KEYS:
+        if kind in key.kinds:
+            reads.setdefault(key.section, set()).add(key.name)
+    for name, sect in sections.items():
         if name not in reads:
             raise ScenarioError(f"section [{name}] is not read by {kind} scenarios")
-        unknown = sorted(set(parser[name]) - (reads[name] or set(parser[name])))
+        unknown = sorted(set(sect) - (reads[name] or set(sect)))
         if unknown:
             raise ScenarioError(f"[{name}] keys not read by {kind} scenarios: "
                                 f"{', '.join(unknown)}")
-    mode = sect.get("mode", FLOAT).strip()
-    if mode not in (EXACT, FLOAT):
-        raise ScenarioError(f"mode must be 'exact' or 'float', got {mode!r}")
-    sc = Scenario(kind=kind, mode=mode)
-    try:
-        sc.order = sect.getint("order", sc.order)
-        sc.grid = sect.getint("grid", sc.grid)
-        sc.t_samples = sect.getint("t_samples", sc.t_samples)
-    except ValueError as exc:
-        raise ScenarioError(f"bad numeric value in [scenario]: {exc}") from exc
-
-    if parser.has_section("metric"):
-        sc.metric = {k: _unquote(v) for k, v in parser["metric"].items()}
-    if parser.has_section("family"):
-        sc.family = {k: _unquote(v) for k, v in parser["family"].items()}
-    if parser.has_section("input"):
-        sc.structure_path = _unquote(parser["input"].get("structure", "")) or None
-    if parser.has_section("output"):
-        out = parser["output"]
-        sc.json_path = _unquote(out.get("json", "")) or None
-        sc.csv_path = _unquote(out.get("csv", "")) or None
-        sc.dump_path = _unquote(out.get("dump", "")) or None
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(sc, key, value)
-    if "phi_tolerance" in sect:
-        sc.phi_tolerance = _tolerance("phi_tolerance", sect["phi_tolerance"], FLOAT)
-    if sc.tolerance is None:
-        default = "0" if sc.mode == EXACT else "1e-12"
-        sc.tolerance = _tolerance("tolerance", sect.get("tolerance") or default, sc.mode)
+    values = {}
+    for key in _KEYS:  # a file's bad value is refused even where a flag overrides it
+        try:
+            value = key.read(sections.get(key.section, {}).get(key.name, key.default),
+                             values.get("mode"))
+        except ValueError as exc:
+            raise ScenarioError(f"bad numeric value in [{key.section}]: {exc}") from exc
+        choices = key.options.get("choices")
+        if choices and value not in choices:
+            raise ScenarioError(f"{key.name} must be {' or '.join(map(repr, choices))}, "
+                                f"got {value!r}")
+        override = (overrides or {}).get(key.field)
+        values[key.field] = value if override is None else override
+    if entries in sections:
+        values[entries] = {k: _unquote(v) for k, v in sections[entries].items()}
+    sc = Scenario(**values)
     _validate(sc)
     return sc
 
@@ -251,18 +247,16 @@ def _validate(sc: Scenario) -> None:
     if sc.grid < 2 or sc.t_samples < 1:
         raise ScenarioError(f"need grid >= 2 and t_samples >= 1, "
                             f"got grid = {sc.grid}, t_samples = {sc.t_samples}")
-    if sc.kind == "embed" and not sc.metric:
-        raise ScenarioError("embed scenarios need a [metric] section")
+    entries = _ENTRIES[sc.kind]
+    if entries and not getattr(sc, entries):
+        raise ScenarioError(f"{sc.kind} scenarios need a [{entries}] section")
     if sc.kind == "verify" and not sc.structure_path:
         raise ScenarioError("verify scenarios need [input] structure = <path>")
-    if sc.kind in ("family-check", "phi", "phi2d"):
-        if not sc.family:
-            raise ScenarioError(f"{sc.kind} scenarios need a [family] section")
-        if sc.mode == EXACT:
-            raise ScenarioError(f"{sc.kind} samples families in floats: mode must be float")
+    if entries == "family" and sc.mode == EXACT:
+        raise ScenarioError(f"{sc.kind} samples families in floats: mode must be float")
     if sc.kind == "family-check" and not 2 <= sc.t_samples <= 17:
         raise ScenarioError(f"family-check needs 2 <= t_samples <= 17, got {sc.t_samples}")
-    if sc.kind in ("family-check", "phi", "phi2d") and sc.grid > 256:
+    if entries == "family" and sc.grid > 256:
         raise ScenarioError(f"{sc.kind} needs grid <= 256, got {sc.grid}")
 
 
@@ -299,6 +293,18 @@ def _pop_expr(spec: dict, key: str, default: str):
     return _parse_expr(spec.pop(key, default), f"[family] {key}")
 
 
+# Each constructor but "direct": its builder, and the [family] keys passed to it, in
+# order, with the text each takes when left out (t1 is a number, the rest expressions)
+_CONSTRUCTORS = {
+    "block": (lambda u, q, q11, q12, q22, **named: fam_mod.make_block_family(
+        u, [[q11, q12], [q12, q22]], q, **named),
+        {"u": "0", "q": "1", "q11": "1", "q12": "0", "q22": "1"}),
+    "collapse22": (fam_mod.make_collapsing_22, {"w": "0", "t1": "1"}),
+    "collapse21": (fam_mod.make_collapsing_21, {"w": "0", "v": "0", "t1": "1"}),
+    "cone": (fam_mod.make_cone_family, {"f": "1"}),
+}
+
+
 def _family_from_scenario(sc: Scenario) -> MetricFamily:
     """The [family] section's family; a key that no code reads is an error."""
     spec = dict(sc.family)
@@ -314,18 +320,10 @@ def _family_from_scenario(sc: Scenario) -> MetricFamily:
             raise ScenarioError("periodic needs one flag per x-variable")
         entries = {k: _pop_expr(spec, k, "") for k in list(spec)}
         build = partial(family_from_entries, entries, dim=dim, periodic=flags or None)
-    elif constructor == "block":
-        u, q, q11, q12, q22 = (_pop_expr(spec, key, default) for key, default in
-                               (("u", "0"), ("q", "1"), ("q11", "1"), ("q12", "0"), ("q22", "1")))
-        build = partial(fam_mod.make_block_family, u, [[q11, q12], [q12, q22]], q)
-    elif constructor == "collapse22":
-        build = partial(fam_mod.make_collapsing_22, _pop_expr(spec, "w", "0"),
-                        _pop_number(spec, "t1", "1"))
-    elif constructor == "collapse21":
-        build = partial(fam_mod.make_collapsing_21, _pop_expr(spec, "w", "0"),
-                        _pop_expr(spec, "v", "0"), _pop_number(spec, "t1", "1"))
-    elif constructor == "cone":
-        build = partial(fam_mod.make_cone_family, _pop_expr(spec, "f", "1"))
+    elif constructor in _CONSTRUCTORS:
+        builder, keys = _CONSTRUCTORS[constructor]
+        build = partial(builder, *((_pop_number if key == "t1" else _pop_expr)(spec, key, text)
+                                   for key, text in keys.items()))
     else:
         raise ScenarioError(f"unknown family constructor {constructor!r}")
     if spec:
@@ -490,12 +488,12 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                                              "Lagrangian tori: solve, verify, and "
                                              "measure the semi-flat obstruction.")
     sub = ap.add_subparsers(dest="kind", required=True)
-    for kind, sections in _KIND_SECTIONS.items():
+    for kind in KINDS:
         p = sub.add_parser(kind)
         p.add_argument("--scenario", required=True, help="scenario file path")
-        for key, (flag, options) in _FLAGS.items():
-            if key in sections["scenario"] | sections["output"]:
-                p.add_argument(flag, **options)
+        for key in _KEYS:
+            if key.flag and kind in key.kinds:
+                p.add_argument(key.flag, dest=key.field, **key.options)
         p.add_argument("--deterministic", action="store_true",
                        help="omit volatile fields (timings) from the JSON report")
     return ap

@@ -93,7 +93,8 @@ def _pointwise_adjugate(metric) -> tuple:
 
     det_m = det(metric)
     if not np.all(det_m > 0):
-        raise HodgeError("singular metric sample (non-positive determinant)")
+        raise HodgeError("singular metric sample (nan determinant)" if np.any(np.isnan(det_m))
+                         else "singular metric sample (non-positive determinant)")
     return [[cofactor(c, r) for c in range(dim)] for r in range(dim)], det_m
 
 
@@ -223,7 +224,7 @@ def phi_curve(fam: MetricFamily, t_samples: Sequence, n: int = 256, *,
             k = int(np.argmax(gap))
             raise HodgeError(
                 f"quadrature Gram disagrees with the closed form at t={t[k]}: "
-                f"{phi[k]!r} vs {closed[k]!r}")
+                f"{phi[k]:.3e} vs {closed[k]:.3e}")
         return i11, i22, i33
 
     return _phi_samples(fam, t_samples, n, check,

@@ -490,6 +490,55 @@ class TestFamilyRange:
         assert _family_from_scenario(load_scenario(path)).t_range == (0.0, 0.5)
 
 
+# A valid scenario of each kind; the [input] structure of verify is never read,
+# since a refused key stops the load first.
+KIND_SCENARIOS = {
+    "embed": embed_scenario(),
+    "verify": "[scenario]\nkind = verify\nmode = exact\n\n[input]\nstructure = s.txt\n",
+    "family-check": family_scenario(),
+    "phi": family_scenario(kind="phi"),
+    "phi2d": family_scenario(kind="phi2d", dim="2", entries='g11 = "1"\ng22 = "1"\n'),
+}
+
+# Every [scenario], [input] and [output] key with each kind that does not read
+# it, and a value for it.  kind, mode, tolerance and json are read by all five.
+REFUSED_KEYS = [
+    ("scenario", "order", "4", "verify"), ("scenario", "order", "4", "family-check"),
+    ("scenario", "order", "4", "phi"), ("scenario", "order", "4", "phi2d"),
+    ("scenario", "grid", "16", "embed"), ("scenario", "grid", "16", "verify"),
+    ("scenario", "t_samples", "3", "embed"), ("scenario", "t_samples", "3", "verify"),
+    ("scenario", "phi_tolerance", "1e-8", "embed"), ("scenario", "phi_tolerance", "1e-8", "verify"),
+    ("scenario", "phi_tolerance", "1e-8", "family-check"),
+    ("scenario", "phi_tolerance", "1e-8", "phi"),
+    ("input", "structure", "s.txt", "embed"), ("input", "structure", "s.txt", "family-check"),
+    ("input", "structure", "s.txt", "phi"), ("input", "structure", "s.txt", "phi2d"),
+    ("output", "csv", "phi.csv", "embed"), ("output", "csv", "phi.csv", "verify"),
+    ("output", "csv", "phi.csv", "family-check"),
+    ("output", "dump", "s.dump", "verify"), ("output", "dump", "s.dump", "family-check"),
+    ("output", "dump", "s.dump", "phi"), ("output", "dump", "s.dump", "phi2d"),
+]
+
+
+class TestRefusedKeys:
+    @pytest.mark.parametrize("section, key, value, kind", REFUSED_KEYS,
+                             ids=[f"{key}-in-{kind}" for _, key, _, kind in REFUSED_KEYS])
+    def test_key_the_kind_does_not_read_is_refused(self, section, key, value, kind, tmp_path,
+                                                   capsys):
+        text = KIND_SCENARIOS[kind]
+        header = f"[{section}]\n"
+        text = (text.replace(header, f"{header}{key} = {value}\n", 1) if header in text
+                else f"{text}\n{header}{key} = {value}\n")
+        assert main([kind, "--scenario", write_scenario(tmp_path, text)]) == 2
+        # only verify reads [input], so there the section is what is named
+        assert capsys.readouterr().err == (
+            f"error: section [input] is not read by {kind} scenarios\n" if section == "input"
+            else f"error: [{section}] keys not read by {kind} scenarios: {key}\n")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_base_scenario_loads(self, kind, tmp_path):
+        assert load_scenario(write_scenario(tmp_path, KIND_SCENARIOS[kind])).kind == kind
+
+
 # the subcommands that take each flag besides --scenario; --mode, --out-json
 # and --deterministic are taken by all five
 FAMILY_KINDS = ("family-check", "phi", "phi2d")

@@ -203,6 +203,14 @@ class TestPointwiseInverse:
                 hodge._pointwise_adjugate(m)
 
     @pytest.mark.parametrize("dim", [2, 3])
+    def test_nan_determinant_says_nan(self, dim):
+        m = spd_stack(np.random.default_rng(3), dim, (8,))
+        m[0, 0, 5] = np.nan  # one sample with a nan determinant, next to a det -1 one
+        m[:, :, 6] = np.diag([-1.0] + [1.0] * (dim - 1))
+        with pytest.raises(HodgeError, match=r"^singular metric sample \(nan determinant\)$"):
+            hodge._pointwise_adjugate(m)
+
+    @pytest.mark.parametrize("dim", [2, 3])
     def test_gram_det_matches_linalg(self, dim):
         rng = np.random.default_rng(11)
         for _ in range(10):
