@@ -37,13 +37,9 @@ from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
 
-import numpy as np
-
 from . import families as fam_mod
-from . import hodge as hodge_mod
 from .dsl import EvalDomainError, ParseError, parse
 from .families import FamilyError, MetricFamily, check_slag_family, family_from_entries
-from .hodge import HodgeError, phi_csv
 from .jets import EXACT, FLOAT, JetError, within
 from .solver import (
     SolverError,
@@ -87,7 +83,8 @@ class _Key(namedtuple("_Key", "section name kinds default read flag options",
 
 # Every scenario key, in the order the file is read: each key's file text is
 # read, then its flag applies, so the tolerance (unset or empty: the default of
-# the final mode) comes last.  A key with choices takes only those words.
+# the final mode) comes last; an unset or empty phi_tolerance is 1e-8.  A key
+# with choices takes only those words.
 _KEYS = (
     _Key("scenario", "kind", KINDS, "", lambda text, mode: text.strip()),  # checked first
     _Key("scenario", "order", ("embed",), "6", _integer,
@@ -97,8 +94,8 @@ _KEYS = (
     _Key("scenario", "mode", KINDS, FLOAT, lambda text, mode: text.strip(),
          "--mode", {"choices": (EXACT, FLOAT), "help": "override scalar mode"}),
     _Key("scenario", "t_samples", _FAMILY_KINDS, "21", _integer, "--t-samples", {"type": int}),
-    _Key("scenario", "phi_tolerance", ("phi2d",), "1e-8",
-         lambda text, mode: _tolerance("phi_tolerance", text, FLOAT)),
+    _Key("scenario", "phi_tolerance", ("phi2d",), "",
+         lambda text, mode: _tolerance("phi_tolerance", text or "1e-8", FLOAT)),
     _Key("scenario", "tolerance", KINDS, "", lambda text, mode: _tolerance(
         "tolerance", text or ("0" if mode == EXACT else "1e-12"), mode)),
     _Key("input", "structure", ("verify",), "", _path),
@@ -154,10 +151,8 @@ class RunReport:
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+    if hasattr(value, "tolist"):  # a numpy scalar or array: Python numbers and lists
+        value = value.tolist()
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -177,8 +172,9 @@ def _unquote(value: str) -> str:
 
 def load_scenario(path, overrides: dict | None = None) -> Scenario:
     """Parse a scenario file, then apply ``overrides`` (field -> value, None
-    keeps the file's value).  The tolerance is read in the final mode; one the
-    file leaves unset takes that mode's default."""
+    keeps the file's value; a field the kind does not read is refused).  The
+    tolerance is read in the final mode; one the file leaves unset takes that
+    mode's default."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=(";", "#"))
     try:
@@ -194,6 +190,10 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
     kind = sections["scenario"].get("kind", "").strip()
     if kind not in KINDS:
         raise ScenarioError(f"kind must be one of {KINDS}, got {kind!r}")
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    refused = sorted(overrides.keys() - {key.field for key in _KEYS if kind in key.kinds})
+    if refused:
+        raise ScenarioError(f"overrides not read by {kind} scenarios: {', '.join(refused)}")
     entries = _ENTRIES[kind]
     reads = {entries: None} if entries else {}  # section -> the keys it may hold (None: any)
     for key in _KEYS:
@@ -217,8 +217,7 @@ def load_scenario(path, overrides: dict | None = None) -> Scenario:
         if choices and value not in choices:
             raise ScenarioError(f"{key.name} must be {' or '.join(map(repr, choices))}, "
                                 f"got {value!r}")
-        override = (overrides or {}).get(key.field)
-        values[key.field] = value if override is None else override
+        values[key.field] = overrides.get(key.field, value)
     if entries in sections:
         values[entries] = {k: _unquote(v) for k, v in sections[entries].items()}
     sc = Scenario(**values)
@@ -396,26 +395,28 @@ def _run_family_check(sc: Scenario) -> RunReport:
 
 def _run_phi(sc: Scenario) -> RunReport:
     """Both phi kinds: the admissibility verdict, then the curve; phi2d also
-    judges Phi == 1."""
+    judges Phi == 1.  The grid kinds alone load hodge, and with it numpy."""
+    from numpy import linspace
+    from . import hodge
     fam = _family_from_scenario(sc)
     two_d = sc.kind == "phi2d"
     if two_d and fam.dim != 2:
         raise ScenarioError("phi2d needs a 2-dimensional family")
     tol = float(sc.tolerance)
-    ts = np.linspace(fam.t_range[0], fam.t_range[1], sc.t_samples)
-    check = hodge_mod.phi_admissibility(fam, sc.grid, sc.t_samples, tol)
-    report = RunReport(scenario=sc.echo(),
-                       verdicts=[_verdict("family_admissible", check.worst, tol)],
-                       family_check=_jsonable(check.as_dict()))
-    if not check.passed():
-        return report
+    ts = linspace(fam.t_range[0], fam.t_range[1], sc.t_samples)
+    try:
+        check = hodge.phi_admissibility(fam, sc.grid, sc.t_samples, tol)
+        report = RunReport(scenario=sc.echo(),
+                           verdicts=[_verdict("family_admissible", check.worst, tol)],
+                           family_check=_jsonable(check.as_dict()))
+        if not check.passed():
+            return report
+        curve = (hodge.phi_2d if two_d else hodge.phi_curve)(fam, ts, n=sc.grid, check=False)
+    except hodge.HodgeError as exc:
+        raise ScenarioError(str(exc)) from exc
     if two_d:
-        curve = hodge_mod.phi_2d(fam, ts, n=sc.grid, check=False)
         report.verdicts.append(_verdict("phi_constant_equal_1",
-                                        float(np.max(np.abs(curve.phi - 1.0))),
-                                        sc.phi_tolerance))
-    else:
-        curve = hodge_mod.phi_curve(fam, ts, n=sc.grid, check=False)
+                                        float(abs(curve.phi - 1.0).max()), sc.phi_tolerance))
     report.phi = {"t": _jsonable(curve.t), "phi": _jsonable(curve.phi),
                   "spread": curve.spread(), "classification": curve.classification(tol),
                   "integrals": _jsonable(curve.integrals)}
@@ -435,7 +436,7 @@ def _execute(sc: Scenario) -> RunReport:
     t0 = time.perf_counter()
     try:
         report = _RUNNERS[sc.kind](sc)
-    except (FamilyError, SolverError, JetError, HodgeError, EvalDomainError) as exc:
+    except (FamilyError, SolverError, JetError, EvalDomainError) as exc:
         raise ScenarioError(str(exc)) from exc
     report.timings["total_s"] = time.perf_counter() - t0
     return report
@@ -473,6 +474,7 @@ def emit_report(report: RunReport, json_path=None, csv_path=None,
     if json_path:
         _atomic_write(json_path, report_json(report, deterministic))
     if csv_path is not None:
+        from .hodge import phi_csv
         phi = report.phi or {}
         _atomic_write(csv_path, phi_csv(phi.get("t") or [], phi.get("phi") or [],
                                         phi.get("integrals")))

@@ -22,12 +22,10 @@ from fractions import Fraction
 from functools import partial
 from typing import Union
 
-import numpy as np
-
 from .jets import EXACT, Jet, JetDomainError, jet_call, jet_pow
 
 VARIABLES = ("t", "x1", "x2", "x3")
-FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")  # samples: _SAMPLES; jets: jets.jet_call
+FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")  # samples: gridops._SAMPLES; jets: jets.jet_call
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
@@ -299,50 +297,11 @@ def free_variables(e: Expr) -> set:
 _RING = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _in_domain(samples, bad, what: str):
-    """``samples``, unless ``bad`` holds at a grid index: EvalDomainError names it."""
-    if bad.any():
-        index = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
-        raise EvalDomainError(f"{what} at grid index {tuple(int(i) for i in index)}")
-    return samples
-
-
-def _sample_pow(base, r: Fraction):
-    if r.denominator != 1:
-        return _in_domain(base, base <= 0, "fractional power of a non-positive sample") ** float(r)
-    base = _in_domain(base, base == 0, "negative power of a zero sample") if r < 0 else base
-    return base ** int(r)
-
-
-# The one domain table: "/" and a negative integer "^" need non-zero samples;
-# a fractional "^", log and sqrt need positive ones.
-_SAMPLES = {**_RING, "var": partial(np.asarray, dtype=np.float64), "num": np.float64,
-            "const": lambda name: np.float64(CONSTANTS[name]), "^": _sample_pow,
-            "/": lambda a, b: a / _in_domain(b, b == 0, "division by a zero sample"),
-            "log": lambda a: np.log(_in_domain(a, a <= 0, "log of a non-positive sample")),
-            "sqrt": lambda a: np.sqrt(_in_domain(a, a <= 0, "sqrt of a non-positive sample")),
-            "exp": np.exp, "sin": np.sin, "cos": np.cos, "overflow": EvalDomainError}
-
-
-@np.errstate(all="raise", under="ignore")
-def eval_grid(e: Expr, env: dict) -> np.ndarray:
-    """Pointwise double-precision evaluation; ``env`` binds variable names to floats
-    or broadcastable arrays.  A sample outside the domain table, or a value on
-    finite samples that is not finite, raises EvalDomainError with its grid index."""
-    try:
-        return _walk(e, env, _SAMPLES)
-    except FloatingPointError:  # an overflow or a nan: find where the value is not finite
-        with np.errstate(all="ignore"):
-            value = _walk(e, env, _SAMPLES)
-        _in_domain(value, ~np.isfinite(value), "non-finite value")
-        return value  # only an intermediate value overflowed
-
-
 def eval_jet(e: Expr, env: dict) -> Jet:
     """Compositional evaluation into jet arithmetic; ``env`` binds variable names
     to generator jets (all compatible), expanded at the origin: bind ``x1`` to
     ``Jet.variable(X1, n) + a`` to expand around x1 = a.  Constant terms agree with
-    eval_grid there; jet_pow and jet_call hold the domain rules, and float
+    gridops.eval_grid there; jet_pow and jet_call hold the domain rules, and float
     coefficients must be finite."""
     ref = next(iter(env.values()))
 
@@ -358,3 +317,10 @@ def eval_jet(e: Expr, env: dict) -> Jet:
     if ref.mode != EXACT and not math.isfinite(value.max_abs_coeff()):
         raise JetDomainError("non-finite float coefficient")
     return value
+
+
+def __getattr__(name: str):  # PEP 562: eval_grid, from gridops (and numpy) on first read
+    if name != "eval_grid":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .gridops import eval_grid
+    return eval_grid

@@ -13,6 +13,7 @@ degenerations of it obtained by normalizing integral constraints
 numerically, and the cone-asymptotic cylinder family built from a curve
 (x1 + i t)^(1/3).  Entries are DSL expressions (jet-expandable), except in
 the collapsing pair, whose numeric normalizers make them grid evaluators.
+Only the functions that sample import numpy and gridops; jet expansion loads neither.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-import numpy as np
-
 from . import dsl
-from .dsl import EvalDomainError, Expr, eval_grid, eval_jet, free_variables, parse
-from .gridops import curl_residual, grid_diff, periodic_axis, periodic_quad
+from .dsl import EvalDomainError, Expr, eval_jet, free_variables, parse
 from .jets import FLOAT, X1, X2, X3, Y1, Jet, JetError, det, leading_minors, within, worst
 
 # the guard tolerance of the admissibility checks (the block law, family_to_policy,
@@ -56,10 +54,10 @@ class ExprEntry:
 
     expr: Expr
 
-    def sample(self, t: float, axes: dict) -> np.ndarray:
-        env = dict(axes)
-        env["t"] = t
-        return np.asarray(eval_grid(self.expr, env), dtype=np.float64)
+    def sample(self, t: float, axes: dict):
+        import numpy as np
+        from .gridops import eval_grid
+        return np.asarray(eval_grid(self.expr, {**axes, "t": t}), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,8 @@ class GridEntry:
 
     fn: Callable
 
-    def sample(self, t, axes: dict) -> np.ndarray:
+    def sample(self, t, axes: dict):
+        import numpy as np
         try:  # the normalizers overflow here; as Python floats, their ** raises
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 return np.asarray(self.fn(t, axes), dtype=np.float64)
@@ -144,6 +143,7 @@ def family_from_entries(entries, *, dim: int = 3, t_range=(0.0, 1.0),
 
 def family_axes(fam: MetricFamily, n: int) -> dict:
     """Sparse broadcastable sample axes {"x1": ..., ...} for the family's grid."""
+    from .gridops import periodic_axis
     axes = {}
     for k in range(fam.dim):
         x = periodic_axis(n, fam.periodic[k])
@@ -195,12 +195,13 @@ class FamilyCheckReport:
         }
 
 
-def t_batches(ts: np.ndarray, n: int, dim: int, run, samples):
+def t_batches(ts, n: int, dim: int, run, samples):
     """Yield (k, run(t)) for the t values ts[k] in order: the first t alone, as a
     float, then chunks of the rest as a batch axis t of shape (T,) + (1,) * dim
     within max(n^2, P) points per sample, P the broadcast size of the first t's
     ``samples(run(t))`` (a chunk of one t goes as a float).  The Phi loop of hodge
     runs in it too."""
+    import numpy as np
     lo, step = 0, 1
     while lo < len(ts):
         k = slice(lo, lo + step)
@@ -220,11 +221,11 @@ def t_batches(ts: np.ndarray, n: int, dim: int, run, samples):
 def _positive_samples(fam: MetricFamily, t, axes: dict) -> tuple:
     """(m, leading minors of m) for the samples m of ``fam`` at ``t``, all positive."""
     m = fam.sample_matrix(t, axes)
-    minors = leading_minors(m)  # positive definiteness, and det(m) last
+    minors = leading_minors(m)  # positive definiteness, and det(m) last; numpy values
     for k, minor in enumerate(minors, start=1):
-        if not np.all(minor > 0):
+        if not (minor > 0).all():
             raise FamilyError(f"non-positive-definite sample at t={t}: leading minor {k} "
-                              f"reaches {float(np.min(minor))}")
+                              f"reaches {float(minor.min())}")
     return m, minors
 
 
@@ -237,6 +238,8 @@ def check_slag_family(fam: MetricFamily, n: int = 64, nt: int = 9,
     A passing family feeds :func:`family_to_policy` with every horizontal
     slice special Lagrangian.
     """
+    import numpy as np
+    from .gridops import curl_residual, grid_diff
     if nt < 2:
         raise FamilyError("need at least 2 t-samples for the t-derivative")
     lo, hi = fam.t_range
@@ -273,6 +276,8 @@ def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), name: str = "block") -> Me
     ``u`` depends on (t, x1), ``q`` on (x2, x3); the law is validated on a
     sample grid and violations are rejected.
     """
+    import numpy as np
+    from .gridops import eval_grid
     u = _as_expr(u)
     q = _as_expr(q)
     qm = [[_as_expr(Q[i][j]) for j in range(2)] for i in range(2)]
@@ -302,6 +307,8 @@ _NORM_GRID = 256
 def _normalizer(f: Expr, t, env: dict, over: str):
     """int_0^1 e^{f/2} d(over) on a _NORM_GRID-point periodic axis, shaped like
     the broadcast of f's other variables as ``env`` and ``t`` bind them."""
+    import numpy as np
+    from .gridops import eval_grid, periodic_axis, periodic_quad
     env = {name: np.asarray(x)[..., None] for name, x in {**env, "t": t}.items()}
     env[over] = periodic_axis(_NORM_GRID)
     return periodic_quad(np.exp(0.5 * eval_grid(f, env)), axis=-1)
@@ -309,6 +316,7 @@ def _normalizer(f: Expr, t, env: dict, over: str):
 
 def _last_call(norm):
     """``norm(t, axes)`` kept for its last t values and axes object (the memo holds both)."""
+    import numpy as np
     last = [None, None, None]
 
     def memo(t, axes):
@@ -333,6 +341,8 @@ def make_collapsing_21(w_raw, v_raw, t1: float, *, t_range=None,
                        name: str = "collapse21") -> MetricFamily:
     """Family also collapsing the 2-cycle {x2 = 1/2}: diag(e^u, e^v, e^{-(u+v)})
     with int_0^1 e^{v_t(x1,s)/2} ds = 1 enforced by a per-x1 shift of v."""
+    import numpy as np
+    from .gridops import eval_grid
     w = _as_expr(w_raw)
     v = _as_expr(v_raw)
     if free_variables(w) - {"t", "x1"}:

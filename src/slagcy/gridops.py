@@ -1,10 +1,14 @@
-"""Uniform-grid sampling, periodic quadrature and differentiation helpers."""
+"""Uniform-grid sampling, periodic quadrature and differentiation helpers, and
+``eval_grid``, the DSL's one walk bound to numpy samples."""
 
 from __future__ import annotations
 
-from functools import reduce
+from fractions import Fraction
+from functools import partial, reduce
 
 import numpy as np
+
+from .dsl import _RING, CONSTANTS, EvalDomainError, Expr, _walk
 
 
 def periodic_axis(n: int, periodic: bool = True) -> np.ndarray:
@@ -65,3 +69,42 @@ def curl_residual(row, periodic) -> float:
     return float(reduce(np.maximum, (np.max(np.abs(grid_diff(row[b], a - dim, periodic[a])
                                                    - grid_diff(row[a], b - dim, periodic[b])))
                                      for a in range(dim) for b in range(a + 1, dim))))
+
+
+def _in_domain(samples, bad, what: str):
+    """``samples``, unless ``bad`` holds at a grid index: EvalDomainError names it."""
+    if bad.any():
+        index = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
+        raise EvalDomainError(f"{what} at grid index {tuple(int(i) for i in index)}")
+    return samples
+
+
+def _sample_pow(base, r: Fraction):
+    if r.denominator != 1:
+        return _in_domain(base, base <= 0, "fractional power of a non-positive sample") ** float(r)
+    base = _in_domain(base, base == 0, "negative power of a zero sample") if r < 0 else base
+    return base ** int(r)
+
+
+# The one domain table: "/" and a negative integer "^" need non-zero samples;
+# a fractional "^", log and sqrt need positive ones.
+_SAMPLES = {**_RING, "var": partial(np.asarray, dtype=np.float64), "num": np.float64,
+            "const": lambda name: np.float64(CONSTANTS[name]), "^": _sample_pow,
+            "/": lambda a, b: a / _in_domain(b, b == 0, "division by a zero sample"),
+            "log": lambda a: np.log(_in_domain(a, a <= 0, "log of a non-positive sample")),
+            "sqrt": lambda a: np.sqrt(_in_domain(a, a <= 0, "sqrt of a non-positive sample")),
+            "exp": np.exp, "sin": np.sin, "cos": np.cos, "overflow": EvalDomainError}
+
+
+@np.errstate(all="raise", under="ignore")
+def eval_grid(e: Expr, env: dict) -> np.ndarray:
+    """Pointwise double-precision evaluation; ``env`` binds variable names to floats
+    or broadcastable arrays.  A sample outside the domain table, or a value on
+    finite samples that is not finite, raises EvalDomainError with its grid index."""
+    try:
+        return _walk(e, env, _SAMPLES)
+    except FloatingPointError:  # an overflow or a nan: find where the value is not finite
+        with np.errstate(all="ignore"):
+            value = _walk(e, env, _SAMPLES)
+        _in_domain(value, ~np.isfinite(value), "non-finite value")
+        return value  # only an intermediate value overflowed

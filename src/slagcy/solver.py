@@ -465,7 +465,7 @@ def _parse_scalar(text: str, mode: str) -> tuple:
         raise ValueError(f"exact scalar {text!r} is not of the form p or p/q")
     p, q = int(match[1]), int(match[2] or 1)
     if q == 0:
-        raise ZeroDivisionError(f"Fraction({p}, 0)")
+        raise ZeroDivisionError(f"exact scalar {text!r} has a zero denominator")
     return p, q
 
 

@@ -268,6 +268,12 @@ class TestScenarioLoading:
         sc = load_scenario(SCENARIOS / "trig_embed.ini", {"mode": "exact"})
         assert sc.tolerance == Fraction(1, 10 ** 12)
 
+    @pytest.mark.parametrize("key, default", [("tolerance", 1e-12), ("phi_tolerance", 1e-8)])
+    def test_empty_tolerance_takes_its_default(self, key, default, tmp_path):
+        text = family_scenario(kind="phi2d", dim="2", entries='g11 = "1"\ng22 = "1"\n')
+        text = text.replace("grid = 16\n", f"grid = 16\n{key} =\n")
+        assert getattr(load_scenario(write_scenario(tmp_path, text)), key) == default
+
 
 def perfbench_workloads(monkeypatch):
     """The benchmark's `perfbench/workloads.py`, imported by path."""
@@ -533,6 +539,17 @@ class TestRefusedKeys:
         assert capsys.readouterr().err == (
             f"error: section [input] is not read by {kind} scenarios\n" if section == "input"
             else f"error: [{section}] keys not read by {kind} scenarios: {key}\n")
+
+    @pytest.mark.parametrize("section, key, value, kind", REFUSED_KEYS,
+                             ids=[f"{key}-in-{kind}" for _, key, _, kind in REFUSED_KEYS])
+    def test_override_the_kind_does_not_read_is_refused(self, section, key, value, kind,
+                                                        tmp_path):
+        field = key if section == "scenario" else f"{key}_path"
+        path = write_scenario(tmp_path, KIND_SCENARIOS[kind])
+        with pytest.raises(ScenarioError, match=f"^overrides not read by {kind} scenarios: "
+                                                f"{field}$"):
+            load_scenario(path, {field: value})
+        assert load_scenario(path, {field: None}).kind == kind  # None keeps the file's value
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_base_scenario_loads(self, kind, tmp_path):
@@ -822,3 +839,41 @@ class TestEmitReport:
         nested = tmp_path / "a" / "b" / "r.json"
         emit_report(report, json_path=str(nested))
         assert nested.exists()
+
+
+def fresh_python(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports the package from src/."""
+    done = subprocess.run([sys.executable, "-c", f"import sys\n"
+                           f"sys.path.insert(0, {str(REPO / 'src')!r})\n{code}"],
+                          cwd=REPO, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestNumpyLoading:
+    """embed and verify are jet arithmetic: only the grid kinds load numpy."""
+
+    def test_embed_and_verify_load_no_numpy(self, tmp_path):
+        dump, report = tmp_path / "poly.dump", str(tmp_path / "r.json")
+        verify = write_scenario(tmp_path, "[scenario]\nkind = verify\nmode = exact\n"
+                                          f"tolerance = 0\n\n[input]\nstructure = {dump}\n")
+        runs = [["embed", "--scenario", "scenarios/poly_embed.ini", "--dump", str(dump)],
+                ["embed", "--scenario", "scenarios/trig_embed.ini"],
+                ["verify", "--scenario", verify]]
+        out = fresh_python(f"from slagcy.cli import main\nfor argv in {runs!r}:\n"
+                           f"    print(main(argv + ['--out-json', {report!r}]))\n"
+                           "print('numpy' in sys.modules)")
+        assert out.split() == ["0", "0", "0", "False"]
+
+    def test_the_package_imports_without_numpy_and_resolves_phi_curve(self):
+        out = fresh_python("import slagcy, slagcy.cli\nbare = 'numpy' in sys.modules\n"
+                           "from slagcy import phi_curve\n"
+                           "print(bare, phi_curve.__module__, 'numpy' in sys.modules)")
+        assert out.split() == ["False", "slagcy.hodge", "True"]
+
+    def test_a_phi2d_run_loads_numpy(self, tmp_path):
+        argv = ["phi2d", "--scenario", "scenarios/twod_offdiag_phi.ini", "--grid", "16",
+                "--t-samples", "3", "--out-json", str(tmp_path / "r.json")]
+        out = fresh_python(f"from slagcy.cli import main\n"
+                           f"print(main({argv!r}), 'numpy' in sys.modules)")
+        assert out.split() == ["0", "True"]

@@ -18,12 +18,11 @@ from slagcy.dsl import (
     ParseError,
     Pow,
     Var,
-    eval_grid,
     eval_jet,
     free_variables,
     parse,
 )
-from slagcy.gridops import periodic_axis, periodic_quad
+from slagcy.gridops import eval_grid, periodic_axis, periodic_quad
 from slagcy.jets import EXACT, FLOAT, X1, X2, X3, Jet, JetDomainError
 
 from oracles import partial_of

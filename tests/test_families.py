@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slagcy import families
-from slagcy.dsl import EvalDomainError, eval_grid, parse
+from slagcy import families, gridops
+from slagcy.dsl import EvalDomainError, parse
 from slagcy.families import (
     ExprEntry,
     FamilyCheckReport,
@@ -22,7 +22,7 @@ from slagcy.families import (
     make_cone_family,
     metric_jets,
 )
-from slagcy.gridops import grid_diff, periodic_axis, periodic_quad
+from slagcy.gridops import eval_grid, grid_diff, periodic_axis, periodic_quad
 from slagcy.jets import EXACT, X1, Y1, Y2, Y3, Jet, det, leading_minors
 from slagcy.solver import (
     PolicyError,
@@ -267,7 +267,7 @@ class TestSampling:
 
     def test_collapse_normalizer_once_per_t(self, monkeypatch):
         quads = []
-        quad = families.periodic_quad
+        quad = gridops.periodic_quad
 
         def counted(samples, **kwargs):
             if np.ndim(samples):  # a v-profile free of x2 integrates as a constant
@@ -279,7 +279,7 @@ class TestSampling:
         fam21 = make_collapsing_21(w, "(t/(1-t))*cos(pi*x2)^2*(1+sin(2*pi*x1)/4)",
                                    t1=1.0, t_range=(0.0, 0.7))
         axes = family_axes(fam22, 16)
-        monkeypatch.setattr(families, "periodic_quad", counted)
+        monkeypatch.setattr(gridops, "periodic_quad", counted)
         m22 = fam22.sample_matrix(0.3, axes)
         assert len(quads) == 1
         m21 = fam21.sample_matrix(0.3, axes)
@@ -288,7 +288,7 @@ class TestSampling:
         assert len(quads) == 3  # both are kept for the same t and axes
         fam21.sample_matrix(0.4, axes)
         assert len(quads) == 5
-        monkeypatch.setattr(families, "periodic_quad", quad)
+        monkeypatch.setattr(gridops, "periodic_quad", quad)
         v = parse("(t/(1-t))*cos(pi*x2)^2*(1+sin(2*pi*x1)/4)")
         vv = eval_grid(v, {**axes, "t": 0.3})
         assert np.array_equal(m21[1][1], np.exp(vv) / families._normalizer(v, 0.3, axes, "x2") ** 2)

@@ -12,20 +12,30 @@ SRC = REPO / "src" / "slagcy"
 # module -> the package modules it may import from (None: any)
 ALLOWED = {
     "jets": set(),
-    "gridops": set(),
     "dsl": {"jets"},
+    "gridops": {"dsl"},
     "solver": {"jets"},
     "families": {"dsl", "gridops", "jets"},
     "hodge": {"families", "gridops", "jets"},
     "cli": None,
     "__init__": None,
 }
+# module -> the modules its PEP 562 ``__getattr__`` may import from: a name that moved
+# up a layer stays readable where callers outside the package import it (the
+# benchmark's self-test reads dsl.eval_grid)
+FORWARDS = {"dsl": {"gridops"}}
 
 
-def package_imports(path: Path) -> set:
-    """The package modules that ``path`` imports from, relatively or by name."""
+def package_imports(path: Path, forwards: bool = False) -> set:
+    """The package modules that ``path`` imports from, relatively or by name: outside
+    its module-level ``__getattr__``, or with ``forwards`` inside it only."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = {id(node) for top in tree.body if isinstance(top, ast.FunctionDef)
+              and top.name == "__getattr__" for node in ast.walk(top)}
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
+        if (id(node) in inside) != forwards:
+            continue
         if isinstance(node, ast.ImportFrom):
             parts = node.module.split(".") if node.module else []
             if node.level == 0:
@@ -48,11 +58,53 @@ def test_imports_stay_within_the_layer(module):
     allowed = ALLOWED[module]
     if allowed is not None:
         assert package_imports(SRC / f"{module}.py") <= allowed
+        assert package_imports(SRC / f"{module}.py", forwards=True) <= FORWARDS.get(module, set())
 
 
 def test_the_check_sees_relative_imports():
     assert package_imports(SRC / "families.py") == {"dsl", "gridops", "jets"}
     assert package_imports(SRC / "hodge.py") == {"families", "gridops", "jets"}
+    assert package_imports(SRC / "dsl.py") == {"jets"}
+    assert package_imports(SRC / "dsl.py", forwards=True) == {"gridops"}
+
+
+def imported_on_import(source: str) -> set:
+    """The top-level modules that ``source`` imports when it is itself imported:
+    each import statement outside a function body, a class body's included."""
+    found = set()
+
+    def visit(node):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for child in ast.iter_child_nodes(node):
+                visit(child)
+
+    for node in ast.parse(source).body:
+        visit(node)
+    return found
+
+
+# numpy is a dependency of the grid kinds only: embed and verify run on jets and load
+# the other modules alone, which import numpy inside the functions that sample
+NUMPY_ON_IMPORT = {"gridops", "hodge"}
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_numpy_is_imported_on_import_only_by_the_grid_modules(module):
+    found = imported_on_import((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert ("numpy" in found) == (module in NUMPY_ON_IMPORT)
+
+
+def test_the_numpy_check_sees_module_level_imports():
+    for source in ("import numpy as np", "from numpy import linspace", "import numpy.fft",
+                   "if True:\n    import numpy", "class A:\n    import numpy as np"):
+        assert imported_on_import(source) == {"numpy"}, source
+    for source in ("def f():\n    import numpy as np", "from . import gridops",
+                   "class A:\n    def f(self):\n        from numpy import exp"):
+        assert imported_on_import(source) == set(), source
 
 
 def attribute_reads(path: Path, name: str) -> list:
