@@ -253,8 +253,9 @@ def _validate(sc: Scenario) -> None:
         raise ScenarioError("verify scenarios need [input] structure = <path>")
     if entries == "family" and sc.mode == EXACT:
         raise ScenarioError(f"{sc.kind} samples families in floats: mode must be float")
-    if sc.kind == "family-check" and not 2 <= sc.t_samples <= 17:
-        raise ScenarioError(f"family-check needs 2 <= t_samples <= 17, got {sc.t_samples}")
+    lo, hi = (2, 17) if sc.kind == "family-check" else (1, 4096)  # 4096: one linspace of t
+    if entries == "family" and not lo <= sc.t_samples <= hi:
+        raise ScenarioError(f"{sc.kind} needs {lo} <= t_samples <= {hi}, got {sc.t_samples}")
     if entries == "family" and sc.grid > 256:
         raise ScenarioError(f"{sc.kind} needs grid <= 256, got {sc.grid}")
 
@@ -447,18 +448,21 @@ def _execute(sc: Scenario) -> RunReport:
 
 def _atomic_write(path, text: str) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:  # an output path is part of the scenario; name it, not its parent
+        raise ScenarioError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def report_json(report: RunReport, deterministic: bool = False) -> str:
@@ -510,11 +514,11 @@ def main(argv=None) -> int:
         if sc.kind != kind:
             raise ScenarioError(f"scenario kind {sc.kind!r} does not match subcommand {kind!r}")
         report = _execute(sc)
+        emit_report(report, json_path=sc.json_path, csv_path=sc.csv_path,
+                    deterministic=deterministic, dump_path=sc.dump_path)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit_report(report, json_path=sc.json_path, csv_path=sc.csv_path,
-                deterministic=deterministic, dump_path=sc.dump_path)
     if not sc.json_path:
         sys.stdout.write(report_json(report, deterministic))
     for v in report.verdicts:

@@ -19,7 +19,7 @@ Only the functions that sample import numpy and gridops; jet expansion loads nei
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 from . import dsl
@@ -115,6 +115,16 @@ class MetricFamily:
                  for i in range(self.dim) for j in range(i, self.dim)}
         return [[upper[min(i, j), max(i, j)] for j in range(self.dim)] for i in range(self.dim)]
 
+    @cached_property
+    def varying_axes(self) -> int:
+        """How many x-axes the samples vary along: one sampling on a 2-point grid at t_min."""
+        import numpy as np
+        try:
+            m = self.sample_matrix(float(self.t_range[0]), family_axes(self, 2))
+        except (FamilyError, EvalDomainError):  # a point the run's grid may lack: count all
+            return self.dim
+        return sum(size > 1 for size in np.broadcast(*(g for row in m for g in row)).shape)
+
 
 def family_from_entries(entries, *, dim: int = 3, t_range=(0.0, 1.0),
                         periodic=None, name: str = "") -> MetricFamily:
@@ -195,26 +205,19 @@ class FamilyCheckReport:
         }
 
 
-def t_batches(ts, n: int, dim: int, run, samples):
-    """Yield (k, run(t)) for the t values ts[k] in order: the first t alone, as a
-    float, then chunks of the rest as a batch axis t of shape (T,) + (1,) * dim
-    within max(n^2, P) points per sample, P the broadcast size of the first t's
-    ``samples(run(t))`` (a chunk of one t goes as a float).  The Phi loop of hodge
-    runs in it too."""
-    import numpy as np
-    lo, step = 0, 1
-    while lo < len(ts):
+def t_batches(fam: MetricFamily, ts, n: int, run):
+    """Yield (k, run(t)) for chunks k of ts in order, a batch axis t of shape (T,) + (1,) * dim
+    within max(n^2, n^a) points per sample, a = fam.varying_axes; a chunk of one t goes as a
+    float, a failing batch re-runs t by t (the first t to fail raises its own error)."""
+    step = n ** max(0, 2 - fam.varying_axes)
+    for lo in range(0, len(ts), step):
         k = slice(lo, lo + step)
         try:
-            out = run(ts[k].reshape((-1,) + (1,) * dim) if step > 1 else float(ts[lo]))
-        except (FamilyError, EvalDomainError):  # the first t to fail alone raises its own error
-            for one in ts[k] if step > 1 else ():
+            out = run(ts[k].reshape((-1,) + (1,) * fam.dim) if len(ts[k]) > 1 else float(ts[lo]))
+        except (FamilyError, EvalDomainError):
+            for one in ts[k] if len(ts[k]) > 1 else ():
                 run(float(one))
             raise
-        if lo == 0:
-            points = np.broadcast(*(g for row in samples(out) for g in row)).size
-            step = max(n * n, points) // points
-        lo = k.stop
         yield k, out
 
 
@@ -250,8 +253,7 @@ def check_slag_family(fam: MetricFamily, n: int = 64, nt: int = 9,
     ts = np.linspace(lo, hi, nt)
 
     dets, sqrt_det_x1, closure = [], [], []  # one det(m) per t, a t-free one repeated
-    for k, (m, minors) in t_batches(ts, n, fam.dim, lambda t: _positive_samples(fam, t, axes),
-                                    lambda out: out[0]):
+    for k, (m, minors) in t_batches(fam, ts, n, lambda t: _positive_samples(fam, t, axes)):
         dets.extend(minors[-1] if np.ndim(minors[-1]) > fam.dim else [minors[-1]] * len(ts[k]))
         d_sqrt = grid_diff(np.sqrt(minors[-1]), -fam.dim, fam.periodic[0])
         sqrt_det_x1.append(float(np.max(np.abs(d_sqrt))))
@@ -293,8 +295,7 @@ def make_block_family(u, Q, q, *, t_range=(0.0, 1.0), name: str = "block") -> Me
     q_samples = eval_grid(q, axes)
     ts = np.linspace(t_range[0], t_range[1], _BLOCK_CHECK_NT)
     law = worst(float(np.max(np.abs(det([row[1:] for row in m[1:]]) - q_samples / m[0][0])))
-                for _, m in t_batches(ts, _CHECK_N, 3, lambda t: fam.sample_matrix(t, axes),
-                                      lambda m: m))
+                for _, m in t_batches(fam, ts, _CHECK_N, lambda t: fam.sample_matrix(t, axes)))
     if not within(law, CHECK_TOL):
         raise FamilyError(
             f"block-determinant law violated: max |det(Q) - e^(-u) q| = {law:.3e}")

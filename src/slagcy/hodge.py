@@ -10,12 +10,12 @@ it is identically 1 for the 2D class and genuinely t-dependent in 3D.
 Each form theta_i carries its flux J_i = sqrt(det g) g^{-1} theta_i, formed once:
 co-closure is div J_i = 0 and <theta_i, theta_j> is the torus mean of theta_i . J_j.
 Every sample keeps the broadcast shape `MetricFamily.sample_matrix` gives it (an
-x1-only entry is (n, 1, 1) in 3D and (n, 1) in 2D, a constant is 0-d) and products
-skip the scalar 0.0 of a vanishing basis component, so work follows the variables
-a family depends on, not n^dim.  A builder takes t as a float or as a batch of
-shape (T,) + (1,) * dim, so spatial axes count from the end (-dim..-1).  The Phi
-loop builds its bases in the chunks of `families.t_batches`, the schedule the
-admissibility check runs in too.
+x1-only entry is (n, 1, 1) in 3D and (n, 1) in 2D, a constant is 0-d), structural
+zeros (basis, metric, cofactor or flux) stay the scalar 0.0 that products skip, so
+work follows the variables a family depends on, not n^dim.  A builder takes t as a
+float or as a batch of shape (T,) + (1,) * dim, so spatial axes count from the end
+(-dim..-1).  The Phi loop builds its bases in the chunks of `families.t_batches`,
+the schedule the admissibility check runs in too.
 """
 
 from __future__ import annotations
@@ -80,14 +80,21 @@ def phi_csv(t, phi, integrals=None) -> str:
 # -- shared helpers --------------------------------------------------------------
 
 
+def _zero(x) -> bool:
+    """Whether ``x`` is a structural zero: a float 0.0, never an array (a type check)."""
+    return isinstance(x, float) and x == 0.0
+
+
 def _pointwise_adjugate(metric) -> tuple:
-    """Adjugate det(g) g^{-1} (a nested dim x dim list) and determinant of metric
-    samples, scalars or arrays of broadcast-compatible shapes, by cofactors over
-    `jets.det`; each entry keeps the broadcast shape of its cofactor."""
+    """Adjugate det(g) g^{-1} (a nested dim x dim list) and determinant of metric samples,
+    scalars or arrays of broadcast-compatible shapes, by cofactors over `jets.det`, each of
+    its own broadcast shape; one whose minor has a row or a column of `_zero`s is 0.0."""
     dim = len(metric)
 
     def cofactor(r, c):
         rest = [[metric[i][j] for j in range(dim) if j != c] for i in range(dim) if i != r]
+        if dim == 3 and any(all(map(_zero, line)) for line in rest + list(zip(*rest))):
+            return 0.0  # (a 2D minor is one entry, a scalar zero already)
         minor = rest[0][0] if dim == 2 else det(rest)
         return minor if (r + c) % 2 == 0 else -minor
 
@@ -99,9 +106,9 @@ def _pointwise_adjugate(metric) -> tuple:
 
 
 def _contract(row, vec):
-    """sum_k row[k] vec[k] over the components of ``vec`` that are not the scalar 0.0."""
-    first, *rest = (a * v for a, v in zip(row, vec) if not (np.ndim(v) == 0 and v == 0.0))
-    return sum(rest, first)
+    """sum_k row[k] vec[k] over the pairs with no `_zero` factor; 0.0 if no pair is left."""
+    terms = [a * v for a, v in zip(row, vec) if not (_zero(a) or _zero(v))]
+    return sum(terms[1:], terms[0]) if terms else 0.0
 
 
 def gram_L2(basis: HarmonicBasis) -> np.ndarray:
@@ -110,9 +117,10 @@ def gram_L2(basis: HarmonicBasis) -> np.ndarray:
     dim, theta, flux = basis.dim, basis.theta, basis.flux
     quads = {(i, j): periodic_quad(_contract(flux[j], theta[i]), axis=tuple(range(-dim, 0)))
              for i in range(dim) for j in range(i, dim)}
-    # a t-dependent metric has a t-dependent det g, and every flux divides by its sqrt:
-    # either every entry carries the batch axis or none does
-    return np.array([[quads[min(i, j), max(i, j)] for j in range(dim)] for i in range(dim)])
+    gram = np.empty((dim, dim) + max(map(np.shape, quads.values()), key=len))  # batch or ()
+    for (i, j), q in quads.items():  # a structural zero integrates to the float 0.0
+        gram[i, j] = gram[j, i] = q
+    return gram
 
 
 def _verified_basis(theta, metric, adj, det_g, tol: float, scale: float) -> HarmonicBasis:
@@ -126,7 +134,8 @@ def _verified_basis(theta, metric, adj, det_g, tol: float, scale: float) -> Harm
     if not within(period_err, tol):
         raise HodgeError(f"cycle normalization off by {period_err:.3e} (tol {tol:.1e})")
     sqrt_det = np.sqrt(det_g)
-    flux = [[_contract(row, th) / sqrt_det for row in adj] for th in theta]
+    flux = [[j if _zero(j) else j / sqrt_det for j in (_contract(row, th) for row in adj)]
+            for th in theta]
     closure = worst(curl_residual(row, (True,) * dim) for row in theta)
     # max |delta theta_i| = max |sum_k d_k J_ik| / sqrt(det g), axes counted from the end
     coclosure = worst(float(np.max(np.abs(
@@ -199,7 +208,7 @@ def _phi_samples(fam: MetricFamily, t_samples: Sequence, n: int, check: bool,
                     raise HodgeError(f"{alone} at t={float(one)}") from alone
             raise
 
-    for k, basis in t_batches(ts, n, fam.dim, at, lambda basis: basis.metric):
+    for k, basis in t_batches(fam, ts, n, at):
         phis[k] = det(gram_L2(basis))
         for c, col in enumerate(row(basis, phis[k], ts[k])):
             integrals[k, c] = col

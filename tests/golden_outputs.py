@@ -118,6 +118,7 @@ def malformed_artifacts(workdir: Path) -> dict:
             text = f"[scenario]\nkind = verify\nmode = exact\n\n[input]\nstructure = {dump}\n"
         path = workdir / "case.ini"
         path.write_text(text, encoding="utf-8")
+        flags = [flag.replace("<tmp>", str(workdir)) for flag in flags]
         texts = run_main([kind, "--scenario", str(path), *flags])
         found.update({f"malformed/{case}:{part}": texts[part] for part in ("stderr", "exit")})
     return found

@@ -79,7 +79,8 @@ def embed_scenario(scenario="", sections=""):
 
 
 # label -> (subcommand, scenario text or, for verify, the dump text, extra flags
-#           [, the key the one error line must name])
+#           [, the key the one error line must name]); <tmp> in a flag or a key is the
+#           directory the case runs in
 MALFORMED = {
     "dump order": ("verify", structure_dump(order="two"), []),
     "dump base point": ("verify", structure_dump(base_point="0 0 zero 0 0 0"), []),
@@ -222,6 +223,17 @@ MALFORMED = {
         t_min="0.5", t_max="0.5", entries=UNIT_DET_ENTRIES), [], "t_range"),
     "phi on a point t-range": ("phi", family_scenario(
         kind="phi", t_min="0.5", t_max="0.5", entries=UNIT_DET_ENTRIES), [], "t_range"),
+    "phi t_samples above 4096": ("phi", family_scenario(kind="phi"),
+                                 ["--t-samples", "1000000000"], "t_samples", "4096"),
+    "phi2d t_samples above 4096": ("phi2d", family_scenario(kind="phi2d", dim="2",
+                                                            entries='g11 = "1"\ng22 = "1"\n'),
+                                   ["--t-samples", "4097"], "t_samples", "4096"),
+    # <tmp> is the directory the case runs in, which holds the scenario file case.ini
+    "out-json naming a directory": ("family-check", family_scenario(), ["--out-json", "<tmp>"],
+                                    "cannot write <tmp>: Is a directory"),
+    "out-json below a file": ("family-check", family_scenario(),
+                              ["--out-json", "<tmp>/case.ini/r.json"],
+                              "cannot write <tmp>/case.ini/r.json: File exists"),
 }
 
 
@@ -425,9 +437,10 @@ class TestExitCodes:
             dump = tmp_path / "structure.txt"
             dump.write_text(text, encoding="utf-8")
             text = f"[scenario]\nkind = verify\nmode = exact\n\n[input]\nstructure = {dump}\n"
+        flags = [flag.replace("<tmp>", str(tmp_path)) for flag in flags]
         code = main([kind, "--scenario", write_scenario(tmp_path, text), *flags])
         assert code == 2
-        err = capsys.readouterr().err
+        err = capsys.readouterr().err.replace(str(tmp_path), "<tmp>")
         assert err.startswith("error: ")
         for key in named:
             assert len(err.splitlines()) == 1 and key in err, err

@@ -209,17 +209,27 @@ class TestBatchedCheck:
         assert got == want, (got, want)
 
     def test_x1_only_family_samples_twice(self, monkeypatch):
+        # the 2-point probe, then every t in one chunk
         calls = recorded_sampling(monkeypatch)
         check_slag_family(bessel_family(), n=128, nt=9, tol=1e-10)
         assert len(calls) == 2
         assert isinstance(calls[0], float)
-        assert calls[1].shape == (8, 1, 1, 1)
+        assert calls[1].shape == (9, 1, 1, 1)
 
     def test_n_by_n_family_samples_one_float_t_at_a_time(self, monkeypatch):
+        # the 2-point probe, then each t alone
         calls = recorded_sampling(monkeypatch)
         check_slag_family(BATCHED_FAMILIES["phi_2d-style"](), n=128, nt=9, tol=1e-10)
-        assert len(calls) == 9
+        assert len(calls) == 10
         assert all(isinstance(t, float) for t in calls)
+
+    def test_family_raising_on_the_probe_grid_runs_t_by_t(self, monkeypatch):
+        # x1 = 0.5 is a point of the 2-point grid, not of this odd one
+        fam = family_from_entries({"g11": "1 + (x1 - 0.5)^(-2)", "g22": "1", "g33": "1"})
+        want = per_t_check(fam, 15, 5, 1e-10)
+        calls = recorded_sampling(monkeypatch)
+        assert check_slag_family(fam, n=15, nt=5, tol=1e-10) == want
+        assert len(calls) == 6 and all(isinstance(t, float) for t in calls)
 
     @pytest.mark.parametrize("g11, named", [
         ("1 - 2*t", "at t=0.5: leading minor 1 reaches 0.0"),
@@ -236,7 +246,7 @@ class TestBatchedCheck:
             check_slag_family(fam, n=16, nt=9, tol=1e-10)
         assert str(got.value) == str(want.value)
         assert named in str(got.value)
-        assert np.shape(calls[1]) == (8, 1, 1, 1)  # the rest of t went as one batch first
+        assert np.shape(calls[1]) == (9, 1, 1, 1)  # after the probe, every t as one batch
 
 
 class TestSampling:
@@ -314,7 +324,7 @@ class TestBlockFamily:
             make_block_family("0", [["2", "0"], ["0", "1"]], "1")
 
     def test_x1_only_law_check_samples_twice(self, monkeypatch):
-        # the first t alone, then the other four in one chunk of t_batches
+        # the 2-point probe, then all five in one chunk of t_batches
         calls = []
         original = MetricFamily.sample_matrix
         monkeypatch.setattr(MetricFamily, "sample_matrix", lambda self, t, axes:

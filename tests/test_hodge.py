@@ -8,11 +8,13 @@ import pytest
 from slagcy import hodge
 from slagcy.dsl import EvalDomainError
 from slagcy.families import (
+    CHECK_TOL,
     FamilyError,
     MetricFamily,
     check_slag_family,
     family_axes,
     family_from_entries,
+    make_block_family,
     make_collapsing_22,
 )
 from slagcy.gridops import curl_residual, grid_diff, periodic_axis, periodic_quad
@@ -27,6 +29,7 @@ from slagcy.hodge import (
     phi_curve,
 )
 from slagcy.jets import det
+from test_families import ORACLE_FAMILIES, recorded_sampling
 
 BESSEL = {"g11": "exp(-2*t*sin(2*pi*x1))", "g22": "exp(t*sin(2*pi*x1))",
           "g33": "exp(t*sin(2*pi*x1))"}
@@ -218,16 +221,40 @@ class TestPointwiseInverse:
             got = float(det(matrix))  # the Phi of _phi_samples
             assert abs(got - np.linalg.det(matrix)) <= 1e-13 * abs(np.linalg.det(matrix))
 
+    def test_block_family_zero_cofactors_are_scalars(self):
+        # diag(e^u, Q_t) with its zero off-diagonals as the builders place them, the
+        # scalar 0.0: the cofactors coupling x1 to (x2, x3) stay 0.0, the rest match
+        # the adjugate of the sampled matrix bit for bit
+        fam = make_block_family("t*sin(2*pi*x1)", [["1", "1/4"],
+                                                   ["1/4", "exp(-t*sin(2*pi*x1)) + 1/16"]], "1")
+        sampled = fam.sample_matrix(0.7, family_axes(fam, 16))
+        m = [[0.0 if (i == 0) != (j == 0) else e for j, e in enumerate(row)]
+             for i, row in enumerate(sampled)]
+        adj, det_m = hodge._pointwise_adjugate(m)
+        want, want_det = hodge._pointwise_adjugate(sampled)
+        assert np.array_equal(det_m, want_det)
+        for i in range(3):
+            for j in range(3):
+                if (i == 0) != (j == 0):
+                    assert type(adj[i][j]) is float and adj[i][j] == 0.0
+                    assert not np.any(want[i][j])
+                else:
+                    assert np.shape(adj[i][j]) == np.shape(want[i][j]) != ()
+                    assert np.array_equal(adj[i][j], want[i][j])
+
     def test_inverse_formed_once_per_chunk(self, monkeypatch):
         # one adjugate per basis, shared by its fluxes, the co-closure check and Gram;
-        # an x1-only curve is two bases: its first t, then every other t in one chunk
+        # an x1-only curve is one basis, every t in one chunk, and an (n, n) one a basis per t
         calls = []
         original = hodge._pointwise_adjugate
         monkeypatch.setattr(hodge, "_pointwise_adjugate", lambda m: calls.append(1) or original(m))
-        fam = family_from_entries(TWO_D_FAMILIES[1], dim=2)
-        phi_2d(fam, np.linspace(0, 1, 4), n=32, check=False)
+        phi_2d(family_from_entries(TWO_D_FAMILIES[1], dim=2), np.linspace(0, 1, 4), n=32,
+               check=False)
         phi_curve(bessel_family(), np.linspace(0, 1, 3), n=32, check=False)
-        assert len(calls) == 4
+        assert len(calls) == 2
+        phi_2d(family_from_entries(TWO_D_FAMILIES[2], dim=2), np.linspace(0, 1, 4), n=32,
+               check=False)
+        assert len(calls) == 6
 
 
 class TestDiag3Basis:
@@ -252,10 +279,11 @@ class TestDiag3Basis:
         for i in range(3):
             assert basis.metric[i][i].shape == (n, 1, 1)
             for j in range(3):
-                if i != j:
-                    assert np.ndim(basis.theta[i][j]) == 0 and basis.theta[i][j] == 0.0
-                    assert np.ndim(basis.metric[i][j]) == 0 and basis.metric[i][j] == 0.0
-                assert np.shape(basis.flux[i][j]) == (n, 1, 1)
+                if i != j:  # structural zeros stay the scalar 0.0, fluxes included
+                    for entries in (basis.theta, basis.metric, basis.flux):
+                        assert type(entries[i][j]) is float and entries[i][j] == 0.0
+                else:
+                    assert np.shape(basis.flux[i][j]) == (n, 1, 1)
 
     def test_period_normalization(self):
         basis = harmonic_basis_diag3(bessel_family(), 0.7, n=256)
@@ -345,8 +373,10 @@ class TestFlux:
         n = 64
         basis = harmonic_basis_2d(family_from_entries(TWO_D_FAMILIES[0], dim=2), 0.7, n=n)
         assert np.ndim(basis.metric[0][1]) == 0
-        for row in basis.flux:
-            assert [np.shape(j_k) for j_k in row] == [(n, 1), (n, 1)]
+        # theta_2 has no dx1 part and g12 = 0: the scalar zeros leave J_21 no pair
+        assert [[np.shape(j_k) for j_k in row] for row in basis.flux] == [[(n, 1), (n, 1)],
+                                                                          [(), (n, 1)]]
+        assert type(basis.flux[1][0]) is float and basis.flux[1][0] == 0.0
 
     def test_flux_is_sqrt_det_inverse_times_theta(self):
         basis = harmonic_basis_2d(generated_2d_families(2202, 1)[0], 0.8, n=32)
@@ -452,6 +482,35 @@ BATCHED_CURVES = {
 }
 
 
+def per_t_phi_curve(fam, ts, n):
+    """Reference of phi_curve(check=False) one float t at a time: each t's basis, its
+    Gram determinant, the closed-form check and the integral columns."""
+    phis, integrals = [], []
+    for t in map(float, ts):
+        try:
+            basis = harmonic_basis_diag3(fam, t, n)
+        except HodgeError as exc:
+            raise HodgeError(f"{exc} at t={t}") from exc
+        phis.append(float(det(gram_L2(basis))))
+        g11, g22, g33 = basis.metric[0][0], basis.metric[1][1], basis.metric[2][2]
+        i11, i22, i33, cross = (periodic_quad(g, axis=(-3, -2, -1)) for g in
+                                (g11, 1.0 / g22, 1.0 / g33, 1.0 / (g22 * g33)))
+        if not abs(phis[-1] - i22 * i33 / cross) <= CHECK_TOL:
+            raise HodgeError(f"quadrature Gram disagrees with the closed form at t={t}: "
+                             f"{phis[-1]:.3e} vs {i22 * i33 / cross:.3e}")
+        integrals.append([i11, i22, i33])
+    return PhiCurve(t=np.asarray(ts), phi=np.array(phis), integrals=np.array(integrals))
+
+
+def outcome(run) -> tuple:
+    """The bytes of the Phi values and integral columns ``run()`` returns, or its error."""
+    try:
+        curve = run()
+    except (FamilyError, HodgeError, EvalDomainError) as exc:
+        return type(exc).__name__, str(exc)
+    return curve.phi.tobytes(), curve.integrals.tobytes()
+
+
 class TestBatchedCurve:
     """The Phi loop samples chunks of t along a leading batch axis."""
 
@@ -485,14 +544,46 @@ class TestBatchedCurve:
         if name == "bessel":
             assert len(sizes) <= 2
 
+    def test_phi_3d_style_curve_builds_one_basis(self, monkeypatch):
+        # a sampling on a 2-point grid sizes the chunk, then all 21 t go as one batch
+        bases, sampled = [], recorded_sampling(monkeypatch)
+        original = hodge.harmonic_basis_diag3
+        monkeypatch.setattr(hodge, "harmonic_basis_diag3",
+                            lambda fam, t, n: bases.append(np.shape(t)) or original(fam, t, n))
+        phi_curve(phi_3d_style_family(), np.linspace(0, 1, 21), n=256, check=False)
+        assert bases == [(21, 1, 1, 1)]
+        assert [np.shape(t) for t in sampled] == [(), (21, 1, 1, 1)]
+
+    def test_check_and_curve_share_one_probe(self, monkeypatch):
+        # the 2-point sampling that sizes the chunks is cached on the family
+        grids = []
+        original = MetricFamily.sample_matrix
+        monkeypatch.setattr(MetricFamily, "sample_matrix", lambda self, t, axes:
+                            grids.append(np.size(axes["x1"])) or original(self, t, axes))
+        phi_2d(family_from_entries(TWO_D_FAMILIES[2], dim=2), np.linspace(0, 1, 3), n=32)
+        assert grids == [2] + [32] * (3 + 3)  # the probe, then the check's 3 t and the curve's
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_oracle_family_equals_the_per_t_loop_bit_for_bit(self, name):
+        # the values, or the error of the first t to fail; their family-check reports are
+        # held to the per-t loop by test_families.py::TestBatchedCheck
+        fam = ORACLE_FAMILIES[name]()
+        ts = np.linspace(*fam.t_range, 21)
+        assert (outcome(lambda: phi_curve(fam, ts, n=32, check=False))
+                == outcome(lambda: per_t_phi_curve(fam, ts, 32)))
+
+    def test_no_t_values_give_an_empty_curve(self):
+        curve = phi_curve(bessel_family(), [], n=32)
+        assert curve.phi.shape == (0,) and curve.integrals.shape == (0, 3)
+
     def test_sampling_failure_names_one_t(self):
-        # the first t passes; t = 0.5 overflows inside the batch of the rest
+        # the 2-point probe passes; t = 0.5 overflows inside the batch
         fam = make_collapsing_22("(1 + 2000*t)*x1", t1=2.0, t_range=(0.0, 1.0))
         with pytest.raises(FamilyError, match=r"not finite at t=0\.5: "):
             phi_curve(fam, np.linspace(0.0, 1.0, 5), n=32, check=False)
 
     def test_batch_domain_error_names_the_grid_point_of_one_t(self):
-        # t = 0.5 leaves sqrt's domain inside the batch of the rest: the error is
+        # t = 0.5 leaves sqrt's domain inside the batch: the error is
         # the one t = 0.5 raises alone, its index a grid point without a batch axis
         fam = family_from_entries({**BESSEL, "g22": "exp(t*sin(2*pi*x1)) + 0*sqrt(0.5 - t)"})
         with pytest.raises(EvalDomainError) as alone:

@@ -45,7 +45,8 @@ def report_with_nan(position: int):
 
 
 def check_loop_sqrt_det(monkeypatch):
-    # the x1-derivative of sqrt(det) reads nan in the second chunk of t_batches only
+    # the x1-derivative of sqrt(det) reads nan in the second chunk of t_batches only:
+    # at n = 16 a chunk holds 16 of the 20 t
     calls = []
 
     def planted(samples, axis, periodic):
@@ -58,14 +59,14 @@ def check_loop_sqrt_det(monkeypatch):
         return out * NAN if len(calls) == 2 else out
 
     monkeypatch.setattr(gridops, "grid_diff", planted)
-    report = check_slag_family(family_from_entries(BESSEL), n=16, nt=5)
+    report = check_slag_family(family_from_entries(BESSEL), n=16, nt=20)
     assert len(calls) == 2 and math.isnan(report.det_x1_independence) and not report.passed()
 
 
 def check_loop_closure(monkeypatch):
-    values = iter([0.0, NAN])  # the closure residual of the first t, then of the rest
+    values = iter([0.0, NAN])  # the closure residual of the first 16 t, then of the last 4
     monkeypatch.setattr(gridops, "curl_residual", lambda row, periodic: next(values))
-    report = check_slag_family(family_from_entries(BESSEL), n=16, nt=5)
+    report = check_slag_family(family_from_entries(BESSEL), n=16, nt=20)
     assert math.isnan(report.closure_residual) and not report.passed()
 
 
