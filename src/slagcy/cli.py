@@ -446,23 +446,28 @@ def _execute(sc: Scenario) -> RunReport:
 # -- report emission ------------------------------------------------------------------
 
 
-def _atomic_write(path, text: str) -> None:
-    path = Path(path)
+def _write_together(files) -> None:
+    """Write each (path, text) of ``files`` to a temp file beside its path, and rename them
+    into place once all are written; a failure unlinks every temp file it leaves."""
+    temps = []
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
+        for path, text in files:
+            path = Path(path)
+            if path.is_dir():  # os.replace would refuse it only after the earlier renames
+                raise ScenarioError(f"cannot write {path}: Is a directory")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            temps.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        for tmp, path in temps:
             os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError as exc:  # an output path is part of the scenario; name it, not its parent
-        raise ScenarioError(f"cannot write {path}: {exc.strerror}") from exc
+    except BaseException as exc:
+        for tmp, _ in temps:
+            Path(tmp).unlink(missing_ok=True)  # a renamed one is gone already
+        if isinstance(exc, OSError):  # an output path is part of the scenario; name it
+            raise ScenarioError(f"cannot write {path}: {exc.strerror}") from exc
+        raise
 
 
 def report_json(report: RunReport, deterministic: bool = False) -> str:
@@ -471,17 +476,19 @@ def report_json(report: RunReport, deterministic: bool = False) -> str:
 
 def emit_report(report: RunReport, json_path=None, csv_path=None,
                 deterministic: bool = False, dump_path=None) -> None:
-    """Write the report's artifacts atomically: the JSON report, the phi CSV
-    (a header only when the report has no curve) and the structure dump."""
+    """Write the report's artifacts together (`_write_together`): the structure dump,
+    the JSON report and the phi CSV (a header only when the report has no curve)."""
+    files = []
     if dump_path and report.dump is not None:
-        _atomic_write(dump_path, report.dump)
+        files.append((dump_path, report.dump))
     if json_path:
-        _atomic_write(json_path, report_json(report, deterministic))
+        files.append((json_path, report_json(report, deterministic)))
     if csv_path is not None:
         from .hodge import phi_csv
         phi = report.phi or {}
-        _atomic_write(csv_path, phi_csv(phi.get("t") or [], phi.get("phi") or [],
-                                        phi.get("integrals")))
+        files.append((csv_path, phi_csv(phi.get("t") or [], phi.get("phi") or [],
+                                        phi.get("integrals"))))
+    _write_together(files)
 
 
 # -- entry point ------------------------------------------------------------------------

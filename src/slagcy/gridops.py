@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 import numpy as np
 
@@ -59,6 +59,24 @@ def grid_diff(samples, axis: int, periodic: bool) -> np.ndarray:
         k[-1] = 0.0
     spectrum = np.fft.rfft(arr, axis=axis) * ((2j * np.pi) * k)
     return np.fft.irfft(spectrum, n=n, axis=axis)
+
+
+@cache
+def _diff_norm(n: int) -> float:
+    """Infinity norm of grid_diff's periodic matrix on n points: twice pi sum_{0<j<n/2} of
+    cot(pi j/n) for even n, of 1/sin(pi j/n) for odd n (the rows' symmetric halves)."""
+    angles = np.arange(1, (n + 1) // 2) * (np.pi / n)
+    return 2.0 * np.pi * float(np.sum(1.0 / (np.tan(angles) if n % 2 == 0 else np.sin(angles))))
+
+
+def grid_diff_bound(samples, axis: int) -> float:
+    """A bound on max |grid_diff(samples, axis, True)| with no transform: that matrix
+    annihilates constants, so its infinity norm times max |samples - samples.take([0],
+    axis)|.  0.0 along an absent, size-1 or constant axis; nan for a nan sample."""
+    arr = np.asarray(samples, dtype=np.float64)
+    if not -arr.ndim <= axis < arr.ndim:
+        return 0.0
+    return _diff_norm(arr.shape[axis]) * float(np.max(np.abs(arr - arr.take([0], axis=axis))))
 
 
 def curl_residual(row, periodic) -> float:

@@ -8,7 +8,8 @@ obstruction function is the determinant of the L2 Gram matrix of that basis;
 it is identically 1 for the 2D class and genuinely t-dependent in 3D.
 
 Each form theta_i carries its flux J_i = sqrt(det g) g^{-1} theta_i, formed once:
-co-closure is div J_i = 0 and <theta_i, theta_j> is the torus mean of theta_i . J_j.
+co-closure is div J_i = 0 (its residual a transform-free bound when that settles the
+check, else by FFT) and <theta_i, theta_j> is the torus mean of theta_i . J_j.
 Every sample keeps the broadcast shape `MetricFamily.sample_matrix` gives it (an
 x1-only entry is (n, 1, 1) in 3D and (n, 1) in 2D, a constant is 0-d), structural
 zeros (basis, metric, cofactor or flux) stay the scalar 0.0 that products skip, so
@@ -27,7 +28,7 @@ import numpy as np
 
 from .families import (CHECK_TOL, FamilyCheckReport, MetricFamily, check_slag_family,
                        family_axes, t_batches)
-from .gridops import curl_residual, grid_diff, periodic_quad
+from .gridops import curl_residual, grid_diff, grid_diff_bound, periodic_quad
 from .jets import det, within, worst
 
 _TWO_D_TOL = 1e-8  # the 2D builder's guards: its co-closure residual grows with the metric
@@ -48,7 +49,7 @@ class HarmonicBasis:
     metric: list               # metric[k][l]: the samples that produced it
     flux: list                 # flux[i][k]: (sqrt(det g) g^{-1} theta_i)_k
     scale: float               # 2D volume-normalization factor applied to C, per t
-    residuals: dict            # periods, closure, co-closure
+    residuals: dict            # periods, closure, co-closure (a bound if that passed)
 
 
 @dataclass(frozen=True)
@@ -137,9 +138,13 @@ def _verified_basis(theta, metric, adj, det_g, tol: float, scale: float) -> Harm
     flux = [[j if _zero(j) else j / sqrt_det for j in (_contract(row, th) for row in adj)]
             for th in theta]
     closure = worst(curl_residual(row, (True,) * dim) for row in theta)
-    # max |delta theta_i| = max |sum_k d_k J_ik| / sqrt(det g), axes counted from the end
-    coclosure = worst(float(np.max(np.abs(
-        sum(grid_diff(j, k - dim, True) for k, j in enumerate(row)) / sqrt_det))) for row in flux)
+    # max |delta theta_i| = max |sum_k d_k J_ik| / sqrt(det g), axes counted from the end, is at
+    # most sum_k grid_diff_bound(J_ik) / min sqrt(det g); the transforms run if a check fails
+    coclosure = worst(sum(grid_diff_bound(j, k - dim) for k, j in enumerate(row))
+                      / float(np.min(sqrt_det)) for row in flux)
+    if not within(worst((closure, coclosure)), tol):
+        coclosure = worst(float(np.max(np.abs(sum(grid_diff(j, k - dim, True) for k, j
+                                                  in enumerate(row)) / sqrt_det))) for row in flux)
     if not within(worst((closure, coclosure)), tol):
         raise HodgeError(
             f"harmonicity residual above tolerance: d={closure:.3e}, delta={coclosure:.3e}")

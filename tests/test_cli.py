@@ -853,6 +853,27 @@ class TestEmitReport:
         emit_report(report, json_path=str(nested))
         assert nested.exists()
 
+    def test_an_unwritable_csv_leaves_no_json(self, tmp_path, capsys):
+        # the JSON path is fine, the CSV path lies below the scenario file
+        scenario = write_scenario(tmp_path, family_scenario(kind="phi", entries=UNIT_DET_ENTRIES))
+        code = main(["phi", "--scenario", scenario, "--out-json", str(tmp_path / "ok.json"),
+                     "--out-csv", f"{scenario}/x.csv"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {scenario}/x.csv: File exists\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["case.ini"]
+
+    @pytest.mark.parametrize("json_flag, reason", [("<tmp>/case.ini/r.json", "File exists"),
+                                                   ("<tmp>/sub", "Is a directory")])
+    def test_an_unwritable_json_leaves_no_dump(self, json_flag, reason, tmp_path, capsys):
+        # the dump is written first; a JSON path that cannot take a file must not keep it
+        (tmp_path / "sub").mkdir()
+        json_path = json_flag.replace("<tmp>", str(tmp_path))
+        code = main(["embed", "--scenario", write_scenario(tmp_path, embed_scenario()),
+                     "--dump", str(tmp_path / "s.dump"), "--out-json", json_path])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {json_path}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["case.ini", "sub"]
+
 
 def fresh_python(code: str) -> str:
     """stdout of ``code`` run in a fresh interpreter that imports the package from src/."""

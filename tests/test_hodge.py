@@ -4,6 +4,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from slagcy import hodge
 from slagcy.dsl import EvalDomainError
@@ -17,7 +20,8 @@ from slagcy.families import (
     make_block_family,
     make_collapsing_22,
 )
-from slagcy.gridops import curl_residual, grid_diff, periodic_axis, periodic_quad
+from slagcy.gridops import (curl_residual, grid_diff, grid_diff_bound, periodic_axis,
+                            periodic_quad)
 from slagcy.hodge import (
     HodgeError,
     PhiCurve,
@@ -138,6 +142,41 @@ class TestSpectralDiff:
         d = grid_diff(np.sin(2 * np.pi * x) + nyquist, 0, True)
         assert np.max(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-12
         assert np.max(np.abs(grid_diff(nyquist, 0, True))) < 1e-12
+
+
+class TestGridDiffBound:
+    def test_norm_is_the_impulse_response_sum(self):
+        # the matrix is circulant, so its infinity norm is the abs sum of one column,
+        # and a unit impulse has spread 1
+        for n in range(2, 301):
+            impulse = np.eye(n)[0]
+            assert grid_diff_bound(impulse, 0) == pytest.approx(
+                float(np.sum(np.abs(grid_diff(impulse, 0, True)))), rel=1e-12, abs=0), n
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_bounds_the_derivative(self, data):
+        samples = data.draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3,
+                                                                    max_side=24),
+                                       elements=st.floats(-1e3, 1e3)))
+        axis = data.draw(st.integers(-samples.ndim, -1))
+        measured = np.max(np.abs(grid_diff(samples, axis, True)))
+        # up to the transform's roundoff, which scales with the samples, not their spread
+        norm = grid_diff_bound(np.eye(samples.shape[axis])[0], 0)
+        assert measured <= grid_diff_bound(samples, axis) + 1e-13 * norm * np.max(np.abs(samples))
+
+    def test_constant_size_one_and_absent_axes_give_zero(self):
+        varying = np.exp(np.random.default_rng(5).standard_normal((6, 1, 9)))
+        constant = np.broadcast_to(varying, (6, 16, 9))
+        assert [grid_diff_bound(constant, axis) for axis in (1, -2)] == [0.0, 0.0]
+        assert [grid_diff_bound(varying, axis) for axis in (1, -2, 3, -4)] == [0.0] * 4
+        assert grid_diff_bound(2.5, 0) == 0.0 and grid_diff_bound(0.0, -1) == 0.0
+        assert grid_diff_bound(varying, 0) > 0.0
+
+    def test_nan_gives_nan(self):
+        samples = np.ones((4, 8))
+        samples[2, 3] = np.nan
+        assert math.isnan(grid_diff_bound(samples, -1)) and math.isnan(grid_diff_bound(samples, 0))
 
 
 def spd_stack(rng, dim, shape):
@@ -401,6 +440,78 @@ class TestFlux:
                                   tol, basis.scale)
         found = dict(part.split("=") for part in str(err.value).split(": ")[1].split(", "))
         assert float(found["d"]) <= tol < float(found["delta"])
+        # the message reads the transforms' residual, not the (larger) bound
+        assert float(found["delta"]) == pytest.approx(transformed_coclosure(theta, basis.metric),
+                                                      rel=1e-3)
+
+
+# a 2D family of the phi_2d benchmark workload: g11 = e^w, constant g12, det = C(x2)
+WORKLOAD_2D = {"g11": "exp(1.2*t*cos(2*pi*2*x1))", "g12": "3/16",
+               "g22": "(1 + 0.3*cos(2*pi*x2) + (3/16)^2)*exp(-1.2*t*cos(2*pi*2*x1))"}
+# g11 dx1 + g12 dx2 = dx1 + dx2/4 + d(sin(2 pi x1) sin(2 pi x2) / (20 pi)) is closed and
+# det = 1, so the basis is harmonic, but its fluxes vary along their axes
+CLOSED_2D = {"g11": "1 + cos(2*pi*x1)*sin(2*pi*x2)/10",
+             "g12": "1/4 + sin(2*pi*x1)*cos(2*pi*x2)/10",
+             "g22": "(1 + (1/4 + sin(2*pi*x1)*cos(2*pi*x2)/10)^2)"
+                    "/(1 + cos(2*pi*x1)*sin(2*pi*x2)/10)"}
+
+
+def transformed_coclosure(theta, metric) -> float:
+    """max_i max |sum_k d_k J_ik| / sqrt(det g) by transforms, J_i from np.linalg."""
+    inv, det_g = linalg_inverse(metric)
+    flux = np.einsum("kl...,il...->ik...", inv, dense(theta)) * np.sqrt(det_g)
+    dim = len(theta)
+    return max(float(np.max(np.abs(sum(grid_diff(flux[i, k], k - dim, True)
+                                       for k in range(dim)) / np.sqrt(det_g))))
+               for i in range(dim))
+
+
+def count_coclosure_transforms(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(hodge, "grid_diff", lambda *a: calls.append(a) or grid_diff(*a))
+    return calls
+
+
+class TestCoclosureBound:
+    def test_healthy_bases_run_no_transform(self, monkeypatch):
+        calls = count_coclosure_transforms(monkeypatch)
+        two_d = family_from_entries(WORKLOAD_2D, dim=2)
+        bases = [harmonic_basis_2d(two_d, 0.7, n=128),
+                 harmonic_basis_diag3(bessel_family(), 0.7, n=256)]
+        assert np.allclose(phi_2d(two_d, np.linspace(0, 1, 9), n=128).phi, 1.0, atol=1e-12)
+        phi_curve(bessel_family(), np.linspace(0, 1, 9), n=256)
+        assert calls == []
+        assert bases[0].residuals["coclosure"] <= 1e-8
+        assert bases[1].residuals["coclosure"] <= CHECK_TOL
+
+    def test_a_bound_above_tol_falls_back_to_the_transforms(self, monkeypatch):
+        basis = harmonic_basis_2d(family_from_entries(CLOSED_2D, dim=2), 0.5, n=64)
+        sqrt_det = np.sqrt(hodge._pointwise_adjugate(basis.metric)[1])
+        bound = max(sum(grid_diff_bound(j, k - 2) for k, j in enumerate(row))
+                    for row in basis.flux) / np.min(sqrt_det)
+        calls = count_coclosure_transforms(monkeypatch)
+        again = hodge._verified_basis(basis.theta, basis.metric,
+                                      *hodge._pointwise_adjugate(basis.metric), 1e-8, basis.scale)
+        assert len(calls) == 4 and bound > 1.0
+        assert again.residuals["coclosure"] == basis.residuals["coclosure"] <= 1e-8
+        assert again.residuals["coclosure"] == pytest.approx(
+            transformed_coclosure(basis.theta, basis.metric), abs=1e-12)
+
+    def test_a_failing_closure_reports_the_transformed_coclosure(self, monkeypatch):
+        # the bound settles co-closure on this basis, but a failing check's message
+        # reads the transforms' residual, the expression the bound stands in for
+        basis = harmonic_basis_2d(family_from_entries(WORKLOAD_2D, dim=2), 0.7, n=128)
+        sqrt_det = np.sqrt(hodge._pointwise_adjugate(basis.metric)[1])
+        delta = max(float(np.max(np.abs(sum(grid_diff(j, k - 2, True) for k, j in enumerate(row))
+                                        / sqrt_det))) for row in basis.flux)
+        monkeypatch.setattr(hodge, "curl_residual", lambda row, periodic: 1.0)
+        calls = count_coclosure_transforms(monkeypatch)
+        with pytest.raises(HodgeError) as err:
+            hodge._verified_basis(basis.theta, basis.metric,
+                                  *hodge._pointwise_adjugate(basis.metric), 1e-8, basis.scale)
+        assert str(err.value) == ("harmonicity residual above tolerance: "
+                                  f"d=1.000e+00, delta={delta:.3e}")
+        assert len(calls) == 4
 
 
 class TestPhiCurve3D:
