@@ -405,16 +405,13 @@ def _run_phi(sc: Scenario) -> RunReport:
         raise ScenarioError("phi2d needs a 2-dimensional family")
     tol = float(sc.tolerance)
     ts = linspace(fam.t_range[0], fam.t_range[1], sc.t_samples)
-    try:
-        check = hodge.phi_admissibility(fam, sc.grid, sc.t_samples, tol)
-        report = RunReport(scenario=sc.echo(),
-                           verdicts=[_verdict("family_admissible", check.worst, tol)],
-                           family_check=_jsonable(check.as_dict()))
-        if not check.passed():
-            return report
-        curve = (hodge.phi_2d if two_d else hodge.phi_curve)(fam, ts, n=sc.grid, check=False)
-    except hodge.HodgeError as exc:
-        raise ScenarioError(str(exc)) from exc
+    check = hodge.phi_admissibility(fam, sc.grid, sc.t_samples, tol)
+    report = RunReport(scenario=sc.echo(),
+                       verdicts=[_verdict("family_admissible", check.worst, tol)],
+                       family_check=_jsonable(check.as_dict()))
+    if not check.passed():
+        return report
+    curve = (hodge.phi_2d if two_d else hodge.phi_curve)(fam, ts, n=sc.grid, check=False)
     if two_d:
         report.verdicts.append(_verdict("phi_constant_equal_1",
                                         float(abs(curve.phi - 1.0).max()), sc.phi_tolerance))

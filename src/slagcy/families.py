@@ -27,7 +27,7 @@ from .dsl import EvalDomainError, Expr, eval_jet, free_variables, parse
 from .jets import FLOAT, X1, X2, X3, Y1, Jet, JetError, det, leading_minors, within, worst
 
 # the guard tolerance of the admissibility checks (the block law, family_to_policy,
-# the Phi loop, check_slag_family's default) and of hodge's 3D basis and Phi checks
+# the Phi loop, check_slag_family's default) and of hodge's 3D basis certification
 CHECK_TOL = 1e-10
 
 

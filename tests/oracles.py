@@ -1,10 +1,12 @@
-"""Reference arithmetic on exponent tuples, for the tests' oracles.
+"""Reference arithmetic on exponent tuples, and a closed form of Phi, for the tests'
+oracles.
 
 A coefficient map is a dict from exponent tuples (e1, ..., e6) to scalars,
 as ``Jet.coeffs`` returns it.  Every reference here loops over those tuples,
 so an oracle built on it is independent of the packed keys a jet stores.
 The one exception is ``full_order_complex_det``, a bit-for-bit reference
 built on ``mul_sum``, which the tests hold to the tuple loop separately.
+``diag3_closed_form_phi`` samples a family and never builds a harmonic basis.
 """
 
 import itertools
@@ -129,3 +131,15 @@ def full_order_complex_det(m):
     re = [t for s, x, y in pairs for t in ((s, x.re, y.re), (-s, x.im, y.im))]
     im = [t for s, x, y in pairs for t in ((s, x.re, y.im), (s, x.im, y.re))]
     return ComplexJet(mul_sum(re, order), mul_sum(im, order))
+
+
+def diag3_closed_form_phi(fam, t: float, n: int) -> float:
+    """Phi(t) of a diagonal 3D family of unit determinant depending on (t, x1) only, in
+    closed form: int g^22 int g^33 / int g^22 g^33 with g^kk = 1/g_kk, each integral the
+    mean over n points per axis.  Its Gram matrix is diagonal, with 1/int g11 first, and
+    int g11 = int g^22 g^33 at unit determinant."""
+    import numpy as np
+    from slagcy.families import family_axes
+    m = fam.sample_matrix(t, family_axes(fam, n))
+    inv22, inv33 = 1.0 / m[1][1], 1.0 / m[2][2]
+    return float(np.mean(inv22) * np.mean(inv33) / np.mean(inv22 * inv33))

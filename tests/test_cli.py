@@ -445,6 +445,18 @@ class TestExitCodes:
         for key in named:
             assert len(err.splitlines()) == 1 and key in err, err
 
+    @pytest.mark.parametrize("kind,dim,g33", [("phi2d", "2", ""), ("phi", "3", 'g33 = "1"\n')])
+    def test_a_metric_not_positive_definite_at_one_t_is_two(self, kind, dim, g33, tmp_path,
+                                                            capsys):
+        # g11 = g22 = -1 at t = 0.55, a t the admissibility check's 9 samples miss; det is 1
+        # there, so the leading minors, not det > 0, refuse it
+        f = '"1 - 2*exp(-100000*(t - 0.55)^2)"'
+        text = family_scenario(kind=kind, dim=dim, grid="32", t_samples="21",
+                               entries=f"g11 = {f}\ng22 = {f}\n{g33}")
+        assert main([kind, "--scenario", write_scenario(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == ("error: non-positive-definite sample at t=0.55: "
+                                           "leading minor 1 reaches -1.0\n")
+
     def test_exact_pi_error_names_the_metric_entry(self, tmp_path, capsys):
         text = embed_scenario().replace('g33 = "1"', 'g33 = "2*pi"')
         assert main(["embed", "--scenario", write_scenario(tmp_path, text)]) == 2

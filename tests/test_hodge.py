@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from slagcy.dsl import EvalDomainError
 from slagcy.families import (
     CHECK_TOL,
     FamilyError,
+    GridEntry,
     MetricFamily,
     check_slag_family,
     family_axes,
@@ -32,7 +34,8 @@ from slagcy.hodge import (
     phi_csv,
     phi_curve,
 )
-from slagcy.jets import det
+from slagcy.jets import det, leading_minors
+from oracles import diag3_closed_form_phi
 from test_families import ORACLE_FAMILIES, recorded_sampling
 
 BESSEL = {"g11": "exp(-2*t*sin(2*pi*x1))", "g22": "exp(t*sin(2*pi*x1))",
@@ -43,6 +46,11 @@ TWO_D_FAMILIES = [
     {"g11": "exp(t*cos(2*pi*x1))", "g12": "1/4", "g22": "17/16*exp(-t*cos(2*pi*x1))"},
     {"g11": "exp(t*sin(2*pi*x1))", "g22": "(1 + cos(2*pi*x2)/4)*exp(-t*sin(2*pi*x1))"},
 ]
+
+
+# the refusals of a closed form that keeps its periods: closure fails, or only co-closure
+NOT_CLOSED = r"^harmonicity residual above tolerance: d=[1-9]"
+NOT_CO_CLOSED = r"^harmonicity residual above tolerance: d=0\.000e\+00, delta=[1-9]"
 
 
 def bessel_i0(t, terms=80):
@@ -179,6 +187,11 @@ class TestGridDiffBound:
         assert math.isnan(grid_diff_bound(samples, -1)) and math.isnan(grid_diff_bound(samples, 0))
 
 
+def adjugate_and_det(m) -> tuple:
+    """The adjugate and the determinant `hodge._verified_basis` takes with ``m``."""
+    return hodge._pointwise_adjugate(m), det(m)
+
+
 def spd_stack(rng, dim, shape):
     """(dim, dim, *shape) symmetric positive-definite samples."""
     b = rng.standard_normal(shape + (dim, dim))
@@ -221,14 +234,15 @@ def sparse_spd(rng, dim, n):
 
 
 class TestPointwiseInverse:
-    """`hodge._pointwise_adjugate`: adj(g) = det(g) g^{-1} and det(g)."""
+    """`hodge._pointwise_adjugate`: adj(g) = det(g) g^{-1}, and det(g) from the leading
+    minors that the basis takes from the positivity rule."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("shape", [(17,), (9, 9), "sparse"])
     def test_matches_linalg(self, dim, shape):
         rng = np.random.default_rng(5 + dim)
         m = sparse_spd(rng, dim, 9) if shape == "sparse" else spd_stack(rng, dim, shape)
-        adj, det_m = hodge._pointwise_adjugate(m)
+        adj, det_m = hodge._pointwise_adjugate(m), leading_minors(m)[-1]
         ref_inv, ref_det = linalg_inverse(m)
         ref_adj = ref_inv * ref_det
         adj = dense(adj)
@@ -238,19 +252,27 @@ class TestPointwiseInverse:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_non_positive_determinant_raises(self, dim):
-        m = spd_stack(np.random.default_rng(3), dim, (8,))
-        for bad in (np.ones((dim, dim)), np.diag([-1.0] + [1.0] * (dim - 1))):
-            m[:, :, 5] = bad  # one sample with det 0, then det -1
-            with pytest.raises(HodgeError, match="non-positive determinant"):
-                hodge._pointwise_adjugate(m)
+        # the basis takes the admissibility check's leading-minor rule: det 0, det -1, and
+        # -I in 2D, whose det is 1
+        build = harmonic_basis_2d if dim == 2 else harmonic_basis_diag3
+        ones = {f"g{i}{j}": "1" for i in range(1, dim + 1) for j in range(i, dim + 1)}
+        unit = {f"g{k}{k}": "1" for k in range(1, dim + 1)}
+        for entries, minor, value in ((ones, 2, 0.0), ({**unit, "g11": "-1"}, 1, -1.0),
+                                      ({**unit, "g11": "-1", "g22": "-1"}, 1, -1.0)):
+            fam = family_from_entries(entries, dim=dim)
+            with pytest.raises(FamilyError, match=rf"^non-positive-definite sample at t=0\.5: "
+                                                  rf"leading minor {minor} reaches {value}$"):
+                build(fam, 0.5, n=8)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_nan_determinant_says_nan(self, dim):
-        m = spd_stack(np.random.default_rng(3), dim, (8,))
-        m[0, 0, 5] = np.nan  # one sample with a nan determinant, next to a det -1 one
-        m[:, :, 6] = np.diag([-1.0] + [1.0] * (dim - 1))
-        with pytest.raises(HodgeError, match=r"^singular metric sample \(nan determinant\)$"):
-            hodge._pointwise_adjugate(m)
+        # a nan sample fails the positivity rule, and the message says nan
+        build = harmonic_basis_2d if dim == 2 else harmonic_basis_diag3
+        nan_g11 = GridEntry(lambda t, axes: np.where(axes["x1"] == 0.5, np.nan, 1.0))
+        fam = family_from_entries({**{f"g{k}{k}": "1" for k in range(2, dim + 1)},
+                                   "g11": nan_g11}, dim=dim)
+        with pytest.raises(FamilyError, match=r"leading minor 1 reaches nan$"):
+            build(fam, 0.5, n=8)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_gram_det_matches_linalg(self, dim):
@@ -269,9 +291,8 @@ class TestPointwiseInverse:
         sampled = fam.sample_matrix(0.7, family_axes(fam, 16))
         m = [[0.0 if (i == 0) != (j == 0) else e for j, e in enumerate(row)]
              for i, row in enumerate(sampled)]
-        adj, det_m = hodge._pointwise_adjugate(m)
-        want, want_det = hodge._pointwise_adjugate(sampled)
-        assert np.array_equal(det_m, want_det)
+        adj = hodge._pointwise_adjugate(m)
+        want = hodge._pointwise_adjugate(sampled)
         for i in range(3):
             for j in range(3):
                 if (i == 0) != (j == 0):
@@ -328,28 +349,35 @@ class TestDiag3Basis:
         basis = harmonic_basis_diag3(bessel_family(), 0.7, n=256)
         assert basis.residuals["periods"] < 1e-12
 
+    # the certification, not a class guard, refuses a family: each of these closed forms
+    # keeps its periods but is not harmonic
+
     def test_rejects_nondiagonal(self):
-        fam = family_from_entries({"g11": "1", "g12": "1/2", "g22": "1", "g33": "1"})
-        with pytest.raises(HodgeError, match="not zero"):
+        # g12 depends on x1: theta_1 = dx1 + g12 dx2 is not closed
+        fam = family_from_entries({"g11": "1", "g12": "sin(2*pi*x1)/4", "g22": "1", "g33": "1"})
+        with pytest.raises(HodgeError, match=NOT_CLOSED):
             harmonic_basis_diag3(fam, 0.0, n=16)
 
     def test_rejects_non_unit_determinant(self):
-        fam = family_from_entries({"g11": "2", "g22": "1", "g33": "1"})
-        with pytest.raises(HodgeError, match="determinant"):
+        # det = g11 depends on x1: the flux sqrt(g11)/M dx1 of theta_1 is not divergence-free
+        # (a constant determinant certifies: TestGeneralization)
+        fam = family_from_entries({"g11": "2 + sin(2*pi*x1)", "g22": "1", "g33": "1"})
+        with pytest.raises(HodgeError, match=NOT_CO_CLOSED):
             harmonic_basis_diag3(fam, 0.0, n=16)
 
     def test_rejects_x2_dependence(self):
+        # theta_1 = g11/M dx1 with g11 depending on x2 is not closed
         fam = family_from_entries({"g11": "exp(sin(2*pi*x2))", "g22": "1",
                                    "g33": "exp(-sin(2*pi*x2))"})
-        with pytest.raises(HodgeError, match="x2 or x3"):
+        with pytest.raises(HodgeError, match=NOT_CLOSED):
             harmonic_basis_diag3(fam, 0.0, n=16)
 
     def test_rejects_x3_dependence(self):
-        # an x3-only entry samples at shape (1, 1, n): as many points as an
-        # x1-only one, so only its shape tells the two apart
+        # theta_3 = dx3 has the flux dx3/g33, and g33 depends on x3; an x3-only entry
+        # samples at shape (1, 1, n), as many points as an x1-only one
         fam = family_from_entries({"g11": "1", "g22": "exp(sin(2*pi*x3))",
                                    "g33": "exp(-sin(2*pi*x3))"})
-        with pytest.raises(HodgeError, match="x2 or x3"):
+        with pytest.raises(HodgeError, match=NOT_CO_CLOSED):
             harmonic_basis_diag3(fam, 0.0, n=16)
 
 
@@ -411,11 +439,13 @@ class TestFlux:
     def test_x1_only_2d_flux_keeps_natural_shapes(self):
         n = 64
         basis = harmonic_basis_2d(family_from_entries(TWO_D_FAMILIES[0], dim=2), 0.7, n=n)
-        assert np.ndim(basis.metric[0][1]) == 0
-        # theta_2 has no dx1 part and g12 = 0: the scalar zeros leave J_21 no pair
-        assert [[np.shape(j_k) for j_k in row] for row in basis.flux] == [[(n, 1), (n, 1)],
+        # an absent g12 samples as an exact 0-d zero, which the basis makes the scalar 0.0:
+        # theta_1 has no dx2 part and theta_2 no dx1 part, so J_12 and J_21 have no pair
+        assert type(basis.metric[0][1]) is float and basis.metric[0][1] == 0.0
+        assert [[np.shape(j_k) for j_k in row] for row in basis.flux] == [[(n, 1), ()],
                                                                           [(), (n, 1)]]
-        assert type(basis.flux[1][0]) is float and basis.flux[1][0] == 0.0
+        for i, k in ((0, 1), (1, 0)):
+            assert type(basis.flux[i][k]) is float and basis.flux[i][k] == 0.0
 
     def test_flux_is_sqrt_det_inverse_times_theta(self):
         basis = harmonic_basis_2d(generated_2d_families(2202, 1)[0], 0.8, n=32)
@@ -436,8 +466,8 @@ class TestFlux:
         theta = [list(row) for row in basis.theta]
         theta[0][0] = theta[0][0] + bump.reshape((n,) + (1,) * (basis.dim - 1))
         with pytest.raises(HodgeError, match="delta=") as err:
-            hodge._verified_basis(theta, basis.metric, *hodge._pointwise_adjugate(basis.metric),
-                                  tol, basis.scale)
+            hodge._verified_basis(theta, basis.metric, *adjugate_and_det(basis.metric), tol,
+                                  basis.scale)
         found = dict(part.split("=") for part in str(err.value).split(": ")[1].split(", "))
         assert float(found["d"]) <= tol < float(found["delta"])
         # the message reads the transforms' residual, not the (larger) bound
@@ -486,12 +516,12 @@ class TestCoclosureBound:
 
     def test_a_bound_above_tol_falls_back_to_the_transforms(self, monkeypatch):
         basis = harmonic_basis_2d(family_from_entries(CLOSED_2D, dim=2), 0.5, n=64)
-        sqrt_det = np.sqrt(hodge._pointwise_adjugate(basis.metric)[1])
+        sqrt_det = np.sqrt(det(basis.metric))
         bound = max(sum(grid_diff_bound(j, k - 2) for k, j in enumerate(row))
                     for row in basis.flux) / np.min(sqrt_det)
         calls = count_coclosure_transforms(monkeypatch)
-        again = hodge._verified_basis(basis.theta, basis.metric,
-                                      *hodge._pointwise_adjugate(basis.metric), 1e-8, basis.scale)
+        again = hodge._verified_basis(basis.theta, basis.metric, *adjugate_and_det(basis.metric),
+                                      1e-8, basis.scale)
         assert len(calls) == 4 and bound > 1.0
         assert again.residuals["coclosure"] == basis.residuals["coclosure"] <= 1e-8
         assert again.residuals["coclosure"] == pytest.approx(
@@ -501,14 +531,14 @@ class TestCoclosureBound:
         # the bound settles co-closure on this basis, but a failing check's message
         # reads the transforms' residual, the expression the bound stands in for
         basis = harmonic_basis_2d(family_from_entries(WORKLOAD_2D, dim=2), 0.7, n=128)
-        sqrt_det = np.sqrt(hodge._pointwise_adjugate(basis.metric)[1])
+        sqrt_det = np.sqrt(det(basis.metric))
         delta = max(float(np.max(np.abs(sum(grid_diff(j, k - 2, True) for k, j in enumerate(row))
                                         / sqrt_det))) for row in basis.flux)
         monkeypatch.setattr(hodge, "curl_residual", lambda row, periodic: 1.0)
         calls = count_coclosure_transforms(monkeypatch)
         with pytest.raises(HodgeError) as err:
-            hodge._verified_basis(basis.theta, basis.metric,
-                                  *hodge._pointwise_adjugate(basis.metric), 1e-8, basis.scale)
+            hodge._verified_basis(basis.theta, basis.metric, *adjugate_and_det(basis.metric),
+                                  1e-8, basis.scale)
         assert str(err.value) == ("harmonicity residual above tolerance: "
                                   f"d=1.000e+00, delta={delta:.3e}")
         assert len(calls) == 4
@@ -570,8 +600,52 @@ class TestPhiCurve3D:
         fam = family_from_entries({f"g{k}{k}": "1" for k in range(1, len(periodic) + 1)},
                                   dim=len(periodic), periodic=periodic)
         monkeypatch.setattr(MetricFamily, "sample_matrix", lambda *args: pytest.fail("sampled"))
-        with pytest.raises(HodgeError, match="Phi needs a torus"):
-            run(fam, [0.0, 1.0], n=16)
+        for check in (True, False):  # the torus test is not part of the admissibility check
+            with pytest.raises(HodgeError, match="Phi needs a torus"):
+                run(fam, [0.0, 1.0], n=16, check=check)
+
+    @pytest.mark.parametrize("name", ["bessel", "phi_3d-style", "collapse22"])
+    def test_matches_the_diagonal_closed_form(self, name):
+        # the quadrature Gram of the certified basis against int g^22 int g^33 / int g^22 g^33
+        _, build, n = BATCHED_CURVES[name]
+        fam = build()
+        ts = np.linspace(*fam.t_range, 5)
+        curve = phi_curve(fam, ts, n=n)
+        want = [diag3_closed_form_phi(fam, float(t), n) for t in ts]
+        assert np.max(np.abs(curve.phi - want)) <= 1e-10
+
+    def test_a_phi_that_is_not_finite_names_its_first_t(self, monkeypatch):
+        # the 5 t of a Bessel curve go as one batch, the last axis of its Gram matrix
+        gram = hodge.gram_L2
+        monkeypatch.setattr(hodge, "gram_L2",
+                            lambda basis: gram(basis) * np.array([1.0] + [np.nan] * 4))
+        with pytest.raises(HodgeError, match=r"^Phi is not finite at t=0\.25: nan$"):
+            phi_curve(bessel_family(), np.linspace(0, 1, 5), n=32, check=False)
+
+
+class TestGeneralization:
+    """The certification, not a class guard, decides: a family outside the diagonal 3D
+    and the det = C(x2) 2D class whose closed form is harmonic gets its true Phi."""
+
+    def test_constant_non_diagonal_3d_metric_gives_sqrt_det(self):
+        entries = {"g11": "2", "g12": "1/2", "g13": "1/4", "g22": "3/2", "g23": "1/5",
+                   "g33": "1"}
+        fam = family_from_entries(entries)
+        curve = phi_curve(fam, np.linspace(0, 1, 3), n=16)
+        g = np.array([[2, 0.5, 0.25], [0.5, 1.5, 0.2], [0.25, 0.2, 1.0]])
+        assert np.max(np.abs(curve.phi - np.sqrt(np.linalg.det(g)))) <= 1e-14
+
+    def test_scaled_bessel_family_scales_phi_by_the_power_three_halves(self):
+        # 4 g has the det 64 det g: every Gram entry doubles, exactly in binary arithmetic
+        ts = np.linspace(0, 1, 5)
+        scaled = family_from_entries({k: f"4*{v}" for k, v in BESSEL.items()})
+        assert np.array_equal(phi_curve(scaled, ts, n=64).phi,
+                              4 ** 1.5 * phi_curve(bessel_family(), ts, n=64).phi)
+
+    def test_scaled_2d_family_keeps_phi_one(self):
+        fam = family_from_entries({k: f"3*({v})" for k, v in TWO_D_FAMILIES[1].items()}, dim=2)
+        curve = phi_2d(fam, np.linspace(0, 1, 5), n=64)
+        assert np.max(np.abs(curve.phi - 1.0)) <= 1e-12
 
 
 def phi_3d_style_family():
@@ -594,8 +668,12 @@ BATCHED_CURVES = {
 
 
 def per_t_phi_curve(fam, ts, n):
-    """Reference of phi_curve(check=False) one float t at a time: each t's basis, its
-    Gram determinant, the closed-form check and the integral columns."""
+    """Reference of phi_curve(check=False) one float t at a time: the torus test, then
+    each t's basis, its Gram determinant and the integral columns, and the first t
+    whose Phi is not finite."""
+    if not all(fam.periodic):
+        raise HodgeError(f"Phi needs a torus: family {fam.name!r} has periodic = "
+                         + " ".join(str(int(p)) for p in fam.periodic))
     phis, integrals = [], []
     for t in map(float, ts):
         try:
@@ -603,13 +681,12 @@ def per_t_phi_curve(fam, ts, n):
         except HodgeError as exc:
             raise HodgeError(f"{exc} at t={t}") from exc
         phis.append(float(det(gram_L2(basis))))
-        g11, g22, g33 = basis.metric[0][0], basis.metric[1][1], basis.metric[2][2]
-        i11, i22, i33, cross = (periodic_quad(g, axis=(-3, -2, -1)) for g in
-                                (g11, 1.0 / g22, 1.0 / g33, 1.0 / (g22 * g33)))
-        if not abs(phis[-1] - i22 * i33 / cross) <= CHECK_TOL:
-            raise HodgeError(f"quadrature Gram disagrees with the closed form at t={t}: "
-                             f"{phis[-1]:.3e} vs {i22 * i33 / cross:.3e}")
-        integrals.append([i11, i22, i33])
+        integrals.append([periodic_quad(g, axis=(-3, -2, -1)) for g in
+                          (basis.metric[0][0], 1.0 / basis.metric[1][1],
+                           1.0 / basis.metric[2][2])])
+    for t, phi in zip(ts, phis):
+        if not math.isfinite(phi):
+            raise HodgeError(f"Phi is not finite at t={t}: {phi}")
     return PhiCurve(t=np.asarray(ts), phi=np.array(phis), integrals=np.array(integrals))
 
 
@@ -707,16 +784,18 @@ class TestBatchedCurve:
     @pytest.mark.parametrize("ts,first", [(np.linspace(0, 1, 21), 0.05), ([0.5], 0.5),
                                           ([0.0, 0.0, 0.3, 0.6], 0.3)])
     def test_basis_failure_names_the_first_t_to_fail_alone(self, ts, first):
-        # t = 0 passes alone; the drift fails every later t, alone or in the chunk
-        drift = family_from_entries({**BESSEL, "g11": "exp(0.1*t)*" + BESSEL["g11"]})
+        # t = 0 certifies alone; for t > 0 det = 1 + t sin(2 pi x1)/2 depends on x1, so
+        # theta_1 fails co-closure at every later t, alone or in the chunk
+        drift = family_from_entries({**BESSEL, "g11": "(1 + t*sin(2*pi*x1)/2)*" + BESSEL["g11"]})
         with pytest.raises(HodgeError) as err:
             phi_curve(drift, ts, n=256, check=False)
-        assert str(err.value) == f"family determinant is not identically 1 on samples at t={first}"
+        assert re.fullmatch(r"harmonicity residual above tolerance: d=0\.000e\+00, "
+                            rf"delta=\S+ at t={first}", str(err.value)), str(err.value)
 
     def test_2d_basis_failure_names_its_t(self):
-        # det = C(x1, x2) depends on x1 for t > 0
+        # det = C(x1, x2) depends on x1 for t > 0: theta_1 fails co-closure
         fam = family_from_entries({"g11": "1 + t*cos(2*pi*x1)/2", "g22": "1"}, dim=2)
-        with pytest.raises(HodgeError, match=r"^determinant depends on x1 .* at t=0\.25$"):
+        with pytest.raises(HodgeError, match=r"^harmonicity residual .* at t=0\.25$"):
             phi_2d(fam, np.linspace(0, 1, 5), n=32, check=False)
 
     def test_traced_names_are_reached_through_the_module(self, monkeypatch):
@@ -835,10 +914,11 @@ class TestPhi2D:
         theta[0][0] = theta[0][0] * (1 + 0.1 * np.sin(2 * np.pi * periodic_axis(n)))[None, :]
         assert curl_residual(theta[0], (True, True)) > 0.1
         with pytest.raises(HodgeError, match="harmonicity residual"):
-            hodge._verified_basis(theta, basis.metric, *hodge._pointwise_adjugate(basis.metric),
-                                  tol, basis.scale)
+            hodge._verified_basis(theta, basis.metric, *adjugate_and_det(basis.metric), tol,
+                                  basis.scale)
 
     def test_x1_dependent_determinant_rejected(self):
+        # the certification refuses it: the flux sqrt(g11)/M dx1 of theta_1 varies along x1
         fam = family_from_entries({"g11": "1 + sin(2*pi*x1)/2", "g22": "1"}, dim=2)
-        with pytest.raises(HodgeError, match="x1"):
+        with pytest.raises(HodgeError, match=NOT_CO_CLOSED):
             harmonic_basis_2d(fam, 0.0, n=64)
