@@ -107,8 +107,7 @@ _KEYS = (
 
 
 def _echo(self) -> dict:
-    out = {key.name: _jsonable(getattr(self, key.field)) for key in _KEYS
-           if key.section == "scenario"}
+    out = {key.name: getattr(self, key.field) for key in _KEYS if key.section == "scenario"}
     out.update((name, dict(sorted(getattr(self, name).items())))
                for name in ("metric", "family") if getattr(self, name))
     return out
@@ -146,18 +145,6 @@ class RunReport:
         if not deterministic:
             out["timings"] = self.timings
         return out
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if hasattr(value, "tolist"):  # a numpy scalar or array: Python numbers and lists
-        value = value.tolist()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 # -- scenario parsing ------------------------------------------------------------
@@ -339,16 +326,13 @@ def _family_from_scenario(sc: Scenario) -> MetricFamily:
 
 
 def _verdict(name: str, value, tolerance) -> dict:
-    return {"name": name, "passed": within(value, tolerance),
-            "value": _jsonable(value), "tolerance": _jsonable(tolerance)}
+    return dict(name=name, passed=within(value, tolerance), value=value, tolerance=tolerance)
 
 
 def _residual_verdicts(report, tol) -> tuple:
-    residuals = {k: _jsonable(v) for k, v in report.as_dict().items()}
-    residuals["details"] = {k: _jsonable(v) for k, v in report.details.items()}
-    residuals["effective_orders"] = dict(report.effective_orders)
     verdicts = [_verdict(name, value, tol) for name, value in report.as_dict().items()]
-    return residuals, verdicts
+    return {**report.as_dict(), "details": report.details,
+            "effective_orders": report.effective_orders}, verdicts
 
 
 def _run_embed(sc: Scenario) -> RunReport:
@@ -390,8 +374,7 @@ def _run_family_check(sc: Scenario) -> RunReport:
     report = check_slag_family(fam, n=sc.grid, nt=sc.t_samples, tol=tol)
     verdicts = [_verdict(name, getattr(report, name), tol) for name in
                 ("det_t_independence", "det_x1_independence", "closure_residual")]
-    return RunReport(scenario=sc.echo(), verdicts=verdicts,
-                     family_check=_jsonable(report.as_dict()))
+    return RunReport(scenario=sc.echo(), verdicts=verdicts, family_check=report.as_dict())
 
 
 def _run_phi(sc: Scenario) -> RunReport:
@@ -400,24 +383,21 @@ def _run_phi(sc: Scenario) -> RunReport:
     from numpy import linspace
     from . import hodge
     fam = _family_from_scenario(sc)
-    two_d = sc.kind == "phi2d"
-    if two_d and fam.dim != 2:
-        raise ScenarioError("phi2d needs a 2-dimensional family")
+    if fam.dim != (dim := 2 if sc.kind == "phi2d" else 3):
+        raise ScenarioError(f"{sc.kind} needs a {dim}-dimensional family")
     tol = float(sc.tolerance)
     ts = linspace(fam.t_range[0], fam.t_range[1], sc.t_samples)
     check = hodge.phi_admissibility(fam, sc.grid, sc.t_samples, tol)
-    report = RunReport(scenario=sc.echo(),
-                       verdicts=[_verdict("family_admissible", check.worst, tol)],
-                       family_check=_jsonable(check.as_dict()))
+    report = RunReport(scenario=sc.echo(), family_check=check.as_dict(),
+                       verdicts=[_verdict("family_admissible", check.worst, tol)])
     if not check.passed():
         return report
-    curve = (hodge.phi_2d if two_d else hodge.phi_curve)(fam, ts, n=sc.grid, check=False)
-    if two_d:
+    curve = (hodge.phi_2d if dim == 2 else hodge.phi_curve)(fam, ts, n=sc.grid, check=False)
+    if dim == 2:
         report.verdicts.append(_verdict("phi_constant_equal_1",
                                         float(abs(curve.phi - 1.0).max()), sc.phi_tolerance))
-    report.phi = {"t": _jsonable(curve.t), "phi": _jsonable(curve.phi),
-                  "spread": curve.spread(), "classification": curve.classification(tol),
-                  "integrals": _jsonable(curve.integrals)}
+    report.phi = {"t": curve.t, "phi": curve.phi, "spread": curve.spread(),
+                  "classification": curve.classification(tol), "integrals": curve.integrals}
     return report
 
 
@@ -467,8 +447,18 @@ def _write_together(files) -> None:
         raise
 
 
+def _json_value(value):
+    """json's ``default``: a Fraction as its str, a numpy scalar or array as Python values."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def report_json(report: RunReport, deterministic: bool = False) -> str:
-    return json.dumps(report.as_dict(deterministic), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report.as_dict(deterministic), indent=2, sort_keys=True,
+                      default=_json_value) + "\n"
 
 
 def emit_report(report: RunReport, json_path=None, csv_path=None,
@@ -483,7 +473,7 @@ def emit_report(report: RunReport, json_path=None, csv_path=None,
     if csv_path is not None:
         from .hodge import phi_csv
         phi = report.phi or {}
-        files.append((csv_path, phi_csv(phi.get("t") or [], phi.get("phi") or [],
+        files.append((csv_path, phi_csv(phi.get("t", []), phi.get("phi", []),
                                         phi.get("integrals"))))
     _write_together(files)
 

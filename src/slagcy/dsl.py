@@ -257,10 +257,10 @@ def parse(text: str) -> Expr:
         raise ParseError(parser.peek()[2], "an expression nested less deeply") from None
 
 
-def _walk(e: Expr, env: dict, arith: dict):
-    """The one walk over the seven node types.  ``env`` binds names to values;
-    ``arith`` maps "var", "num", "const", "neg", the operators, "^" and the functions
-    to the values' arithmetic, and "overflow" to the error a float overflow raises."""
+def walk(e: Expr, env: dict, arith: dict):
+    """The one walk over the seven node types, for eval_jet, free_variables and eval_grid.
+    ``env`` binds names to values; ``arith`` maps "var", "num", "const", "neg", the operators
+    (``RING``), "^" and the functions to values, and "overflow" to a float overflow's error."""
     try:
         if isinstance(e, Num):
             return arith["num"](e.value)
@@ -271,13 +271,13 @@ def _walk(e: Expr, env: dict, arith: dict):
                 raise EvalDomainError(f"unbound variable {e.name!r}")
             return arith["var"](env[e.name])
         if isinstance(e, Neg):
-            return arith["neg"](_walk(e.arg, env, arith))
+            return arith["neg"](walk(e.arg, env, arith))
         if isinstance(e, BinOp):
-            return arith[e.op](_walk(e.left, env, arith), _walk(e.right, env, arith))
+            return arith[e.op](walk(e.left, env, arith), walk(e.right, env, arith))
         if isinstance(e, Pow):
-            return arith["^"](_walk(e.base, env, arith), e.exponent)
+            return arith["^"](walk(e.base, env, arith), e.exponent)
         if isinstance(e, Call):
-            return arith[e.fn](_walk(e.arg, env, arith))
+            return arith[e.fn](walk(e.arg, env, arith))
     except OverflowError:  # e.g. a literal or an exp beyond the double range
         raise arith["overflow"]("float overflow") from None
     raise TypeError(f"not an Expr: {e!r}")
@@ -289,12 +289,12 @@ _NAMES = {**dict.fromkeys(("var", "neg", *FUNCTIONS), set), **dict.fromkeys("+-*
 
 def free_variables(e: Expr) -> set:
     """Names of the variables the expression uses: the walk over sets of names."""
-    return _walk(e, {name: {name} for name in VARIABLES}, _NAMES)
+    return walk(e, {name: {name} for name in VARIABLES}, _NAMES)
 
 
 # -- evaluation ----------------------------------------------------------------------
 
-_RING = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul}
+RING = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def eval_jet(e: Expr, env: dict) -> Jet:
@@ -310,10 +310,10 @@ def eval_jet(e: Expr, env: dict) -> Jet:
             raise JetDomainError(f"constant {name} is irrational; not representable in exact mode")
         return Jet.constant(CONSTANTS[name], ref.order, ref.mode)
 
-    arith = {**_RING, **{fn: partial(jet_call, fn) for fn in FUNCTIONS}, "const": const,
+    arith = {**RING, **{fn: partial(jet_call, fn) for fn in FUNCTIONS}, "const": const,
              "var": lambda jet: jet, "num": lambda c: Jet.constant(c, ref.order, ref.mode),
              "/": operator.truediv, "^": jet_pow, "overflow": JetDomainError}
-    value = _walk(e, env, arith)
+    value = walk(e, env, arith)
     if ref.mode != EXACT and not math.isfinite(value.max_abs_coeff()):
         raise JetDomainError("non-finite float coefficient")
     return value

@@ -221,7 +221,7 @@ def t_batches(fam: MetricFamily, ts, n: int, run):
         yield k, out
 
 
-def _positive_samples(fam: MetricFamily, t, axes: dict) -> tuple:
+def positive_samples(fam: MetricFamily, t, axes: dict) -> tuple:
     """(m, leading minors of m) for the samples m of ``fam`` at ``t``, all positive."""
     m = fam.sample_matrix(t, axes)
     minors = leading_minors(m)  # positive definiteness, and det(m) last; numpy values
@@ -253,7 +253,7 @@ def check_slag_family(fam: MetricFamily, n: int = 64, nt: int = 9,
     ts = np.linspace(lo, hi, nt)
 
     dets, sqrt_det_x1, closure = [], [], []  # one det(m) per t, a t-free one repeated
-    for k, (m, minors) in t_batches(fam, ts, n, lambda t: _positive_samples(fam, t, axes)):
+    for k, (m, minors) in t_batches(fam, ts, n, lambda t: positive_samples(fam, t, axes)):
         dets.extend(minors[-1] if np.ndim(minors[-1]) > fam.dim else [minors[-1]] * len(ts[k]))
         d_sqrt = grid_diff(np.sqrt(minors[-1]), -fam.dim, fam.periodic[0])
         sqrt_det_x1.append(float(np.max(np.abs(d_sqrt))))

@@ -8,7 +8,7 @@ from functools import cache, partial, reduce
 
 import numpy as np
 
-from .dsl import _RING, CONSTANTS, EvalDomainError, Expr, _walk
+from .dsl import CONSTANTS, RING, EvalDomainError, Expr, walk
 
 
 def periodic_axis(n: int, periodic: bool = True) -> np.ndarray:
@@ -106,7 +106,7 @@ def _sample_pow(base, r: Fraction):
 
 # The one domain table: "/" and a negative integer "^" need non-zero samples;
 # a fractional "^", log and sqrt need positive ones.
-_SAMPLES = {**_RING, "var": partial(np.asarray, dtype=np.float64), "num": np.float64,
+_SAMPLES = {**RING, "var": partial(np.asarray, dtype=np.float64), "num": np.float64,
             "const": lambda name: np.float64(CONSTANTS[name]), "^": _sample_pow,
             "/": lambda a, b: a / _in_domain(b, b == 0, "division by a zero sample"),
             "log": lambda a: np.log(_in_domain(a, a <= 0, "log of a non-positive sample")),
@@ -120,9 +120,9 @@ def eval_grid(e: Expr, env: dict) -> np.ndarray:
     or broadcastable arrays.  A sample outside the domain table, or a value on
     finite samples that is not finite, raises EvalDomainError with its grid index."""
     try:
-        return _walk(e, env, _SAMPLES)
+        return walk(e, env, _SAMPLES)
     except FloatingPointError:  # an overflow or a nan: find where the value is not finite
         with np.errstate(all="ignore"):
-            value = _walk(e, env, _SAMPLES)
+            value = walk(e, env, _SAMPLES)
         _in_domain(value, ~np.isfinite(value), "non-finite value")
         return value  # only an intermediate value overflowed

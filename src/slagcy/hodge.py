@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .families import (CHECK_TOL, FamilyCheckReport, FamilyError, MetricFamily,
-                       _positive_samples, check_slag_family, family_axes, t_batches)
+                       check_slag_family, family_axes, positive_samples, t_batches)
 from .gridops import curl_residual, grid_diff, grid_diff_bound, periodic_quad
 from .jets import det, within, worst
 
@@ -165,7 +165,7 @@ def _closed_form_basis(fam: MetricFamily, t, n: int, tol: float) -> HarmonicBasi
     by `_verified_basis`; a sample that is not positive definite (the leading minors of
     the admissibility check) is refused first.  M and L_j are means along x1 (x_j), then
     over the other axes; the scale is 1/K_dim."""
-    m, minors = _positive_samples(fam, t, family_axes(fam, n))
+    m, minors = positive_samples(fam, t, family_axes(fam, n))
     dim, axes = fam.dim, tuple(range(-fam.dim, 0))
     g = [[0.0 if i != j and np.ndim(e) == 0 and e == 0.0 else e for j, e in enumerate(row)]
          for i, row in enumerate(m)]
@@ -189,7 +189,7 @@ def _closed_form_basis(fam: MetricFamily, t, n: int, tol: float) -> HarmonicBasi
 def harmonic_basis_diag3(fam: MetricFamily, t, n: int = 256) -> HarmonicBasis:
     """The closed-form basis of a 3-dimensional family, certified to CHECK_TOL."""
     if fam.dim != 3:
-        raise HodgeError("diagonal basis needs a 3-dimensional family")
+        raise HodgeError("3D basis needs a 3-dimensional family")
     return _closed_form_basis(fam, t, n, CHECK_TOL)
 
 

@@ -1,18 +1,18 @@
 """Truncated multivariate power series (jets) in up to six real variables.
 
-A jet stores the Taylor coefficients of a real-analytic germ at the origin,
-up to a fixed total degree, as a sparse map from packed monomial keys to
-scalars.  A key holds a multi-index (e1, ..., e6) as one int of seven 16-bit
-fields: the total degree on top, then e1 down to e6.  Adding two keys
-multiplies the monomials, sorting keys is graded-lex order, and the fields
-bound the order at 65535.  Exponent tuples appear only at the boundary: the
-one constructor ``Jet(order, coeffs, mode)``, the ``coeffs`` view and
-``dumps``.  A germ at another point is expanded in shifted generators, e.g.
-``Jet.variable(X1, n) + a`` for x1 around a.  Two scalar modes are
-supported: exact rationals and binary floats.  An exact jet is stored as
-integer numerators over one reduced denominator, and every operation works
-on that form, building no ``Fraction`` per coefficient.  All operations are
-pure; jets are treated as immutable values.
+A jet stores the Taylor coefficients of a real-analytic germ at the origin, up
+to a fixed total degree, as a sparse map from packed monomial keys to scalars.
+A key holds a multi-index (e1, ..., e6) as one int of seven 16-bit fields: the
+total degree on top, then e1 down to e6.  Adding two keys multiplies the
+monomials, sorting keys is graded-lex order, and the fields bound the order at
+65535.  Exponent tuples appear only at the boundary: ``Jet(order, coeffs, mode)``
+and the builder ``from_pairs`` it shares with the dump loader, the ``coeffs``
+view, and ``dumps`` with its reader ``parse_scalar``.  A germ at another point
+is expanded in shifted generators, e.g. ``Jet.variable(X1, n) + a`` for x1
+around a.  Two scalar modes are supported: exact rationals and binary floats.
+An exact jet is stored as integer numerators over one reduced denominator, and
+every operation works on that form, building no ``Fraction`` per coefficient.
+All operations are pure; jets are treated as immutable values.
 
 Variables are fixed as (x1, x2, x3, y1, y2, y3) with z_k = x_k + i*y_k.
 The package's one verdict rule, ``within``, and its maximum ``worst`` live here.
@@ -21,6 +21,7 @@ The package's one verdict rule, ``within``, and its maximum ``worst`` live here.
 from __future__ import annotations
 
 import math
+import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,12 +74,14 @@ def _unpack(key: int) -> tuple:
     return _KEY.unpack(key.to_bytes(14, "big"))[1:]
 
 
-def _coerce(value, mode: str):
-    if mode == EXACT:
-        if isinstance(value, float):
-            raise JetDomainError(f"float scalar {value!r} not allowed in exact mode")
-        return value if isinstance(value, (int, Fraction)) else Fraction(value)
-    return float(value)
+def _ratio(value, mode: str) -> tuple:
+    """A scalar coerced to the mode as (numerator, denominator); a float x is (x, 1)."""
+    if mode != EXACT:
+        return float(value), 1
+    if isinstance(value, float):
+        raise JetDomainError(f"float scalar {value!r} not allowed in exact mode")
+    value = value if isinstance(value, (int, Fraction)) else Fraction(value)
+    return value.numerator, value.denominator
 
 
 class Jet:
@@ -96,21 +99,14 @@ class Jet:
     """
 
     def __init__(self, order: int, coeffs: dict, mode: str):
-        if not 0 <= order <= MAX_ORDER:
-            raise JetError(f"jet order {order} is outside 0..{MAX_ORDER}")
-        num = {_pack(idx, order): _coerce(c, mode) for idx, c in coeffs.items()}
-        den = math.lcm(*(c.denominator for c in num.values())) if mode == EXACT else 1
-        if mode == EXACT:
-            num = {k: c.numerator * (den // c.denominator) for k, c in num.items() if c}
-        elif not all(num.values()):
-            num = {k: c for k, c in num.items() if c}
-        self.order, self.mode, self.num, self.den = order, mode, num, den
+        jet = from_pairs(order, mode, ((idx, _ratio(c, mode)) for idx, c in coeffs.items()))
+        self.order, self.mode, self.num, self.den = order, mode, jet.num, jet.den
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def constant(value, order: int, mode: str = EXACT) -> "Jet":
-        return Jet(order, {ZERO_INDEX: value}, mode)
+        return from_pairs(order, mode, ((ZERO_INDEX, _ratio(value, mode)),), {ZERO_INDEX: 0})
 
     @staticmethod
     def variable(var: int, order: int, mode: str = EXACT) -> "Jet":
@@ -165,7 +161,7 @@ class Jet:
 
     # -- compatibility -------------------------------------------------------
 
-    def _check_compatible(self, other: "Jet") -> None:
+    def check_compatible(self, other: "Jet") -> None:
         if self.mode != other.mode:
             raise IncompatibleJetsError(f"scalar modes differ: {self.mode} vs {other.mode}")
         if self.order != other.order:
@@ -177,7 +173,7 @@ class Jet:
         """self + sign * other, both scaled to the lcm of the denominators."""
         if not isinstance(other, Jet):
             other = Jet.constant(other, self.order, self.mode)
-        self._check_compatible(other)
+        self.check_compatible(other)
         den = math.lcm(self.den, other.den)
         sa, sb = den // self.den, sign * (den // other.den)
         out = dict(self.num) if sa == 1 else {idx: c * sa for idx, c in self.num.items()}
@@ -203,13 +199,12 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            v = _coerce(other, self.mode)
-            if v == 0:
+            p, q = _ratio(other, self.mode)
+            if p == 0:
                 return self.zero_like()
-            p, q = (v.numerator, v.denominator) if self.mode == EXACT else (v, 1)
             return _jet(self.order, self.mode, {k: c * p for k, c in self.num.items()},
                         self.den * q)
-        self._check_compatible(other)
+        self.check_compatible(other)
         return mul_sum(((1, self, other),), self.order)
 
     __rmul__ = __mul__
@@ -217,10 +212,10 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.reciprocal()
-        v = _coerce(other, self.mode)
-        if v == 0:
+        p, q = _ratio(other, self.mode)
+        if p == 0:
             raise JetDomainError("division by zero scalar")
-        return self * (1 / v if self.mode == FLOAT else Fraction(1, v))
+        return self * (q / p if self.mode == FLOAT else Fraction(q, p))
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -290,6 +285,42 @@ class Jet:
             terms.append("...")
         body = " + ".join(terms) if terms else "0"
         return f"Jet<{self.mode},o{self.order}>({body})"
+
+
+# str() of a Fraction, the only exact form dumps hold; Fraction(text) would
+# also read exponents, and '1e100000000' has a hundred million digits
+_EXACT_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_scalar(text: str, mode: str) -> tuple:
+    """A coefficient as ``dumps`` writes it, read as from_pairs takes it: (p, q) of
+    exact p/q, (x, 1) of a finite float x."""
+    if mode != EXACT:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"float scalar {text!r} is not finite")
+        return value, 1
+    match = _EXACT_SCALAR.fullmatch(text)
+    if match is None:
+        raise ValueError(f"exact scalar {text!r} is not of the form p or p/q")
+    p, q = int(match[1]), int(match[2] or 1)
+    if q == 0:
+        raise ZeroDivisionError(f"exact scalar {text!r} has a zero denominator")
+    return p, q
+
+
+def from_pairs(order: int, mode: str, pairs, packed: dict | None = None) -> Jet:
+    """The jet of (exponent tuple, (numerator, denominator)) ``pairs``, each tuple of
+    degree <= order <= MAX_ORDER and each float over 1: every tuple is packed in
+    turn, once per ``packed`` (a memo that jets of one order may share), the
+    numerators are scaled to the lcm of the denominators, and zeros are dropped."""
+    if not 0 <= order <= MAX_ORDER:
+        raise JetError(f"jet order {order} is outside 0..{MAX_ORDER}")
+    packed = {} if packed is None else packed
+    terms = [(packed[idx] if idx in packed else packed.setdefault(idx, _pack(idx, order)), p, q)
+             for idx, (p, q) in pairs]
+    den = math.lcm(*(q for _, _, q in terms)) if mode == EXACT else 1
+    return _jet(order, mode, {key: p * (den // q) for key, p, q in terms if p}, den)
 
 
 def _jet(order: int, mode: str, num: dict, den: int = 1) -> Jet:
@@ -362,7 +393,7 @@ def partial_sum(terms) -> Jet:
         raise JetError("partial_sum needs at least one term")
     first = terms[0][1]
     for _, j, _ in terms:
-        first._check_compatible(j)
+        first.check_compatible(j)
     if first.order < 1:
         raise JetDomainError("cannot differentiate an order-0 jet")
     den = math.lcm(*(j.den for _, j, _ in terms))
@@ -506,7 +537,7 @@ class ComplexJet:
     im: Jet
 
     def __post_init__(self):
-        self.re._check_compatible(self.im)
+        self.re.check_compatible(self.im)
 
     def abs2(self) -> Jet:
         """Modulus squared re**2 + im**2 as a real jet, formed once per jet."""
@@ -575,7 +606,7 @@ def _complex_det(m, order: int) -> ComplexJet:
     ref = m[0][0].re
     for row in m:
         for z in row:
-            ref._check_compatible(z.re)
+            ref.check_compatible(z.re)
     if len(m) == 2:
         pairs = ((1, m[0][0], m[1][1]), (-1, m[0][1], m[1][0]))
     else:

@@ -30,8 +30,6 @@ well every constraint holds; nothing is assumed that is not re-checked.
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
@@ -52,16 +50,17 @@ from .jets import (
     Jet,
     JetError,
     det,
+    from_pairs,
     from_slices,
     holomorphic_extend,
     jet_pow,
     leading_minors,
     mul_sum,
+    parse_scalar,
     partial_sum,
     within,
     worst,
 )
-from .jets import _jet, _pack
 
 
 class SolverError(Exception):
@@ -117,7 +116,7 @@ class HermitianJet:
             raise SolverError(f"missing entries: {missing}")
         ref = self.entries["a11"]
         for k in ENTRY_KEYS:
-            ref._check_compatible(self.entries[k])
+            ref.check_compatible(self.entries[k])
 
     @property
     def order(self) -> int:
@@ -223,7 +222,7 @@ def _validate_metric(g, order: int | None = None):
     ref = g[0][0]
     for row in g:
         for entry in row:
-            ref._check_compatible(entry)
+            ref.check_compatible(entry)
             if any(map(entry.depends_on, Y_VARS)):
                 raise SolverError("metric jets must not depend on the y-variables")
     for i in range(3):
@@ -264,7 +263,7 @@ def _apply_policy(step: int, entries: dict, policy) -> None:
         return
     for key in _STEP1_POLICY_KEYS:
         jet = policy[int(key[1]) - 1][int(key[2]) - 1]
-        entries["a11"]._check_compatible(jet)
+        entries["a11"].check_compatible(jet)
         if jet.depends_on(Y2) or jet.depends_on(Y3):
             raise PolicyError(f"step 1 policy entry {key} may not depend on y2, y3")
         residual = (jet.restrict_zero((Y1,)) - entries[key]).max_abs_coeff()
@@ -448,27 +447,6 @@ _DUMP_TABLE = (
 _DUMP_KEYS, _DUMP_SECTIONS = _DUMP_TABLE[:3], _DUMP_TABLE[3:]
 
 
-# str() of a Fraction, the only exact form dumps hold; Fraction(text) would
-# also read exponents, and '1e100000000' has a hundred million digits
-_EXACT_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def _parse_scalar(text: str, mode: str) -> tuple:
-    """A dump scalar as (numerator, denominator): (p, q) of exact p/q, (x, 1) of float x."""
-    if mode != EXACT:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"float scalar {text!r} is not finite")
-        return value, 1
-    match = _EXACT_SCALAR.fullmatch(text)
-    if match is None:
-        raise ValueError(f"exact scalar {text!r} is not of the form p or p/q")
-    p, q = int(match[1]), int(match[2] or 1)
-    if q == 0:
-        raise ZeroDivisionError(f"exact scalar {text!r} has a zero denominator")
-    return p, q
-
-
 def dump_structure(s: CYStructureJet) -> str:
     """Stable text dump in the layout of ``_DUMP_TABLE``: the header lines,
     then per section its "multi-index : coefficient" lines in graded-lex order."""
@@ -487,7 +465,9 @@ def load_structure(text: str) -> CYStructureJet:
     """Parse a dump back into a structure (policy is not recorded).  The dump
     must hold exactly the header lines and sections of ``_DUMP_TABLE``, in its
     order for the header and each once, and each multi-index at most once per
-    section.  Each distinct multi-index is parsed and packed once per dump."""
+    section.  This reader owns the layout and every diagnostic; ``parse_scalar``
+    reads each coefficient, ``from_pairs`` builds each section from them, and
+    each distinct multi-index is parsed and packed once per dump."""
     lines = text.splitlines()
     if not lines or lines[0] != _DUMP_HEADER:
         raise SolverError("not a structure dump (bad header)")
@@ -505,7 +485,7 @@ def load_structure(text: str) -> CYStructureJet:
     try:
         mode = meta["mode"]
         order = int(meta["order"])
-        base_point = tuple(_parse_scalar(v, mode) for v in meta["base_point"].split())
+        base_point = tuple(parse_scalar(v, mode) for v in meta["base_point"].split())
     except (ValueError, ZeroDivisionError) as exc:
         raise SolverError(f"bad structure dump header: {exc}") from exc
     if mode not in (EXACT, FLOAT):
@@ -532,7 +512,7 @@ def load_structure(text: str) -> CYStructureJet:
             try:
                 idx = keys.get(idx_text) or keys.setdefault(
                     idx_text, tuple(map(int, idx_text.split())))
-                value = _parse_scalar(val_text.strip(), mode)
+                value = parse_scalar(val_text.strip(), mode)
             except (ValueError, ZeroDivisionError) as exc:
                 raise SolverError(f"bad coefficient line {ln!r}: {exc}") from exc
             if len(idx) != NVARS:
@@ -544,17 +524,12 @@ def load_structure(text: str) -> CYStructureJet:
     if missing:
         raise SolverError(f"structure dump lacks {', '.join(missing)}")
 
-    def jet_of(tag: str) -> Jet:
-        terms = sections[tag]  # numerators over one denominator, in file order
-        try:  # each index new to the dump, in file order, so the first bad one raises
-            packed.update((idx, _pack(idx, order)) for idx in terms if idx not in packed)
+    jets = []
+    for tag in tags:  # each index new to the dump packs in file order: the first bad one raises
+        try:
+            jets.append(from_pairs(order, mode, sections[tag].items(), packed))
         except JetError as exc:
             raise SolverError(f"bad structure dump section [{tag}]: {exc}") from exc
-        den = math.lcm(*(q for _, q in terms.values()))
-        num = {packed[idx]: p * (den // q) for idx, (p, q) in terms.items() if p}
-        return _jet(order, mode, num, den)
-
-    jets = [jet_of(tag) for tag in tags]
     upper = dict(zip(_G_UPPER, jets[len(ENTRY_KEYS):]))
     g = tuple(tuple(upper[min(i, j), max(i, j)] for j in (1, 2, 3)) for i in (1, 2, 3))
     return CYStructureJet(h=HermitianJet(dict(zip(ENTRY_KEYS, jets))),

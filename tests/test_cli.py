@@ -15,6 +15,7 @@ from slagcy import Jet, cli, family_from_entries, phi_curve, solve_calabi_yau
 from slagcy.jets import FLOAT
 from slagcy.cli import (
     KINDS,
+    RunReport,
     ScenarioError,
     _family_from_scenario,
     emit_report,
@@ -120,7 +121,10 @@ MALFORMED = {
     "grid flag": ("phi", family_scenario(kind="phi"), ["--grid", "1"]),
     "t_samples flag": ("phi", family_scenario(kind="phi"), ["--t-samples", "0"]),
     "phi on a 2D family": ("phi", family_scenario(kind="phi", dim="2",
-                                                  entries='g11 = "1"\ng22 = "1"\n'), []),
+                                                  entries='g11 = "1"\ng22 = "1"\n'), [],
+                           "phi needs a 3-dimensional family"),
+    "phi2d on a 3D family": ("phi2d", family_scenario(kind="phi2d"), [],
+                             "phi2d needs a 2-dimensional family"),
     "entry outside its domain": ("family-check", family_scenario(
         entries='g11 = "log(x1 - 2)"\ng22 = "1"\ng33 = "1"\n'), []),
     "metric lower-triangle key": ("embed", embed_scenario(sections='g21 = "x1"\n'), [], "g21"),
@@ -853,6 +857,25 @@ class TestVerifyKind:
 
 
 class TestEmitReport:
+    def test_report_json_encodes_raw_values_as_their_plain_copies(self):
+        # runners keep Fractions and numpy values; report_json's one hook writes them
+        # as the plain copies the runners used to make: str of a Fraction, tolist()
+        def report(frac, flt, count, arr):
+            return RunReport(scenario={"kind": "phi", "tolerance": frac(1, 3)},
+                             verdicts=[{"name": "v", "passed": True, "value": flt(0.1),
+                                        "tolerance": frac(0)}],
+                             residuals={"res": frac(-2, 7), "n": count(3)},
+                             phi={"t": arr([0.0, 0.5]), "phi": arr([1.0, np.nan]),
+                                  "integrals": arr([[1.0], [2.0]])})
+
+        text = report_json(report(Fraction, np.float64, np.int64, np.array), True)
+        plain = report_json(report(lambda *pq: str(Fraction(*pq)), float, int, list), True)
+        assert text == plain
+        assert '"res": "-2/7"' in text and '"value": 0.1' in text and "NaN" in text
+        for value in (object(), {1, 2}, 1j):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                report_json(RunReport(scenario={"kind": "embed", "x": value}, verdicts=[]))
+
     def test_emits_csv_header_for_empty_phi(self, tmp_path):
         report = run_scenario(SCENARIOS / "det_drift_check.ini")
         csv_path = tmp_path / "out.csv"

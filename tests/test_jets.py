@@ -1026,6 +1026,42 @@ class TestPackedKeys:
             with pytest.raises(JetError, match=message):
                 Jet(3, {idx: value}, EXACT)
 
+    @pytest.mark.parametrize("order,coeffs,mode,error,message", [
+        (3, {ZERO: 0.5}, EXACT, JetDomainError, "float scalar 0.5 not allowed in exact mode"),
+        (3, {ZERO: "abc"}, EXACT, ValueError, "Invalid literal for Fraction: 'abc'"),
+        (3, {ZERO: "1/0"}, EXACT, ZeroDivisionError, "Fraction(1, 0)"),
+        (3, {ZERO: "x"}, FLOAT, ValueError, "could not convert string to float: 'x'"),
+        (3, {1: 1}, EXACT, JetError, "bad multi-index 1"),
+        (3, {(0.5, 0, 0, 0, 0, 0): 1}, FLOAT, JetError, "bad multi-index (0.5, 0, 0, 0, 0, 0)"),
+        (-1, {ZERO: 0.5}, EXACT, JetError, "jet order -1 is outside 0..65535"),
+        # a defect in each of two terms: the first term's, as the terms are built in turn
+        (3, {(4, 0, 0, 0, 0, 0): 1, ZERO: 0.5}, EXACT, JetError,
+         "multi-index (4, 0, 0, 0, 0, 0) exceeds order 3"),
+        (3, {ZERO: 0.5, (4, 0, 0, 0, 0, 0): 1}, EXACT, JetDomainError,
+         "float scalar 0.5 not allowed in exact mode"),
+    ])
+    def test_each_malformed_input_names_its_defect(self, order, coeffs, mode, error, message):
+        with pytest.raises(error) as info:
+            Jet(order, coeffs, mode)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_from_pairs_is_the_constructor_of_jet_and_packs_once_per_memo(self, mode,
+                                                                         monkeypatch):
+        pairs = {(0, 1, 0, 0, 0, 0): (2, 4), ZERO: (0, 3), (1, 0, 0, 1, 0, 0): (-1, 6)}
+        if mode == FLOAT:
+            pairs = {idx: (p / q, 1) for idx, (p, q) in pairs.items()}
+        coeffs = {idx: Fraction(p, q) if mode == EXACT else p for idx, (p, q) in pairs.items()}
+        packed, memo, pack = [], {}, jets._pack
+        monkeypatch.setattr(jets, "_pack",
+                            lambda idx, order: packed.append(idx) or pack(idx, order))
+        built = [jets.from_pairs(3, mode, pairs.items(), memo) for _ in range(2)]
+        assert built[0] == built[1] == Jet(3, coeffs, mode)
+        assert built[0].coeffs == {idx: c for idx, c in coeffs.items() if c}
+        assert sorted(packed) == sorted([*pairs, *pairs])  # once through the memo, once by Jet
+        with pytest.raises(JetError, match="order 70000"):
+            jets.from_pairs(70000, mode, [])
+
     @pytest.mark.parametrize("build", [
         lambda order: Jet.constant(1, order),
         lambda order: Jet.variable(X1, order, FLOAT),

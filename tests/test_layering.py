@@ -114,15 +114,83 @@ def attribute_reads(path: Path, name: str) -> list:
             if isinstance(node, ast.Attribute) and node.attr == name]
 
 
+# a jet's stored form: numerators keyed by packed ints over the lcm of the denominators
+STORED_FORM = ("num", "den", "lcm")
+
+
 @pytest.mark.parametrize("module", sorted(set(ALLOWED) - {"jets"}))
 def test_packed_keys_stay_inside_jets(module):
-    # a jet's ``num`` is keyed by packed ints; other modules go through
-    # coeffs, depends_on and the other Jet methods
-    assert attribute_reads(SRC / f"{module}.py", "num") == []
+    # other modules go through coeffs, depends_on, from_pairs and the other Jet methods
+    for name in STORED_FORM:
+        assert attribute_reads(SRC / f"{module}.py", name) == [], name
 
 
 def test_the_key_check_sees_reads_of_num():
-    assert attribute_reads(SRC / "jets.py", "num")
+    for name in STORED_FORM:
+        assert attribute_reads(SRC / "jets.py", name), name
+
+
+# -- module boundaries: a module reads only another module's public names ----------------
+
+
+def private_definitions(tree) -> set:
+    """The ``_`` names a module defines, dunders not: its module-level functions,
+    classes and assignments, and the methods and class attributes of its classes."""
+    found = set()
+    for scope in [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]:
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.update(sub.id for target in targets for sub in ast.walk(target)
+                             if isinstance(sub, ast.Name))
+    return {name for name in found if name.startswith("_") and not name.endswith("__")}
+
+
+def private_reads(tree, names: set) -> list:
+    """(line, name) of each of ``names`` that the module imports from the package or
+    reaches as an attribute.  Attributes are matched by name alone, so a module's own
+    ``_`` names must be left out of ``names``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("slagcy")):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in names]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def module_trees() -> dict:
+    return {m: ast.parse((SRC / f"{m}.py").read_text(encoding="utf-8")) for m in ALLOWED}
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_private_names_stay_in_their_module(module):
+    # each format has one owner: e.g. the dump loader builds its jets through
+    # jets.from_pairs and jets.parse_scalar, never through the packed-key helpers
+    trees = module_trees()
+    others = set().union(*(private_definitions(t) for m, t in trees.items() if m != module))
+    assert private_reads(trees[module], others - private_definitions(trees[module])) == []
+
+
+def test_the_private_check_sees_planted_reads():
+    names = private_definitions(module_trees()["jets"])
+    assert {"_pack", "_jet", "_series", "_KEY", "_by_degree"} <= names
+    assert names.isdisjoint({"from_pairs", "Jet", "__init__", "__add__", "EXACT"})
+    for source, hits in (("from .jets import _jet, _pack", [(1, "_jet"), (1, "_pack")]),
+                         ("from slagcy.jets import X1, _pack as pack", [(1, "_pack")]),
+                         ("key = jets._pack(idx, order)", [(1, "_pack")]),
+                         ("x = 1\nj = slagcy.jets._jet(2, mode, {})", [(2, "_jet")]),
+                         ("pairs = jet._by_degree", [(1, "_by_degree")])):
+        assert private_reads(ast.parse(source), names) == hits, source
+    for source in ("from .jets import from_pairs", "from struct import _clearcache",
+                   "_pack(idx, 3)", "x._own()"):
+        assert private_reads(ast.parse(source), names) == [], source
+    method = "class Jet:\n    def _check_compatible(self, other):\n        pass"
+    assert private_definitions(ast.parse(method)) == {"_check_compatible"}
+    assert private_reads(ast.parse("ref._check_compatible(g)"), {"_check_compatible"}) == [
+        (1, "_check_compatible")]
 
 
 def fft_uses(source: str) -> list:
