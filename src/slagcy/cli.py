@@ -372,8 +372,7 @@ def _run_family_check(sc: Scenario) -> RunReport:
     fam = _family_from_scenario(sc)
     tol = float(sc.tolerance)
     report = check_slag_family(fam, n=sc.grid, nt=sc.t_samples, tol=tol)
-    verdicts = [_verdict(name, getattr(report, name), tol) for name in
-                ("det_t_independence", "det_x1_independence", "closure_residual")]
+    verdicts = [_verdict(name, getattr(report, name), tol) for name in report.RESIDUALS]
     return RunReport(scenario=sc.echo(), verdicts=verdicts, family_check=report.as_dict())
 
 
@@ -392,7 +391,12 @@ def _run_phi(sc: Scenario) -> RunReport:
                        verdicts=[_verdict("family_admissible", check.worst, tol)])
     if not check.passed():
         return report
-    curve = (hodge.phi_2d if dim == 2 else hodge.phi_curve)(fam, ts, n=sc.grid, check=False)
+    try:
+        curve = (hodge.phi_2d if dim == 2 else hodge.phi_curve)(fam, ts, n=sc.grid, check=False)
+    except hodge.HodgeError as exc:  # the family passed: its refused curve fails a verdict
+        report.verdicts.append(dict(name="phi_curve", passed=False, value=str(exc),
+                                    tolerance=None))
+        return report
     if dim == 2:
         report.verdicts.append(_verdict("phi_constant_equal_1",
                                         float(abs(curve.phi - 1.0).max()), sc.phi_tolerance))

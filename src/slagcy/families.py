@@ -174,6 +174,9 @@ class FamilyCheckReport:
     n: int
     nt: int
 
+    # the three residuals, in the order of as_dict and of the family-check verdicts
+    RESIDUALS = ("det_t_independence", "det_x1_independence", "closure_residual")
+
     @property
     def verdict(self) -> str:
         return "pass" if self.passed() else "fail"
@@ -181,8 +184,7 @@ class FamilyCheckReport:
     @property
     def worst(self) -> float:
         """The largest of the three residuals, nan if one is nan."""
-        return worst((self.det_t_independence, self.det_x1_independence,
-                      self.closure_residual))
+        return worst(getattr(self, name) for name in self.RESIDUALS)
 
     def passed(self) -> bool:
         return within(self.worst, self.tolerance)
@@ -194,15 +196,8 @@ class FamilyCheckReport:
                 f"family fails the slice conditions: {self.as_dict()}")
 
     def as_dict(self) -> dict:
-        return {
-            "det_t_independence": self.det_t_independence,
-            "det_x1_independence": self.det_x1_independence,
-            "closure_residual": self.closure_residual,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "n": self.n,
-            "nt": self.nt,
-        }
+        return {**{name: getattr(self, name) for name in self.RESIDUALS},
+                "tolerance": self.tolerance, "verdict": self.verdict, "n": self.n, "nt": self.nt}
 
 
 def t_batches(fam: MetricFamily, ts, n: int, run):

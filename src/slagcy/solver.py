@@ -19,20 +19,22 @@ into y_p, one power at a time, by integrating the system of two index rules
     d b_ij/d y_p = d a_pj/d x_i - d a_pi/d x_j      (i < j),
     d a_rk/d y_p = d a_pk/d y_r + d b_rp/d x_k      (r < p, k = 1, 2, 3),
 
-and mirroring a_kr = a_rk for r < p <= k.  The diagonal entry a_pp is solved
-algebraically from (D) -- the determinant is linear in it with an
-invertible leading coefficient -- and the entries left free are supplied by
-an extension policy.  A sweep works on slices in the evolution variable and
-extends the row-0 cofactors of h incrementally, so each new slice of det(h)
-is a Cauchy sum of slice products.  A full residual verifier reports how
-well every constraint holds; nothing is assumed that is not re-checked.
+where a_kr for r < p <= k is held as the same entry as a_rk, so the two must
+agree on entry to the sweep.  The diagonal entry a_pp is solved algebraically
+from (D) -- the determinant is linear in it with an invertible leading
+coefficient -- and the entries left free are supplied by an extension policy.
+A sweep holds each entry once, as its slices in the evolution variable, reads
+B_ji = -B_ij by sign, and extends the row-0 cofactors of h incrementally, so
+each new slice of det(h) is a Cauchy sum of slice products.  A full residual
+verifier reports how well every constraint holds; nothing is assumed that is
+not re-checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 from .jets import (
     EXACT,
@@ -173,11 +175,9 @@ class ResidualReport:
     details: dict = field(default_factory=dict)
     effective_orders: dict = field(default_factory=dict)
 
-    _FIELDS = ("res_D", "res_domega", "res_C41", "res_C42", "res_initial_A",
-               "res_initial_B", "res_symmetry", "res_slice_im_omega", "res_slice_omega")
-
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self._FIELDS}
+        """The ``res_*`` fields by name, in their order of declaration."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name.startswith("res_")}
 
     def max_residual(self):
         return worst(self.as_dict().values())
@@ -193,24 +193,27 @@ def _hmatrix(h: HermitianJet):
 
 def _product_terms(x, y, m: int, sign: int = 1):
     """Signed slice products summing to the real and the imaginary part of
-    slice m of sign * x * y, for series given as (real, imaginary) slice lists."""
-    (xr, xi), (yr, yi) = x, y
-    ks = range(m + 1)
-    re = [(sign, xr[k], yr[m - k]) for k in ks] + [(-sign, xi[k], yi[m - k]) for k in ks]
-    im = [(sign, xr[k], yi[m - k]) for k in ks] + [(sign, xi[k], yr[m - k]) for k in ks]
+    slice m of sign * x * y, for series given as (unit, slices) parts, each unit
+    1, 1j or -1j: the units of a product give its part and its sign."""
+    re, im = [], []
+    for u, xs in x:
+        for v, ys in y:
+            w = sign * u * v  # 1, -1, 1j or -1j
+            part, s = (re, w.real) if w.imag == 0 else (im, w.imag)
+            part += [(int(s), xs[k], ys[m - k]) for k in range(m + 1)]
     return re, im
 
 
 def _extend_cofactors(h, cof, m: int, order: int) -> None:
-    """Append slice m (of order ``order - m``) to the (real, imaginary) slice
-    lists ``cof[c]`` of the cofactor of h[0][c]; reads only rows 1 and 2 of h."""
-    for c, (re, im) in enumerate(cof):
+    """Append slice m (of order ``order - m``) to each (unit, slices) part of
+    ``cof[c]``, the cofactor of h[0][c]; reads only rows 1 and 2 of h."""
+    for c, parts in enumerate(cof):
         c1, c2 = (col for col in range(3) if col != c)
         sign = -1 if c == 1 else 1
         re1, im1 = _product_terms(h[1][c1], h[2][c2], m, sign)
         re2, im2 = _product_terms(h[1][c2], h[2][c1], m, -sign)
-        re.append(mul_sum(re1 + re2, order - m))
-        im.append(mul_sum(im1 + im2, order - m) if c else re[-1].zero_like())  # h[0][0] is real
+        for (_, slices), terms in zip(parts, (re1 + re2, im1 + im2)):
+            slices.append(mul_sum(terms, order - m))
 
 
 # -- gamma ------------------------------------------------------------------------
@@ -292,8 +295,10 @@ def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
     initial data A(x,0) = g, B(x,0) = 0).  Evolved unknowns gain one power of
     the evolution variable per round from their first-order equations; the
     sweep's diagonal entry comes from the determinant constraint, which is
-    linear in it.  Every entry is held as its list of slices in the evolution
-    variable (slice k a jet of order ``order - k``) and reassembled at the end.
+    linear in it.  Every entry is held once, as its list of slices in the
+    evolution variable (slice k a jet of order ``order - k``), and reassembled at
+    the end.  A mirror a_kr (r < step <= k) shares a_rk's list, so the two must
+    be equal on entry; h = A + iB reads A with unit 1 and B with unit +-1j.
     """
     if step not in (1, 2, 3):
         raise SolverError(f"step must be 1, 2 or 3, got {step}")
@@ -307,15 +312,16 @@ def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
     system = _evolution(step)
 
     sl = {key: [cur[key].slice_coeff(ev, k) for k in range(order + 1)] for key in ENTRY_KEYS}
-    im = {(i, i): [s.zero_like() for s in sl["a11"]] for i in (1, 2, 3)}
-    for i, j in _PAIRS:
-        im[i, j] = sl[f"b{i}{j}"]
-        im[j, i] = [-b for b in im[i, j]]
+    for r, k in product(range(1, step), range(step, 4)):
+        if cur[f"a{k}{r}"] != cur[f"a{r}{k}"]:
+            raise SolverError(f"a{k}{r} and a{r}{k} differ on entry to sweep {step}")
+        sl[f"a{k}{r}"] = sl[f"a{r}{k}"]
     # h = A + iB conjugated by the permutation; the slice lists are updated in place
-    h = [[(sl[f"a{i}{j}"], im[i, j]) for j in perm] for i in perm]
-    cof = [([], []) for _ in range(3)]
+    h = [[[(1, sl[f"a{i}{j}"])] + ([(1j if i < j else -1j, sl[f"b{min(i, j)}{max(i, j)}"])]
+                                    if i != j else []) for j in perm] for i in perm]
+    cof = [[(1, [])] + ([(1j, [])] if c else []) for c in range(3)]  # h[0][0]'s is real
     _extend_cofactors(h, cof, 0, order)
-    cof0 = cof[0][0][0]
+    cof0 = cof[0][0][1][0]
     if cof0.constant_term == 0:
         i, j = perm[1:]
         raise DegenerateMetricError(
@@ -323,26 +329,16 @@ def ck_step(step: int, state: HermitianJet, gamma: ComplexJet,
     cof0_inv = cof0.reciprocal()
 
     for m in range(1, order + 1):
-        new_slices = {}
-        for key, terms in system.items():
-            new_slices[key] = partial_sum([(sign, sl[src][m - 1], var)
-                                           for sign, src, var in terms]) / m
-        for key, new in new_slices.items():
-            sl[key][m] = sl[key][m] + new
-        for r in range(1, step):
-            for k in range(step, 4):
-                sl[f"a{k}{r}"][m] = sl[f"a{k}{r}"][m] + new_slices[f"a{r}{k}"]
-        for i, j in _PAIRS:
-            im[j, i][m] = -im[i, j][m]
+        for key, terms in system.items():  # slice m reads only slices m - 1
+            sl[key][m] = sl[key][m] + partial_sum([(sign, sl[src][m - 1], var)
+                                                   for sign, src, var in terms]) / m
         _extend_cofactors(h, cof, m, order)
         # determinant constraint at this order, linear in the diagonal entry
-        det_terms = []
-        for c in range(3):
-            det_terms += _product_terms(h[0][c], cof[c], m)[0]
+        det_terms = [t for c in range(3) for t in _product_terms(h[0][c], cof[c], m)[0]]
         numer = gamma_sq.slice_coeff(ev, m) - mul_sum(det_terms, order - m)
         sl[d_key][m] = sl[d_key][m] + mul_sum(((1, numer, cof0_inv),), order - m)
 
-    del h, cof, im  # so that each entry's slices are released once it is reassembled
+    del h, cof  # so that each entry's slices are released once it is reassembled
     return HermitianJet({key: from_slices(ev, sl.pop(key)) for key in ENTRY_KEYS})
 
 

@@ -449,6 +449,25 @@ class TestExitCodes:
         for key in named:
             assert len(err.splitlines()) == 1 and key in err, err
 
+    def test_a_curve_refused_after_a_passed_check_is_one(self, tmp_path, capsys):
+        # the family passes admissibility, then its 3D basis fails to certify: the
+        # passed verdict stays, the refusal fails a verdict, and the report is written
+        text = family_scenario(kind="phi", constructor="collapse21", grid="64", t_samples="21",
+                               t_min=None, t_max=None,
+                               entries='w = "(t/(1-t))*cos(pi*x1)^2"\nv = "t*cos(2*pi*x2)"\n'
+                                       't1 = 1\n')
+        report = tmp_path / "r.json"
+        assert main(["phi", "--scenario", write_scenario(tmp_path, text),
+                     "--out-json", str(report)]) == 1
+        refusal = ("harmonicity residual above tolerance: d=0.000e+00, delta=2.828e-01 "
+                   "at t=0.045")
+        data = json.loads(report.read_text())
+        assert [(v["name"], v["passed"]) for v in data["verdicts"]] == [
+            ("family_admissible", True), ("phi_curve", False)]
+        assert data["verdicts"][1]["value"] == refusal
+        assert data["family_check"]["verdict"] == "pass" and data["phi"] is None
+        assert f"[FAIL] phi_curve: {refusal}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind,dim,g33", [("phi2d", "2", ""), ("phi", "3", 'g33 = "1"\n')])
     def test_a_metric_not_positive_definite_at_one_t_is_two(self, kind, dim, g33, tmp_path,
                                                             capsys):

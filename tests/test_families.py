@@ -53,6 +53,14 @@ class TestCheckFamily:
         report = check_slag_family(bessel_family(), n=64, nt=5, tol=1e-12)
         assert report.passed(), report.as_dict()
 
+    def test_report_lists_its_residuals_first_and_worst_reads_them(self):
+        report = FamilyCheckReport(0.25, 0.5, 0.125, 1e-10, 8, 2)
+        assert list(report.as_dict()) == list(FamilyCheckReport.RESIDUALS) + [
+            "tolerance", "verdict", "n", "nt"]
+        assert FamilyCheckReport.RESIDUALS == (
+            "det_t_independence", "det_x1_independence", "closure_residual")
+        assert report.worst == 0.5 and report.as_dict()["closure_residual"] == 0.125
+
     def test_det_drift_fails(self):
         fam = family_from_entries({"g11": "exp(t)", "g22": "1", "g33": "1"})
         report = check_slag_family(fam, n=16, nt=5, tol=1e-10)

@@ -296,6 +296,71 @@ def test_the_call_check_sees_the_sweep_helpers():
     assert SWEEP_HELPERS <= reachable_calls(SRC / "solver.py", "solve_calabi_yau")
 
 
+# -- the jet surface of the solver: what a second ring must provide ---------------------
+
+# the names solver imports from jets, and the members of Jet and ComplexJet it reads
+SOLVER_JET_IMPORTS = {
+    "EXACT", "FLOAT", "MAX_ORDER", "NVARS", "X1", "X2", "X3", "Y1", "Y2", "Y3", "Y_VARS",
+    "ComplexJet", "Jet", "JetError", "det", "from_pairs", "from_slices", "holomorphic_extend",
+    "jet_pow", "leading_minors", "mul_sum", "parse_scalar", "partial_sum", "within", "worst",
+}
+SOLVER_JET_MEMBERS = {
+    "abs2", "check_compatible", "constant_term", "depends_on", "dumps", "re", "im",
+    "max_abs_coeff", "order", "mode", "reciprocal", "restrict_zero", "slice_coeff", "zero_like",
+}
+
+
+def jets_imports(tree) -> set:
+    """The names a module imports from ``jets``, relatively or as ``slagcy.jets``."""
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and node.module in ("jets", "slagcy.jets") for alias in node.names}
+
+
+def jet_members() -> set:
+    """The public members of jets.Jet and jets.ComplexJet: methods and properties,
+    class-level fields, and the attributes their methods set on ``self``."""
+    tree = ast.parse((SRC / "jets.py").read_text(encoding="utf-8"))
+    found = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name in ("Jet", "ComplexJet"):
+            found.update(node.name if isinstance(node, ast.FunctionDef) else node.target.id
+                         for node in cls.body
+                         if isinstance(node, (ast.FunctionDef, ast.AnnAssign)))
+            found.update(node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, ast.Store)
+                         and isinstance(node.value, ast.Name) and node.value.id == "self")
+    return {name for name in found if not name.startswith("_")}
+
+
+def member_reads(tree, members: set) -> set:
+    """The names of ``members`` that a module reads as attributes, matched by name alone."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and node.attr in members}
+
+
+def test_the_solver_reaches_the_pinned_jet_surface():
+    # a ring that provides these names and members can stand in for jets; a change
+    # that widens or narrows the surface updates the census here
+    tree = module_trees()["solver"]
+    assert jets_imports(tree) == SOLVER_JET_IMPORTS
+    assert member_reads(tree, jet_members()) == SOLVER_JET_MEMBERS
+
+
+def test_the_surface_check_sees_planted_reads():
+    members = jet_members()
+    assert {"coeffs", "num", "den", "order", "mode", "constant", "re", "im", "abs2"} <= members
+    assert members.isdisjoint({"__add__", "_abs2", "_by_degree", "real"})
+    for source, hits in (("c = jet.coeffs", {"coeffs"}), ("s.gamma.re.max_abs_coeff()",
+                                                          {"re", "max_abs_coeff"}),
+                         ("f(Jet.constant(1, 2))", {"constant"})):
+        assert member_reads(ast.parse(source), members) == hits, source
+    for source in ("jet.coeffs = {}", "w.real + w.imag", "coeffs(jet)"):
+        assert member_reads(ast.parse(source), members) == set(), source
+    assert jets_imports(ast.parse("from .jets import Jet, mul_sum as ms")) == {"Jet", "mul_sum"}
+    assert jets_imports(ast.parse("from slagcy.jets import det\nfrom .dsl import parse")) == {
+        "det"}
+
+
 # -- the census: every function and class of the package has a reader -------------------
 
 # defined in src/ but read nowhere outside the tests, each with why it stays

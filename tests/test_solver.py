@@ -334,6 +334,12 @@ class TestCheckStructure:
         assert any(math.isnan(v) for v in report.as_dict().values())
         assert math.isnan(report.max_residual())
 
+    def test_residual_fields_in_declaration_order(self):
+        report = check_structure(solve_calabi_yau(identity_metric(3), 3))
+        assert list(report.as_dict()) == [
+            "res_D", "res_domega", "res_C41", "res_C42", "res_initial_A", "res_initial_B",
+            "res_symmetry", "res_slice_im_omega", "res_slice_omega"]
+
     def test_effective_orders_recorded(self):
         st = solve_calabi_yau(identity_metric(4), 4)
         report = check_structure(st)
@@ -845,6 +851,47 @@ class TestSliceSweep:
             minor = re.escape(f"({i},{j})x({i},{j}) minor multiplying a{step}{step}")
             with pytest.raises(DegenerateMetricError, match=minor):
                 ck_step(step, HermitianJet(entries), build_gamma(g))
+
+    def test_sweeps_neither_negate_nor_zero_fill(self, monkeypatch):
+        # B_ji = -B_ij is read by sign and the real diagonal has no imaginary part,
+        # so no slice list is negated or filled with zeros
+        g = metric_from_exprs(TRIG_METRICS[1], 8, FLOAT)
+        gamma, state = build_gamma(g), initial_state(g)
+        calls = {"__neg__": 0, "zero_like": 0}
+        for name in calls:
+            def counted(jet, name=name, original=getattr(Jet, name)):
+                calls[name] += 1
+                return original(jet)
+            monkeypatch.setattr(Jet, name, counted)
+        for step in (1, 2, 3):
+            state = ck_step(step, state, gamma)
+        assert calls == {"__neg__": 0, "zero_like": 0}
+        # the counters see the verifier's B_ii = 0 and B_ji = -B_ij
+        check_structure(CYStructureJet(h=state, gamma=gamma, g=tuple(map(tuple, g)),
+                                       policy=None, order=8))
+        assert calls["__neg__"] > 0 and calls["zero_like"] > 0
+
+    @pytest.mark.parametrize("step, mirror, source", [
+        (2, "a21", "a12"), (2, "a31", "a13"), (3, "a31", "a13"), (3, "a32", "a23")])
+    def test_a_mirror_that_differs_from_its_source_is_refused(self, step, mirror, source):
+        # a mirror shares its source's slice list, so an asymmetric pair would be
+        # overwritten; the sweep refuses it and names the pair
+        order = 3
+        g = identity_metric(order)
+        entries = dict(initial_state(g).entries)
+        entries[source] = entries[source] + Jet.variable(X3, order) / 8
+        with pytest.raises(SolverError, match=f"{mirror} and {source} differ on entry "
+                                              f"to sweep {step}"):
+            ck_step(step, HermitianJet(entries), build_gamma(g))
+
+    def test_an_asymmetric_pair_evolved_on_its_own_is_accepted(self):
+        # a12 and a21 each have their own equation in sweep 3: neither mirrors the other
+        order = 3
+        g = identity_metric(order)
+        entries = dict(initial_state(g).entries)
+        entries["a12"] = entries["a12"] + Jet.variable(X3, order) / 8
+        out = ck_step(3, HermitianJet(entries), build_gamma(g))
+        assert out.entries["a12"] != out.entries["a21"]
 
 
 # -- the verifier's fused determinant ------------------------------------------------
