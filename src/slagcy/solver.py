@@ -25,9 +25,10 @@ from (D) -- the determinant is linear in it with an invertible leading
 coefficient -- and the entries left free are supplied by an extension policy.
 A sweep holds each entry once, as its slices in the evolution variable, reads
 B_ji = -B_ij by sign, and extends the row-0 cofactors of h incrementally, so
-each new slice of det(h) is a Cauchy sum of slice products.  A full residual
-verifier reports how well every constraint holds; nothing is assumed that is
-not re-checked.
+each new slice of det(h) is a Cauchy sum of slice products; each cofactor slice
+is formed only to the degree that sum reads, which changes no coefficient (see
+``_extend_cofactors``).  A full residual verifier reports how well every
+constraint holds; nothing is assumed that is not re-checked.
 """
 
 from __future__ import annotations
@@ -205,15 +206,22 @@ def _product_terms(x, y, m: int, sign: int = 1):
 
 
 def _extend_cofactors(h, cof, m: int, order: int) -> None:
-    """Append slice m (of order ``order - m``) to each (unit, slices) part of
-    ``cof[c]``, the cofactor of h[0][c]; reads only rows 1 and 2 of h."""
+    """Append slice m, of order ``max(order - m - cut, 0)``, to each (unit w,
+    slices) part of ``cof[c]``, the cofactor of h[0][c]; reads only rows 1 and 2
+    of h.  The constraint at slice m' reads it with slice m' - m of h[0][c] to
+    degree order - m', so cut = 1 when m = 0 or when each part of h[0][c] whose
+    unit times w is real has slice 0 without constant term (as B always does).
+    ``mul_sum`` forms each kept degree by the same sum, so outputs are unchanged,
+    and it refuses a product that a cut leaves unknown to the degree read."""
     for c, parts in enumerate(cof):
         c1, c2 = (col for col in range(3) if col != c)
         sign = -1 if c == 1 else 1
         re1, im1 = _product_terms(h[1][c1], h[2][c2], m, sign)
         re2, im2 = _product_terms(h[1][c2], h[2][c1], m, -sign)
-        for (_, slices), terms in zip(parts, (re1 + re2, im1 + im2)):
-            slices.append(mul_sum(terms, order - m))
+        for (w, slices), terms in zip(parts, (re1 + re2, im1 + im2)):
+            cut = m == 0 or all(xs[0].constant_term == 0 for u, xs in h[0][c]
+                                if (u * w).imag == 0)
+            slices.append(mul_sum(terms, max(order - m - cut, 0)))
 
 
 # -- gamma ------------------------------------------------------------------------
@@ -463,7 +471,7 @@ def load_structure(text: str) -> CYStructureJet:
     order for the header and each once, and each multi-index at most once per
     section.  This reader owns the layout and every diagnostic; ``parse_scalar``
     reads each coefficient, ``from_pairs`` builds each section from them, and
-    each distinct multi-index is parsed and packed once per dump."""
+    each distinct multi-index or coefficient text is parsed once per dump."""
     lines = text.splitlines()
     if not lines or lines[0] != _DUMP_HEADER:
         raise SolverError("not a structure dump (bad header)")
@@ -494,7 +502,8 @@ def load_structure(text: str) -> CYStructureJet:
 
     tags = [tag for tag, _ in _DUMP_SECTIONS]
     sections: dict = {}
-    keys, packed = {}, {}  # multi-index text -> exponent tuple -> key, each formed once
+    # multi-index text -> exponent tuple -> key, and coefficient text -> (p, q), each formed once
+    keys, packed, values = {}, {}, {}
     for ln in lines[pos:]:
         if ln.startswith("["):
             tag = ln.strip("[]")
@@ -508,7 +517,8 @@ def load_structure(text: str) -> CYStructureJet:
             try:
                 idx = keys.get(idx_text) or keys.setdefault(
                     idx_text, tuple(map(int, idx_text.split())))
-                value = parse_scalar(val_text.strip(), mode)
+                value = values.get(val_text) or values.setdefault(
+                    val_text, parse_scalar(val_text.strip(), mode))
             except (ValueError, ZeroDivisionError) as exc:
                 raise SolverError(f"bad coefficient line {ln!r}: {exc}") from exc
             if len(idx) != NVARS:

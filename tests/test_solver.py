@@ -477,6 +477,23 @@ class TestLoaderParsesEachIndexOnce:
         assert len(packed) == len(set(heads)) < len(heads) / 2
         assert sorted(packed) == sorted({tuple(map(int, h.split())) for h in heads})
 
+    @pytest.mark.parametrize("mode,order,metrics", [(FLOAT, 8, TRIG_METRICS),
+                                                    (EXACT, 6, POLY_METRICS)])
+    def test_one_parse_per_distinct_coefficient_text(self, mode, order, metrics, monkeypatch):
+        text = dump_structure(solve_calabi_yau(metric_from_exprs(metrics[1], order, mode), order))
+        values = [ln.partition(":")[2] for ln in text.splitlines() if " : " in ln]
+        parsed = []
+        parse = solver.parse_scalar
+        monkeypatch.setattr(solver, "parse_scalar",
+                            lambda text, mode: parsed.append(text) or parse(text, mode))
+        back = load_structure(text)
+        assert dump_structure(back) == text
+        # the base point's coordinates, then each distinct value text once
+        base_point = re.search(r"(?m)^base_point = (.*)$", text)[1].split()
+        assert parsed[:len(base_point)] == base_point
+        assert sorted(parsed[len(base_point):]) == sorted({v.strip() for v in values})
+        assert len(set(values)) < len(values)
+
     @pytest.mark.parametrize("mode,order", [(FLOAT, 8), (EXACT, 6)])
     @settings(max_examples=6, deadline=None)
     @given(data=st.data())
@@ -783,9 +800,11 @@ class TestSliceSweep:
         g = metric_from_exprs(TRIG_METRICS[0], order, FLOAT)
         calls = {"reciprocal": 0, "det": 0}
         reciprocal, full_det = Jet.reciprocal, solver.det
+        orders = []  # of the jets whose reciprocal is taken
 
         def counted_reciprocal(jet):
             calls["reciprocal"] += 1
+            orders.append(jet.order)
             return reciprocal(jet)
 
         def counted_det(m):
@@ -797,10 +816,12 @@ class TestSliceSweep:
         gamma = build_gamma(g)
         in_gamma = calls["reciprocal"]
         calls.update(reciprocal=0, det=0)
+        orders.clear()
         state = initial_state(g)
         for step in (1, 2, 3):
             state = ck_step(step, state, gamma)
         assert calls == {"reciprocal": 3, "det": 0}
+        assert orders == [order - 1] * 3  # the pivot's slice 0 is read below degree N
         calls["reciprocal"] = 0
         solve_calabi_yau(g, order)
         assert calls["reciprocal"] == 3 + in_gamma
@@ -892,6 +913,113 @@ class TestSliceSweep:
         entries["a12"] = entries["a12"] + Jet.variable(X3, order) / 8
         out = ck_step(3, HermitianJet(entries), build_gamma(g))
         assert out.entries["a12"] != out.entries["a21"]
+
+
+# -- the degree each cofactor slice is formed to --------------------------------------
+
+
+def record_cofactor_targets(monkeypatch, deeper=False):
+    """Patch the sweep so that each ``_extend_cofactors`` call appends (m,
+    targets): the target order of each ``mul_sum`` call it makes, in part order
+    (c = 0, then re and im of c = 1 and of c = 2).  ``deeper`` forms the c = 0
+    part of each slice m >= 1 one degree below the target it asks for."""
+    rounds, inside = [], []
+    extend, mul = solver._extend_cofactors, solver.mul_sum
+
+    def recorded_extend(h, cof, m, order):
+        rounds.append((m, []))
+        inside.append(m)
+        try:
+            extend(h, cof, m, order)
+        finally:
+            inside.pop()
+
+    def recorded_mul(terms, order):
+        if inside:
+            m, targets = rounds[-1]
+            if deeper and m >= 1 and not targets:
+                order -= 1
+            targets.append(order)
+        return mul(terms, order)
+
+    monkeypatch.setattr(solver, "_extend_cofactors", recorded_extend)
+    monkeypatch.setattr(solver, "mul_sum", recorded_mul)
+    return rounds
+
+
+def expected_targets(state, step, m):
+    """The rule, read off the state entering sweep ``step``: slice m of a
+    cofactor part is formed to order N - m - cut, never below 0, where cut = 1
+    at m = 0, for each B part, and for the A part of a column whose row-0 entry
+    a_{step,k} has no constant term."""
+    order = state.order
+    perm = (step,) + tuple(i for i in (1, 2, 3) if i != step)
+    out = []
+    for c, k in enumerate(perm):
+        cut_re = m == 0 or state.entries[f"a{step}{k}"].constant_term == 0
+        out += [max(order - m - cut, 0) for cut in ((cut_re, True) if c else (cut_re,))]
+    return out
+
+
+def with_constants(g, const):
+    """The metric g with its constant terms replaced by the matrix ``const``."""
+    return [[g[i][j] + (const[i][j] - g[i][j].constant_term) for j in range(3)]
+            for i in range(3)]
+
+
+def step1_policy(g, order):
+    y1 = Jet.variable(Y1, order)
+    return policy_matrix(g, a22=g[1][1] + y1 * Jet.variable(X1, order) / 8 + y1 * y1 / 4,
+                         a13=g[0][2] + Jet.variable(X2, order) * y1 / 8)
+
+
+CUT_ORDER = 6
+CUT_METRICS = {
+    # g13 = 1/2: the real part of column 3 (sweep 1) and of column 1 (sweep 3) keep a degree
+    "constant_g13": with_constants(metric_from_exprs(POLY_METRICS[1], CUT_ORDER), _PD_CONSTANTS[3]),
+    # off-diagonals vanishing at 0: every off-diagonal part is cut
+    "poly": metric_from_exprs(POLY_METRICS[1], CUT_ORDER),
+}
+
+
+class TestCofactorDegrees:
+    """Each cofactor slice is formed only to the degree the determinant constraint reads."""
+
+    @pytest.mark.parametrize("name", CUT_METRICS)
+    @pytest.mark.parametrize("with_policy", [False, True])
+    def test_targets_follow_the_rule_and_sweeps_equal_the_reference(self, name, with_policy,
+                                                                    monkeypatch):
+        g, order = CUT_METRICS[name], CUT_ORDER
+        gamma, state = build_gamma(g), initial_state(g)
+        rounds = record_cofactor_targets(monkeypatch)
+        kept = set()  # (step, c) of the off-diagonal real parts formed to N - m, 0 < m < N
+        for step in (1, 2, 3):
+            policy = step1_policy(g, order) if with_policy and step == 1 else CONSTANT_POLICY
+            rounds.clear()
+            expect = full_determinant_sweep(step, state, gamma, policy)
+            out = ck_step(step, state, gamma, policy)
+            assert rounds == [(m, expected_targets(state, step, m)) for m in range(order + 1)]
+            kept |= {(step, c) for m, targets in rounds[1:-1]
+                     for c, i in ((1, 1), (2, 3)) if targets[i] == order - m}
+            for key in ENTRY_KEYS:
+                assert out.entries[key] == expect.entries[key], (step, key)
+            state = out
+        assert kept == ({(1, 2), (3, 1)} if name == "constant_g13" else set())
+        assert_all_zero(check_structure(CYStructureJet(
+            h=state, gamma=gamma, g=tuple(map(tuple, g)), policy=None, order=order)))
+
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_a_cut_one_degree_deeper_is_refused(self, step, monkeypatch):
+        # the pivot column's slice m >= 1 is read to degree N - m against a
+        # slice 0 with a constant term, so cutting it further leaves a product
+        # unknown to the degree the constraint reads
+        g = CUT_METRICS["poly"]
+        gamma, state = build_gamma(g), initial_state(g)
+        for p in range(1, step):
+            state = ck_step(p, state, gamma)
+        record_cofactor_targets(monkeypatch, deeper=True)
+        with pytest.raises(jets.JetError, match="is not known to order"):
+            ck_step(step, state, gamma)
 
 
 # -- the verifier's fused determinant ------------------------------------------------
